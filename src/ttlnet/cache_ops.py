@@ -1,14 +1,27 @@
 """Input-output closure operators for TTL caches with MAP requests and PH TTLs.
 
-Each operator builds the miss process of a cache as a new MAP whose state
-space is the Cartesian product of the TTL phase space (absorbing phase
-first) and the request states. Block index = TTL phase, so the first n
-states form the OUT group (object absent) and the remaining blocks the IN
-group (object present, one block per transient TTL phase). Active
-transitions originate only from OUT states: a request seen while the
-object is absent is a miss, installs the object, and restarts the TTL
-according to its initial vector; requests seen while the object is present
-are hits and stay hidden.
+A cache's miss process is a new MAP on (TTL phase x request state). The
+TTL phase is the outer index, with the absorbing phase first, so the first
+n states form the OUT group (object absent) and each further block of n
+states is one transient TTL phase of the IN group (object present). With a
+TTL of full generator P and a request MAP (d0, d1), every policy builds
+
+    d0' = (P (+) d0) + (H (x) d1)
+    d1' = (A (x) d1)
+
+where A has the single row 0 = (0, pi): a request seen while the object is
+absent is a miss, installs the object, and starts the TTL from pi. The
+three policies differ only in the hit-reset template H, which says where a
+request seen while the object is present (a hidden hit) sends the TTL
+phase. Row 0 of H is zero; its IN block is
+
+* Sigma: the identity, since a hit leaves the TTL phase untouched.
+* R: every row equal to pi, since a hit restarts the TTL.
+* min(Sigma, R): block diagonal over the Sigma phases, each block with
+  every row equal to pi_R, since a hit restarts only the R component.
+
+Every row of H + A sums to one, so the request coordinate of the output
+chain evolves on its own with generator d0 + d1.
 """
 
 from dataclasses import dataclass
@@ -39,21 +52,43 @@ class CacheOutput:
         return self.map.order
 
 
-def _partition(n: int, total: int) -> tuple[frozenset[int], frozenset[int]]:
-    return frozenset(range(n, total)), frozenset(range(n))
+def _pi_rows(pi: np.ndarray, rows: int) -> RateMatrix:
+    """Sparse (rows x len(pi)) matrix with every row equal to pi."""
+    nz = np.flatnonzero(pi)
+    return RateMatrix.from_arrays(
+        rows,
+        pi.size,
+        np.repeat(np.arange(rows), nz.size),
+        np.tile(nz, rows),
+        np.tile(pi[nz], rows),
+    )
 
 
-def _block_labels(m: MarkovArrivalProcess, phases: int) -> tuple[str, ...] | None:
-    if m.state_labels is None:
-        return None
-    prefixes = ["out"] + [f"in{k}" for k in range(1, phases + 1)]
-    return tuple(f"{p}:{s}" for p in prefixes for s in m.state_labels)
+def _cache_output(
+    m: MarkovArrivalProcess, ttl: PhaseTypeDistribution, hit_reset: RateMatrix
+) -> CacheOutput:
+    """Miss process of a cache whose hits move the TTL phase by `hit_reset`.
 
-
-def _active_block_row(pi: np.ndarray, n_phases: int) -> RateMatrix:
-    """Template with row 0 = (0, pi_1, ..., pi_m): misses restart the TTL."""
-    triplets = [(0, j + 1, float(w)) for j, w in enumerate(pi) if w != 0.0]
-    return RateMatrix.from_triplets(n_phases, n_phases, triplets)
+    `hit_reset` is the IN block of H: a sparse (ttl.order x ttl.order)
+    matrix over the transient TTL phases whose rows sum to one. H and A
+    shift it and pi past the absorbing phase, so every step stays O(nnz).
+    """
+    require_valid(m)
+    k = ttl.order
+    h = RateMatrix.from_arrays(
+        k + 1, k + 1, hit_reset.row_idx + 1, hit_reset.col_idx + 1, hit_reset.data
+    )
+    pi = ttl.pi.entries
+    nz = np.flatnonzero(pi)
+    a = RateMatrix.from_arrays(k + 1, k + 1, np.zeros_like(nz), nz + 1, pi[nz])
+    d0p = kron_sum(ttl.full_generator(), m.d0) + kron_product(h, m.d1)
+    d1p = kron_product(a, m.d1)
+    n = m.order
+    return CacheOutput(
+        MarkovArrivalProcess(d0p, d1p),
+        in_states=frozenset(range(n, d0p.rows)),
+        out_states=frozenset(range(n)),
+    )
 
 
 def output_sigma(m: MarkovArrivalProcess, t: PhaseTypeDistribution) -> CacheOutput:
@@ -74,18 +109,7 @@ def output_sigma(m: MarkovArrivalProcess, t: PhaseTypeDistribution) -> CacheOutp
         TTL phase untouched). Active matrix: top block row (0, pi_1 d1, ...,
         pi_m d1).
     """
-    require_valid(m)
-    phases = t.order + 1
-    full = t.full_generator()
-    base = kron_sum(full, m.d0)
-    in_diag = RateMatrix.from_triplets(
-        phases, phases, [(k, k, 1.0) for k in range(1, phases)]
-    )
-    d0p = base + kron_product(in_diag, m.d1)
-    d1p = kron_product(_active_block_row(t.pi.entries, phases), m.d1)
-    out = MarkovArrivalProcess(d0p, d1p, _block_labels(m, t.order))
-    in_states, out_states = _partition(m.order, out.order)
-    return CacheOutput(out, in_states, out_states)
+    return _cache_output(m, t, RateMatrix.identity(t.order))
 
 
 def output_r(m: MarkovArrivalProcess, t: PhaseTypeDistribution) -> CacheOutput:
@@ -95,25 +119,7 @@ def output_r(m: MarkovArrivalProcess, t: PhaseTypeDistribution) -> CacheOutput:
     every IN block row of the hidden correction carries (pi_1 d1, ...,
     pi_m d1) instead of keeping the phase fixed.
     """
-    require_valid(m)
-    phases = t.order + 1
-    full = t.full_generator()
-    base = kron_sum(full, m.d0)
-    reset = RateMatrix.from_triplets(
-        phases,
-        phases,
-        [
-            (i, j + 1, float(w))
-            for i in range(1, phases)
-            for j, w in enumerate(t.pi.entries)
-            if w != 0.0
-        ],
-    )
-    d0p = base + kron_product(reset, m.d1)
-    d1p = kron_product(_active_block_row(t.pi.entries, phases), m.d1)
-    out = MarkovArrivalProcess(d0p, d1p, _block_labels(m, t.order))
-    in_states, out_states = _partition(m.order, out.order)
-    return CacheOutput(out, in_states, out_states)
+    return _cache_output(m, t, _pi_rows(t.pi.entries, t.order))
 
 
 def output_min(
@@ -129,22 +135,7 @@ def output_min(
     diagonal over Sigma phases, each q*q block repeating the row
     (pi^R_1 d1, ..., pi^R_q d1). Dimension n(m*q + 1).
     """
-    require_valid(m)
-    joint = ph_min(t_sigma, t_r)
-    n_sigma, n_r = t_sigma.order, t_r.order
-    phases = joint.order + 1
-    base = kron_sum(joint.full_generator(), m.d0)
-    pi_r = t_r.pi.entries
-    triplets = []
-    for i in range(n_sigma):
-        for r_from in range(n_r):
-            row = 1 + i * n_r + r_from
-            for r_to, w in enumerate(pi_r):
-                if w != 0.0:
-                    triplets.append((row, 1 + i * n_r + r_to, float(w)))
-    reset = RateMatrix.from_triplets(phases, phases, triplets)
-    d0p = base + kron_product(reset, m.d1)
-    d1p = kron_product(_active_block_row(joint.pi.entries, phases), m.d1)
-    out = MarkovArrivalProcess(d0p, d1p, _block_labels(m, joint.order))
-    in_states, out_states = _partition(m.order, out.order)
-    return CacheOutput(out, in_states, out_states)
+    r_reset = _pi_rows(t_r.pi.entries, t_r.order)
+    return _cache_output(
+        m, ph_min(t_sigma, t_r), kron_product(RateMatrix.identity(t_sigma.order), r_reset)
+    )

@@ -122,11 +122,6 @@ class RateMatrix:
             self.rows, self.cols, self.row_idx, self.col_idx, self.data * factor
         )
 
-    def transpose(self) -> "RateMatrix":
-        return RateMatrix.from_arrays(
-            self.cols, self.rows, self.col_idx, self.row_idx, self.data
-        )
-
     def __add__(self, other: "RateMatrix") -> "RateMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionError(

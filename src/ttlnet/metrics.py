@@ -6,7 +6,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .cache_ops import CacheOutput
-from .errors import NoStationaryDistributionError
+from .errors import DimensionError, NoStationaryDistributionError
 from .kron import steady_state
 from .processes import MarkovArrivalProcess
 
@@ -40,17 +40,36 @@ def metrics_from_maps(input_map: MarkovArrivalProcess, output: CacheOutput) -> C
 
     The miss probability is the ratio of the stationary miss rate
     p' d1' 1 to the stationary request rate p d1 1; the occupancy is the
-    stationary mass of the IN states of the miss process. Requires both
-    background chains to be ergodic.
+    stationary mass of the IN states of the miss process. Requires the
+    background chain of the miss process to be ergodic.
+
+    Only the output chain is solved. Its request coordinate is strongly
+    lumpable: every cache operator's hit-reset and miss templates together
+    have unit row sums, so the generator Q' of the output chain satisfies
+    Q' (1 (x) I) = 1 (x) (d0 + d1). The input vector p is therefore the
+    marginal of p' over the TTL-phase blocks, and a reducible input chain
+    makes the output chain reducible too, which the output solve rejects.
+
+    Raises
+    ------
+    DimensionError
+        If `output` has a different number of OUT states than `input_map`
+        has states, that is, was not built from `input_map`.
     """
+    n = input_map.order
+    if len(output.out_states) != n:
+        raise DimensionError(
+            f"cache output has {len(output.out_states)} OUT states but the"
+            f" input MAP has {n} states"
+        )
     try:
-        p_in = steady_state(input_map.generator)
         p_out = steady_state(output.map.generator)
     except NoStationaryDistributionError as exc:
         raise NoStationaryDistributionError(
             f"cache metrics need ergodic background chains: {exc}"
         ) from exc
-    input_rate = float(np.sum(input_map.d1.to_csr().T @ p_in.entries))
+    p_in = p_out.entries.reshape(-1, n).sum(axis=0)
+    input_rate = float(np.sum(input_map.d1.to_csr().T @ p_in))
     miss_rate = float(np.sum(output.map.d1.to_csr().T @ p_out.entries))
     miss = miss_rate / input_rate
     in_idx = np.fromiter(output.in_states, dtype=np.int64)

@@ -27,7 +27,6 @@ from .processes import (
     poisson_map,
     require_valid,
 )
-from .renewal import Deterministic, Erlang, Exponential, RenewalSpec
 
 __all__ = [
     "TtlSpec",
@@ -97,16 +96,6 @@ class TtlSpec:
         return PhaseTypeDistribution(
             RateMatrix.from_dense(self.s), ProbabilityVector(list(self.pi))
         )
-
-    def to_renewal(self) -> RenewalSpec | None:
-        """Renewal-engine view; None for general PH (not a renewal kind)."""
-        if self.kind == "exp":
-            return Exponential(self.rate)
-        if self.kind == "erlang":
-            return Erlang(self.stages, self.rate)
-        if self.kind == "det":
-            return Deterministic(self.value)
-        return None
 
     @property
     def exact_on_map_path(self) -> bool:

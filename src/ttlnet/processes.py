@@ -10,7 +10,6 @@ state first (row 0), which lets the cache input-output constructions
 transcribe as plain block templates.
 """
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,15 +46,12 @@ class MarkovArrivalProcess:
 
     d0: RateMatrix
     d1: RateMatrix
-    state_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if not (self.d0.is_square and self.d1.is_square):
             raise DimensionError("d0 and d1 must be square")
         if self.d0.rows != self.d1.rows:
             raise DimensionError("d0 and d1 must have equal dimension")
-        if self.state_labels is not None and len(self.state_labels) != self.d0.rows:
-            raise DimensionError("state_labels length must match the dimension")
 
     @property
     def order(self) -> int:
@@ -211,16 +207,6 @@ def fundamental_rate(m: MarkovArrivalProcess) -> float:
     return float(np.sum(m.d1.to_csr().T @ p.entries))
 
 
-def _product_labels(maps) -> tuple[str, ...] | None:
-    if all(m.state_labels is None for m in maps):
-        return None
-    per_map = [
-        m.state_labels if m.state_labels is not None else tuple(str(i) for i in range(m.order))
-        for m in maps
-    ]
-    return tuple(",".join(combo) for combo in itertools.product(*per_map))
-
-
 def superpose(maps) -> MarkovArrivalProcess:
     """Merge independent MAPs; matrices combine by Kronecker sums.
 
@@ -234,7 +220,7 @@ def superpose(maps) -> MarkovArrivalProcess:
     for m in maps[1:]:
         d0 = kron_sum(d0, m.d0)
         d1 = kron_sum(d1, m.d1)
-    return MarkovArrivalProcess(d0, d1, _product_labels(maps))
+    return MarkovArrivalProcess(d0, d1)
 
 
 def split(m: MarkovArrivalProcess, p: ProbabilityVector) -> list[MarkovArrivalProcess]:
@@ -247,7 +233,7 @@ def split(m: MarkovArrivalProcess, p: ProbabilityVector) -> list[MarkovArrivalPr
     for weight in p:
         d0 = m.d0 + m.d1.scale(1.0 - weight)
         d1 = m.d1.scale(weight)
-        out.append(MarkovArrivalProcess(d0, d1, m.state_labels))
+        out.append(MarkovArrivalProcess(d0, d1))
     return out
 
 

@@ -23,7 +23,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.integrate
-import scipy.signal
 import scipy.special
 
 from .errors import (
@@ -542,6 +541,8 @@ def _sigma_series(
         return _sigma_deterministic_requests(
             Deterministic(tilted.law.value), t, omega, tol, max_terms
         )
+    import scipy.signal  # deferred: the only user, and slow to import
+
     points, weights = _ttl_weights(t, step)
     x_max = float(points.max())
     n_cells = max(1, int(math.ceil(x_max / step)) + 1)

@@ -1,6 +1,9 @@
 """Input-output operators: printed fixtures, structure, and invariants."""
 
+import tracemalloc
+
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
 from conftest import random_map, random_ph
@@ -18,6 +21,7 @@ from ttlnet import (
     ph_mean,
     poisson_map,
     stationary_interval_moments,
+    steady_state,
     validate_map,
 )
 
@@ -169,6 +173,51 @@ class TestOutputInvariants:
             out = output_r(m, t)
             d1 = out.map.d1
             assert np.all(d1.row_idx < m.order)
+
+    @pytest.mark.parametrize(
+        "operator",
+        [
+            lambda m, t1, t2: output_sigma(m, t1),
+            lambda m, t1, t2: output_r(m, t1),
+            output_min,
+        ],
+        ids=["sigma", "r", "min"],
+    )
+    def test_request_marginal_is_input_stationary(self, rng, operator):
+        # strong lumpability: summing the output vector over TTL-phase
+        # blocks gives the stationary vector of the request chain
+        for _ in range(10):
+            m = random_map(rng, 4)
+            out = operator(m, random_ph(rng, 3), random_ph(rng, 2))
+            p_out = steady_state(out.map.generator).entries
+            marginal = p_out.reshape(-1, m.order).sum(axis=0)
+            assert_allclose(marginal, steady_state(m.generator).entries, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "operator, phases",
+        [
+            (lambda m: output_sigma(m, PhaseTypeDistribution.erlang(5000, 5.0)), 5000),
+            (lambda m: output_r(m, PhaseTypeDistribution.erlang(5000, 5.0)), 5000),
+            (
+                lambda m: output_min(
+                    m, PhaseTypeDistribution.erlang(60, 5.0), PhaseTypeDistribution.erlang(60, 3.0)
+                ),
+                3600,
+            ),
+        ],
+        ids=["sigma", "r", "min"],
+    )
+    def test_long_ttl_builds_in_linear_memory(self, operator, phases):
+        # a dense (phases x phases) hit-reset block would take 100-200 MB here
+        tracemalloc.start()
+        try:
+            out = operator(poisson_map(2.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.order == phases + 1
+        assert out.map.d0.nnz <= 4 * (phases + 1)
+        assert peak < 30e6
 
     def test_hypoexponential_interval_moments(self):
         lam, mu = 1.4, 0.6

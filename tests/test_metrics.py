@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from conftest import random_map, random_ph
 from ttlnet import (
+    DimensionError,
     Exponential,
     NoStationaryDistributionError,
     PhaseTypeDistribution,
@@ -55,6 +56,13 @@ class TestKnownValues:
         fake = CacheOutput(blocked, frozenset({1}), frozenset({0}))
         with pytest.raises(NoStationaryDistributionError):
             metrics_from_maps(m, fake)
+
+    def test_output_of_another_input_rejected(self):
+        t = PhaseTypeDistribution.exponential(1.0)
+        two_state = output_sigma(poisson_map(1.0), t).map
+        out = output_sigma(two_state, t)
+        with pytest.raises(DimensionError):
+            metrics_from_maps(poisson_map(1.0), out)
 
 
 class TestInvariants:

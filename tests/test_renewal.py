@@ -1,12 +1,17 @@
 """Tilting, stopped-sum transforms, and renewal-level cache metrics."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from conftest import mc_mean_se, stopped_sum_oracle
+import ttlnet
 from ttlnet import (
     Deterministic,
     DivergentStoppingTimeError,
@@ -176,6 +181,17 @@ class TestTransformSigma:
     def test_closed_method_rejects_general_pair(self):
         with pytest.raises(ValidationError):
             transform_sigma(Erlang(2, 1.0), Erlang(2, 1.0), 0.5, method="closed")
+
+    def test_import_skips_scipy_signal(self):
+        # scipy.signal is imported only when a Sigma series first needs it
+        src = str(Path(ttlnet.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        code = "import sys, ttlnet; print('scipy.signal' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
 
 class TestTransformMin:
