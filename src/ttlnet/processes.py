@@ -13,6 +13,8 @@ transcribe as plain block templates.
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from .errors import DimensionError, ValidationError
@@ -164,7 +166,13 @@ class ValidationReport:
 
 
 def validate_map(m: MarkovArrivalProcess) -> ValidationReport:
-    """Check all MAP invariants; returns a report rather than raising."""
+    """Check all MAP invariants; returns a report rather than raising.
+
+    The sign and row-sum checks come first. Once they pass, -d0 is a
+    Z-matrix whose row sums equal those of d1, and d0 is singular exactly
+    when some state cannot reach an event-emitting state (a nonzero row
+    of d1) through hidden transitions; see :func:`_d0_is_singular`.
+    """
     problems: list[str] = []
     d0, d1 = m.d0, m.d1
     neg_active = d1.data < 0
@@ -180,18 +188,39 @@ def validate_map(m: MarkovArrivalProcess) -> ValidationReport:
     sums = (d0 + d1).row_sums()
     for i in np.nonzero(np.abs(sums) > _ROWSUM_TOL)[0]:
         problems.append(f"row {i} of d0+d1 sums to {sums[i]:g}, not 0")
-    if not problems and _d0_is_singular(d0):
+    if not problems and _d0_is_singular(d0, d1):
         problems.append("d0 is singular")
     return ValidationReport(ok=not problems, violations=tuple(problems))
 
 
-def _d0_is_singular(d0: RateMatrix) -> bool:
-    try:
-        lu = spla.splu(d0.to_csr().tocsc())
-    except RuntimeError:
-        return True
-    u_diag = lu.U.diagonal()
-    return bool(np.any(u_diag == 0) or not np.all(np.isfinite(u_diag)))
+def _d0_is_singular(d0: RateMatrix, d1: RateMatrix) -> bool:
+    """Graph test for a singular d0, valid once the sign and row-sum checks pass.
+
+    Then -d0 is a Z-matrix, weakly diagonally dominant by rows, and strictly
+    dominant in the rows where d1 has an entry (the leaking states). Such a
+    matrix is nonsingular iff it is weakly chained diagonally dominant: every
+    state reaches a leaking state along the off-diagonal entries of d0
+    (Shivakumar & Chew 1974; Azimzadeh & Forsyth 2016). A d0-closed class
+    with no leaking state has row sums zero, so its indicator vector is in
+    the null space. One breadth-first search over the reversed hidden edges,
+    from a virtual root joined to every leaking state, decides it in O(nnz)
+    with no roundoff.
+    """
+    n = d0.rows
+    leaking = np.unique(d1.row_idx)
+    off = d0.row_idx != d0.col_idx
+    edges = sp.csr_matrix(
+        (
+            np.ones(np.count_nonzero(off) + leaking.size),
+            (
+                np.concatenate([d0.col_idx[off], np.full(leaking.size, n)]),
+                np.concatenate([d0.row_idx[off], leaking]),
+            ),
+        ),
+        shape=(n + 1, n + 1),
+    )
+    reached = csgraph.breadth_first_order(edges, n, return_predecessors=False)
+    return reached.size < n + 1
 
 
 def require_valid(m: MarkovArrivalProcess) -> MarkovArrivalProcess:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -180,3 +181,36 @@ class TestSteadyState:
             steady_state(RateMatrix.from_dense([[-1.0, 2.0], [1.0, -1.0]]))
         with pytest.raises(ValidationError):
             steady_state(RateMatrix.from_dense([[-1.0, 1.0], [-0.5, 0.5]]))
+
+    def test_stiff_chain_falls_back_to_lu(self, monkeypatch):
+        # A ring plus one random edge per state, rates 10^U(-6, 6). BiCGSTAB
+        # meets the residual gate here with entries wrong in the third digit;
+        # the backward-error test must send the solve to LU.
+        n = 50
+        r = np.random.default_rng(1)
+        rows = np.concatenate([np.arange(n), np.arange(n)])
+        cols = np.concatenate([(np.arange(n) + 1) % n, r.integers(0, n, n)])
+        rates = 10.0 ** r.uniform(-6, 6, 2 * n)
+        off = rows != cols
+        q = np.zeros((n, n))
+        np.add.at(q, (rows[off], cols[off]), rates[off])
+        q -= np.diag(q.sum(axis=1))
+        factorizations = []
+        real_splu = spla.splu
+
+        def spy(a):
+            factorizations.append(a.shape)
+            return real_splu(a)
+
+        monkeypatch.setattr(spla, "splu", spy)
+        p = steady_state(RateMatrix.from_dense(q)).entries
+        assert factorizations == [(n, n)]
+        # independent dense LU (LAPACK) of the same bordered system
+        a = q.T.copy()
+        a[-1] = 1.0
+        b = np.zeros(n)
+        b[-1] = 1.0
+        want = np.linalg.solve(a, b)
+        big = want > 1e-6
+        assert big.sum() == 15
+        assert_allclose(p[big], want[big], rtol=1e-10, atol=0)

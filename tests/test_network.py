@@ -1,9 +1,11 @@
 """Topology parsing, dimension accounting, and feedforward analysis."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
 from ttlnet import (
@@ -32,6 +34,31 @@ TREE3 = {
     ],
     "arrivals": {"C1": {"poisson": 1.0}, "C2": {"poisson": 1.0}},
 }
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def erlang_tree(stages: int, ttl_speed: float = 1.0) -> dict:
+    """7-node binary tree: Poisson leaves with Erlang TTLs, R/Sigma/MinSigmaR above.
+
+    The root has 2 * ((stages + 1) ** 2 * 2) ** 2 output states: 10,368 for
+    Erlang-5 leaves. `ttl_speed` scales the leaf TTL rates; fast TTLs leave
+    states of tiny stationary probability.
+    """
+    leaves = [("L1", "R", 4.0, 1.0), ("L2", "Sigma", 3.0, 2.0),
+              ("L3", "Sigma", 5.0, 1.5), ("L4", "R", 2.0, 0.8)]
+    nodes = [
+        {"id": nid, "policy": policy,
+         "ttl": {"erlang": {"stages": stages, "rate": stages * rate * ttl_speed}}}
+        for nid, policy, rate, _ in leaves
+    ]
+    nodes += [
+        {"id": "M1", "policy": "MinSigmaR", "ttl": {"exp": 1.0}, "ttl_r": {"exp": 2.0},
+         "children": ["L1", "L2"]},
+        {"id": "M2", "policy": "R", "ttl": {"exp": 1.5}, "children": ["L3", "L4"]},
+        {"id": "T", "policy": "Sigma", "ttl": {"exp": 0.7}, "children": ["M1", "M2"]},
+    ]
+    return {"nodes": nodes, "arrivals": {nid: {"poisson": lam} for nid, _, _, lam in leaves}}
 
 
 class TestParsing:
@@ -248,6 +275,54 @@ class TestAnalyze:
         assert back.object_id == res.object_id
         assert back.metrics == res.metrics
         assert back.dimensions == res.dimensions
+
+
+def _forbid_lu(monkeypatch):
+    def no_lu(*args, **kwargs):
+        raise AssertionError("sparse LU called")
+
+    monkeypatch.setattr(spla, "splu", no_lu)
+
+
+class TestSolverPaths:
+    """analyze runs no sparse LU, and the LU fallback gives the same numbers."""
+
+    @pytest.mark.parametrize(
+        "doc",
+        [pytest.param(None, id="tree3"), pytest.param(erlang_tree(5), id="erlang5-tree")],
+    )
+    def test_analyze_without_lu(self, monkeypatch, doc):
+        _forbid_lu(monkeypatch)  # parse_topology validates the leaf MAPs too
+        res = analyze(parse_topology(doc or (CONFIGS / "tree3.json").read_text()))
+        if doc is not None:
+            assert res.dimensions["T"]["output"] == 10368
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            pytest.param(None, id="tree3"),
+            pytest.param(erlang_tree(3), id="erlang3-tree"),
+            pytest.param(erlang_tree(3, ttl_speed=30.0), id="erlang3-fast-ttl-tree"),
+        ],
+    )
+    def test_lu_fallback_agrees(self, monkeypatch, doc):
+        topo = parse_topology(doc or (CONFIGS / "tree3.json").read_text())
+        with monkeypatch.context() as patch:
+            _forbid_lu(patch)
+            krylov = analyze(topo)
+        stalls = []
+
+        def stall(a, b, x0=None, **kwargs):
+            stalls.append(b.size)
+            return x0, 1  # positive info: no convergence
+
+        monkeypatch.setattr(spla, "bicgstab", stall)
+        lu = analyze(topo)
+        assert len(stalls) == len(topo.nodes)
+        for nid, metrics in krylov.metrics.items():
+            want = lu.metrics[nid].to_dict()
+            for name, value in metrics.to_dict().items():
+                assert_allclose(value, want[name], rtol=1e-9, err_msg=f"{nid}.{name}")
 
 
 class TestSplitMergeRoundTrip:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import random_map, random_ph
@@ -62,6 +64,62 @@ class TestValidation:
         )
         report = validate_map(m)
         assert not report.ok
+
+    def test_conservative_generator_as_d0_reported(self):
+        # a MAP that never emits: LU roundoff left a ~1e-16 pivot here, not a zero
+        d0 = np.array(
+            [
+                [-0.7, 0.2, 0.0, 0.5],
+                [0.3, -1.3, 1.0, 0.0],
+                [0.0, 0.4, -0.6, 0.2],
+                [0.9, 0.0, 0.1, -1.0],
+            ]
+        )
+        m = MarkovArrivalProcess(RateMatrix.from_dense(d0), RateMatrix.zeros(4, 4))
+        report = validate_map(m)
+        assert not report.ok
+        assert report.violations == ("d0 is singular",)
+
+    def test_silent_closed_class_reported(self):
+        # states 2 and 3 pass hidden transitions between themselves and never
+        # emit, although states 0 and 1 do and can enter them
+        d0 = np.array(
+            [
+                [-2.0, 0.5, 0.5, 0.0],
+                [0.25, -1.25, 0.0, 0.0],
+                [0.0, 0.0, -0.3, 0.3],
+                [0.0, 0.0, 0.7, -0.7],
+            ]
+        )
+        d1 = np.zeros((4, 4))
+        d1[0, 1] = 1.0
+        d1[1, 0] = 1.0
+        m = MarkovArrivalProcess(RateMatrix.from_dense(d0), RateMatrix.from_dense(d1))
+        report = validate_map(m)
+        assert not report.ok
+        assert report.violations == ("d0 is singular",)
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_singular_verdict_matches_rank(self, seed):
+        # sparse hidden edges and whole silent rows of d1 make about a
+        # quarter of these MAPs have a singular d0
+        r = np.random.default_rng(seed)
+        n = int(r.integers(1, 9))
+        d0 = r.uniform(0.05, 2.0, (n, n)) * (r.random((n, n)) < 0.3)
+        np.fill_diagonal(d0, 0.0)
+        d1 = r.uniform(0.05, 2.0, (n, n)) * (r.random((n, 1)) < 0.3)
+        for i in range(n):
+            if d0[i].sum() + d1[i].sum() == 0.0:  # every state needs an exit
+                if n == 1:
+                    d1[i, i] = 1.0
+                else:
+                    d0[i, (i + 1 + int(r.integers(0, n - 1))) % n] = 1.0
+        d0 -= np.diag(d0.sum(axis=1) + d1.sum(axis=1))
+        m = MarkovArrivalProcess(RateMatrix.from_dense(d0), RateMatrix.from_dense(d1))
+        singular = np.linalg.matrix_rank(m.d0.to_dense()) < n
+        report = validate_map(m)
+        assert report.violations == (("d0 is singular",) if singular else ())
 
     def test_ph_rejects_unreachable_absorption(self):
         with pytest.raises(ValidationError):
