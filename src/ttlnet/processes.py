@@ -111,12 +111,14 @@ class PhaseTypeDistribution:
     def full_generator(self) -> RateMatrix:
         """(m+1)-state generator with the absorbing state first."""
         m = self.order
-        triplets = [(i + 1, 0, rate) for i, rate in enumerate(self.exit_rates) if rate != 0.0]
-        triplets += [
-            (int(r) + 1, int(c) + 1, float(v))
-            for r, c, v in zip(self.s.row_idx, self.s.col_idx, self.s.data)
-        ]
-        return RateMatrix.from_triplets(m + 1, m + 1, triplets)
+        exits = np.flatnonzero(self.exit_rates)
+        return RateMatrix.from_arrays(
+            m + 1,
+            m + 1,
+            np.concatenate([exits + 1, self.s.row_idx + 1]),
+            np.concatenate([np.zeros_like(exits), self.s.col_idx + 1]),
+            np.concatenate([self.exit_rates[exits], self.s.data]),
+        )
 
     @classmethod
     def exponential(cls, rate: float) -> "PhaseTypeDistribution":

@@ -4,26 +4,39 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.integrate
+import scipy.sparse.linalg
 from numpy.testing import assert_allclose
 
-from conftest import mc_mean_se, stopped_sum_oracle
+from conftest import dense_stationary, mc_mean_se, random_ph, stopped_sum_oracle
 import ttlnet
+import ttlnet.renewal
 from ttlnet import (
     Deterministic,
     DivergentStoppingTimeError,
     Erlang,
     Exponential,
+    MarkovArrivalProcess,
+    PhaseTypeDistribution,
+    RateMatrix,
+    RenewalSpec,
     StoppingPolicy,
     Tabulated,
     ValidationError,
     expected_stopped_sum,
     expected_tau,
     hit_miss_renewal,
+    metrics_from_maps,
     occupancy_renewal,
+    output_min,
+    output_r,
+    output_sigma,
+    poisson_map,
     table1_reference,
     tilt,
     transform_min,
@@ -297,6 +310,18 @@ class TestOccupancy:
         oracle = occupied.mean() / sums.mean()
         assert abs(got - oracle) < 0.01
 
+    def test_min_monte_carlo_memory_is_bounded(self):
+        # replications run in blocks, so beyond the three result arrays and the
+        # Sigma TTLs (32 MB at 1e6 samples) the temporaries stay small
+        x, policy = Erlang(2, 2.0), StoppingPolicy.min_of(Deterministic(1.3), Deterministic(0.9))
+        tracemalloc.start()
+        try:
+            occupancy_renewal(x, policy, samples=1_000_000, rng=np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+
     def test_r_occupancy_erlang_pair_against_quadrature_identity(self):
         # E[min(X,T)] = (1 - L_X(mu)) / mu for exponential TTLs
         x, mu = Erlang(3, 2.0), 1.3
@@ -444,3 +469,197 @@ class TestDeterministicHorizonIdentity:
         tilted_sums = tilted.law.sample(rng, (200_000, t)).sum(axis=1)
         weights = np.full(tilted_sums.shape[0], lx**t)
         assert_allclose(weights.mean(), lx**t, rtol=1e-15)
+
+
+class _LaplaceOnlyTtl(RenewalSpec):
+    """A PH TTL law that the renewal engine sees only through its Laplace transform."""
+
+    def __init__(self, ph: PhaseTypeDistribution):
+        self.ph = ph
+
+    def laplace(self, omega):
+        s = self.ph.s.to_dense()
+        a = omega * np.eye(s.shape[0]) - s
+        return float(self.ph.pi.entries @ np.linalg.solve(a, self.ph.exit_rates))
+
+
+def _dense_miss_transform(out, omega):
+    """phi (omega I - D0')^{-1} D1' 1 with phi = p' D1' normalized, by dense solves."""
+    d0, d1 = out.map.d0.to_dense(), out.map.d1.to_dense()
+    phi = dense_stationary(d0 + d1) @ d1
+    phi /= phi.sum()
+    return float(phi @ np.linalg.solve(omega * np.eye(d0.shape[0]) - d0, d1.sum(axis=1)))
+
+
+def _ratio_mean_se(num: np.ndarray, den: np.ndarray) -> tuple[float, float]:
+    """Ratio estimator mean(num) / mean(den) and its delta-method standard error."""
+    ratio = num.mean() / den.mean()
+    resid = num - ratio * den
+    return float(ratio), float(resid.std(ddof=1) / math.sqrt(num.size) / den.mean())
+
+
+class TestExponentialRequests:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_r_cache_against_map_engine(self, seed, monkeypatch):
+        # psi and E[min(X, T)] have closed forms in L_T for Poisson requests
+        def no_quad(*args, **kwargs):
+            raise AssertionError("quadrature used for exponential requests")
+
+        monkeypatch.setattr(scipy.integrate, "quad", no_quad)
+        rng = np.random.default_rng(seed)
+        lam = float(rng.uniform(0.3, 3.0))
+        if seed % 2:
+            stages, rate = int(rng.integers(2, 6)), float(rng.uniform(0.5, 4.0))
+            ph, ttl = PhaseTypeDistribution.erlang(stages, rate), Erlang(stages, rate)
+        else:
+            ph = random_ph(rng, 3)
+            ttl = _LaplaceOnlyTtl(ph)
+        m = poisson_map(lam)
+        out = output_r(m, ph)
+        exact = metrics_from_maps(m, out)
+        x, policy = Exponential(lam), StoppingPolicy.reset_on_request(ttl)
+        assert_allclose(hit_miss_renewal(x, policy).miss, exact.miss_probability, rtol=1e-10)
+        assert_allclose(occupancy_renewal(x, policy), exact.occupancy, rtol=1e-10)
+        for omega in (0.3, 1.7):
+            assert_allclose(
+                transform_r(x, ttl, omega), _dense_miss_transform(out, omega), rtol=1e-10
+            )
+
+    def test_import_skips_scipy_integrate(self):
+        # scipy.integrate is imported only when a quadrature first needs it
+        src = str(Path(ttlnet.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        code = "import sys, ttlnet; print('scipy.integrate' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
+
+
+def _ph_of(law):
+    if isinstance(law, Exponential):
+        return PhaseTypeDistribution.exponential(law.rate)
+    return PhaseTypeDistribution.erlang(law.stages, law.rate)
+
+
+PH_ROUTE_CASES = {
+    "sigma-erlang-exp": (Erlang(2, 2.0), StoppingPolicy.reset_on_miss(Exponential(0.8))),
+    "sigma-erlang-erlang": (Erlang(2, 2.0), StoppingPolicy.reset_on_miss(Erlang(2, 1.6))),
+    "min-exp-erlang": (Exponential(1.0), StoppingPolicy.min_of(Erlang(2, 1.6), Erlang(2, 3.0))),
+    "min-erlang-exp": (Erlang(2, 2.0), StoppingPolicy.min_of(Exponential(0.8), Exponential(1.5))),
+    "min-erlang-erlang": (Erlang(3, 3.0), StoppingPolicy.min_of(Erlang(2, 1.6), Erlang(3, 4.0))),
+}
+
+
+def _miss_process(x, policy):
+    """The renewal MAP of X and its cache's miss process, built independently of the route."""
+    req = _ph_of(x)
+    d1 = np.outer(req.exit_rates, req.pi.entries)
+    m = MarkovArrivalProcess(req.s, RateMatrix.from_dense(d1))
+    if policy.tag == "Sigma":
+        return m, output_sigma(m, _ph_of(policy.ttl))
+    return m, output_min(m, _ph_of(policy.ttl_sigma), _ph_of(policy.ttl_r))
+
+
+class TestPhaseTypeRoute:
+    @pytest.mark.parametrize("case", PH_ROUTE_CASES.values(), ids=PH_ROUTE_CASES.keys())
+    def test_exact_against_stopping_rule_oracle(self, case, rng):
+        x, policy = case
+        omega = 0.5
+        tau = expected_tau(x, policy)
+        occupancy = occupancy_renewal(x, policy)
+        if policy.tag == "Sigma":
+            ttl, ttl_r = policy.ttl, None
+            transform = transform_sigma(x, ttl, omega)
+        else:
+            ttl, ttl_r = policy.ttl_sigma, policy.ttl_r
+            got = transform_min(x, ttl, ttl_r, omega)
+            assert got.stderr == 0.0
+            transform = got.value
+        assert tau.stderr == 0.0
+        taus, sums, occupied = stopped_sum_oracle(
+            rng, x.sample, policy.tag, ttl.sample, ttl_r.sample if ttl_r else None, n=40_000
+        )
+        mean, se = mc_mean_se(taus.astype(float))
+        assert abs(tau.value - mean) < 4.0 * se
+        mean, se = mc_mean_se(np.exp(-omega * sums))
+        assert abs(transform - mean) < 4.0 * se
+        if occupied is None:
+            # a Sigma cache holds the object for the whole TTL of each cycle
+            mean, se = mc_mean_se(sums)
+            mean, se = ttl.mean / mean, ttl.mean / mean * se / mean
+        else:
+            mean, se = _ratio_mean_se(occupied, sums)
+        assert abs(occupancy - mean) < 4.0 * se
+
+    @pytest.mark.parametrize("case", PH_ROUTE_CASES.values(), ids=PH_ROUTE_CASES.keys())
+    def test_agrees_with_stationary_map_metrics(self, case):
+        # interval solve of the route against the stationary solve of the MAP engine
+        x, policy = case
+        m, out = _miss_process(x, policy)
+        if policy.tag == "Sigma":
+            transform = transform_sigma(x, policy.ttl, 0.5)
+        else:
+            transform = transform_min(x, policy.ttl_sigma, policy.ttl_r, 0.5).value
+        exact = metrics_from_maps(m, out)
+        assert_allclose(expected_tau(x, policy).value, 1.0 / exact.miss_probability, rtol=1e-10)
+        assert_allclose(occupancy_renewal(x, policy), exact.occupancy, rtol=1e-10)
+        assert_allclose(transform, _dense_miss_transform(out, 0.5), rtol=1e-10)
+
+    @pytest.mark.parametrize(
+        "x,policy",
+        [
+            (Erlang(5, 5.0), StoppingPolicy.min_of(Erlang(30, 20.0), Erlang(30, 40.0))),
+            (Erlang(2000, 2000.0), StoppingPolicy.reset_on_miss(Erlang(9, 6.0))),
+        ],
+        ids=["min-5x30x30", "sigma-2000x9"],
+    )
+    def test_interval_solve_keeps_factors_sparse(self, x, policy, monkeypatch):
+        # the route's elimination order keeps the LU factors within a small
+        # multiple of the chain's nonzeros (COLAMD: about 15x and 3x here)
+        factors = []
+        splu = scipy.sparse.linalg.splu
+
+        def spy(a, **kwargs):
+            lu = splu(a, **kwargs)
+            factors.append((a.nnz, lu.L.nnz + lu.U.nnz))
+            return lu
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
+        tau = expected_tau(x, policy)
+        assert tau.stderr == 0.0
+        ((a_nnz, lu_nnz),) = factors
+        assert lu_nnz <= 2.5 * a_nnz
+        # the same interval system in the default (COLAMD) order
+        _, out = _miss_process(x, policy)
+        phi = np.asarray(out.map.d1.to_csr().sum(axis=0)).ravel()
+        z = scipy.sparse.linalg.spsolve((-out.map.d0.to_csr()).T.tocsc(), phi / phi.sum())
+        assert_allclose(tau.value, z.sum() / x.mean, rtol=1e-10)
+
+    def test_sigma_series_agrees_with_exact_route(self):
+        x, t, omega = Erlang(2, 2.0), Erlang(2, 1.6), 0.5
+        exact = transform_sigma(x, t, omega)
+        series = transform_sigma(x, t, omega, method="series")
+        assert abs(exact - series) < 2e-3
+
+    def test_deterministic_ttl_keeps_monte_carlo(self, rng):
+        x, t = Erlang(2, 2.0), Deterministic(1.3)
+        got = expected_tau(x, StoppingPolicy.reset_on_miss(t), samples=60_000, rng=rng)
+        assert got.stderr > 0.0
+        taus, _, _ = stopped_sum_oracle(rng, x.sample, "Sigma", t.sample, n=60_000)
+        mean, se = mc_mean_se(taus.astype(float))
+        assert abs(got.value - mean) < 4.0 * math.hypot(se, got.stderr)
+
+    def test_chain_over_budget_keeps_monte_carlo(self, rng, monkeypatch):
+        # 400 request phases x 301 TTL phases exceed DEFAULT_BUDGET states
+        def refuse(*args):
+            raise AssertionError("miss chain built over the budget")
+
+        monkeypatch.setattr(ttlnet.renewal, "output_sigma", refuse)
+        x, t = Erlang(400, 400.0), Erlang(300, 300.0)
+        got = expected_tau(x, StoppingPolicy.reset_on_miss(t), samples=10_000, rng=rng)
+        assert got.stderr > 0.0
+        taus, _, _ = stopped_sum_oracle(rng, x.sample, "Sigma", t.sample, n=10_000)
+        mean, se = mc_mean_se(taus.astype(float))
+        assert abs(got.value - mean) < 4.0 * math.hypot(se, got.stderr)
