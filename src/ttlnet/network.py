@@ -12,7 +12,6 @@ the result when the node feeds several parents.
 import json
 from dataclasses import dataclass, field
 
-import jsonschema
 import numpy as np
 
 from .cache_ops import output_min, output_r, output_sigma
@@ -386,6 +385,8 @@ def parse_topology(document) -> Topology:
             raise TopologyError(f"not valid JSON: {exc}") from exc
     else:
         payload = document
+    import jsonschema  # deferred: about 80 ms of a cold `import ttlnet`
+
     try:
         jsonschema.validate(payload, TOPOLOGY_SCHEMA)
     except jsonschema.ValidationError as exc:

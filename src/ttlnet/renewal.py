@@ -19,10 +19,24 @@ sparse solve over one inter-miss interval of that process gives E[tau],
 the occupancy or the transform, as long as its chain has at most
 `network.DEFAULT_BUDGET` states. Near that budget a query takes about as
 long as the 1e6-sample Monte Carlo it replaces and up to about 100 MB for
-the chain and its factors, where the Monte Carlo needs about 30 MB. The
-remaining cases, with Deterministic or Tabulated laws or over that budget,
-are evaluated by a tilted convolution series (Sigma) or by Monte Carlo
-under the tilted measure.
+the chain and its factors, where the Monte Carlo needs about 30 MB.
+
+Deterministic laws without a closed form take one of two exact dense
+routes, each a millisecond-scale computation:
+
+* deterministic requests X = d under min(Sigma, R) with Exponential, Erlang
+  or Deterministic TTLs: P(tau > k) = P(T_Sigma >= k d) P(T_R >= d)^k, a
+  matrix-geometric sum for a PH Sigma TTL and a finite sum for a
+  deterministic one;
+* Exponential or Erlang requests under Sigma, or under min(Sigma, R) with
+  both TTLs Deterministic: the cached mass over request phases solves a
+  linear delay equation, solved exactly by the method of steps with Van
+  Loan block exponentials.
+
+The remaining cases (Tabulated laws, Exponential or Erlang requests under
+min(Sigma, R) with one Deterministic and one PH TTL, and chains or dense
+blocks over their size limits) are evaluated by a tilted convolution series
+(Sigma) or by Monte Carlo under the tilted measure.
 """
 
 import math
@@ -30,6 +44,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 import scipy.special
@@ -463,6 +478,194 @@ def _ph_cycle(
     return z, out
 
 
+# Largest dense matrix the deterministic-law routes exponentiate or factor:
+# an `expm` of this size takes tens of ms (2-vCPU host), a fraction of the
+# 1e6-sample Monte Carlo (about 0.1 s a call) that larger cases keep.
+_DENSE_MAX = 200
+# Most steps the finite sums for deterministic requests take; the Monte Carlo
+# would need as many rounds per replication.
+_MAX_STEPS = 1_000_000
+# Cached mass below which the method of steps stops.
+_MASS_EPS = 1e-15
+
+
+def _expm_integral(a: np.ndarray, b: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """e^{a h} and the integral of e^{a t} b over t in [0, h], from one block
+    exponential (Van Loan 1978, "Computing integrals involving the matrix
+    exponential")."""
+    n, k = b.shape
+    block = np.zeros((n + k, n + k))
+    block[:n, :n] = a
+    block[:n, n:] = b
+    e = scipy.linalg.expm(block * h)
+    return e[:n, :n], e[:n, n:]
+
+
+def _ph_arrays(law: RenewalSpec) -> tuple[np.ndarray, np.ndarray]:
+    ph = _as_ph(law)
+    return ph.pi.entries, ph.s.to_dense()
+
+
+def _deterministic_route(
+    x: RenewalSpec, policy: StoppingPolicy, omega: float = 0.0
+) -> tuple[float, float, float] | None:
+    """(E[tau], mean in-cache time, E[exp(-omega S_tau)]) exactly, or None.
+
+    Covers the Deterministic-law cases without a closed form:
+    deterministic requests under min(Sigma, R) with Exponential, Erlang or
+    Deterministic TTLs, and Exponential or Erlang requests under Sigma or
+    min(Sigma, R) with Deterministic TTLs only. Returns None for everything
+    else (mixed Deterministic/PH TTL pairs under PH requests, Tabulated laws),
+    where a dense block would exceed `_DENSE_MAX` states and where the finite
+    sums would exceed `_MAX_STEPS` terms.
+    """
+    ttls = (policy.ttl,) if policy.ttl is not None else (policy.ttl_sigma, policy.ttl_r)
+    if (
+        isinstance(x, Deterministic)
+        and policy.tag == "MinSigmaR"
+        and all(isinstance(t, (Exponential, Erlang, Deterministic)) for t in ttls)
+    ):
+        return _deterministic_requests(x.value, *ttls, omega)
+    if isinstance(x, (Exponential, Erlang)) and all(isinstance(t, Deterministic) for t in ttls):
+        c_r = ttls[1].value if len(ttls) == 2 else math.inf
+        return _deterministic_ttls(x, ttls[0].value, c_r, omega)
+    return None
+
+
+def _deterministic_requests(
+    d: float, t_sigma: RenewalSpec, t_r: RenewalSpec, omega: float
+) -> tuple[float, float, float] | None:
+    """Requests X = d under min(Sigma, R).
+
+    Step k + 1 starts with the object cached with probability
+    P(tau > k) = P(T_Sigma >= k d) p_r^k, p_r = P(T_R >= d), and holds it
+    for min(d, T_R, T_Sigma - k d); S_tau = tau d. A PH T_Sigma (alpha, S)
+    gives, with E = e^{S d} and z = e^{-omega d}, E[tau] =
+    alpha (I - p_r E)^{-1} 1, E[z^tau] = z alpha (I - z p_r E)^{-1}
+    (I - p_r E) 1 and in-cache time (alpha (I - p_r E)^{-1} (x) alpha_R)
+    int_0^d e^{(S (+) S_R) v} dv 1. A Deterministic T_Sigma makes these
+    finite sums over `survival_geq(k d)`, with the ties of
+    `_sigma_deterministic_requests`: a request at exactly the TTL is a hit.
+    """
+    p_r = float(t_r.survival_geq(d))
+    z = math.exp(-omega * d)
+    if isinstance(t_sigma, Deterministic):
+        steps = math.floor(t_sigma.value / d) + 3
+        if steps > _MAX_STEPS:
+            return None
+        k = np.arange(steps)
+        cached = t_sigma.survival_geq(k * d)
+        alive = cached * p_r**k  # P(tau > k); the last entries are 0
+        last = int(cached.sum()) - 1  # the step that T_Sigma cuts short
+        full = t_r.integral_survival(d)
+        cut = t_r.integral_survival(min(d, t_sigma.value - last * d))
+        in_cache = full * alive[:last].sum() + cut * alive[last]
+        transform = float(z ** k[1:] @ (alive[:-1] - alive[1:]))
+        return float(alive.sum()), float(in_cache), transform
+    alpha, s_sigma = _ph_arrays(t_sigma)
+    if isinstance(t_r, Deterministic):
+        # T_R > v for every v < c_R: one phase that never leaves, up to c_R
+        alpha_r, s_r, horizon = np.ones(1), np.zeros((1, 1)), min(d, t_r.value)
+    else:
+        alpha_r, s_r = _ph_arrays(t_r)
+        horizon = d
+    n, n_r = alpha.size, alpha_r.size
+    if n * n_r > _DENSE_MAX:
+        return None
+    e = scipy.linalg.expm(s_sigma * d)
+    eye, ones = np.eye(n), np.ones(n)
+    w = np.linalg.solve((eye - p_r * e).T, alpha)  # alpha (I - p_r E)^{-1}
+    transform = z * alpha @ np.linalg.solve(eye - z * p_r * e, ones - p_r * e @ ones)
+    kron_sum = np.kron(s_sigma, np.eye(n_r)) + np.kron(eye, s_r)
+    _, held = _expm_integral(kron_sum, np.ones((n * n_r, 1)), horizon)
+    return float(w.sum()), float(np.kron(w, alpha_r) @ held[:, 0]), float(transform)
+
+
+def _deterministic_ttls(
+    x: RenewalSpec, c_sigma: float, c_r: float, omega: float
+) -> tuple[float, float, float] | None:
+    """PH(alpha, S) requests under Deterministic TTLs; c_r = inf for Sigma.
+
+    The object is evicted at E, the earlier of c_sigma and the first time
+    the gap since the miss or the last request reaches c_r; tau = 1 + N(E),
+    the in-cache time is E, and S_tau is the first request after E. With
+    s = -S 1, Q = S + s alpha and beta = alpha e^{S c_r}, the cached mass
+    y(u) over request phases solves the linear delay equation y(0) = alpha,
+    y' = y Q, a jump of -beta at u = c_r and y'(u) = y(u) Q -
+    (y(u - c_r) s) beta after c_r (a request at u - c_r followed by none
+    evicts at u). Then E[tau] = 1 + int y s and the in-cache time is
+    int y 1. Sigma is the one-block case, E[tau] = 1 + alpha
+    int_0^c e^{Q u} du s.
+    """
+    alpha, s_mat = _ph_arrays(x)
+    n = alpha.size
+    s = -s_mat.sum(axis=1)
+    q = s_mat + np.outer(s, alpha)
+    steps, rest = divmod(c_sigma, c_r)  # R windows that close before c_sigma
+    steps, beta = int(steps), None
+    if steps:
+        e_r = scipy.linalg.expm(s_mat * c_r)
+        beta = alpha @ e_r
+        # A window of length c_r without a request evicts, so the mass still
+        # cached after j windows is at most rho^j, rho the largest chance over
+        # the phases of a request within c_r.
+        rho = 1.0 - e_r.sum(axis=1).min()
+        if rho < 1.0:
+            needed = math.ceil(math.log(_MASS_EPS) / math.log(rho)) if rho > 0.0 else 1
+            if needed < steps:
+                steps, rest = needed, 0.0
+    if n * (steps + 1) > _DENSE_MAX:
+        return None
+    y_end, (hits, in_cache) = _delay_steps(alpha, q, s, beta, c_r, steps, rest, 0.0)
+    transform = 1.0
+    if omega > 0.0:
+        # The same equation for e^{-omega u} y(u). S_tau - E is PH(., S) from
+        # the phase at E, with transform phi; an R eviction leaves the phase
+        # law beta / (beta 1), and by the mass balance of the discounted
+        # equation the discounted mass R evicts is 1 - y(end) 1 - omega int y 1.
+        y_end, (_, held) = _delay_steps(alpha, q, s, beta, c_r, steps, rest, omega)
+        phi = np.linalg.solve(omega * np.eye(n) - s_mat, s)
+        transform = float(y_end @ phi)
+        if steps and beta.sum() > 0.0:
+            transform += float(beta @ phi / beta.sum()) * (1.0 - y_end.sum() - omega * held)
+    return 1.0 + float(hits), float(in_cache), float(transform)
+
+
+def _delay_steps(alpha, q, s, beta, c_r, steps, rest, omega):
+    """Method of steps for y~(u) = e^{-omega u} y(u) on [0, steps c_r + rest].
+
+    Block j of the stacked state holds y~(j c_r + t) for t in [0, c_r] (the
+    last block only up to `rest`), so the stacked state solves Y' = Y G
+    with G block upper bidiagonal: Q - omega I on the diagonal and
+    -e^{-omega c_r} s beta above it. Block j starts where block j - 1 ends,
+    less the jump for j = 1; G is triangular, so the starts follow block by
+    block from one exponential. Returns y~ at the end of the horizon and the
+    integrals of y~ s and y~ 1 over it.
+    """
+    n = alpha.size
+    blocks = steps + 1
+    g = np.kron(np.eye(blocks), q - omega * np.eye(n))
+    if steps:
+        g -= np.kron(np.eye(blocks, k=1), math.exp(-omega * c_r) * np.outer(s, beta))
+    w = np.column_stack([np.tile(s, blocks), np.ones(n * blocks)])
+    e_rest, held_rest = _expm_integral(g, w, rest)
+    y0 = np.zeros(n * blocks)
+    y0[:n] = alpha
+    if steps:
+        w[-n:] = 0.0  # the last block ends at the horizon
+        e_tail, held_tail = _expm_integral(g, w, c_r - rest)
+        window = e_rest @ e_tail
+        for j in range(1, blocks):
+            y0[j * n : (j + 1) * n] = y0[: j * n] @ window[: j * n, (j - 1) * n : j * n]
+            if j == 1:
+                y0[n : 2 * n] -= math.exp(-omega * c_r) * beta
+    y_rest = y0 @ e_rest
+    held = y0 @ held_rest
+    if steps:
+        held += y_rest @ held_tail
+    return y_rest[-n:], held
+
+
 def _psi(x: RenewalSpec, t: RenewalSpec, omega: float) -> float:
     """E[exp(-omega X) 1{X <= T}], the weight of in-cache requests."""
     if isinstance(x, Deterministic):
@@ -560,18 +763,21 @@ def transform_sigma(
     * exponential requests: L_T(omega) * lambda / (lambda + omega);
     * deterministic requests: a direct geometric-style sum.
 
-    Next, in "auto" mode, Erlang requests with an Erlang TTL take the exact
-    PH route: the transform of the MAP engine's miss process, one sparse
-    solve (chains of at most `network.DEFAULT_BUDGET` states). Otherwise
-    the series is evaluated on a uniform grid (default step mean(X)/200)
-    with tilted convolution powers, truncated once the geometric tail bound
-    drops below `tol`.
+    Next, in "auto" mode, Erlang requests with a Deterministic TTL c take
+    the exact delay-equation route, e^{-omega c} alpha e^{Q c}
+    (omega I - S)^{-1} s for requests PH(alpha, S), s = -S 1 and
+    Q = S + s alpha; Erlang requests with an Erlang TTL take the exact PH
+    route, the transform of the MAP engine's miss process, one sparse solve
+    (chains of at most `network.DEFAULT_BUDGET` states). Otherwise (a
+    Tabulated law, or a chain over the budget) the series is evaluated on a
+    uniform grid (default step mean(X)/200) with tilted convolution powers,
+    truncated once the geometric tail bound drops below `tol`.
 
     Parameters
     ----------
     method : {"auto", "closed", "series"}
-        "auto" prefers closed forms, then the PH route; "closed" allows only
-        closed forms; "series" forces the series.
+        "auto" prefers closed forms, then the exact routes; "closed" allows
+        only closed forms; "series" forces the series.
     """
     if omega < 0:
         raise ValidationError("omega must be nonnegative")
@@ -590,6 +796,9 @@ def transform_sigma(
             return _sigma_deterministic_requests(x, t, omega, tol, max_terms)
         if method == "closed":
             raise ValidationError("no closed form for this request/TTL combination")
+        exact = _deterministic_route(x, StoppingPolicy.reset_on_miss(t), omega)
+        if exact is not None:
+            return exact[2]
         cycle = _ph_cycle(x, StoppingPolicy.reset_on_miss(t), omega)
         if cycle is not None:
             z, out = cycle
@@ -735,11 +944,15 @@ def transform_min(
     """Laplace transform of the inter-miss time of a min(Sigma, R) cache.
 
     All-exponential inputs use the closed form lambda/(lambda+omega) *
-    (mu+nu)/(mu+nu+omega) exactly (stderr 0). Other Exponential/Erlang
+    (mu+nu)/(mu+nu+omega) exactly (stderr 0). Deterministic requests with
+    Exponential, Erlang or Deterministic TTLs, and Exponential or Erlang
+    requests with two Deterministic TTLs, take the exact deterministic-law
+    routes (stderr 0; see the module docstring). Other Exponential/Erlang
     combinations take the exact PH route (stderr 0): the MAP engine's miss
     process and one sparse solve, for chains of at most
-    `network.DEFAULT_BUDGET` states. Otherwise the value
-    E-tilde[L_omega(X)^tau] is estimated by Monte Carlo: inter-request
+    `network.DEFAULT_BUDGET` states. Otherwise (Tabulated laws, PH requests
+    with one Deterministic and one PH TTL, or a case over a size limit) the
+    value E-tilde[L_omega(X)^tau] is estimated by Monte Carlo: inter-request
     times are drawn from the tilted law, both TTLs from their original
     laws, and the stopping rule of the min policy is applied literally.
     """
@@ -753,6 +966,9 @@ def transform_min(
         lam, mu, nu = x.rate, t_sigma.rate, t_r.rate
         value = lam / (lam + omega) * (mu + nu) / (mu + nu + omega)
         return MonteCarloValue(value, 0.0)
+    exact = _deterministic_route(x, StoppingPolicy.min_of(t_sigma, t_r), omega)
+    if exact is not None:
+        return MonteCarloValue(exact[2], 0.0)
     cycle = _ph_cycle(x, StoppingPolicy.min_of(t_sigma, t_r), omega)
     if cycle is not None:
         z, out = cycle
@@ -779,12 +995,16 @@ def expected_tau(
 
     Exact for: any reset-on-request combination (geometric tau with success
     probability P(X > T)); Poisson requests under Sigma (1 + lambda E[T]);
-    deterministic requests under Sigma; all-exponential min. Other
-    Exponential/Erlang combinations take the exact PH route, E[S] / E[X]
-    with E[S] the mean interval of the MAP engine's miss process, for
-    chains of at most `network.DEFAULT_BUDGET` states. Everything else runs
-    the literal stopping rules by Monte Carlo (stderr reported; 0 marks an
-    exact value).
+    deterministic requests under Sigma; all-exponential min. Deterministic
+    requests under min with Exponential, Erlang or Deterministic TTLs, and
+    Erlang requests under Sigma or Exponential/Erlang requests under min
+    with Deterministic TTLs only, take the exact deterministic-law routes
+    (see the module docstring). Other Exponential/Erlang combinations take
+    the exact PH route, E[S] / E[X] with E[S] the mean interval of the MAP
+    engine's miss process, for chains of at most `network.DEFAULT_BUDGET`
+    states. Everything else (Tabulated laws, PH requests under min with one
+    Deterministic and one PH TTL, cases over a size limit) runs the literal
+    stopping rules by Monte Carlo (stderr reported; 0 marks an exact value).
     """
     tag = policy.tag
     if tag == "R":
@@ -818,6 +1038,9 @@ def expected_tau(
             return MonteCarloValue(
                 1.0 + lam / (policy.ttl_sigma.rate + policy.ttl_r.rate), 0.0
             )
+    exact = _deterministic_route(x, policy)
+    if exact is not None:
+        return MonteCarloValue(exact[0], 0.0)
     cycle = _ph_cycle(x, policy)
     if cycle is not None:
         # Wald: E[S] = E[tau] E[X]
@@ -887,13 +1110,18 @@ def occupancy_renewal(
 ) -> float:
     """Long-run fraction of time the object is cached.
 
-    R: E[min(X, T)] / E[X]. Sigma: E[T] / E[S_tau]. min(Sigma, R):
-    lambda/(lambda+mu+nu) in the all-exponential case; for other
+    R: E[min(X, T)] / E[X]. Sigma: E[T] / E[S_tau], with E[S_tau] from
+    `expected_tau`. min(Sigma, R): lambda/(lambda+mu+nu) in the
+    all-exponential case; the mean in-cache time of the exact
+    deterministic-law routes over E[tau] E[X] for deterministic requests
+    with Exponential, Erlang or Deterministic TTLs and for
+    Exponential/Erlang requests with two Deterministic TTLs; for other
     Exponential/Erlang combinations the exact PH route, the mean time in the
     IN states of the MAP engine's miss process over its mean interval
-    (chains of at most `network.DEFAULT_BUDGET` states); otherwise the ratio
-    of mean in-cache time to mean cycle length estimated by simulating the
-    stopped sequence (no analytic decoupling is attempted).
+    (chains of at most `network.DEFAULT_BUDGET` states); otherwise
+    (Tabulated laws, PH requests with one Deterministic and one PH TTL,
+    cases over a size limit) the ratio of mean in-cache time to mean cycle
+    length estimated by simulating the stopped sequence.
     """
     tag = policy.tag
     if tag == "R":
@@ -907,6 +1135,10 @@ def occupancy_renewal(
     ):
         lam = x.rate
         return lam / (lam + policy.ttl_sigma.rate + policy.ttl_r.rate)
+    exact = _deterministic_route(x, policy)
+    if exact is not None:
+        tau, in_cache, _ = exact
+        return in_cache / (tau * x.mean)
     cycle = _ph_cycle(x, policy)
     if cycle is not None:
         # renewal reward: mean time with the object present over E[S]

@@ -1,5 +1,7 @@
 """MAP-level cache metrics."""
 
+import time
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,8 +10,10 @@ from conftest import random_map, random_ph
 from ttlnet import (
     DimensionError,
     Exponential,
+    MarkovArrivalProcess,
     NoStationaryDistributionError,
     PhaseTypeDistribution,
+    RateMatrix,
     StoppingPolicy,
     hit_miss_renewal,
     metrics_from_maps,
@@ -109,3 +113,33 @@ class TestCrossEngineAgreement:
         assert_allclose(got.hit_probability, ref.hit, atol=1e-9)
         assert_allclose(got.occupancy, occ, atol=1e-9)
         assert_allclose(got.hit_probability, lam / (lam + mu), atol=1e-12)
+
+
+class TestStalledKrylovSolve:
+    def test_erlang50_sigma_cache_falls_back_quickly(self):
+        # BiCGSTAB stalls on this 2,550-state chain; the LU fallback must come
+        # after a bounded number of iterations, not scipy's default of 10 n
+        k = 50
+        req = PhaseTypeDistribution.erlang(k, float(k))
+        d1 = np.zeros((k, k))
+        d1[-1, 0] = float(k)
+        m = MarkovArrivalProcess(req.s, RateMatrix.from_dense(d1))
+        out = output_sigma(m, PhaseTypeDistribution.erlang(k, float(k)))
+        started = time.perf_counter()
+        got = metrics_from_maps(m, out)
+        elapsed = time.perf_counter() - started
+        assert elapsed < 0.5, f"metrics_from_maps took {elapsed:.2f}s"
+        # dense solve of p Q' = 0, p 1 = 1
+        q = out.map.generator.to_dense()
+        a = q.T.copy()
+        a[-1] = 1.0
+        b = np.zeros(out.order)
+        b[-1] = 1.0
+        p = np.linalg.solve(a, b)
+        miss_rate = float(p @ out.map.d1.to_dense().sum(axis=1))
+        occupancy = float(p[sorted(out.in_states)].sum())
+        assert_allclose(got.miss_rate, miss_rate, rtol=1e-10)
+        assert_allclose(got.occupancy, occupancy, rtol=1e-10)
+        # requests are a renewal process with mean gap 1
+        assert_allclose(got.input_rate, 1.0, rtol=1e-10)
+        assert_allclose(got.miss_probability, miss_rate, rtol=1e-10)

@@ -1,6 +1,9 @@
 """Topology parsing, dimension accounting, and feedforward analysis."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
+import ttlnet
 from ttlnet import (
     BudgetExceededError,
     TopologyError,
@@ -109,6 +113,17 @@ class TestParsing:
         doc = {"nodes": [{"id": "a", "policy": "LRU", "ttl": {"exp": 1.0}}], "arrivals": {}}
         with pytest.raises(TopologyError, match=r"\$\.nodes\[0\]"):
             parse_topology(doc)
+
+    def test_import_skips_jsonschema(self):
+        # jsonschema is imported only when parse_topology first validates a document
+        src = str(Path(ttlnet.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        code = "import sys, ttlnet; print('jsonschema' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
     def test_min_policy_requires_second_ttl(self):
         doc = {

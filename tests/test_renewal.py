@@ -313,7 +313,7 @@ class TestOccupancy:
     def test_min_monte_carlo_memory_is_bounded(self):
         # replications run in blocks, so beyond the three result arrays and the
         # Sigma TTLs (32 MB at 1e6 samples) the temporaries stay small
-        x, policy = Erlang(2, 2.0), StoppingPolicy.min_of(Deterministic(1.3), Deterministic(0.9))
+        x, policy = Erlang(2, 2.0), StoppingPolicy.min_of(Deterministic(1.3), Erlang(2, 2.2))
         tracemalloc.start()
         try:
             occupancy_renewal(x, policy, samples=1_000_000, rng=np.random.default_rng(1))
@@ -644,10 +644,13 @@ class TestPhaseTypeRoute:
         assert abs(exact - series) < 2e-3
 
     def test_deterministic_ttl_keeps_monte_carlo(self, rng):
-        x, t = Erlang(2, 2.0), Deterministic(1.3)
-        got = expected_tau(x, StoppingPolicy.reset_on_miss(t), samples=60_000, rng=rng)
+        # PH requests with one Deterministic and one PH TTL have no exact route
+        x, ts, tr = Erlang(2, 2.0), Deterministic(1.3), Erlang(2, 2.2)
+        got = expected_tau(x, StoppingPolicy.min_of(ts, tr), samples=60_000, rng=rng)
         assert got.stderr > 0.0
-        taus, _, _ = stopped_sum_oracle(rng, x.sample, "Sigma", t.sample, n=60_000)
+        taus, _, _ = stopped_sum_oracle(
+            rng, x.sample, "MinSigmaR", ts.sample, tr.sample, n=60_000
+        )
         mean, se = mc_mean_se(taus.astype(float))
         assert abs(got.value - mean) < 4.0 * math.hypot(se, got.stderr)
 
@@ -663,3 +666,133 @@ class TestPhaseTypeRoute:
         taus, _, _ = stopped_sum_oracle(rng, x.sample, "Sigma", t.sample, n=10_000)
         mean, se = mc_mean_se(taus.astype(float))
         assert abs(got.value - mean) < 4.0 * math.hypot(se, got.stderr)
+
+
+DETERMINISTIC_ROUTE_CASES = {
+    "sigma-erlang-det": (Erlang(2, 2.0), StoppingPolicy.reset_on_miss(Deterministic(1.3))),
+    "min-exp-det-det": (
+        Exponential(1.0), StoppingPolicy.min_of(Deterministic(1.25), Deterministic(0.67))
+    ),
+    "min-erlang-det-det": (
+        Erlang(2, 2.0), StoppingPolicy.min_of(Deterministic(1.3), Deterministic(0.9))
+    ),
+    "min-det-exp-exp": (
+        Deterministic(0.9), StoppingPolicy.min_of(Exponential(0.8), Exponential(1.5))
+    ),
+    "min-det-erlang-erlang": (
+        Deterministic(0.9), StoppingPolicy.min_of(Erlang(2, 1.6), Erlang(2, 3.0))
+    ),
+    "min-det-det-det": (
+        Deterministic(0.4), StoppingPolicy.min_of(Deterministic(1.25), Deterministic(0.67))
+    ),
+    "min-det-erlang-det": (
+        Deterministic(0.4), StoppingPolicy.min_of(Erlang(2, 1.6), Deterministic(0.67))
+    ),
+    "min-det-det-exp": (
+        Deterministic(0.4), StoppingPolicy.min_of(Deterministic(1.3), Exponential(1.0))
+    ),
+    # 20 windows of c_R before c_Sigma and 0.6 after: a 21-block method of steps
+    "min-erlang-det-det-20-steps": (
+        Erlang(3, 3.0), StoppingPolicy.min_of(Deterministic(20.6), Deterministic(1.0))
+    ),
+    "min-erlang-det-det-4-steps": (
+        Erlang(2, 2.0), StoppingPolicy.min_of(Deterministic(3.7), Deterministic(0.8))
+    ),
+    # 400 windows, but the cached mass is below 1e-15 after 38 of them
+    "min-exp-det-det-truncated": (
+        Exponential(1.0), StoppingPolicy.min_of(Deterministic(200.0), Deterministic(0.5))
+    ),
+}
+
+
+def _route_values(x, policy, omega):
+    """expected_tau, occupancy_renewal and the transform at omega, asserting no Monte Carlo."""
+    tau = expected_tau(x, policy)
+    if policy.tag == "Sigma":
+        transform = ttlnet.renewal.MonteCarloValue(transform_sigma(x, policy.ttl, omega), 0.0)
+    else:
+        transform = transform_min(x, policy.ttl_sigma, policy.ttl_r, omega)
+    assert tau.stderr == 0.0 and transform.stderr == 0.0
+    return tau.value, occupancy_renewal(x, policy), transform.value
+
+
+class TestDeterministicRoutes:
+    @pytest.mark.parametrize(
+        "case", DETERMINISTIC_ROUTE_CASES.values(), ids=DETERMINISTIC_ROUTE_CASES.keys()
+    )
+    def test_exact_against_stopping_rule_oracle(self, case, rng, monkeypatch):
+        def no_monte_carlo(*args, **kwargs):
+            raise AssertionError("Monte Carlo run on an exact route")
+
+        monkeypatch.setattr(ttlnet.renewal, "_simulate_stopping", no_monte_carlo)
+        x, policy = case
+        omega = 0.5
+        tau, occupancy, transform = _route_values(x, policy, omega)
+        if policy.tag == "Sigma":
+            ttl, ttl_r = policy.ttl, None
+        else:
+            ttl, ttl_r = policy.ttl_sigma, policy.ttl_r
+        taus, sums, occupied = stopped_sum_oracle(
+            rng, x.sample, policy.tag, ttl.sample, ttl_r.sample if ttl_r else None, n=40_000
+        )
+        # a fully deterministic case has se 0: the values must then agree to roundoff
+        mean, se = mc_mean_se(taus.astype(float))
+        assert abs(tau - mean) <= 4.0 * se + 1e-12
+        mean, se = mc_mean_se(np.exp(-omega * sums))
+        assert abs(transform - mean) <= 4.0 * se + 1e-12
+        if occupied is None:
+            mean, se = mc_mean_se(sums)
+            mean, se = ttl.mean / mean, ttl.mean / mean * se / mean
+        else:
+            mean, se = _ratio_mean_se(occupied, sums)
+        assert abs(occupancy - mean) <= 4.0 * se + 1e-12
+
+    @pytest.mark.parametrize("d,mu,nu", [(0.9, 0.8, 1.5), (0.3, 2.0, 0.4), (2.5, 0.1, 0.7)])
+    def test_deterministic_requests_exponential_ttls_closed_forms(self, d, mu, nu):
+        tau, occupancy, _ = _route_values(
+            Deterministic(d), StoppingPolicy.min_of(Exponential(mu), Exponential(nu)), 0.5
+        )
+        decay = math.exp(-(mu + nu) * d)
+        assert_allclose(tau, 1.0 / (1.0 - decay), rtol=1e-12)
+        assert_allclose(occupancy, (1.0 - decay) / ((mu + nu) * d), rtol=1e-12)
+
+    @pytest.mark.parametrize("c_r", [1.3, 1.7])
+    def test_r_timer_past_sigma_ttl_is_sigma(self, c_r):
+        # an R window that closes at or after c_Sigma evicts nothing earlier
+        x, c_sigma = Erlang(3, 2.5), Deterministic(1.3)
+        got = _route_values(x, StoppingPolicy.min_of(c_sigma, Deterministic(c_r)), 0.7)
+        want = _route_values(x, StoppingPolicy.reset_on_miss(c_sigma), 0.7)
+        assert_allclose(got, want, rtol=1e-12)
+
+    def test_sigma_transform_against_series(self):
+        x, t, omega = Erlang(2, 2.0), Deterministic(1.3), 0.5
+        exact = transform_sigma(x, t, omega)
+        series = transform_sigma(x, t, omega, method="series")
+        assert abs(exact - series) < 2e-3
+
+    def test_deterministic_ties(self):
+        # d = c_R is a hit and k d = c_Sigma stays cached: 5 requests at 0.25
+        # spacing, the last one 0.25 after c_Sigma = 1, the object held for all of c_Sigma
+        x, omega = Deterministic(0.25), 0.5
+        policy = StoppingPolicy.min_of(Deterministic(1.0), Deterministic(0.25))
+        tau, occupancy, transform = _route_values(x, policy, omega)
+        assert tau == 5.0
+        assert_allclose(occupancy, 1.0 / 1.25, rtol=1e-15)
+        assert_allclose(transform, math.exp(-omega * 1.25), rtol=1e-15)
+        # with a PH Sigma TTL the tie at c_R still counts as a hit
+        tau = expected_tau(x, StoppingPolicy.min_of(Exponential(1.0), Deterministic(0.25)))
+        assert_allclose(tau.value, 1.0 / (1.0 - math.exp(-0.25)), rtol=1e-12)
+
+    def test_large_dense_block_keeps_monte_carlo(self, rng):
+        # 20 windows of 10 request phases exceed the dense size of the method of steps
+        x = Erlang(10, 10.0)
+        policy = StoppingPolicy.min_of(Deterministic(30.0), Deterministic(1.5))
+        got = expected_tau(x, policy, samples=10_000, rng=rng)
+        assert got.stderr > 0.0
+
+    def test_tabulated_ttl_keeps_monte_carlo(self, rng):
+        t = tabulated_from(Erlang(2, 1.6), 0.01, 1000)
+        got = expected_tau(
+            Deterministic(0.9), StoppingPolicy.min_of(t, Exponential(1.5)), samples=10_000, rng=rng
+        )
+        assert got.stderr > 0.0
