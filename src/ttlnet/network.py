@@ -123,15 +123,6 @@ class TtlSpec:
             return cls("ph", s=s, pi=pi)
         raise TopologyError(f"{where}: unknown TTL spec {payload!r}")
 
-    def to_payload(self) -> dict:
-        if self.kind == "exp":
-            return {"exp": self.rate}
-        if self.kind == "erlang":
-            return {"erlang": {"stages": self.stages, "rate": self.rate}}
-        if self.kind == "det":
-            return {"det": {"value": self.value, "stages": self.stages or DEFAULT_DET_STAGES}}
-        return {"ph": {"s": [list(r) for r in self.s], "pi": list(self.pi)}}
-
 
 @dataclass(frozen=True)
 class ArrivalSpec:

@@ -11,32 +11,54 @@ X_tau, where the stopping rule depends on the policy:
 The Laplace transform of S_tau equals the expectation of L_omega(X)^tau
 under the fractionally tilted measure that reweights only the law of X by
 exp(-omega x) / L_omega(X) and leaves the TTL law untouched; X and T stay
-independent under the tilt. Closed forms exist for the exponential and
-deterministic families. When the request law and every TTL law are
-Exponential or Erlang, the laws are phase-type (PH): the requests form a
-renewal MAP, `cache_ops` builds the cache's miss process exactly, and one
-sparse solve over one inter-miss interval of that process gives E[tau],
-the occupancy or the transform, as long as its chain has at most
-`network.DEFAULT_BUDGET` states. Near that budget a query takes about as
-long as the 1e6-sample Monte Carlo it replaces and up to about 100 MB for
-the chain and its factors, where the Monte Carlo needs about 30 MB.
+independent under the tilt.
 
-Deterministic laws without a closed form take one of two exact dense
-routes, each a millisecond-scale computation:
+E[tau], the mean in-cache time and E[exp(-omega S_tau)] are three readings
+of one cycle. R has closed forms for every law pair. For Sigma and
+min(Sigma, R), `_cycle` is the one place that picks the route; the first row
+that matches wins:
 
-* deterministic requests X = d under min(Sigma, R) with Exponential, Erlang
-  or Deterministic TTLs: P(tau > k) = P(T_Sigma >= k d) P(T_R >= d)^k, a
-  matrix-geometric sum for a PH Sigma TTL and a finite sum for a
-  deterministic one;
-* Exponential or Erlang requests under Sigma, or under min(Sigma, R) with
-  both TTLs Deterministic: the cached mass over request phases solves a
-  linear delay equation, solved exactly by the method of steps with Van
-  Loan block exponentials.
+======  =============  ==========================  =========================
+policy  requests X     TTL law(s)                  route
+======  =============  ==========================  =========================
+Sigma   Exponential    any                         closed form
+Sigma   any            Exponential                 closed form (R's, by
+                                                   memorylessness)
+Sigma   Deterministic  Exponential, Erlang, Det.   deterministic requests
+Sigma   Deterministic  Tabulated                   survival sum
+Sigma   Erlang         Deterministic               delay equation
+Sigma   Erlang         Erlang                      phase-type
+min     Exponential    both Exponential            closed form
+min     Deterministic  Exponential, Erlang, Det.   deterministic requests
+min     Exp., Erlang   both Deterministic          delay equation
+min     Exp., Erlang   both Exponential or Erlang  phase-type
+======  =============  ==========================  =========================
 
-The remaining cases (Tabulated laws, Exponential or Erlang requests under
-min(Sigma, R) with one Deterministic and one PH TTL, and chains or dense
-blocks over their size limits) are evaluated by a tilted convolution series
-(Sigma) or by Monte Carlo under the tilted measure.
+Every other case (a Tabulated law, or Exponential/Erlang requests under min
+with one Deterministic and one Exponential/Erlang TTL) falls back: E[tau] and
+the occupancy run the stopping rule by Monte Carlo, the Sigma transform sums
+a tilted convolution series and the min transform runs Monte Carlo under the
+tilted measure. A route over its size limit falls back the same way, except
+that Sigma with deterministic requests then takes the survival sum. The
+routes:
+
+* deterministic requests X = d: P(tau > k) = P(T_Sigma >= k d)
+  P(T_R >= d)^k, a matrix-geometric sum for an Exponential or Erlang Sigma
+  TTL and a finite sum for a deterministic one. Sigma is the case of an R
+  TTL that never fires.
+* delay equation: for Exponential or Erlang requests under Deterministic
+  TTLs, the cached mass over request phases solves a linear delay equation,
+  solved exactly by the method of steps with Van Loan block exponentials.
+* phase-type (PH): Exponential and Erlang laws are PH, so the requests form
+  a renewal MAP, `cache_ops` builds the cache's miss process exactly, and one
+  sparse solve over one inter-miss interval of that process gives the cycle,
+  as long as its chain has at most `network.DEFAULT_BUDGET` states. Near that
+  budget a query takes about as long as the 1e6-sample Monte Carlo it
+  replaces and up to about 100 MB for the chain and its factors, where the
+  Monte Carlo needs about 30 MB.
+* survival sum: E[tau] = sum over k >= 0 of P(T >= k d), term by term.
+
+The two dense routes are millisecond-scale computations.
 """
 
 import math
@@ -49,7 +71,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 import scipy.special
 
-from .cache_ops import CacheOutput, output_min, output_sigma
+from .cache_ops import output_min, output_sigma
 from .errors import (
     ConvergenceError,
     DivergentStoppingTimeError,
@@ -412,6 +434,52 @@ class RenewalHitMiss:
     stderr: float | None = None
 
 
+class _Cycle(NamedTuple):
+    """One inter-miss cycle: E[tau], the mean in-cache time and
+    E[exp(-omega S_tau)].
+
+    Read `tau` and `in_cache` only from a cycle built at omega = 0: the PH
+    route's state occupation is discounted by exp(-omega t), so at omega > 0
+    its two are discounted as well.
+    """
+
+    tau: float
+    in_cache: float
+    transform: float
+
+
+# An R TTL that never fires: Sigma is min(Sigma, R) with it.
+_NEVER = Deterministic(math.inf)
+
+
+def _cycle(x: RenewalSpec, policy: StoppingPolicy, omega: float) -> _Cycle | None:
+    """One Sigma or min(Sigma, R) cycle by the first exact route of the
+    module docstring's table, or None where the table falls back."""
+    if policy.tag == "Sigma":
+        t_sigma, t_r = policy.ttl, _NEVER
+        if isinstance(x, Exponential):
+            lam = x.rate
+            return _Cycle(
+                1.0 + lam * t_sigma.mean, t_sigma.mean, t_sigma.laplace(omega) * lam / (lam + omega)
+            )
+        if isinstance(t_sigma, Exponential):
+            psi = x.laplace(omega + t_sigma.rate)
+            return _Cycle(
+                1.0 / (1.0 - x.laplace(t_sigma.rate)),
+                t_sigma.mean,
+                (x.laplace(omega) - psi) / (1.0 - psi),
+            )
+    else:
+        t_sigma, t_r = policy.ttl_sigma, policy.ttl_r
+        if all(isinstance(law, Exponential) for law in (x, t_sigma, t_r)):
+            lam, rate = x.rate, t_sigma.rate + t_r.rate
+            return _Cycle(1.0 + lam / rate, 1.0 / rate, lam / (lam + omega) * rate / (rate + omega))
+    cycle = _deterministic_route(x, t_sigma, t_r, omega)
+    if cycle is None and policy.tag == "Sigma" and isinstance(x, Deterministic):
+        cycle = _sigma_deterministic_requests(x, t_sigma, omega)
+    return cycle if cycle is not None else _ph_cycle(x, policy, omega)
+
+
 def _as_ph(law: RenewalSpec) -> PhaseTypeDistribution | None:
     if isinstance(law, Exponential):
         return PhaseTypeDistribution.exponential(law.rate)
@@ -420,12 +488,9 @@ def _as_ph(law: RenewalSpec) -> PhaseTypeDistribution | None:
     return None
 
 
-def _ph_cycle(
-    x: RenewalSpec, policy: StoppingPolicy, omega: float = 0.0
-) -> tuple[np.ndarray, CacheOutput] | None:
-    """Discounted state occupation of the exact miss chain over one interval.
+def _ph_cycle(x: RenewalSpec, policy: StoppingPolicy, omega: float) -> _Cycle | None:
+    """The cycle from the discounted state occupation of the exact miss chain.
 
-    `policy` is Sigma or min(Sigma, R); R has closed forms everywhere.
     Exponential and Erlang laws are phase-type: requests with a PH(alpha, S)
     law form the renewal MAP (S, s alpha), s the exit vector, and the MAP
     engine builds the cache's miss process (D0', D1') exactly (TTL order as
@@ -433,10 +498,11 @@ def _ph_cycle(
     TTL, so misses are regeneration points: every row of D1' is a multiple
     of one vector, the initial vector phi of the next inter-miss interval,
     and phi is proportional to p' D1' whatever the stationary vector p' is.
-    Returns z = phi (omega I - D0')^{-1}, one sparse solve, with the miss
-    process. Entry i of z is the expected time spent in state i during one
-    inter-miss interval S, discounted by exp(-omega t); so z 1 = E[S] at
-    omega = 0 and z D1' 1 = E[exp(-omega S)].
+    One sparse solve gives z = phi (omega I - D0')^{-1}. Entry i of z is the
+    expected time spent in state i during one inter-miss interval S,
+    discounted by exp(-omega t); so at omega = 0, z 1 = E[S] = E[tau] E[X]
+    (Wald) and the sum of z over the IN states is the in-cache time, and
+    z D1' 1 = E[exp(-omega S)].
 
     Returns None, building nothing, when a law is not PH or the miss chain
     would exceed `DEFAULT_BUDGET` states.
@@ -475,7 +541,7 @@ def _ph_cycle(
     lu = spla.splu(a[order][:, order].T, permc_spec="NATURAL")
     z = np.empty(out.order)
     z[order] = lu.solve(phi[order] / phi.sum())
-    return z, out
+    return _Cycle(float(z.sum()) / x.mean, float(z[n:].sum()), float(z @ out.map.d1.row_sums()))
 
 
 # Largest dense matrix the deterministic-law routes exponentiate or factor:
@@ -507,34 +573,27 @@ def _ph_arrays(law: RenewalSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _deterministic_route(
-    x: RenewalSpec, policy: StoppingPolicy, omega: float = 0.0
-) -> tuple[float, float, float] | None:
-    """(E[tau], mean in-cache time, E[exp(-omega S_tau)]) exactly, or None.
+    x: RenewalSpec, t_sigma: RenewalSpec, t_r: RenewalSpec, omega: float
+) -> _Cycle | None:
+    """The deterministic-requests and delay-equation routes, or None.
 
-    Covers the Deterministic-law cases without a closed form:
-    deterministic requests under min(Sigma, R) with Exponential, Erlang or
-    Deterministic TTLs, and Exponential or Erlang requests under Sigma or
-    min(Sigma, R) with Deterministic TTLs only. Returns None for everything
-    else (mixed Deterministic/PH TTL pairs under PH requests, Tabulated laws),
-    where a dense block would exceed `_DENSE_MAX` states and where the finite
-    sums would exceed `_MAX_STEPS` terms.
+    Sigma passes t_r = `_NEVER`. Returns None for the laws these routes do
+    not cover, where a dense block would exceed `_DENSE_MAX` states and where
+    the finite sums would exceed `_MAX_STEPS` terms.
     """
-    ttls = (policy.ttl,) if policy.ttl is not None else (policy.ttl_sigma, policy.ttl_r)
-    if (
-        isinstance(x, Deterministic)
-        and policy.tag == "MinSigmaR"
-        and all(isinstance(t, (Exponential, Erlang, Deterministic)) for t in ttls)
+    ttls = (t_sigma, t_r)
+    if isinstance(x, Deterministic) and all(
+        isinstance(t, (Exponential, Erlang, Deterministic)) for t in ttls
     ):
-        return _deterministic_requests(x.value, *ttls, omega)
+        return _deterministic_requests(x.value, t_sigma, t_r, omega)
     if isinstance(x, (Exponential, Erlang)) and all(isinstance(t, Deterministic) for t in ttls):
-        c_r = ttls[1].value if len(ttls) == 2 else math.inf
-        return _deterministic_ttls(x, ttls[0].value, c_r, omega)
+        return _deterministic_ttls(x, t_sigma.value, t_r.value, omega)
     return None
 
 
 def _deterministic_requests(
     d: float, t_sigma: RenewalSpec, t_r: RenewalSpec, omega: float
-) -> tuple[float, float, float] | None:
+) -> _Cycle | None:
     """Requests X = d under min(Sigma, R).
 
     Step k + 1 starts with the object cached with probability
@@ -561,7 +620,7 @@ def _deterministic_requests(
         cut = t_r.integral_survival(min(d, t_sigma.value - last * d))
         in_cache = full * alive[:last].sum() + cut * alive[last]
         transform = float(z ** k[1:] @ (alive[:-1] - alive[1:]))
-        return float(alive.sum()), float(in_cache), transform
+        return _Cycle(float(alive.sum()), float(in_cache), transform)
     alpha, s_sigma = _ph_arrays(t_sigma)
     if isinstance(t_r, Deterministic):
         # T_R > v for every v < c_R: one phase that never leaves, up to c_R
@@ -578,12 +637,12 @@ def _deterministic_requests(
     transform = z * alpha @ np.linalg.solve(eye - z * p_r * e, ones - p_r * e @ ones)
     kron_sum = np.kron(s_sigma, np.eye(n_r)) + np.kron(eye, s_r)
     _, held = _expm_integral(kron_sum, np.ones((n * n_r, 1)), horizon)
-    return float(w.sum()), float(np.kron(w, alpha_r) @ held[:, 0]), float(transform)
+    return _Cycle(float(w.sum()), float(np.kron(w, alpha_r) @ held[:, 0]), float(transform))
 
 
 def _deterministic_ttls(
     x: RenewalSpec, c_sigma: float, c_r: float, omega: float
-) -> tuple[float, float, float] | None:
+) -> _Cycle | None:
     """PH(alpha, S) requests under Deterministic TTLs; c_r = inf for Sigma.
 
     The object is evicted at E, the earlier of c_sigma and the first time
@@ -628,7 +687,7 @@ def _deterministic_ttls(
         transform = float(y_end @ phi)
         if steps and beta.sum() > 0.0:
             transform += float(beta @ phi / beta.sum()) * (1.0 - y_end.sum() - omega * held)
-    return 1.0 + float(hits), float(in_cache), float(transform)
+    return _Cycle(1.0 + float(hits), float(in_cache), float(transform))
 
 
 def _delay_steps(alpha, q, s, beta, c_r, steps, rest, omega):
@@ -686,16 +745,13 @@ def _psi(x: RenewalSpec, t: RenewalSpec, omega: float) -> float:
         return float(
             np.dot(np.exp(-omega * x.points) * x.masses, t.survival_geq(x.points))
         )
-    import scipy.integrate  # deferred: only general continuous pairs need it
-
-    upper = x.truncation_point(1e-14)
-    value, _ = scipy.integrate.quad(
-        lambda u: math.exp(-omega * u) * float(x.pdf(u)) * float(t.survival_geq(u)),
-        0.0,
-        upper,
-        limit=200,
+    # Erlang(k, a) under Erlang(m, b): the tilted X is Erlang(k, a + omega) and
+    # ends first iff k of its events come before m of T's in the merged Poisson
+    # streams, a negative binomial CDF
+    rate = x.rate + omega
+    return x.laplace(omega) * float(
+        scipy.special.nbdtr(t.stages - 1, x.stages, rate / (rate + t.rate))
     )
-    return value
 
 
 def transform_r(x: RenewalSpec, t: RenewalSpec, omega: float) -> float:
@@ -743,106 +799,54 @@ def _ttl_weights(t: RenewalSpec, step: float) -> tuple[np.ndarray, np.ndarray]:
     return points, weights / total
 
 
-def transform_sigma(
-    x: RenewalSpec,
-    t: RenewalSpec,
-    omega: float,
-    tol: float = 1e-10,
-    method: str = "auto",
-    step: float | None = None,
-    max_terms: int = 100_000,
-) -> float:
+def transform_sigma(x: RenewalSpec, t: RenewalSpec, omega: float, method: str = "auto") -> float:
     """Laplace transform of the inter-miss time of a reset-on-miss cache.
 
-    The general value is the series sum over t >= 1 of L_omega(X)^t times
-    the tilted-measure probability that exactly t requests fit inside one
-    TTL. Closed forms are used where available:
-
-    * exponential TTL: identical to the reset-on-request transform (the
-      memorylessness collapse), via psi = L_X(omega + mu);
-    * exponential requests: L_T(omega) * lambda / (lambda + omega);
-    * deterministic requests: a direct geometric-style sum.
-
-    Next, in "auto" mode, Erlang requests with a Deterministic TTL c take
-    the exact delay-equation route, e^{-omega c} alpha e^{Q c}
-    (omega I - S)^{-1} s for requests PH(alpha, S), s = -S 1 and
-    Q = S + s alpha; Erlang requests with an Erlang TTL take the exact PH
-    route, the transform of the MAP engine's miss process, one sparse solve
-    (chains of at most `network.DEFAULT_BUDGET` states). Otherwise (a
-    Tabulated law, or a chain over the budget) the series is evaluated on a
-    uniform grid (default step mean(X)/200) with tilted convolution powers,
-    truncated once the geometric tail bound drops below `tol`.
-
-    Parameters
-    ----------
-    method : {"auto", "closed", "series"}
-        "auto" prefers closed forms, then the exact routes; "closed" allows
-        only closed forms; "series" forces the series.
+    method="auto" takes the exact route of the module docstring's table
+    where there is one. Elsewhere, and always with method="series", the
+    value is the series sum over t >= 1 of L_omega(X)^t times the
+    tilted-measure probability that exactly t requests fit inside one TTL,
+    evaluated on a uniform grid (step mean(X)/200, or the grid of Tabulated
+    requests) with tilted convolution powers and truncated once the
+    geometric tail bound drops below `_SERIES_TOL`.
     """
     if omega < 0:
         raise ValidationError("omega must be nonnegative")
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
-    if method not in ("auto", "closed", "series"):
+    if method not in ("auto", "series"):
         raise ValidationError(f"unknown method {method!r}")
-
-    if method != "series":
-        if isinstance(t, Exponential):
-            psi = x.laplace(omega + t.rate)
-            return (x.laplace(omega) - psi) / (1.0 - psi)
-        if isinstance(x, Exponential):
-            return t.laplace(omega) * x.rate / (x.rate + omega)
-        if isinstance(x, Deterministic):
-            return _sigma_deterministic_requests(x, t, omega, tol, max_terms)
-        if method == "closed":
-            raise ValidationError("no closed form for this request/TTL combination")
-        exact = _deterministic_route(x, StoppingPolicy.reset_on_miss(t), omega)
-        if exact is not None:
-            return exact[2]
-        cycle = _ph_cycle(x, StoppingPolicy.reset_on_miss(t), omega)
+    if method == "auto":
+        cycle = _cycle(x, StoppingPolicy.reset_on_miss(t), omega)
         if cycle is not None:
-            z, out = cycle
-            return float(z @ out.map.d1.row_sums())
-
-    return _sigma_series(x, t, omega, tol, step, max_terms)
+            return cycle.transform
+    return _sigma_series(x, t, omega)
 
 
-def _sigma_deterministic_requests(
-    x: Deterministic, t: RenewalSpec, omega: float, tol: float, max_terms: int
-) -> float:
-    lx = math.exp(-omega * x.value)
-    total = 0.0
-    cum = 0.0
-    prev = 1.0  # P(T >= 0)
-    for k in range(1, max_terms + 1):
-        cur = float(t.survival_geq(k * x.value))
-        term = prev - cur
-        total += lx**k * term
-        cum += term
-        prev = cur
-        if lx ** (k + 1) * max(0.0, 1.0 - cum) < tol:
-            return total
-    raise ConvergenceError("series for deterministic requests did not converge")
+# Tail bound at which the Sigma series stops, and its most terms.
+_SERIES_TOL = 1e-10
+_SERIES_MAX_TERMS = 100_000
 
 
-def _sigma_series(
-    x: RenewalSpec,
-    t: RenewalSpec,
-    omega: float,
-    tol: float,
-    step: float | None,
-    max_terms: int,
-) -> float:
+def _sigma_deterministic_requests(x: Deterministic, t: RenewalSpec, omega: float) -> _Cycle:
+    """Sigma with requests X = d by the survival sum: P(tau > k) = P(T >= k d)
+    and S_tau = tau d, summed in blocks of `_MC_BLOCK` terms up to the point
+    where P(T >= k d) <= `_MASS_EPS`."""
+    d = x.value
+    terms = math.floor(t.truncation_point(_MASS_EPS) / d) + 2
+    tau = transform = 0.0
+    for lo in range(0, terms, _MC_BLOCK):
+        k = np.arange(lo, min(lo + _MC_BLOCK, terms) + 1)
+        alive = t.survival_geq(k * d)
+        tau += float(alive[:-1].sum())
+        transform += float(np.exp(-omega * d * k[1:]) @ (alive[:-1] - alive[1:]))
+    return _Cycle(tau, t.mean, transform)
+
+
+def _sigma_series(x: RenewalSpec, t: RenewalSpec, omega: float) -> float:
     tilted = tilt(x, omega)
     lx = tilted.lx
-    if isinstance(x, Tabulated):
-        step = x.step
-    elif step is None:
-        step = x.mean / 200.0
     if isinstance(tilted.law, Deterministic):
-        return _sigma_deterministic_requests(
-            Deterministic(tilted.law.value), t, omega, tol, max_terms
-        )
+        return _sigma_deterministic_requests(tilted.law, t, omega).transform
+    step = x.step if isinstance(x, Tabulated) else x.mean / 200.0
     import scipy.signal  # deferred: the only user, and slow to import
 
     points, weights = _ttl_weights(t, step)
@@ -853,19 +857,19 @@ def _sigma_series(
     prev_vals = np.ones_like(points)
     total = 0.0
     cum = 0.0
-    for term_idx in range(1, max_terms + 1):
+    for term_idx in range(1, _SERIES_MAX_TERMS + 1):
         centers = (np.arange(conv.size) + 0.5 * term_idx) * step
         cdf_vals = np.interp(points, centers, np.cumsum(conv), left=0.0)
         term = float(np.dot(weights, np.clip(prev_vals - cdf_vals, 0.0, None)))
         total += lx**term_idx * term
         cum += term
-        if lx ** (term_idx + 1) * max(0.0, 1.0 - cum) < tol:
+        if lx ** (term_idx + 1) * max(0.0, 1.0 - cum) < _SERIES_TOL:
             return total
         prev_vals = cdf_vals
         conv = scipy.signal.convolve(conv, q)[:n_cells]
         np.clip(conv, 0.0, None, out=conv)
     raise ConvergenceError(
-        f"series did not reach tolerance {tol:g} within {max_terms} terms"
+        f"series did not reach tolerance {_SERIES_TOL:g} within {_SERIES_MAX_TERMS} terms"
     )
 
 
@@ -943,41 +947,22 @@ def transform_min(
 ) -> MonteCarloValue:
     """Laplace transform of the inter-miss time of a min(Sigma, R) cache.
 
-    All-exponential inputs use the closed form lambda/(lambda+omega) *
-    (mu+nu)/(mu+nu+omega) exactly (stderr 0). Deterministic requests with
-    Exponential, Erlang or Deterministic TTLs, and Exponential or Erlang
-    requests with two Deterministic TTLs, take the exact deterministic-law
-    routes (stderr 0; see the module docstring). Other Exponential/Erlang
-    combinations take the exact PH route (stderr 0): the MAP engine's miss
-    process and one sparse solve, for chains of at most
-    `network.DEFAULT_BUDGET` states. Otherwise (Tabulated laws, PH requests
-    with one Deterministic and one PH TTL, or a case over a size limit) the
-    value E-tilde[L_omega(X)^tau] is estimated by Monte Carlo: inter-request
-    times are drawn from the tilted law, both TTLs from their original
-    laws, and the stopping rule of the min policy is applied literally.
+    Exact (stderr 0) where the module docstring's table has a route.
+    Otherwise the value E-tilde[L_omega(X)^tau] is estimated by Monte Carlo:
+    inter-request times are drawn from the tilted law, both TTLs from their
+    original laws, and the stopping rule of the min policy is applied
+    literally.
     """
     if omega < 0:
         raise ValidationError("omega must be nonnegative")
-    if (
-        isinstance(x, Exponential)
-        and isinstance(t_sigma, Exponential)
-        and isinstance(t_r, Exponential)
-    ):
-        lam, mu, nu = x.rate, t_sigma.rate, t_r.rate
-        value = lam / (lam + omega) * (mu + nu) / (mu + nu + omega)
-        return MonteCarloValue(value, 0.0)
-    exact = _deterministic_route(x, StoppingPolicy.min_of(t_sigma, t_r), omega)
-    if exact is not None:
-        return MonteCarloValue(exact[2], 0.0)
-    cycle = _ph_cycle(x, StoppingPolicy.min_of(t_sigma, t_r), omega)
+    policy = StoppingPolicy.min_of(t_sigma, t_r)
+    cycle = _cycle(x, policy, omega)
     if cycle is not None:
-        z, out = cycle
-        return MonteCarloValue(float(z @ out.map.d1.row_sums()), 0.0)
+        return MonteCarloValue(cycle.transform, 0.0)
     if samples < 10_000:
         raise ValidationError("transform_min needs at least 1e4 samples")
     rng = np.random.default_rng() if rng is None else rng
     tilted = tilt(x, omega)
-    policy = StoppingPolicy.min_of(t_sigma, t_r)
     tau, _, _ = _simulate_stopping(tilted.law, policy, samples, rng)
     values = tilted.lx ** tau.astype(np.float64)
     mean = float(values.mean())
@@ -993,58 +978,20 @@ def expected_tau(
 ) -> MonteCarloValue:
     """Mean number of requests per miss cycle, E[tau].
 
-    Exact for: any reset-on-request combination (geometric tau with success
-    probability P(X > T)); Poisson requests under Sigma (1 + lambda E[T]);
-    deterministic requests under Sigma; all-exponential min. Deterministic
-    requests under min with Exponential, Erlang or Deterministic TTLs, and
-    Erlang requests under Sigma or Exponential/Erlang requests under min
-    with Deterministic TTLs only, take the exact deterministic-law routes
-    (see the module docstring). Other Exponential/Erlang combinations take
-    the exact PH route, E[S] / E[X] with E[S] the mean interval of the MAP
-    engine's miss process, for chains of at most `network.DEFAULT_BUDGET`
-    states. Everything else (Tabulated laws, PH requests under min with one
-    Deterministic and one PH TTL, cases over a size limit) runs the literal
-    stopping rules by Monte Carlo (stderr reported; 0 marks an exact value).
+    Exact (stderr 0) for R, geometric with success probability P(X > T), and
+    where the module docstring's table has a route; otherwise the literal
+    stopping rule is run by Monte Carlo (stderr reported).
     """
-    tag = policy.tag
-    if tag == "R":
+    if policy.tag == "R":
         p_miss = 1.0 - _psi(x, policy.ttl, 0.0)
         if p_miss <= 0.0:
             raise DivergentStoppingTimeError(
                 "P(X > T) = 0: the TTL structurally never expires before a request"
             )
         return MonteCarloValue(1.0 / p_miss, 0.0)
-    if tag == "Sigma":
-        t = policy.ttl
-        if isinstance(x, Exponential):
-            return MonteCarloValue(1.0 + x.rate * t.mean, 0.0)
-        if isinstance(x, Deterministic):
-            total = 1.0
-            k = 1
-            while k < 100_000_000:
-                s = float(t.survival_geq(k * x.value))
-                total += s
-                if s < 1e-15 or k * x.value > t.truncation_point(1e-15):
-                    return MonteCarloValue(total, 0.0)
-                k += 1
-            raise ConvergenceError("survival series did not converge")
-    elif tag == "MinSigmaR":
-        if (
-            isinstance(x, Exponential)
-            and isinstance(policy.ttl_sigma, Exponential)
-            and isinstance(policy.ttl_r, Exponential)
-        ):
-            lam = x.rate
-            return MonteCarloValue(
-                1.0 + lam / (policy.ttl_sigma.rate + policy.ttl_r.rate), 0.0
-            )
-    exact = _deterministic_route(x, policy)
-    if exact is not None:
-        return MonteCarloValue(exact[0], 0.0)
-    cycle = _ph_cycle(x, policy)
+    cycle = _cycle(x, policy, 0.0)
     if cycle is not None:
-        # Wald: E[S] = E[tau] E[X]
-        return MonteCarloValue(float(cycle[0].sum()) / x.mean, 0.0)
+        return MonteCarloValue(cycle.tau, 0.0)
     rng = np.random.default_rng() if rng is None else rng
     tau, _, _ = _simulate_stopping(x, policy, samples, rng)
     mean = float(tau.mean())
@@ -1090,16 +1037,19 @@ def _expected_min(x: RenewalSpec, t: RenewalSpec) -> float:
     if isinstance(x, Exponential):
         # E[integral of e^{-lam u} over [0, T]]
         return (1.0 - t.laplace(x.rate)) / x.rate
-    import scipy.integrate  # deferred: only general continuous pairs need it
+    # Erlang(k, a) against Erlang(m, b), m = 1 for an Exponential TTL: X has a
+    # Binomial(n, p) share of the first n events of the merged Poisson streams
+    # (rate a + b), p = a / (a + b), and min(X, T) outlasts event n iff X has
+    # fewer than k of them and T fewer than m
+    k, a = x.stages, x.rate
+    m, b = (t.stages, t.rate) if isinstance(t, Erlang) else (1, t.rate)
+    n = np.arange(k + m - 1)
+    p = a / (a + b)
 
-    upper = min(x.truncation_point(1e-14), t.truncation_point(1e-14))
-    value, _ = scipy.integrate.quad(
-        lambda u: float(x.survival_geq(u)) * float(t.survival_geq(u)),
-        0.0,
-        upper,
-        limit=200,
-    )
-    return value
+    def at_most(j):  # P(Binomial(n, p) <= j)
+        return np.where(j < 0, 0.0, scipy.special.bdtr(np.clip(j, 0, n), n, p))
+
+    return float(np.sum(at_most(k - 1) - at_most(n - m))) / (a + b)
 
 
 def occupancy_renewal(
@@ -1110,42 +1060,20 @@ def occupancy_renewal(
 ) -> float:
     """Long-run fraction of time the object is cached.
 
-    R: E[min(X, T)] / E[X]. Sigma: E[T] / E[S_tau], with E[S_tau] from
-    `expected_tau`. min(Sigma, R): lambda/(lambda+mu+nu) in the
-    all-exponential case; the mean in-cache time of the exact
-    deterministic-law routes over E[tau] E[X] for deterministic requests
-    with Exponential, Erlang or Deterministic TTLs and for
-    Exponential/Erlang requests with two Deterministic TTLs; for other
-    Exponential/Erlang combinations the exact PH route, the mean time in the
-    IN states of the MAP engine's miss process over its mean interval
-    (chains of at most `network.DEFAULT_BUDGET` states); otherwise
-    (Tabulated laws, PH requests with one Deterministic and one PH TTL,
-    cases over a size limit) the ratio of mean in-cache time to mean cycle
-    length estimated by simulating the stopped sequence.
+    R: E[min(X, T)] / E[X]. Sigma and min(Sigma, R): the mean in-cache time
+    of a cycle over E[tau] E[X], exact where the module docstring's table has
+    a route; otherwise estimated by simulating the stopped sequence (a Sigma
+    cache holds the object for the whole TTL of each cycle).
     """
-    tag = policy.tag
-    if tag == "R":
+    if policy.tag == "R":
         return _expected_min(x, policy.ttl) / x.mean
-    if tag == "Sigma":
-        return policy.ttl.mean / expected_stopped_sum(x, policy, samples, rng)
-    if (
-        isinstance(x, Exponential)
-        and isinstance(policy.ttl_sigma, Exponential)
-        and isinstance(policy.ttl_r, Exponential)
-    ):
-        lam = x.rate
-        return lam / (lam + policy.ttl_sigma.rate + policy.ttl_r.rate)
-    exact = _deterministic_route(x, policy)
-    if exact is not None:
-        tau, in_cache, _ = exact
-        return in_cache / (tau * x.mean)
-    cycle = _ph_cycle(x, policy)
+    cycle = _cycle(x, policy, 0.0)
     if cycle is not None:
-        # renewal reward: mean time with the object present over E[S]
-        z, out = cycle
-        return float(z[len(out.out_states) :].sum() / z.sum())
+        return cycle.in_cache / (cycle.tau * x.mean)
     rng = np.random.default_rng() if rng is None else rng
-    _, s_tau, occupied = _simulate_stopping(x, policy, samples, rng)
+    tau, s_tau, occupied = _simulate_stopping(x, policy, samples, rng)
+    if occupied is None:
+        return policy.ttl.mean / (float(tau.mean()) * x.mean)
     return float(occupied.mean() / s_tau.mean())
 
 

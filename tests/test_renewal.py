@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.sparse.linalg
+import scipy.special
 from numpy.testing import assert_allclose
 
 from conftest import dense_stationary, mc_mean_se, random_ph, stopped_sum_oracle
@@ -190,10 +192,6 @@ class TestTransformSigma:
         got = transform_sigma(x, t, 0.5)
         anchor = transform_sigma(Erlang(2, 2.0), t, 0.5, method="series")
         assert abs(got - anchor) < 5e-3
-
-    def test_closed_method_rejects_general_pair(self):
-        with pytest.raises(ValidationError):
-            transform_sigma(Erlang(2, 1.0), Erlang(2, 1.0), 0.5, method="closed")
 
     def test_import_skips_scipy_signal(self):
         # scipy.signal is imported only when a Sigma series first needs it
@@ -796,3 +794,171 @@ class TestDeterministicRoutes:
             Deterministic(0.9), StoppingPolicy.min_of(t, Exponential(1.5)), samples=10_000, rng=rng
         )
         assert got.stderr > 0.0
+
+
+class TestErlangPairs:
+    """R queries with Erlang requests under an Erlang or Exponential TTL take finite sums."""
+
+    @pytest.fixture(autouse=True)
+    def no_quadrature(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("quadrature used for an Erlang pair")
+
+        monkeypatch.setattr(scipy.integrate, "quad", refuse)
+
+    @pytest.mark.parametrize(
+        "x,ttl",
+        [
+            (Erlang(2, 2.0), Erlang(3, 1.5)),
+            (Erlang(4, 3.0), Erlang(2, 0.7)),
+            (Erlang(3, 1.2), Exponential(0.9)),
+            (Erlang(5, 4.0), Erlang(5, 2.5)),
+        ],
+        ids=["2x3", "4x2", "3x1-exp", "5x5"],
+    )
+    def test_against_map_engine(self, x, ttl):
+        req = _ph_of(x)
+        m = MarkovArrivalProcess(req.s, RateMatrix.from_dense(np.outer(req.exit_rates, req.pi.entries)))
+        out = output_r(m, _ph_of(ttl))
+        exact = metrics_from_maps(m, out)
+        policy = StoppingPolicy.reset_on_request(ttl)
+        assert_allclose(expected_tau(x, policy).value, 1.0 / exact.miss_probability, rtol=1e-10)
+        assert_allclose(occupancy_renewal(x, policy), exact.occupancy, rtol=1e-10)
+        for omega in (0.3, 1.7):
+            assert_allclose(transform_r(x, ttl, omega), _dense_miss_transform(out, omega), rtol=1e-10)
+
+    def test_many_stages(self):
+        # Erlang.pdf overflows here (100**500), so a quadrature could not run
+        k, a, m, b = 500, 100.0, 400, 90.0
+        x, t = Erlang(k, a), Erlang(m, b)
+        policy = StoppingPolicy.reset_on_request(t)
+        # P(X' <= T) for X' ~ Erlang(k, a'), T ~ Erlang(m, b) is I_p(k, m), p = a' / (a' + b)
+        p_hit = scipy.special.betainc(k, m, a / (a + b))
+        assert_allclose(expected_tau(x, policy).value, 1.0 / (1.0 - p_hit), rtol=1e-12)
+        omega = 0.5
+        psi = x.laplace(omega) * scipy.special.betainc(k, m, (a + omega) / (a + omega + b))
+        assert_allclose(transform_r(x, t, omega), (x.laplace(omega) - psi) / (1.0 - psi), rtol=1e-12)
+        # E[min(X, T)] is the integral of P(X > u) P(T > u), here by the trapezoid rule
+        u = np.linspace(0.0, 8.0, 200_001)
+        both = scipy.special.gammaincc(k, a * u) * scipy.special.gammaincc(m, b * u)
+        assert_allclose(occupancy_renewal(x, policy), np.trapezoid(both, u) / x.mean, rtol=1e-9)
+
+
+def _timed(f):
+    start = time.perf_counter()
+    value = f()
+    assert time.perf_counter() - start < 0.5
+    return value
+
+
+class TestSigmaFineDeterministicRequests:
+    """Sigma with requests much shorter than the TTL: closed sums, no series."""
+
+    @pytest.mark.parametrize("d", [1e-2, 1e-4])
+    @pytest.mark.parametrize("omega", [0.0, 0.5])
+    def test_erlang_ttl(self, d, omega):
+        b = 1.0
+        x, t = Deterministic(d), Erlang(2, b)
+        # P(T >= k d) = q^k (1 + b d k)
+        q, z = math.exp(-b * d), math.exp(-omega * d)
+        g = 1.0 / (1.0 - z * q) + b * d * z * q / (1.0 - z * q) ** 2
+        tau = _timed(lambda: expected_tau(x, StoppingPolicy.reset_on_miss(t)))
+        assert tau.stderr == 0.0
+        assert_allclose(tau.value, 1.0 / (1.0 - q) + b * d * q / (1.0 - q) ** 2, rtol=1e-10)
+        assert_allclose(_timed(lambda: transform_sigma(x, t, omega)), 1.0 - (1.0 - z) * g, rtol=1e-10)
+
+    @pytest.mark.parametrize("d", [1e-2, 1e-4])
+    @pytest.mark.parametrize("omega", [0.0, 0.5])
+    def test_deterministic_ttl(self, d, omega):
+        x, c = Deterministic(d), 30.0
+        steps = math.floor(c / d) + 1
+        tau = _timed(lambda: expected_tau(x, StoppingPolicy.reset_on_miss(Deterministic(c))))
+        assert tau.value == steps and tau.stderr == 0.0
+        assert_allclose(
+            _timed(lambda: transform_sigma(x, Deterministic(c), omega)),
+            math.exp(-omega * d * steps),
+            rtol=1e-10,
+        )
+
+    def test_tabulated_ttl_survival_sum(self):
+        # a TTL atom at p holds floor(p / d) + 1 requests
+        d, omega = 0.0937, 0.5
+        x, t = Deterministic(d), tabulated_from(Erlang(2, 1.6), 0.01, 1000)
+        steps = np.floor(t.points / d) + 1
+        policy = StoppingPolicy.reset_on_miss(t)
+        tau = expected_tau(x, policy)
+        assert tau.stderr == 0.0
+        assert_allclose(tau.value, t.masses @ steps, rtol=1e-12)
+        assert_allclose(occupancy_renewal(x, policy), t.mean / (tau.value * d), rtol=1e-12)
+        want = t.masses @ np.exp(-omega * d * steps)
+        assert_allclose(transform_sigma(x, t, omega), want, rtol=1e-12)
+        assert_allclose(transform_sigma(x, t, omega, method="series"), want, rtol=1e-12)
+
+
+ROUTE_REQUESTS = {
+    "exp": Exponential(1.0),
+    "erlang": Erlang(2, 2.0),
+    "det": Deterministic(0.9),
+    "tab": tabulated_from(Erlang(2, 2.0), 0.01, 1000),
+}
+# (Sigma or min's Sigma TTL, min's R TTL) of one law family
+ROUTE_TTLS = {
+    "exp": (Exponential(0.8), Exponential(1.5)),
+    "erlang": (Erlang(2, 1.6), Erlang(2, 3.0)),
+    "det": (Deterministic(1.3), Deterministic(0.67)),
+    "tab": (tabulated_from(Erlang(2, 1.6), 0.01, 1000), tabulated_from(Erlang(2, 3.0), 0.01, 1000)),
+}
+# The combinations the `renewal` module docstring's route table sends to the
+# fallbacks; every other one is exact.
+ROUTE_FALLBACKS = {
+    ("Sigma", "erlang", "tab"),
+    ("Sigma", "tab", "erlang"),
+    ("Sigma", "tab", "det"),
+    ("Sigma", "tab", "tab"),
+    ("MinSigmaR", "exp", "tab"),
+    ("MinSigmaR", "erlang", "tab"),
+    ("MinSigmaR", "det", "tab"),
+    *(("MinSigmaR", "tab", tk) for tk in ROUTE_TTLS),
+}
+
+
+class TestRouteTable:
+    @pytest.mark.parametrize("tk", ROUTE_TTLS)
+    @pytest.mark.parametrize("xk", ROUTE_REQUESTS)
+    @pytest.mark.parametrize("tag", ["Sigma", "MinSigmaR"])
+    def test_route(self, tag, xk, tk, rng, monkeypatch):
+        calls = []
+        for name in ("_simulate_stopping", "_sigma_series"):
+            def spy(*args, _f=getattr(ttlnet.renewal, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _f(*args, **kwargs)
+
+            monkeypatch.setattr(ttlnet.renewal, name, spy)
+        if tag == "Sigma" and tk == "exp":
+            # memorylessness: R's closed forms, no miss chain
+            def refuse(*args):
+                raise AssertionError("miss chain built for an Exponential TTL")
+
+            monkeypatch.setattr(ttlnet.renewal, "output_sigma", refuse)
+        x, (ts, tr) = ROUTE_REQUESTS[xk], ROUTE_TTLS[tk]
+        policy = StoppingPolicy.reset_on_miss(ts) if tag == "Sigma" else StoppingPolicy.min_of(ts, tr)
+        queries = {
+            "tau": lambda: expected_tau(x, policy, samples=10_000, rng=rng),
+            "occupancy": lambda: occupancy_renewal(x, policy, samples=10_000, rng=rng),
+            "transform": lambda: (
+                transform_sigma(x, ts, 0.5)
+                if tag == "Sigma"
+                else transform_min(x, ts, tr, 0.5, samples=10_000, rng=rng)
+            ),
+        }
+        routes = {}
+        for name, query in queries.items():
+            calls.clear()
+            query()
+            routes[name] = list(calls)
+        if (tag, xk, tk) in ROUTE_FALLBACKS:
+            series = "_sigma_series" if tag == "Sigma" else "_simulate_stopping"
+            want = {"tau": ["_simulate_stopping"], "occupancy": ["_simulate_stopping"], "transform": [series]}
+        else:
+            want = {"tau": [], "occupancy": [], "transform": []}
+        assert routes == want
