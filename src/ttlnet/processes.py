@@ -10,6 +10,7 @@ state first (row 0), which lets the cache input-output constructions
 transcribe as plain block templates.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +26,6 @@ __all__ = [
     "PhaseTypeDistribution",
     "ValidationReport",
     "MapSampler",
-    "PhSampler",
     "validate_map",
     "fundamental_rate",
     "superpose",
@@ -299,49 +299,34 @@ class MapSampler:
     probability proportional to its rate; active transitions emit events.
     """
 
-    __slots__ = (
-        "time",
-        "state",
-        "_rng",
-        "_targets",
-        "_active",
-        "_cum",
-        "_scales",
-        "_poisson_scale",
-    )
+    __slots__ = ("time", "state", "_rng", "_cum", "_codes", "_scales", "_poisson")
 
     def __init__(self, m: MarkovArrivalProcess, rng, initial_state: int | None = None):
         n = m.order
-        diag0 = m.d0.diagonal()
-        exit_rates = -diag0
+        exit_rates = -m.d0.diagonal()
         if np.any(exit_rates <= 0):
             raise ValidationError("every state needs a positive total exit rate")
-        targets: list[np.ndarray] = []
-        active: list[np.ndarray] = []
-        cum: list[np.ndarray] = []
         rates_by_state: list[list[tuple[int, float, bool]]] = [[] for _ in range(n)]
         for r, c, v in zip(m.d0.row_idx, m.d0.col_idx, m.d0.data):
             if r != c:
                 rates_by_state[r].append((int(c), float(v), False))
         for r, c, v in zip(m.d1.row_idx, m.d1.col_idx, m.d1.data):
             rates_by_state[r].append((int(c), float(v), True))
-        for j in range(n):
-            entries = rates_by_state[j]
+        # per state, as plain lists for the jump loop: cumulative jump
+        # probabilities (the last pinned to 1) and each jump's code,
+        # 2 * target + 1 if it emits an event
+        self._cum, self._codes = [], []
+        for j, entries in enumerate(rates_by_state):
             if not entries:
                 raise ValidationError(f"state {j} has no outgoing transitions")
-            targets.append(np.array([t for t, _, _ in entries], dtype=np.int64))
-            active.append(np.array([a for _, _, a in entries], dtype=bool))
-            probs = np.array([v for _, v, _ in entries])
-            cum.append(np.cumsum(probs / probs.sum()))
-        self._targets = targets
-        self._active = active
-        self._cum = cum
+            cum = np.cumsum([v for _, v, _ in entries])
+            cum = (cum / cum[-1]).tolist()
+            cum[-1] = 1.0
+            self._cum.append(cum)
+            self._codes.append([2 * t + a for t, _, a in entries])
         self._scales = 1.0 / exit_rates
-        # every jump emits an event: skip the transition draw entirely
-        if n == 1 and len(targets[0]) == 1 and bool(active[0][0]):
-            self._poisson_scale = float(self._scales[0])
-        else:
-            self._poisson_scale = None
+        # every jump emits an event: a Poisson process
+        self._poisson = self._codes == [[1]]
         self._rng = rng
         self.time = 0.0
         if initial_state is None:
@@ -349,20 +334,29 @@ class MapSampler:
             initial_state = int(rng.choice(n, p=p.entries))
         self.state = initial_state
 
-    def next_event(self) -> float:
-        """Advance to the next active transition; returns its absolute time."""
+    def sample(self, n: int) -> np.ndarray:
+        """Advance by `n` events; returns their absolute times in order."""
         rng = self._rng
-        if self._poisson_scale is not None:
-            self.time += rng.exponential(self._poisson_scale)
-            return self.time
-        while True:
-            j = self.state
-            self.time += rng.exponential(self._scales[j])
-            k = int(np.searchsorted(self._cum[j], rng.random(), side="right"))
-            k = min(k, self._cum[j].size - 1)
-            self.state = int(self._targets[j][k])
-            if self._active[j][k]:
-                return self.time
+        if self._poisson:
+            clock = self.time + np.cumsum(rng.exponential(self._scales[0], n))
+            self.time = float(clock[-1])
+            return clock
+        # run the jump chain over pre-drawn uniforms; a jump emits at most one
+        # event, so one uniform per event still missing never overshoots n
+        cum, codes = self._cum, self._codes
+        state, jumps, missing = self.state, [self.state * 2], n
+        while missing:
+            for u in rng.random(missing).tolist():
+                code = codes[state][bisect_right(cum[state], u)]
+                jumps.append(code)
+                missing -= code & 1
+                state = code >> 1
+        self.state = state
+        jumps = np.array(jumps)
+        holding = rng.standard_exponential(jumps.size - 1) * self._scales[jumps[:-1] >> 1]
+        clock = self.time + np.cumsum(holding)
+        self.time = float(clock[-1])
+        return clock[(jumps[1:] & 1).astype(bool)]
 
 
 def sample_map(
@@ -374,50 +368,31 @@ def sample_map(
     """Simulate `horizon` event times of a MAP; deterministic given the rng state."""
     if horizon < 1:
         raise ValidationError("horizon must be at least 1")
-    sampler = MapSampler(m, rng, initial_state)
-    return np.fromiter((sampler.next_event() for _ in range(horizon)), dtype=np.float64, count=horizon)
+    return MapSampler(m, rng, initial_state).sample(horizon)
 
 
-class PhSampler:
-    """Reusable jump-chain sampler for absorption times of a PH distribution."""
+def sample_ph(t: PhaseTypeDistribution, rng, size: int | None = None):
+    """Absorption times of a PH distribution by jump-chain simulation.
 
-    __slots__ = ("_pi_cum", "_scales", "_targets", "_cum", "_order")
-
-    def __init__(self, t: PhaseTypeDistribution):
-        m = t.order
-        s_dense = t.s.to_dense()
-        self._order = m
-        self._pi_cum = np.cumsum(t.pi.entries)
-        self._scales = -1.0 / np.diag(s_dense)
-        targets, cum = [], []
-        for phase in range(m):
-            rates = s_dense[phase].copy()
-            rates[phase] = 0.0
-            rates = np.append(rates, t.exit_rates[phase])
-            keep = rates > 0
-            targets.append(np.nonzero(keep)[0])
-            cum.append(np.cumsum(rates[keep]) / rates[keep].sum())
-        self._targets = targets
-        self._cum = cum
-
-    def sample(self, rng) -> float:
-        m = self._order
-        phase = int(np.searchsorted(self._pi_cum, rng.random(), side="right"))
-        phase = min(phase, m - 1)
-        elapsed = 0.0
-        while True:
-            elapsed += rng.exponential(self._scales[phase])
-            c = self._cum[phase]
-            k = min(int(np.searchsorted(c, rng.random(), side="right")), c.size - 1)
-            nxt = int(self._targets[phase][k])
-            if nxt == m:
-                return elapsed
-            phase = nxt
-
-
-def sample_ph(t: PhaseTypeDistribution, rng) -> float:
-    """Draw one absorption time of a PH distribution by jump-chain simulation."""
-    return PhSampler(t).sample(rng)
+    Returns one float, or an array of `size` i.i.d. draws whose chains all
+    jump together, one vectorized step per round.
+    """
+    n = 1 if size is None else size
+    s = t.s.to_dense()
+    scales = -1.0 / np.diag(s)
+    # cumulative jump rates per phase; column `order` is absorption
+    cum = np.cumsum(np.hstack([s - np.diag(np.diag(s)), t.exit_rates[:, None]]), axis=1)
+    pi_cum = np.cumsum(t.pi.entries)
+    phase = np.searchsorted(pi_cum, rng.random(n) * pi_cum[-1], side="right")
+    elapsed = np.zeros(n)
+    live = np.arange(n)
+    while live.size:
+        elapsed[live] += rng.standard_exponential(live.size) * scales[phase]
+        u = rng.random(live.size) * cum[phase, -1]
+        phase = (cum[phase] <= u[:, None]).sum(axis=1)
+        keep = phase < t.order
+        live, phase = live[keep], phase[keep]
+    return float(elapsed[0]) if size is None else elapsed
 
 
 def poisson_map(rate: float) -> MarkovArrivalProcess:

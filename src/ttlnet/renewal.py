@@ -233,11 +233,12 @@ class Erlang(RenewalSpec):
         return (self.rate / (self.rate + omega)) ** self.stages
 
     def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        k, th = self.stages, self.rate
+        # in log space: rate**stages and x**(stages-1) overflow for many stages
+        y = self.rate * np.asarray(x, dtype=float)
+        k = self.stages
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = th**k * x ** (k - 1) * np.exp(-th * x) / math.factorial(k - 1)
-        return np.where(x >= 0, out, 0.0)
+            out = self.rate * np.exp(scipy.special.xlogy(k - 1, y) - y - scipy.special.gammaln(k))
+        return np.where(y >= 0, out, 0.0)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)

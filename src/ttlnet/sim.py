@@ -5,12 +5,21 @@ drawn from their arrival MAPs; a request at a node is a hit if the object
 is present (R nodes redraw their TTL, min nodes redraw only the R
 component) and otherwise a miss that is forwarded towards the origin, with
 the object installed with fresh TTLs at every node that missed, all at the
-same instant. Evictions fire when a TTL expires; min nodes evict at the
+same instant. Evictions happen when a TTL expires; min nodes evict at the
 earlier of their two timers. Estimates carry batch-means standard errors
 so autocorrelation does not silently shrink the error bars.
+
+There is no event queue. The network is feedforward and a miss installs
+the object below whatever its parents hold, so a node's cache depends on
+its own request stream alone. The simulator therefore runs node by node in
+topological order: a node receives the sorted indices of the leaf events
+that reach it, decides hit or miss for all of them at once, and hands its
+misses to its parents. Leaf events go through in blocks of about `_BLOCK`,
+each node carrying its cache cycle from one block to the next. A block
+holds a few dozen arrays of at most that length (16 KB each at 8 bytes
+an entry), so memory does not grow with `event_cap`.
 """
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -18,7 +27,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .network import AnalysisResult, Topology
-from .processes import MapSampler, PhSampler
+from .processes import MapSampler, PhaseTypeDistribution, sample_ph
 
 __all__ = [
     "SimConfig",
@@ -31,6 +40,7 @@ __all__ = [
 ]
 
 _N_BATCHES = 100
+_BLOCK = 3072  # leaf events per block: bounds memory; a run's law does not depend on it
 
 
 @dataclass(frozen=True)
@@ -88,18 +98,123 @@ class SimEstimate:
         }
 
 
-def _make_ttl_drawer(spec, rng):
-    if spec.kind == "exp":
-        scale = 1.0 / spec.rate
-        return lambda: rng.exponential(scale)
-    if spec.kind == "erlang":
-        shape, scale = spec.stages, 1.0 / spec.rate
-        return lambda: rng.gamma(shape, scale)
-    if spec.kind == "det":
-        value = spec.value
-        return lambda: value
-    sampler = PhSampler(spec.to_ph())
-    return lambda: sampler.sample(rng)
+def _draw_ttls(law, rng, n: int) -> np.ndarray:
+    """`n` i.i.d. draws of one TTL law; no law is a timer that never fires."""
+    if law is None:
+        return np.full(n, np.inf)
+    if isinstance(law, PhaseTypeDistribution):
+        return sample_ph(law, rng, n)
+    if law.kind == "exp":
+        return rng.exponential(1.0 / law.rate, n)
+    if law.kind == "erlang":
+        return rng.gamma(law.stages, 1.0 / law.rate, n)
+    return np.full(n, law.value)
+
+
+class _Node:
+    """One cache's state between blocks: its last cache cycle and its batch tallies.
+
+    Every policy is min(Sigma, R): R has a Sigma timer that never fires, and
+    Sigma an R timer that never fires. A cycle starts at a miss, which draws
+    both timers; each later request redraws the R timer; the copy is evicted
+    at the earlier expiry.
+    """
+
+    def __init__(self, node, n_batches: int):
+        sigma, r = {
+            "R": (None, node.ttl),
+            "Sigma": (node.ttl, None),
+            "MinSigmaR": (node.ttl, node.ttl_r),
+        }[node.policy]
+        # a "ph" spec is drawn from its PH form, built once here
+        self.sigma_ttl, self.r_ttl = (
+            spec.to_ph() if spec is not None and spec.kind == "ph" else spec for spec in (sigma, r)
+        )
+        # the current (or last evicted) cycle: its start, its Sigma expiry, the
+        # R expiry set by its last request; the empty cache is evicted at 0
+        self.start = self.sigma_end = self.r_end = 0.0
+        self.cum = 0.0  # in-cache time before `start`
+        self.last_miss = math.nan
+        # per batch: requests, misses, inter-miss count, sum and sum of squares
+        self.tally = np.zeros((5, n_batches))
+        self.in_cache = np.zeros(n_batches + 1)  # in-cache time up to each batch edge
+
+    def serve(self, t, batch, edge_t, at_edge, rng) -> np.ndarray:
+        """Serve one block's requests at sorted times `t`; returns the positions that miss.
+
+        `batch` holds each request's batch (-1 in the warm-up); `edge_t` are
+        the batch-edge times that fall in this block, at `at_edge`.
+        """
+        n = t.size
+        pos = np.arange(n)
+        sigma_end = t + _draw_ttls(self.sigma_ttl, rng, n)
+        r_end = np.concatenate(([self.r_end], t + _draw_ttls(self.r_ttl, rng, n)))
+        # every request redraws the R timer, so a request after the previous
+        # one's R expiry misses whatever the Sigma timer says
+        breaks = np.where(t >= r_end[:-1], pos, n)
+        next_break = np.concatenate((np.minimum.accumulate(breaks[::-1])[::-1], [n]))
+        # after a miss at i the next miss is the first R break past i or the
+        # first request at or past i's Sigma expiry
+        nxt = np.minimum(next_break[1:], np.searchsorted(t, sigma_end))
+        nxt = np.maximum(nxt, pos + 1).tolist()
+        misses = []
+        i = min(int(next_break[0]), int(np.searchsorted(t, self.sigma_end)))
+        while i < n:
+            misses.append(i)
+            i = nxt[i]
+        miss = np.array(misses, dtype=np.intp)
+
+        # in-cache intervals: the carried cycle, then one per miss, each ending
+        # at its Sigma expiry or at the R expiry of its last request. The last
+        # end is provisional, but a later hit can only move it past this block.
+        starts = np.concatenate(([self.start], t[miss]))
+        sigma_ends = np.concatenate(([self.sigma_end], sigma_end[miss]))
+        r_last = r_end[np.concatenate((miss, [n]))]
+        ends = np.minimum(sigma_ends, r_last)
+        before = self.cum + np.concatenate(([0.0], np.cumsum(ends - starts)))
+        j = np.searchsorted(starts, edge_t, side="right") - 1
+        self.in_cache[at_edge] = before[j] + np.minimum(edge_t, ends[j]) - starts[j]
+        self.start, self.sigma_end, self.r_end = starts[-1], sigma_ends[-1], r_last[-1]
+        self.cum = before[-2]
+
+        n_batches = self.tally.shape[1]
+        self.tally[0] += np.bincount(batch[batch >= 0], minlength=n_batches)
+        miss_b = batch[miss]
+        gaps = np.diff(np.concatenate(([self.last_miss], starts[1:])))
+        self.last_miss = starts[-1] if miss.size else self.last_miss
+        self.tally[1] += np.bincount(miss_b[miss_b >= 0], minlength=n_batches)
+        ok = (miss_b >= 0) & ~np.isnan(gaps)
+        miss_b, gaps = miss_b[ok], gaps[ok]
+        self.tally[2] += np.bincount(miss_b, minlength=n_batches)
+        self.tally[3] += np.bincount(miss_b, gaps, minlength=n_batches)
+        self.tally[4] += np.bincount(miss_b, gaps * gaps, minlength=n_batches)
+        return miss
+
+
+def _leaf_blocks(samplers, count: int):
+    """Merge the leaves' event streams in time order; yields (times, leaf slots) blocks.
+
+    Each round tops every leaf's buffer up to its share of a block, by its
+    event rate so far, and releases every buffered event up to the earliest
+    buffer end, so no later event can precede one already released.
+    """
+    pending = [np.empty(0)] * len(samplers)
+    drawn = np.zeros(len(samplers))
+    while count:
+        rates = drawn / [s.time for s in samplers] if drawn.any() else np.ones(len(samplers))
+        target = (1.1 * min(_BLOCK, count) / rates.sum() * rates).astype(int) + 16
+        for i, s in enumerate(samplers):
+            if pending[i].size < target[i]:
+                drawn[i] += target[i] - pending[i].size
+                pending[i] = np.concatenate((pending[i], s.sample(target[i] - pending[i].size)))
+        horizon = min(p[-1] for p in pending)
+        cuts = [int(np.searchsorted(p, horizon, side="right")) for p in pending]
+        times = np.concatenate([p[:c] for p, c in zip(pending, cuts)])
+        slots = np.repeat(np.arange(len(samplers)), cuts)
+        order = np.argsort(times, kind="stable")[:count]
+        pending = [p[c:] for p, c in zip(pending, cuts)]
+        count -= order.size
+        yield times[order], slots[order]
 
 
 def _batch_se(values) -> float:
@@ -117,10 +232,12 @@ def _ratio(num: float, den: float) -> float:
 def simulate(cfg: SimConfig) -> SimEstimate:
     """Run one seeded simulation and return per-node empirical metrics.
 
-    Events are processed from a queue keyed by (time, insertion sequence);
-    the tiebreak makes runs reproducible bit-for-bit for a fixed seed.
     `event_cap` counts leaf request events; the first `warmup` of them are
-    excluded from every estimate.
+    excluded from every estimate, and the rest are cut by leaf-event index
+    into at most 100 batches for the standard errors. There is no event
+    queue: the nodes are simulated one at a time in topological order, over
+    blocks of about `_BLOCK` leaf events, so memory does not grow with
+    `event_cap`. Runs are reproducible bit-for-bit for a fixed seed.
     """
     warmup = cfg.effective_warmup
     if warmup < 0:
@@ -130,176 +247,54 @@ def simulate(cfg: SimConfig) -> SimEstimate:
     topo = cfg.topology
     obj = topo.objects[0] if cfg.object_id is None else topo.object_by_id(cfg.object_id)
     rng = np.random.default_rng(cfg.seed)
-    node_ids = topo.node_order
-    index = {nid: i for i, nid in enumerate(node_ids)}
-    n_nodes = len(node_ids)
     n_post = cfg.event_cap - warmup
     n_batches = min(_N_BATCHES, n_post)
+    # leaf-event index at which each batch starts; the last event closes the window
+    edges = warmup + (np.arange(n_batches) * n_post + n_batches - 1) // n_batches
+    edges = np.append(edges, cfg.event_cap - 1)
+    edge_times = np.empty(n_batches + 1)
 
-    policies = []
-    draw_main = []
-    draw_r = []
-    parent_idx = []
-    split_cum = []
-    for nid in node_ids:
-        node = topo.nodes[nid]
-        policies.append({"R": 0, "Sigma": 1, "MinSigmaR": 2}[node.policy])
-        draw_main.append(_make_ttl_drawer(node.ttl, rng))
-        draw_r.append(_make_ttl_drawer(node.ttl_r, rng) if node.ttl_r else None)
-        parent_idx.append([index[p] for p in topo.parents_of(nid)])
-        split_cum.append(
-            node.split.entries.cumsum().tolist() if node.split is not None else None
-        )
+    order = topo.topological_order()
+    nodes = {nid: _Node(topo.nodes[nid], n_batches) for nid in order}
+    parents = {nid: topo.parents_of(nid) for nid in order}
+    leaves = topo.leaves
+    samplers = [MapSampler(topo.arrival_for(obj, leaf).to_map(), rng) for leaf in leaves]
 
-    leaf_ids = topo.leaves
-    leaf_node = [index[leaf] for leaf in leaf_ids]
-    samplers = [
-        MapSampler(topo.arrival_for(obj, leaf).to_map(), rng) for leaf in leaf_ids
-    ]
-
-    present = [False] * n_nodes
-    version = [0] * n_nodes
-    sig_exp = [math.inf] * n_nodes
-    r_exp = [math.inf] * n_nodes
-    last_update = [0.0] * n_nodes
-    last_miss = [math.nan] * n_nodes
-
-    def zeros():
-        return [[0.0] * n_batches for _ in range(n_nodes)]
-
-    b_req, b_hit, b_miss = zeros(), zeros(), zeros()
-    b_occ = zeros()
-    b_im_count, b_im_sum, b_im_sumsq = zeros(), zeros(), zeros()
-    b_dur = [0.0] * n_batches
-
-    heap: list = []
-    push = heapq.heappush
-    pop = heapq.heappop
-    seq = 0
-    for slot, sampler in enumerate(samplers):
-        push(heap, (sampler.next_event(), seq, 0, slot))
-        seq += 1
-
-    processed = 0
-    counting = False
-    batch = 0
-    batch_start = 0.0
-    stats_start = 0.0
-    now = 0.0
-    rand = rng.random
-    while processed < cfg.event_cap:
-        now, _, kind, payload = pop(heap)
-        if kind == 1:  # eviction
-            i, ver = payload
-            if ver == version[i] and present[i]:
-                if counting:
-                    b_occ[i][batch] += now - last_update[i]
-                present[i] = False
-                last_update[i] = now
-            continue
-
-        slot = payload
-        if processed == warmup:
-            counting = True
-            stats_start = now
-            batch_start = now
-            for i in range(n_nodes):
-                last_update[i] = now
-        if counting:
-            new_batch = (processed - warmup) * n_batches // n_post
-            if new_batch != batch:
-                for i in range(n_nodes):
-                    if present[i]:
-                        b_occ[i][batch] += now - last_update[i]
-                    last_update[i] = now
-                b_dur[batch] = now - batch_start
-                batch_start = now
-                batch = new_batch
-        processed += 1
-        push(heap, (samplers[slot].next_event(), seq, 0, slot))
-        seq += 1
-
-        # walk the request towards the origin
-        current = leaf_node[slot]
-        path = []
-        while True:
-            if counting:
-                b_req[current][batch] += 1.0
-            if present[current]:
-                if counting:
-                    b_hit[current][batch] += 1.0
-                pol = policies[current]
-                if pol == 0:  # R: hit redraws the TTL
-                    version[current] += 1
-                    push(heap, (now + draw_main[current](), seq, 1, (current, version[current])))
-                    seq += 1
-                elif pol == 2:  # min: hit redraws only the R timer
-                    r_exp[current] = now + draw_r[current]()
-                    version[current] += 1
-                    push(
-                        heap,
-                        (min(sig_exp[current], r_exp[current]), seq, 1, (current, version[current])),
-                    )
-                    seq += 1
-                break
-            if counting:
-                b_miss[current][batch] += 1.0
-                lm = last_miss[current]
-                if lm == lm:  # not NaN
-                    dt = now - lm
-                    b_im_count[current][batch] += 1.0
-                    b_im_sum[current][batch] += dt
-                    b_im_sumsq[current][batch] += dt * dt
-            last_miss[current] = now
-            path.append(current)
-            ps = parent_idx[current]
-            if not ps:
-                break  # origin always holds the object
+    offset = 0
+    for times, slots in _leaf_blocks(samplers, cfg.event_cap):
+        at_edge = (edges >= offset) & (edges < offset + times.size)
+        edge_t = times[edges[at_edge] - offset]
+        edge_times[at_edge] = edge_t
+        q = np.arange(offset, offset + times.size) - warmup
+        batch = np.where(q >= 0, q * n_batches // n_post, -1)
+        inbox = {nid: [] for nid in order}
+        for slot, leaf in enumerate(leaves):
+            inbox[leaf].append(np.flatnonzero(slots == slot))
+        # each leaf event reaches a node along one path, so a join is a sort
+        for nid in order:
+            parts = inbox.pop(nid)
+            idx = parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts))
+            fwd = idx[nodes[nid].serve(times[idx], batch[idx], edge_t, at_edge, rng)]
+            ps = parents[nid]
             if len(ps) == 1:
-                current = ps[0]
-            else:
-                u = rand()
-                cum = split_cum[current]
-                k = 0
-                while k < len(cum) - 1 and u > cum[k]:
-                    k += 1
-                current = ps[k]
+                inbox[ps[0]].append(fwd)
+            elif ps:
+                cum = topo.nodes[nid].split.entries.cumsum()
+                k = np.searchsorted(cum, rng.random(fwd.size) * cum[-1], side="right")
+                for j, pid in enumerate(ps):
+                    inbox[pid].append(fwd[k == j])
+        offset += times.size
 
-        # install the object at every node that missed, at this instant
-        for i in path:
-            present[i] = True
-            last_update[i] = now
-            version[i] += 1
-            if policies[i] == 2:
-                sig_exp[i] = now + draw_main[i]()
-                r_exp[i] = now + draw_r[i]()
-                evict_at = min(sig_exp[i], r_exp[i])
-            else:
-                evict_at = now + draw_main[i]()
-            push(heap, (evict_at, seq, 1, (i, version[i])))
-            seq += 1
-
-    # close the measurement window at the last processed request
-    for i in range(n_nodes):
-        if present[i]:
-            b_occ[i][batch] += now - last_update[i]
-            last_update[i] = now
-    b_dur[batch] = now - batch_start
-    duration = now - stats_start
-
-    nodes = {}
-    durs = np.array(b_dur)
-    for nid, i in index.items():
-        req = np.array(b_req[i])
-        hit = np.array(b_hit[i])
-        mis = np.array(b_miss[i])
-        occ = np.array(b_occ[i])
-        imc = np.array(b_im_count[i])
-        ims = np.array(b_im_sum[i])
-        imq = np.array(b_im_sumsq[i])
+    durs = np.diff(edge_times)
+    duration = float(edge_times[-1] - edge_times[0])
+    estimates = {}
+    for nid in topo.node_order:
+        req, mis, imc, ims, imq = nodes[nid].tally
+        hit = req - mis
+        occ = np.diff(nodes[nid].in_cache)
         total_req = int(req.sum())
-        total_hit = int(hit.sum())
         total_miss = int(mis.sum())
+        total_hit = total_req - total_miss
         with np.errstate(invalid="ignore", divide="ignore"):
             hit_b = np.where(req > 0, hit / req, np.nan)
             occ_b = np.where(durs > 0, occ / durs, np.nan)
@@ -307,7 +302,7 @@ def simulate(cfg: SimConfig) -> SimEstimate:
             im_mean_b = np.where(imc > 0, ims / imc, np.nan)
             im_m2_b = np.where(imc > 0, imq / imc, np.nan)
         hit_se = _batch_se(hit_b)
-        nodes[nid] = NodeEstimate(
+        estimates[nid] = NodeEstimate(
             requests=total_req,
             hits=total_hit,
             misses=total_miss,
@@ -330,7 +325,7 @@ def simulate(cfg: SimConfig) -> SimEstimate:
         events=cfg.event_cap,
         counted_events=n_post,
         duration=duration,
-        nodes=nodes,
+        nodes=estimates,
     )
 
 

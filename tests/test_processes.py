@@ -311,6 +311,25 @@ class TestSampling:
         assert abs(draws.mean() - 2.0) < 4.0 * math.sqrt(2.0 / draws.size)
         assert abs(draws.var() - 2.0) < 0.15
 
+    def test_sample_ph_vector_moments_with_loop_back(self):
+        s = np.array([[-2.0, 1.0], [0.5, -1.5]])
+        pi = np.array([0.6, 0.4])
+        t = PhaseTypeDistribution(RateMatrix.from_dense(s), ProbabilityVector(pi))
+        draws = sample_ph(t, np.random.default_rng(17), size=200_000)
+        s_inv = np.linalg.inv(s)
+        m2 = 2.0 * pi @ s_inv @ s_inv @ np.ones(2)
+        n = draws.size
+        assert abs(draws.mean() - ph_mean(t)) < 4.0 * draws.std() / math.sqrt(n)
+        assert abs((draws**2).mean() - m2) < 4.0 * (draws**2).std() / math.sqrt(n)
+
+    def test_sample_map_mmpp_rate(self):
+        m = mmpp_fig(a=0.5, b=1.5, l1=0.5, l2=3.0)
+        times = sample_map(m, 200_000, np.random.default_rng(19))
+        # batch means of the gaps carry the modulation's autocorrelation
+        batch_gap = np.diff(times, prepend=0.0).reshape(100, -1).mean(axis=1)
+        gap, gap_se = batch_gap.mean(), batch_gap.std(ddof=1) / math.sqrt(batch_gap.size)
+        assert abs(1.0 / gap - fundamental_rate(m)) < 4.0 * gap_se / gap**2
+
     def test_huge_exit_rate_is_instant(self):
         r = np.random.default_rng(1)
         t = PhaseTypeDistribution.exponential(1e9)

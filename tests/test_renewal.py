@@ -828,7 +828,7 @@ class TestErlangPairs:
             assert_allclose(transform_r(x, ttl, omega), _dense_miss_transform(out, omega), rtol=1e-10)
 
     def test_many_stages(self):
-        # Erlang.pdf overflows here (100**500), so a quadrature could not run
+        # 500 stages: the finite sums must hold where no quadrature runs
         k, a, m, b = 500, 100.0, 400, 90.0
         x, t = Erlang(k, a), Erlang(m, b)
         policy = StoppingPolicy.reset_on_request(t)
@@ -843,6 +843,25 @@ class TestErlangPairs:
         both = scipy.special.gammaincc(k, a * u) * scipy.special.gammaincc(m, b * u)
         assert_allclose(occupancy_renewal(x, policy), np.trapezoid(both, u) / x.mean, rtol=1e-9)
 
+
+class TestErlangPdf:
+    @pytest.mark.parametrize("k,rate", [(1, 2.0), (3, 0.7), (40, 6.0), (500, 100.0)])
+    def test_matches_scipy_gamma(self, k, rate):
+        import scipy.stats
+
+        x = k / rate * np.array([0.5, 0.8, 1.0, 1.2, 1.5])
+        ref = scipy.stats.gamma.pdf(x, k, scale=1.0 / rate)
+        assert_allclose(Erlang(k, rate).pdf(x), ref, rtol=1e-12)
+
+    def test_many_stages_do_not_overflow(self):
+        import scipy.stats
+
+        assert_allclose(Erlang(500, 100.0).pdf(5.0), scipy.stats.gamma.pdf(5.0, 500, scale=0.01), rtol=1e-12)
+
+    def test_origin_and_negative_arguments(self):
+        assert Erlang(1, 2.0).pdf(0.0) == 2.0
+        assert Erlang(3, 2.0).pdf(0.0) == 0.0
+        assert Erlang(3, 2.0).pdf(-1.0) == 0.0
 
 def _timed(f):
     start = time.perf_counter()
