@@ -69,8 +69,8 @@ def metrics_from_maps(input_map: MarkovArrivalProcess, output: CacheOutput) -> C
             f"cache metrics need ergodic background chains: {exc}"
         ) from exc
     p_in = p_out.entries.reshape(-1, n).sum(axis=0)
-    input_rate = float(np.sum(input_map.d1.to_csr().T @ p_in))
-    miss_rate = float(np.sum(output.map.d1.to_csr().T @ p_out.entries))
+    input_rate = float(p_in @ input_map.d1.row_sums())
+    miss_rate = float(p_out.entries @ output.map.d1.row_sums())
     miss = miss_rate / input_rate
     in_idx = np.fromiter(output.in_states, dtype=np.int64)
     occupancy = float(np.sum(p_out.entries[in_idx])) if in_idx.size else 0.0

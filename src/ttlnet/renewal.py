@@ -61,6 +61,7 @@ routes:
 The two dense routes are millisecond-scale computations.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -479,6 +480,14 @@ def _cycle(x: RenewalSpec, policy: StoppingPolicy, omega: float) -> _Cycle | Non
     if cycle is None and policy.tag == "Sigma" and isinstance(x, Deterministic):
         cycle = _sigma_deterministic_requests(x, t_sigma, omega)
     return cycle if cycle is not None else _ph_cycle(x, policy, omega)
+
+
+@functools.lru_cache(maxsize=8)
+def _rest_cycle(x: RenewalSpec, policy: StoppingPolicy) -> _Cycle | None:
+    """`_cycle` at omega = 0, kept for the last few queries: `expected_tau`
+    and `occupancy_renewal` of one query read the same cycle, and on the
+    phase-type route building it builds and factors the miss chain."""
+    return _cycle(x, policy, 0.0)
 
 
 def _as_ph(law: RenewalSpec) -> PhaseTypeDistribution | None:
@@ -990,7 +999,7 @@ def expected_tau(
                 "P(X > T) = 0: the TTL structurally never expires before a request"
             )
         return MonteCarloValue(1.0 / p_miss, 0.0)
-    cycle = _cycle(x, policy, 0.0)
+    cycle = _rest_cycle(x, policy)
     if cycle is not None:
         return MonteCarloValue(cycle.tau, 0.0)
     rng = np.random.default_rng() if rng is None else rng
@@ -1068,7 +1077,7 @@ def occupancy_renewal(
     """
     if policy.tag == "R":
         return _expected_min(x, policy.ttl) / x.mean
-    cycle = _cycle(x, policy, 0.0)
+    cycle = _rest_cycle(x, policy)
     if cycle is not None:
         return cycle.in_cache / (cycle.tau * x.mean)
     rng = np.random.default_rng() if rng is None else rng

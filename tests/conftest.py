@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+import ttlnet.renewal
 from ttlnet import (
     MarkovArrivalProcess,
     PhaseTypeDistribution,
@@ -121,6 +122,14 @@ def stopped_sum_oracle(rng, draw_x, policy_tag, draw_ttl, draw_ttl_r=None, n=200
 
 def mc_mean_se(values: np.ndarray) -> tuple[float, float]:
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
+
+
+@pytest.fixture(autouse=True)
+def _fresh_renewal_cycles():
+    """Forget the renewal engine's remembered cycles, so that a test which
+    switches a route off (by monkeypatching) does not read a cycle an
+    earlier test computed."""
+    ttlnet.renewal._rest_cycle.cache_clear()
 
 
 @pytest.fixture

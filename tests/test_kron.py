@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from ttlnet import (
     ProbabilityVector,
     RateMatrix,
     ValidationError,
+    kron,
     kron_product,
     kron_sum,
     steady_state,
@@ -214,3 +216,95 @@ class TestSteadyState:
         big = want > 1e-6
         assert big.sum() == 15
         assert_allclose(p[big], want[big], rtol=1e-10, atol=0)
+
+
+def _random_generator(rng, n: int) -> np.ndarray:
+    """Dense irreducible generator: a ring plus random edges, rates in [0.1, 10]."""
+    q = np.zeros((n, n))
+    q[np.arange(n), (np.arange(n) + 1) % n] = rng.uniform(0.1, 10.0, n)
+    extra = rng.random((n, n)) < min(1.0, 3.0 / n)
+    q[extra] += rng.uniform(0.1, 10.0, extra.sum())
+    np.fill_diagonal(q, 0.0)
+    return q - np.diag(q.sum(axis=1))
+
+
+class TestBicgstab:
+    """The package's BiCGSTAB loop against scipy's, on steady_state's bordered systems."""
+
+    @pytest.mark.parametrize("maxiter", [None, 2], ids=["converged", "out-of-iterations"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_scipy(self, seed, maxiter, monkeypatch):
+        if maxiter is not None:
+            monkeypatch.setattr(kron, "_KRYLOV_MAXITER", maxiter)
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 300))
+        a = _random_generator(rng, n).T
+        a[-1] = 1.0
+        a = sp.csc_matrix(a)
+        b = np.zeros(n)
+        b[-1] = 1.0
+        inv_diag = 1.0 / a.diagonal()
+        got, info = kron._bicgstab(a, inv_diag, b, np.full(n, 1.0 / n))
+        want, want_info = spla.bicgstab(
+            a, b, x0=np.full(n, 1.0 / n), rtol=1e-14, atol=0.0,
+            maxiter=kron._KRYLOV_MAXITER, M=sp.diags(inv_diag),
+        )
+        assert (info == 0) == (want_info == 0)
+        assert (info == 0) == (maxiter is None)
+        if info == 0:
+            # only the rounding of the inner products differs from scipy's
+            assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def _canonicalize_reference(rows, cols, r, c, v):
+    """The np.unique / np.bincount canonical form."""
+    if r.size == 0:
+        return r, c, v
+    key = r * cols + c
+    uniq, inverse = np.unique(key, return_inverse=True)
+    data = np.bincount(inverse, weights=v, minlength=uniq.size)
+    keep = data != 0.0
+    return uniq[keep] // cols, uniq[keep] % cols, data[keep]
+
+
+class TestCanonicalize:
+    def _assert_same(self, rows, cols, r, c, v):
+        got = kron._canonicalize(rows, cols, r, c, v)
+        want = _canonicalize_reference(rows, cols, r, c, v)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_unsorted_duplicates_and_cancellations(self, seed):
+        rng = np.random.default_rng(seed)
+        rows, cols, n = 7, 5, int(rng.integers(1, 200))
+        r = rng.integers(0, rows, n)
+        c = rng.integers(0, cols, n)
+        v = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
+        # runs of up to 6 summands per coordinate, and pairs that cancel exactly
+        cancel = rng.integers(0, n, n // 4 + 1)
+        r = np.concatenate([r, r[cancel]])
+        c = np.concatenate([c, c[cancel]])
+        v = np.concatenate([v, -v[cancel]])
+        order = rng.permutation(r.size)
+        self._assert_same(rows, cols, r[order], c[order], v[order])
+
+    def test_empty(self):
+        e = np.empty(0, dtype=np.int64)
+        self._assert_same(3, 4, e, e, np.empty(0))
+
+    def test_kronecker_operands(self):
+        rng = np.random.default_rng(3)
+        a = RateMatrix.from_dense(rng.standard_normal((6, 6)) * (rng.random((6, 6)) < 0.5))
+        b = RateMatrix.from_dense(rng.standard_normal((5, 5)) * (rng.random((5, 5)) < 0.5))
+        r = (a.row_idx[:, None] * b.rows + b.row_idx[None, :]).ravel()
+        c = (a.col_idx[:, None] * b.cols + b.col_idx[None, :]).ravel()
+        v = (a.data[:, None] * b.data[None, :]).ravel()
+        self._assert_same(30, 30, r, c, v)
+        s = kron_product(a, RateMatrix.identity(5))
+        t = kron_product(RateMatrix.identity(6), b)
+        self._assert_same(
+            30, 30, np.concatenate([s.row_idx, t.row_idx]),
+            np.concatenate([s.col_idx, t.col_idx]), np.concatenate([s.data, t.data]),
+        )

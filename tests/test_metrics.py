@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import random_map, random_ph
+from ttlnet import kron
 from ttlnet import (
     DimensionError,
     Exponential,
@@ -115,16 +116,45 @@ class TestCrossEngineAgreement:
         assert_allclose(got.hit_probability, lam / (lam + mu), atol=1e-12)
 
 
+def _erlang_sigma_cache(k: int):
+    """Sigma cache with Erlang-k renewal requests (mean gap 1) and an Erlang-k TTL."""
+    req = PhaseTypeDistribution.erlang(k, float(k))
+    d1 = np.zeros((k, k))
+    d1[-1, 0] = float(k)
+    m = MarkovArrivalProcess(req.s, RateMatrix.from_dense(d1))
+    return m, output_sigma(m, PhaseTypeDistribution.erlang(k, float(k)))
+
+
 class TestStalledKrylovSolve:
+    def test_erlang100_sigma_cache_gives_up_on_stagnation(self, monkeypatch):
+        # BiCGSTAB never improves on its first residual on this 10,100-state
+        # chain; it must hand over to LU once it stagnates, not after
+        # _KRYLOV_MAXITER iterations
+        m, out = _erlang_sigma_cache(100)
+        runs = []
+        real = kron._bicgstab
+
+        def spy(a, inv_diag, b, x):
+            x, info = real(a, inv_diag, b, x)
+            runs.append(info)
+            return x, info
+
+        monkeypatch.setattr(kron, "_bicgstab", spy)
+        started = time.perf_counter()
+        got = metrics_from_maps(m, out)
+        elapsed = time.perf_counter() - started
+        assert elapsed < 0.5, f"metrics_from_maps took {elapsed:.2f}s"
+        (info,) = runs
+        assert 0 < info < kron._KRYLOV_MAXITER
+        monkeypatch.setattr(kron, "_krylov_solve", lambda *args: None)
+        want = metrics_from_maps(m, out)
+        for name, value in got.to_dict().items():
+            assert_allclose(value, want.to_dict()[name], rtol=1e-10, err_msg=name)
+
     def test_erlang50_sigma_cache_falls_back_quickly(self):
         # BiCGSTAB stalls on this 2,550-state chain; the LU fallback must come
         # after a bounded number of iterations, not scipy's default of 10 n
-        k = 50
-        req = PhaseTypeDistribution.erlang(k, float(k))
-        d1 = np.zeros((k, k))
-        d1[-1, 0] = float(k)
-        m = MarkovArrivalProcess(req.s, RateMatrix.from_dense(d1))
-        out = output_sigma(m, PhaseTypeDistribution.erlang(k, float(k)))
+        m, out = _erlang_sigma_cache(50)
         started = time.perf_counter()
         got = metrics_from_maps(m, out)
         elapsed = time.perf_counter() - started

@@ -591,6 +591,22 @@ class TestPhaseTypeRoute:
             mean, se = _ratio_mean_se(occupied, sums)
         assert abs(occupancy - mean) < 4.0 * se
 
+    def test_one_miss_chain_per_query(self, monkeypatch):
+        # expected_tau and occupancy_renewal of one query share its cycle
+        calls = []
+        real = ttlnet.renewal._ph_cycle
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(ttlnet.renewal, "_ph_cycle", spy)
+        cases = [case for name, case in PH_ROUTE_CASES.items() if name != "sigma-erlang-exp"]
+        for x, policy in cases:
+            expected_tau(x, policy)
+            occupancy_renewal(x, policy)
+        assert calls == [(x, policy, 0.0) for x, policy in cases]
+
     @pytest.mark.parametrize("case", PH_ROUTE_CASES.values(), ids=PH_ROUTE_CASES.keys())
     def test_agrees_with_stationary_map_metrics(self, case):
         # interval solve of the route against the stationary solve of the MAP engine
