@@ -24,7 +24,6 @@ from .kron import ProbabilityVector, RateMatrix, kron_product, kron_sum, steady_
 from .metrics import CacheMetrics, metrics_from_maps, stationary_interval_moments
 from .network import (
     AnalysisResult,
-    ArrivalSpec,
     CacheNode,
     Topology,
     TtlSpec,

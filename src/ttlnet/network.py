@@ -7,12 +7,18 @@ is served by the origin (which always holds the object). Analysis walks
 the DAG in topological order, composing three rules per node: superpose the
 children's miss MAPs, apply the policy's input-output operator, and split
 the result when the node feeds several parents.
+
+`parse_topology` is the only place where a topology document becomes
+engine objects. It checks the document against `topology.schema.json`,
+which ships with the package, and builds each leaf's arrival MAP and each
+TTL's phase-type form once, validated. `analyze`, `state_space_size` and
+the simulator use those objects as they are.
 """
 
 import json
 from dataclasses import dataclass, field
-
-import numpy as np
+from functools import cache
+from pathlib import Path
 
 from .cache_ops import output_min, output_r, output_sigma
 from .errors import BudgetExceededError, TopologyError, ValidationError
@@ -29,7 +35,6 @@ from .processes import (
 
 __all__ = [
     "TtlSpec",
-    "ArrivalSpec",
     "CacheNode",
     "ObjectSpec",
     "Topology",
@@ -51,50 +56,16 @@ class TtlSpec:
 
     Kinds: "exp" (rate), "erlang" (stages, rate), "det" (value; represented
     exactly by the simulator and the renewal engine, approximated by an
-    Erlang with `stages` phases on the MAP path), "ph" (explicit
-    subintensity + initial vector).
+    Erlang with `stages` phases on the MAP path, 20 unless given), "ph"
+    (explicit subintensity + initial vector). `ph` is the phase-type form
+    the MAP path uses, built once when the document is parsed.
     """
 
     kind: str
+    ph: PhaseTypeDistribution
     rate: float | None = None
     value: float | None = None
     stages: int | None = None
-    s: tuple | None = None
-    pi: tuple | None = None
-
-    @property
-    def transient_order(self) -> int:
-        """Number of transient phases of the PH form used on the MAP path."""
-        if self.kind == "exp":
-            return 1
-        if self.kind == "erlang":
-            return self.stages
-        if self.kind == "det":
-            return self.stages or DEFAULT_DET_STAGES
-        return len(self.pi)
-
-    @property
-    def mean(self) -> float:
-        if self.kind == "exp":
-            return 1.0 / self.rate
-        if self.kind == "erlang":
-            return self.stages / self.rate
-        if self.kind == "det":
-            return self.value
-        from .processes import ph_mean
-
-        return ph_mean(self.to_ph())
-
-    def to_ph(self) -> PhaseTypeDistribution:
-        if self.kind == "exp":
-            return PhaseTypeDistribution.exponential(self.rate)
-        if self.kind == "erlang":
-            return PhaseTypeDistribution.erlang(self.stages, self.rate)
-        if self.kind == "det":
-            return erlang_approximation(self.value, self.stages or DEFAULT_DET_STAGES)
-        return PhaseTypeDistribution(
-            RateMatrix.from_dense(self.s), ProbabilityVector(list(self.pi))
-        )
 
     @property
     def exact_on_map_path(self) -> bool:
@@ -102,70 +73,44 @@ class TtlSpec:
 
     @classmethod
     def from_payload(cls, payload, where: str) -> "TtlSpec":
-        if "exp" in payload:
-            return cls("exp", rate=float(payload["exp"]))
-        if "erlang" in payload:
-            spec = payload["erlang"]
-            return cls("erlang", stages=int(spec["stages"]), rate=float(spec["rate"]))
-        if "det" in payload:
-            spec = payload["det"]
-            if isinstance(spec, dict):
-                return cls(
-                    "det",
-                    value=float(spec["value"]),
-                    stages=int(spec.get("stages", DEFAULT_DET_STAGES)),
-                )
-            return cls("det", value=float(spec))
-        if "ph" in payload:
-            spec = payload["ph"]
-            s = tuple(tuple(float(v) for v in row) for row in spec["s"])
-            pi = tuple(float(v) for v in spec["pi"])
-            return cls("ph", s=s, pi=pi)
+        try:
+            if "exp" in payload:
+                rate = float(payload["exp"])
+                return cls("exp", PhaseTypeDistribution.exponential(rate), rate=rate)
+            if "erlang" in payload:
+                spec = payload["erlang"]
+                stages, rate = int(spec["stages"]), float(spec["rate"])
+                ph = PhaseTypeDistribution.erlang(stages, rate)
+                return cls("erlang", ph, rate=rate, stages=stages)
+            if "det" in payload:
+                spec = payload["det"]
+                if not isinstance(spec, dict):
+                    spec = {"value": spec}
+                value = float(spec["value"])
+                stages = int(spec.get("stages", DEFAULT_DET_STAGES))
+                return cls("det", erlang_approximation(value, stages), value=value, stages=stages)
+            if "ph" in payload:
+                spec = payload["ph"]
+                s = RateMatrix.from_dense(spec["s"])
+                return cls("ph", PhaseTypeDistribution(s, ProbabilityVector(spec["pi"])))
+        except ValidationError as exc:
+            raise TopologyError(f"{where}: {exc}") from exc
         raise TopologyError(f"{where}: unknown TTL spec {payload!r}")
 
 
-@dataclass(frozen=True)
-class ArrivalSpec:
-    """Exogenous request process at a leaf: poisson, mmpp, or explicit MAP."""
-
-    kind: str
-    rate: float | None = None
-    q: tuple | None = None
-    rates: tuple | None = None
-    d0: tuple | None = None
-    d1: tuple | None = None
-
-    @property
-    def order(self) -> int:
-        if self.kind == "poisson":
-            return 1
-        if self.kind == "mmpp":
-            return len(self.rates)
-        return len(self.d0)
-
-    def to_map(self) -> MarkovArrivalProcess:
-        if self.kind == "poisson":
-            return poisson_map(self.rate)
-        if self.kind == "mmpp":
-            return mmpp_map([list(r) for r in self.q], list(self.rates))
-        return MarkovArrivalProcess(
-            RateMatrix.from_dense(self.d0), RateMatrix.from_dense(self.d1)
-        )
-
-    @classmethod
-    def from_payload(cls, payload, where: str) -> "ArrivalSpec":
+def _arrival_map(payload, where: str) -> MarkovArrivalProcess:
+    """The validated MAP of a schema-checked arrival spec: poisson, mmpp, or map."""
+    try:
         if "poisson" in payload:
-            return cls("poisson", rate=float(payload["poisson"]))
-        if "mmpp" in payload:
-            spec = payload["mmpp"]
-            q = tuple(tuple(float(v) for v in row) for row in spec["q"])
-            return cls("mmpp", q=q, rates=tuple(float(v) for v in spec["rates"]))
-        if "map" in payload:
-            spec = payload["map"]
-            d0 = tuple(tuple(float(v) for v in row) for row in spec["d0"])
-            d1 = tuple(tuple(float(v) for v in row) for row in spec["d1"])
-            return cls("map", d0=d0, d1=d1)
-        raise TopologyError(f"{where}: unknown arrival spec {payload!r}")
+            m = poisson_map(float(payload["poisson"]))
+        elif "mmpp" in payload:
+            m = mmpp_map(payload["mmpp"]["q"], payload["mmpp"]["rates"])
+        else:
+            d0, d1 = payload["map"]["d0"], payload["map"]["d1"]
+            m = MarkovArrivalProcess(RateMatrix.from_dense(d0), RateMatrix.from_dense(d1))
+        return require_valid(m)
+    except ValidationError as exc:
+        raise TopologyError(f"{where}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -181,13 +126,13 @@ class CacheNode:
 @dataclass(frozen=True)
 class ObjectSpec:
     id: str
-    arrivals: dict = field(default_factory=dict)
+    arrivals: dict = field(default_factory=dict)  # leaf id -> MarkovArrivalProcess
 
 
 @dataclass(frozen=True)
 class Topology:
     nodes: dict  # id -> CacheNode, in declaration order
-    arrivals: dict  # leaf id -> ArrivalSpec
+    arrivals: dict  # leaf id -> MarkovArrivalProcess
     objects: tuple[ObjectSpec, ...]
 
     @property
@@ -222,7 +167,7 @@ class Topology:
             raise TopologyError(f"graph is cyclic; nodes on a cycle: {stuck}")
         return order
 
-    def arrival_for(self, obj: ObjectSpec, leaf_id: str) -> ArrivalSpec:
+    def arrival_for(self, obj: ObjectSpec, leaf_id: str) -> MarkovArrivalProcess:
         return obj.arrivals.get(leaf_id, self.arrivals[leaf_id])
 
     def object_by_id(self, object_id: str) -> ObjectSpec:
@@ -232,134 +177,19 @@ class Topology:
         raise TopologyError(f"unknown object id {object_id!r}")
 
 
-TOPOLOGY_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["nodes", "arrivals"],
-    "additionalProperties": False,
-    "properties": {
-        "nodes": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": ["id", "policy", "ttl"],
-                "additionalProperties": False,
-                "properties": {
-                    "id": {"type": "string", "minLength": 1},
-                    "policy": {"enum": ["R", "Sigma", "MinSigmaR"]},
-                    "ttl": {"$ref": "#/$defs/ttl"},
-                    "ttl_r": {"$ref": "#/$defs/ttl"},
-                    "children": {"type": "array", "items": {"type": "string"}},
-                    "split": {
-                        "type": "array",
-                        "minItems": 1,
-                        "items": {"type": "number"},
-                    },
-                },
-            },
-        },
-        "arrivals": {
-            "type": "object",
-            "additionalProperties": {"$ref": "#/$defs/arrival"},
-        },
-        "objects": {
-            "type": "array",
-            "items": {
-                "oneOf": [
-                    {"type": "string", "minLength": 1},
-                    {
-                        "type": "object",
-                        "required": ["id"],
-                        "additionalProperties": False,
-                        "properties": {
-                            "id": {"type": "string", "minLength": 1},
-                            "arrivals": {
-                                "type": "object",
-                                "additionalProperties": {"$ref": "#/$defs/arrival"},
-                            },
-                        },
-                    },
-                ]
-            },
-        },
-    },
-    "$defs": {
-        "matrix": {
-            "type": "array",
-            "minItems": 1,
-            "items": {"type": "array", "minItems": 1, "items": {"type": "number"}},
-        },
-        "ttl": {
-            "type": "object",
-            "minProperties": 1,
-            "maxProperties": 1,
-            "properties": {
-                "exp": {"type": "number", "exclusiveMinimum": 0},
-                "erlang": {
-                    "type": "object",
-                    "required": ["stages", "rate"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "stages": {"type": "integer", "minimum": 1},
-                        "rate": {"type": "number", "exclusiveMinimum": 0},
-                    },
-                },
-                "det": {
-                    "oneOf": [
-                        {"type": "number", "exclusiveMinimum": 0},
-                        {
-                            "type": "object",
-                            "required": ["value"],
-                            "additionalProperties": False,
-                            "properties": {
-                                "value": {"type": "number", "exclusiveMinimum": 0},
-                                "stages": {"type": "integer", "minimum": 1},
-                            },
-                        },
-                    ]
-                },
-                "ph": {
-                    "type": "object",
-                    "required": ["s", "pi"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "s": {"$ref": "#/$defs/matrix"},
-                        "pi": {"type": "array", "items": {"type": "number"}},
-                    },
-                },
-            },
-            "additionalProperties": False,
-        },
-        "arrival": {
-            "type": "object",
-            "minProperties": 1,
-            "maxProperties": 1,
-            "properties": {
-                "poisson": {"type": "number", "exclusiveMinimum": 0},
-                "mmpp": {
-                    "type": "object",
-                    "required": ["q", "rates"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "q": {"$ref": "#/$defs/matrix"},
-                        "rates": {"type": "array", "items": {"type": "number"}},
-                    },
-                },
-                "map": {
-                    "type": "object",
-                    "required": ["d0", "d1"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "d0": {"$ref": "#/$defs/matrix"},
-                        "d1": {"$ref": "#/$defs/matrix"},
-                    },
-                },
-            },
-            "additionalProperties": False,
-        },
-    },
-}
+TOPOLOGY_SCHEMA = json.loads(
+    Path(__file__).with_name("topology.schema.json").read_text(encoding="utf-8")
+)
+
+
+@cache
+def _validator():
+    """The topology schema's validator, checked against its metaschema once."""
+    from jsonschema.validators import validator_for  # deferred: about 80 ms of a cold import
+
+    cls = validator_for(TOPOLOGY_SCHEMA)
+    cls.check_schema(TOPOLOGY_SCHEMA)
+    return cls(TOPOLOGY_SCHEMA)
 
 
 def parse_topology(document) -> Topology:
@@ -367,7 +197,8 @@ def parse_topology(document) -> Topology:
 
     Raises TopologyError with a path-qualified message on schema
     violations, duplicate or dangling node ids, cycles, non-stochastic
-    split vectors, or arrival processes that do not cover the leaves.
+    split vectors, arrival processes that do not cover the leaves, or
+    invalid arrival MAPs and phase-type TTLs.
     """
     if isinstance(document, (str, bytes)):
         try:
@@ -376,12 +207,11 @@ def parse_topology(document) -> Topology:
             raise TopologyError(f"not valid JSON: {exc}") from exc
     else:
         payload = document
-    import jsonschema  # deferred: about 80 ms of a cold `import ttlnet`
+    from jsonschema.exceptions import best_match
 
-    try:
-        jsonschema.validate(payload, TOPOLOGY_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise TopologyError(f"{exc.json_path}: {exc.message}") from exc
+    error = best_match(_validator().iter_errors(payload))
+    if error is not None:
+        raise TopologyError(f"{error.json_path}: {error.message}") from error
 
     nodes: dict[str, CacheNode] = {}
     for i, spec in enumerate(payload["nodes"]):
@@ -422,47 +252,32 @@ def parse_topology(document) -> Topology:
         if len(set(node.children)) != len(node.children):
             raise TopologyError(f"$.nodes[{i}].children: repeated child id")
 
-    arrivals = {
-        leaf: ArrivalSpec.from_payload(spec, f"$.arrivals.{leaf}")
-        for leaf, spec in payload["arrivals"].items()
-    }
+    overrides: dict[str, dict] = {}  # object id -> leaf id -> arrival spec
+    for j, entry in enumerate(payload.get("objects") or ["obj"]):
+        oid = entry if isinstance(entry, str) else entry["id"]
+        if oid in overrides:
+            raise TopologyError(f"$.objects[{j}]: duplicate object id {oid!r}")
+        overrides[oid] = {} if isinstance(entry, str) else entry.get("arrivals", {})
 
-    raw_objects = payload.get("objects") or ["obj"]
-    objects = []
-    seen = set()
-    for j, entry in enumerate(raw_objects):
-        if isinstance(entry, str):
-            obj = ObjectSpec(entry)
-        else:
-            overrides = {
-                leaf: ArrivalSpec.from_payload(spec, f"$.objects[{j}].arrivals.{leaf}")
-                for leaf, spec in entry.get("arrivals", {}).items()
-            }
-            obj = ObjectSpec(entry["id"], overrides)
-        if obj.id in seen:
-            raise TopologyError(f"$.objects[{j}]: duplicate object id {obj.id!r}")
-        seen.add(obj.id)
-        objects.append(obj)
+    graph = Topology(nodes=nodes, arrivals={}, objects=())  # the structure checks read only nodes
+    graph.topological_order()  # cycle check
 
-    topo = Topology(nodes=nodes, arrivals=arrivals, objects=tuple(objects))
-    topo.topological_order()  # cycle check
-
-    leaves = set(topo.leaves)
+    leaves = set(graph.leaves)
     for leaf in leaves:
-        if leaf not in arrivals:
+        if leaf not in payload["arrivals"]:
             raise TopologyError(f"$.arrivals: leaf {leaf!r} has no arrival process")
-    for key in arrivals:
+    for key in payload["arrivals"]:
         if key not in leaves:
             raise TopologyError(
                 f"$.arrivals.{key}: {key!r} is not a leaf (non-leaf input is"
                 " determined by its children)"
             )
-    for obj in objects:
-        for key in obj.arrivals:
+    for oid, specs in overrides.items():
+        for key in specs:
             if key not in leaves:
-                raise TopologyError(f"object {obj.id!r} overrides non-leaf {key!r}")
+                raise TopologyError(f"object {oid!r} overrides non-leaf {key!r}")
     for i, node in enumerate(nodes.values()):
-        n_parents = len(topo.parents_of(node.id))
+        n_parents = len(graph.parents_of(node.id))
         if n_parents > 1 and node.split is None:
             raise TopologyError(
                 f"$.nodes[{i}]: node {node.id!r} feeds {n_parents} parents and"
@@ -473,19 +288,19 @@ def parse_topology(document) -> Topology:
                 f"$.nodes[{i}].split: length {len(node.split)} does not match"
                 f" out-degree {n_parents}"
             )
-    # validate arrival matrices eagerly so analyze() cannot fail late
-    for leaf, spec in arrivals.items():
-        try:
-            require_valid(spec.to_map())
-        except ValidationError as exc:
-            raise TopologyError(f"$.arrivals.{leaf}: {exc}") from exc
-    for obj in objects:
-        for leaf, spec in obj.arrivals.items():
-            try:
-                require_valid(spec.to_map())
-            except ValidationError as exc:
-                raise TopologyError(f"object {obj.id!r}, leaf {leaf!r}: {exc}") from exc
-    return topo
+    # the arrival MAPs are built and validated here, so analyze() cannot fail late
+    arrivals = {
+        leaf: _arrival_map(spec, f"$.arrivals.{leaf}")
+        for leaf, spec in payload["arrivals"].items()
+    }
+    objects = tuple(
+        ObjectSpec(oid, {
+            leaf: _arrival_map(spec, f"object {oid!r}, leaf {leaf!r}")
+            for leaf, spec in specs.items()
+        })
+        for oid, specs in overrides.items()
+    )
+    return Topology(nodes=nodes, arrivals=arrivals, objects=objects)
 
 
 def state_space_size(topo: Topology, object_id: str | None = None) -> dict:
@@ -508,9 +323,9 @@ def state_space_size(topo: Topology, object_id: str | None = None) -> dict:
             in_dim = 1
             for child in node.children:
                 in_dim *= dims[child]["output"]
-        phases = node.ttl.transient_order
+        phases = node.ttl.ph.order
         if node.policy == "MinSigmaR":
-            phases *= node.ttl_r.transient_order
+            phases *= node.ttl_r.ph.order
         dims[nid] = {"input": in_dim, "output": in_dim * (phases + 1)}
     return {nid: dims[nid] for nid in topo.node_order}
 
@@ -583,14 +398,14 @@ def analyze(
     for nid in order:
         node = topo.nodes[nid]
         if not node.children:
-            input_map = topo.arrival_for(obj, nid).to_map()
+            input_map = topo.arrival_for(obj, nid)
         else:
             parts = [contributions[(child, nid)] for child in node.children]
             input_map = parts[0] if len(parts) == 1 else superpose(parts)
         if node.policy == "MinSigmaR":
-            out = output_min(input_map, node.ttl.to_ph(), node.ttl_r.to_ph())
+            out = output_min(input_map, node.ttl.ph, node.ttl_r.ph)
         else:
-            out = _OUTPUT_OPS[node.policy](input_map, node.ttl.to_ph())
+            out = _OUTPUT_OPS[node.policy](input_map, node.ttl.ph)
         if out.order != dims[nid]["output"] or input_map.order != dims[nid]["input"]:
             raise RuntimeError(
                 f"dimension accounting mismatch at node {nid!r}: realized"

@@ -450,7 +450,7 @@ class _Cycle(NamedTuple):
     transform: float
 
 
-# An R TTL that never fires: Sigma is min(Sigma, R) with it.
+# A TTL that never fires: Sigma is min(Sigma, R) with it as R, and R with it as Sigma.
 _NEVER = Deterministic(math.inf)
 
 
@@ -899,30 +899,32 @@ def _simulate_stopping(
     """Replications of the stopping rules, vectorized over blocks of `_MC_BLOCK`.
 
     Returns (tau, s_tau, occupied) arrays; `occupied` is the in-cache time
-    min(sum of min(X_s, T^R_s), T^Sigma) and is only filled for MinSigmaR.
+    min(sum of min(X_s, T^R_s), T^Sigma).
     """
     tau = np.empty(n, dtype=np.int64)
     s_tau = np.empty(n)
-    occupied = np.empty(n) if policy.tag == "MinSigmaR" else None
+    occupied = np.empty(n)
     for lo in range(0, n, _MC_BLOCK):
         block = slice(lo, min(lo + _MC_BLOCK, n))
-        tau[block], s_tau[block], occ = _simulate_block(
+        tau[block], s_tau[block], occupied[block] = _simulate_block(
             x_law, policy, block.stop - lo, rng, max_rounds
         )
-        if occupied is not None:
-            occupied[block] = occ
     return tau, s_tau, occupied
 
 
 def _simulate_block(x_law: RenewalSpec, policy: StoppingPolicy, n: int, rng, max_rounds: int):
+    """One block of the min(Sigma, R) stopping rule; a timer a policy lacks is
+    `_NEVER`, whose draws take no random numbers."""
+    t_sigma, t_r = {
+        "R": (_NEVER, policy.ttl),
+        "Sigma": (policy.ttl, _NEVER),
+        "MinSigmaR": (policy.ttl_sigma, policy.ttl_r),
+    }[policy.tag]
     tau = np.zeros(n, dtype=np.int64)
     s_tau = np.zeros(n)
-    occupied = np.zeros(n) if policy.tag == "MinSigmaR" else None
+    occupied = np.zeros(n)
     alive = np.ones(n, dtype=bool)
-    if policy.tag == "Sigma":
-        ttl_total = policy.ttl.sample(rng, n)
-    elif policy.tag == "MinSigmaR":
-        ttl_total = policy.ttl_sigma.sample(rng, n)
+    ttl_total = t_sigma.sample(rng, n)
     rounds = 0
     while alive.any():
         rounds += 1
@@ -932,19 +934,11 @@ def _simulate_block(x_law: RenewalSpec, policy: StoppingPolicy, n: int, rng, max
         xs = x_law.sample(rng, idx.size)
         s_tau[idx] += xs
         tau[idx] += 1
-        if policy.tag == "R":
-            ts = policy.ttl.sample(rng, idx.size)
-            stopped = xs > ts
-        elif policy.tag == "Sigma":
-            stopped = s_tau[idx] > ttl_total[idx]
-        else:
-            tr = policy.ttl_r.sample(rng, idx.size)
-            occupied[idx] += np.minimum(xs, tr)
-            stopped = (s_tau[idx] > ttl_total[idx]) | (xs > tr)
+        tr = t_r.sample(rng, idx.size)
+        occupied[idx] += np.minimum(xs, tr)
+        stopped = (s_tau[idx] > ttl_total[idx]) | (xs > tr)
         alive[idx[stopped]] = False
-    if occupied is not None:
-        occupied = np.minimum(occupied, ttl_total)
-    return tau, s_tau, occupied
+    return tau, s_tau, np.minimum(occupied, ttl_total)
 
 
 def transform_min(
@@ -1082,7 +1076,7 @@ def occupancy_renewal(
         return cycle.in_cache / (cycle.tau * x.mean)
     rng = np.random.default_rng() if rng is None else rng
     tau, s_tau, occupied = _simulate_stopping(x, policy, samples, rng)
-    if occupied is None:
+    if policy.tag == "Sigma":
         return policy.ttl.mean / (float(tau.mean()) * x.mean)
     return float(occupied.mean() / s_tau.mean())
 

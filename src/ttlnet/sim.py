@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .network import AnalysisResult, Topology
-from .processes import MapSampler, PhaseTypeDistribution, sample_ph
+from .processes import MapSampler, sample_ph
 
 __all__ = [
     "SimConfig",
@@ -102,8 +102,8 @@ def _draw_ttls(law, rng, n: int) -> np.ndarray:
     """`n` i.i.d. draws of one TTL law; no law is a timer that never fires."""
     if law is None:
         return np.full(n, np.inf)
-    if isinstance(law, PhaseTypeDistribution):
-        return sample_ph(law, rng, n)
+    if law.kind == "ph":
+        return sample_ph(law.ph, rng, n)
     if law.kind == "exp":
         return rng.exponential(1.0 / law.rate, n)
     if law.kind == "erlang":
@@ -121,15 +121,11 @@ class _Node:
     """
 
     def __init__(self, node, n_batches: int):
-        sigma, r = {
+        self.sigma_ttl, self.r_ttl = {
             "R": (None, node.ttl),
             "Sigma": (node.ttl, None),
             "MinSigmaR": (node.ttl, node.ttl_r),
         }[node.policy]
-        # a "ph" spec is drawn from its PH form, built once here
-        self.sigma_ttl, self.r_ttl = (
-            spec.to_ph() if spec is not None and spec.kind == "ph" else spec for spec in (sigma, r)
-        )
         # the current (or last evicted) cycle: its start, its Sigma expiry, the
         # R expiry set by its last request; the empty cache is evicted at 0
         self.start = self.sigma_end = self.r_end = 0.0
@@ -258,7 +254,7 @@ def simulate(cfg: SimConfig) -> SimEstimate:
     nodes = {nid: _Node(topo.nodes[nid], n_batches) for nid in order}
     parents = {nid: topo.parents_of(nid) for nid in order}
     leaves = topo.leaves
-    samplers = [MapSampler(topo.arrival_for(obj, leaf).to_map(), rng) for leaf in leaves]
+    samplers = [MapSampler(topo.arrival_for(obj, leaf), rng) for leaf in leaves]
 
     offset = 0
     for times, slots in _leaf_blocks(samplers, cfg.event_cap):

@@ -153,13 +153,92 @@ class TestParsing:
         with pytest.raises(TopologyError, match="split"):
             parse_topology(doc)
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            pytest.param(
+                {"nodes": [{"id": "a", "policy": "R", "ttl": {"exp": 1.0}}],
+                 "arrivals": {"a": {"map": {"d0": [[-1.0]], "d1": [[2.0]]}}}},
+                "$.arrivals.a: invalid MAP: row 0 of d0+d1 sums to 1, not 0",
+                id="invalid-leaf-map",
+            ),
+            pytest.param(
+                {**LINE2, "objects": [{"id": "cold", "arrivals": {
+                    "C1": {"mmpp": {"q": [[-1.0, 1.0], [1.0, -1.0]], "rates": [0.0, 0.0]}}}}]},
+                "object 'cold', leaf 'C1': invalid MAP: d0 is singular",
+                id="invalid-override-map",
+            ),
+            pytest.param(
+                {**LINE2, "arrivals": {"C1": {"poisson": 1.0}, "C2": {"poisson": 1.0}}},
+                "$.arrivals.C2: 'C2' is not a leaf (non-leaf input is determined by its children)",
+                id="arrival-on-non-leaf",
+            ),
+            pytest.param(
+                {**LINE2, "objects": [{"id": "cold", "arrivals": {"C2": {"poisson": 1.0}}}]},
+                "object 'cold' overrides non-leaf 'C2'",
+                id="override-of-non-leaf",
+            ),
+            pytest.param(
+                {"nodes": [{"id": "a", "policy": "R", "ttl": {"exp": 1.0}},
+                           {"id": "a", "policy": "R", "ttl": {"exp": 2.0}}],
+                 "arrivals": {"a": {"poisson": 1.0}}},
+                "$.nodes[1].id: duplicate node id 'a'",
+                id="duplicate-node-id",
+            ),
+            pytest.param(
+                {**LINE2, "objects": ["x", {"id": "x"}]},
+                "$.objects[1]: duplicate object id 'x'",
+                id="duplicate-object-id",
+            ),
+            pytest.param(
+                {"nodes": [{"id": "a", "policy": "R", "ttl": {"exp": 1.0}},
+                           {"id": "b", "policy": "R", "ttl": {"exp": 1.0},
+                            "children": ["a", "a"]}],
+                 "arrivals": {"a": {"poisson": 1.0}}},
+                "$.nodes[1].children: repeated child id",
+                id="repeated-child",
+            ),
+            pytest.param(
+                {"nodes": [{"id": "a", "policy": "R", "ttl": {"exp": 1.0}, "split": [0.5, 0.5]},
+                           {"id": "b", "policy": "R", "ttl": {"exp": 1.0}, "children": ["a"]}],
+                 "arrivals": {"a": {"poisson": 1.0}}},
+                "$.nodes[0].split: length 2 does not match out-degree 1",
+                id="split-length",
+            ),
+            pytest.param(
+                {"nodes": [{"id": "a", "policy": "Sigma", "ttl": {"exp": 1.0},
+                            "ttl_r": {"exp": 1.0}}],
+                 "arrivals": {"a": {"poisson": 1.0}}},
+                "$.nodes[0].ttl_r: only MinSigmaR nodes take a second TTL",
+                id="ttl-r-on-non-min",
+            ),
+        ],
+    )
+    def test_rejection_message(self, doc, message):
+        with pytest.raises(TopologyError) as info:
+            parse_topology(doc)
+        assert str(info.value) == message
+
+    def test_invalid_ph_ttl_rejected_at_parse(self):
+        doc = {
+            "nodes": [
+                {"id": "a", "policy": "R", "ttl": {"exp": 1.0}},
+                {"id": "b", "policy": "Sigma", "ttl": {"ph": {"s": [[1.0]], "pi": [1.0]}},
+                 "children": ["a"]},
+            ],
+            "arrivals": {"a": {"poisson": 1.0}},
+        }
+        with pytest.raises(TopologyError) as info:
+            parse_topology(doc)
+        assert str(info.value) == "$.nodes[1].ttl: subintensity diagonal must be strictly negative"
+
     def test_objects_with_overrides(self):
         doc = dict(LINE2)
         doc["objects"] = ["hot", {"id": "cold", "arrivals": {"C1": {"poisson": 0.1}}}]
         topo = parse_topology(doc)
         assert [o.id for o in topo.objects] == ["hot", "cold"]
-        assert topo.arrival_for(topo.objects[1], "C1").rate == 0.1
-        assert topo.arrival_for(topo.objects[0], "C1").rate == 1.0
+        assert topo.arrival_for(topo.objects[1], "C1").d1.to_dense()[0, 0] == 0.1
+        assert topo.arrival_for(topo.objects[0], "C1").d1.to_dense()[0, 0] == 1.0
 
 
 class TestDimensions:
