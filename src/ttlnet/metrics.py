@@ -3,11 +3,10 @@
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .cache_ops import CacheOutput
 from .errors import DimensionError, NoStationaryDistributionError
-from .kron import steady_state
+from .kron import _dot, steady_state
 from .processes import MarkovArrivalProcess
 
 __all__ = ["CacheMetrics", "metrics_from_maps", "stationary_interval_moments"]
@@ -69,8 +68,8 @@ def metrics_from_maps(input_map: MarkovArrivalProcess, output: CacheOutput) -> C
             f"cache metrics need ergodic background chains: {exc}"
         ) from exc
     p_in = p_out.entries.reshape(-1, n).sum(axis=0)
-    input_rate = float(p_in @ input_map.d1.row_sums())
-    miss_rate = float(p_out.entries @ output.map.d1.row_sums())
+    input_rate = float(_dot(p_in, input_map.d1.row_sums()))
+    miss_rate = float(_dot(p_out.entries, output.map.d1.row_sums()))
     miss = miss_rate / input_rate
     in_idx = np.fromiter(output.in_states, dtype=np.int64)
     occupancy = float(np.sum(p_out.entries[in_idx])) if in_idx.size else 0.0
@@ -91,6 +90,8 @@ def stationary_interval_moments(m: MarkovArrivalProcess, count: int = 2) -> list
     phase-type with subintensity d0 and initial vector p d1 / (p d1 1), so
     the k-th moment is k! phi (-d0)^{-k} 1.
     """
+    from scipy.sparse import linalg as spla  # deferred: keeps scipy.linalg off import
+
     p = steady_state(m.generator)
     rate_vec = m.d1.to_csr().T @ p.entries
     phi = rate_vec / rate_vec.sum()

@@ -14,12 +14,9 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
-import scipy.sparse.linalg as spla
 
 from .errors import DimensionError, ValidationError
-from .kron import ProbabilityVector, RateMatrix, kron_sum, steady_state
+from .kron import ProbabilityVector, RateMatrix, kron_sum, reachable, steady_state
 
 __all__ = [
     "MarkovArrivalProcess",
@@ -205,24 +202,11 @@ def _d0_is_singular(d0: RateMatrix, d1: RateMatrix) -> bool:
     (Shivakumar & Chew 1974; Azimzadeh & Forsyth 2016). A d0-closed class
     with no leaking state has row sums zero, so its indicator vector is in
     the null space. One breadth-first search over the reversed hidden edges,
-    from a virtual root joined to every leaking state, decides it in O(nnz)
-    with no roundoff.
+    from every leaking state at once, decides it in O(nnz) with no roundoff
+    (the diagonal's self-loops reach nothing new).
     """
-    n = d0.rows
-    leaking = np.unique(d1.row_idx)
-    off = d0.row_idx != d0.col_idx
-    edges = sp.csr_matrix(
-        (
-            np.ones(np.count_nonzero(off) + leaking.size),
-            (
-                np.concatenate([d0.col_idx[off], np.full(leaking.size, n)]),
-                np.concatenate([d0.row_idx[off], leaking]),
-            ),
-        ),
-        shape=(n + 1, n + 1),
-    )
-    reached = csgraph.breadth_first_order(edges, n, return_predecessors=False)
-    return reached.size < n + 1
+    reverse = d0.to_csr().tocsc()
+    return not reachable(reverse.indptr, reverse.indices, np.unique(d1.row_idx)).all()
 
 
 def require_valid(m: MarkovArrivalProcess) -> MarkovArrivalProcess:
@@ -282,6 +266,8 @@ def ph_min(t1: PhaseTypeDistribution, t2: PhaseTypeDistribution) -> PhaseTypeDis
 
 def ph_mean(t: PhaseTypeDistribution) -> float:
     """Expected absorption time -pi s^{-1} 1."""
+    from scipy.sparse import linalg as spla  # deferred: keeps scipy.linalg off import
+
     try:
         y = spla.splu(t.s.to_csr().tocsc()).solve(np.ones(t.order))
     except RuntimeError as exc:

@@ -67,10 +67,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-import scipy.special
+
+# scipy.linalg, scipy.sparse.linalg and scipy.special load in the functions
+# that use them: `import ttlnet`, analyze and simulate need none of them.
 
 from .cache_ops import output_min, output_sigma
 from .errors import (
@@ -78,7 +78,7 @@ from .errors import (
     DivergentStoppingTimeError,
     ValidationError,
 )
-from .kron import RateMatrix
+from .kron import RateMatrix, _dot
 from .network import DEFAULT_BUDGET
 from .processes import MarkovArrivalProcess, PhaseTypeDistribution
 
@@ -235,29 +235,39 @@ class Erlang(RenewalSpec):
 
     def pdf(self, x):
         # in log space: rate**stages and x**(stages-1) overflow for many stages
+        from scipy.special import gammaln, xlogy
+
         y = self.rate * np.asarray(x, dtype=float)
         k = self.stages
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = self.rate * np.exp(scipy.special.xlogy(k - 1, y) - y - scipy.special.gammaln(k))
+            out = self.rate * np.exp(xlogy(k - 1, y) - y - gammaln(k))
         return np.where(y >= 0, out, 0.0)
 
     def cdf(self, x):
+        from scipy.special import gammainc
+
         x = np.asarray(x, dtype=float)
-        return np.where(x >= 0, scipy.special.gammainc(self.stages, self.rate * x), 0.0)
+        return np.where(x >= 0, gammainc(self.stages, self.rate * x), 0.0)
 
     def survival_geq(self, x):
+        from scipy.special import gammaincc
+
         x = np.asarray(x, dtype=float)
-        return np.where(x <= 0, 1.0, scipy.special.gammaincc(self.stages, self.rate * x))
+        return np.where(x <= 0, 1.0, gammaincc(self.stages, self.rate * x))
 
     def sample(self, rng, size=None):
         return rng.gamma(self.stages, 1.0 / self.rate, size)
 
     def truncation_point(self, eps):
-        return float(scipy.special.gammainccinv(self.stages, eps)) / self.rate
+        from scipy.special import gammainccinv
+
+        return float(gammainccinv(self.stages, eps)) / self.rate
 
     def integral_survival(self, x):
+        from scipy.special import gammainc
+
         js = np.arange(1, self.stages + 1)
-        return float(np.sum(scipy.special.gammainc(js, self.rate * x))) / self.rate
+        return float(np.sum(gammainc(js, self.rate * x))) / self.rate
 
 
 @dataclass(frozen=True, eq=False)
@@ -517,6 +527,8 @@ def _ph_cycle(x: RenewalSpec, policy: StoppingPolicy, omega: float) -> _Cycle | 
     Returns None, building nothing, when a law is not PH or the miss chain
     would exceed `DEFAULT_BUDGET` states.
     """
+    from scipy.sparse.linalg import splu
+
     ttls = (policy.ttl,) if policy.ttl is not None else (policy.ttl_sigma, policy.ttl_r)
     phs = [_as_ph(law) for law in (x, *ttls)]
     if any(ph is None for ph in phs):
@@ -548,10 +560,11 @@ def _ph_cycle(x: RenewalSpec, policy: StoppingPolicy, omega: float) -> _Cycle | 
     # see the structure and filled up to 1 GB near the budget).
     n = len(out.out_states)
     order = np.concatenate([np.arange(n)[::-1], np.arange(n, out.order)[::-1]])
-    lu = spla.splu(a[order][:, order].T, permc_spec="NATURAL")
+    lu = splu(a[order][:, order].T, permc_spec="NATURAL")
     z = np.empty(out.order)
     z[order] = lu.solve(phi[order] / phi.sum())
-    return _Cycle(float(z.sum()) / x.mean, float(z[n:].sum()), float(z @ out.map.d1.row_sums()))
+    transform = _dot(z, out.map.d1.row_sums())
+    return _Cycle(float(z.sum()) / x.mean, float(z[n:].sum()), float(transform))
 
 
 # Largest dense matrix the deterministic-law routes exponentiate or factor:
@@ -569,11 +582,13 @@ def _expm_integral(a: np.ndarray, b: np.ndarray, h: float) -> tuple[np.ndarray, 
     """e^{a h} and the integral of e^{a t} b over t in [0, h], from one block
     exponential (Van Loan 1978, "Computing integrals involving the matrix
     exponential")."""
+    from scipy.linalg import expm
+
     n, k = b.shape
     block = np.zeros((n + k, n + k))
     block[:n, :n] = a
     block[:n, n:] = b
-    e = scipy.linalg.expm(block * h)
+    e = expm(block * h)
     return e[:n, :n], e[:n, n:]
 
 
@@ -616,6 +631,8 @@ def _deterministic_requests(
     finite sums over `survival_geq(k d)`, with the ties of
     `_sigma_deterministic_requests`: a request at exactly the TTL is a hit.
     """
+    from scipy.linalg import expm
+
     p_r = float(t_r.survival_geq(d))
     z = math.exp(-omega * d)
     if isinstance(t_sigma, Deterministic):
@@ -641,7 +658,7 @@ def _deterministic_requests(
     n, n_r = alpha.size, alpha_r.size
     if n * n_r > _DENSE_MAX:
         return None
-    e = scipy.linalg.expm(s_sigma * d)
+    e = expm(s_sigma * d)
     eye, ones = np.eye(n), np.ones(n)
     w = np.linalg.solve((eye - p_r * e).T, alpha)  # alpha (I - p_r E)^{-1}
     transform = z * alpha @ np.linalg.solve(eye - z * p_r * e, ones - p_r * e @ ones)
@@ -666,6 +683,8 @@ def _deterministic_ttls(
     int y 1. Sigma is the one-block case, E[tau] = 1 + alpha
     int_0^c e^{Q u} du s.
     """
+    from scipy.linalg import expm
+
     alpha, s_mat = _ph_arrays(x)
     n = alpha.size
     s = -s_mat.sum(axis=1)
@@ -673,7 +692,7 @@ def _deterministic_ttls(
     steps, rest = divmod(c_sigma, c_r)  # R windows that close before c_sigma
     steps, beta = int(steps), None
     if steps:
-        e_r = scipy.linalg.expm(s_mat * c_r)
+        e_r = expm(s_mat * c_r)
         beta = alpha @ e_r
         # A window of length c_r without a request evicts, so the mass still
         # cached after j windows is at most rho^j, rho the largest chance over
@@ -758,10 +777,10 @@ def _psi(x: RenewalSpec, t: RenewalSpec, omega: float) -> float:
     # Erlang(k, a) under Erlang(m, b): the tilted X is Erlang(k, a + omega) and
     # ends first iff k of its events come before m of T's in the merged Poisson
     # streams, a negative binomial CDF
+    from scipy.special import nbdtr
+
     rate = x.rate + omega
-    return x.laplace(omega) * float(
-        scipy.special.nbdtr(t.stages - 1, x.stages, rate / (rate + t.rate))
-    )
+    return x.laplace(omega) * float(nbdtr(t.stages - 1, x.stages, rate / (rate + t.rate)))
 
 
 def transform_r(x: RenewalSpec, t: RenewalSpec, omega: float) -> float:
@@ -1045,13 +1064,15 @@ def _expected_min(x: RenewalSpec, t: RenewalSpec) -> float:
     # Binomial(n, p) share of the first n events of the merged Poisson streams
     # (rate a + b), p = a / (a + b), and min(X, T) outlasts event n iff X has
     # fewer than k of them and T fewer than m
+    from scipy.special import bdtr
+
     k, a = x.stages, x.rate
     m, b = (t.stages, t.rate) if isinstance(t, Erlang) else (1, t.rate)
     n = np.arange(k + m - 1)
     p = a / (a + b)
 
     def at_most(j):  # P(Binomial(n, p) <= j)
-        return np.where(j < 0, 0.0, scipy.special.bdtr(np.clip(j, 0, n), n, p))
+        return np.where(j < 0, 0.0, bdtr(np.clip(j, 0, n), n, p))
 
     return float(np.sum(at_most(k - 1) - at_most(n - m))) / (a + b)
 

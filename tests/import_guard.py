@@ -1,0 +1,69 @@
+"""Import guard: `import ttlnet`, analyze and simulate load no lazy scipy module.
+
+    python tests/import_guard.py configs/tree3.json
+
+Imports ttlnet, analyzes the topology, simulates 2e4 leaf events, and after
+each step checks that none of `LAZY` is in `sys.modules`. Then, in the same
+process, it runs each route that imports one of them on first use (the LU
+fallback of the stationary solve, `ph_mean`, `stationary_interval_moments`
+and two renewal queries) against independent values. Exits 0 when all
+checks pass, else with a message naming the first failure.
+"""
+
+import math
+import sys
+from pathlib import Path
+
+LAZY = ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph", "scipy.special")
+
+
+def _require_unloaded(step: str) -> None:
+    loaded = [name for name in LAZY if name in sys.modules]
+    if loaded:
+        sys.exit(f"{step} loaded {', '.join(loaded)}")
+
+
+def _require_close(what: str, got: float, want: float, rtol: float = 1e-9) -> None:
+    if not math.isclose(got, want, rel_tol=rtol):
+        sys.exit(f"{what}: {got!r} != {want!r}")
+
+
+def main(config: str) -> None:
+    import ttlnet
+    from ttlnet import kron
+    from ttlnet.renewal import Deterministic, Erlang, StoppingPolicy, expected_tau
+
+    _require_unloaded("import ttlnet")
+    topo = ttlnet.parse_topology(Path(config).read_text())
+    result = ttlnet.analyze(topo)
+    _require_unloaded("analyze")
+    ttlnet.simulate(ttlnet.SimConfig(topology=topo, event_cap=20_000, seed=0))
+    _require_unloaded("simulate")
+
+    # LU fallback: GTH declines and BiCGSTAB stalls on every node
+    kron._gth = lambda q: None
+    kron._bicgstab = lambda a, inv_diag, b, x: (x, 1)
+    for nid, metrics in ttlnet.analyze(topo).metrics.items():
+        want = result.metrics[nid].to_dict()
+        for name, value in metrics.to_dict().items():
+            _require_close(f"LU fallback {nid}.{name}", value, want[name])
+    if "scipy.sparse.linalg" not in sys.modules:
+        sys.exit("the LU fallback did not run")
+
+    erlang = ttlnet.PhaseTypeDistribution.erlang(3, 2.0)
+    _require_close("ph_mean of Erlang(3, 2)", ttlnet.ph_mean(erlang), 1.5)
+    moments = ttlnet.stationary_interval_moments(ttlnet.poisson_map(2.0))
+    _require_close("Poisson(2) first moment", moments[0], 0.5)
+    _require_close("Poisson(2) second moment", moments[1], 0.5)
+    # R cache, i.i.d. Erlang gap and TTL: a miss ends each gap longer than
+    # the TTL, which has probability 1/2
+    tau = expected_tau(Erlang(2, 1.0), StoppingPolicy.reset_on_request(Erlang(2, 1.0)))
+    _require_close("Erlang R expected_tau", tau.value, 2.0)
+    # Sigma cache, deterministic TTL c: 1 + the Erlang(2, 1) renewal
+    # function c / 2 - 1 / 4 + exp(-2 c) / 4
+    tau = expected_tau(Erlang(2, 1.0), StoppingPolicy.reset_on_miss(Deterministic(1.5)))
+    _require_close("Deterministic Sigma expected_tau", tau.value, 1.5 + math.exp(-3.0) / 4)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1])

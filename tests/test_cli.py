@@ -94,6 +94,33 @@ class TestAnalyzeCommand:
         assert code == 2
 
 
+    @pytest.mark.parametrize(
+        "path, arrival, ttl",
+        [
+            ("$.arrivals.C1",
+             {"map": {"d0": [[-1.0, 1.0], [0.0]], "d1": [[0.0, 0.0], [1.0, -1.0]]}},
+             {"exp": 1.0}),
+            ("$.arrivals.C1", {"mmpp": {"q": [[-1.0, 1.0], [1.0]], "rates": [1.0, 2.0]}},
+             {"exp": 1.0}),
+            ("$.nodes[0].ttl", {"poisson": 1.0},
+             {"ph": {"s": [[-2.0, 1.0], [-1.0]], "pi": [0.5, 0.5]}}),
+        ],
+        ids=["map.d0", "mmpp.q", "ph.s"],
+    )
+    def test_ragged_matrix_exit_two(self, tmp_path, capsys, path, arrival, ttl):
+        bad = tmp_path / "ragged.json"
+        bad.write_text(json.dumps({
+            "nodes": [{"id": "C1", "policy": "Sigma", "ttl": ttl}],
+            "arrivals": {"C1": arrival},
+        }))
+        code, _, err = run(["analyze", "--config", str(bad)], capsys)
+        assert code == 2
+        error = json.loads(err)["error"]
+        assert error["type"] == "TopologyError"
+        assert error["message"].startswith(f"{path}: ")
+        assert "Traceback" not in err
+
+
 class TestSimulateCommand:
     def test_deterministic_given_seed(self, line_config, capsys):
         args = ["simulate", "--config", line_config, "--events", "5000", "--seed", "42"]

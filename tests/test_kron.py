@@ -185,37 +185,86 @@ class TestSteadyState:
             steady_state(RateMatrix.from_dense([[-1.0, 1.0], [-0.5, 0.5]]))
 
     def test_stiff_chain_falls_back_to_lu(self, monkeypatch):
-        # A ring plus one random edge per state, rates 10^U(-6, 6). BiCGSTAB
-        # meets the residual gate here with entries wrong in the third digit;
-        # the backward-error test must send the solve to LU.
-        n = 50
-        r = np.random.default_rng(1)
-        rows = np.concatenate([np.arange(n), np.arange(n)])
-        cols = np.concatenate([(np.arange(n) + 1) % n, r.integers(0, n, n)])
-        rates = 10.0 ** r.uniform(-6, 6, 2 * n)
-        off = rows != cols
-        q = np.zeros((n, n))
-        np.add.at(q, (rows[off], cols[off]), rates[off])
-        q -= np.diag(q.sum(axis=1))
-        factorizations = []
-        real_splu = spla.splu
-
-        def spy(a):
-            factorizations.append(a.shape)
-            return real_splu(a)
-
-        monkeypatch.setattr(spla, "splu", spy)
+        # Above the GTH bound BiCGSTAB meets the residual gate here with
+        # entries wrong in the third digit; the backward-error test must send
+        # the solve to LU.
+        n = 100
+        assert n > kron._GTH_MAX
+        q = _stiff_ring(n)
+        factorizations = _spy_on_lu(monkeypatch)
         p = steady_state(RateMatrix.from_dense(q)).entries
         assert factorizations == [(n, n)]
-        # independent dense LU (LAPACK) of the same bordered system
-        a = q.T.copy()
-        a[-1] = 1.0
-        b = np.zeros(n)
-        b[-1] = 1.0
-        want = np.linalg.solve(a, b)
+        want = _bordered_lapack(q)
+        big = want > 1e-6
+        assert big.sum() == 33
+        assert_allclose(p[big], want[big], rtol=1e-10, atol=0)
+
+    def test_stiff_chain_within_gth_bound_needs_no_lu(self, monkeypatch):
+        # GTH subtracts nothing, so the stiff ring passes the backward-error
+        # gate without Krylov iterations or a factorization
+        n = 50
+        q = _stiff_ring(n)
+        factorizations = _spy_on_lu(monkeypatch)
+        monkeypatch.setattr(kron, "_bicgstab", _never_called)
+        p = steady_state(RateMatrix.from_dense(q)).entries
+        assert factorizations == []
+        want = _bordered_lapack(q)
         big = want > 1e-6
         assert big.sum() == 15
         assert_allclose(p[big], want[big], rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("n", [4, 100])
+    @pytest.mark.parametrize("shape", ["two-closed-classes", "transient-state"])
+    def test_reducible_chains_rejected(self, n, shape):
+        # a ring over states 1..n-1; state 0 is absorbing (a closed class of
+        # its own) or only leaves into the ring
+        q = np.zeros((n, n))
+        ring = np.arange(1, n)
+        q[ring, np.roll(ring, -1)] = np.linspace(0.5, 2.0, n - 1)
+        if shape == "transient-state":
+            q[0, 1 + n // 2] = 1.0
+        q -= np.diag(q.sum(axis=1))
+        with pytest.raises(NoStationaryDistributionError, match="reducible"):
+            steady_state(RateMatrix.from_dense(q))
+
+
+def _stiff_ring(n: int) -> np.ndarray:
+    """A ring plus one random edge per state, rates 10^U(-6, 6)."""
+    r = np.random.default_rng(1)
+    rows = np.concatenate([np.arange(n), np.arange(n)])
+    cols = np.concatenate([(np.arange(n) + 1) % n, r.integers(0, n, n)])
+    rates = 10.0 ** r.uniform(-6, 6, 2 * n)
+    off = rows != cols
+    q = np.zeros((n, n))
+    np.add.at(q, (rows[off], cols[off]), rates[off])
+    return q - np.diag(q.sum(axis=1))
+
+
+def _bordered_lapack(q: np.ndarray) -> np.ndarray:
+    """Independent dense LU (LAPACK) of steady_state's bordered system."""
+    n = q.shape[0]
+    a = q.T.copy()
+    a[-1] = 1.0
+    b = np.zeros(n)
+    b[-1] = 1.0
+    return np.linalg.solve(a, b)
+
+
+def _spy_on_lu(monkeypatch) -> list:
+    """Record the shape of every sparse LU factorization."""
+    factorizations = []
+    real_splu = spla.splu
+
+    def spy(a):
+        factorizations.append(a.shape)
+        return real_splu(a)
+
+    monkeypatch.setattr(spla, "splu", spy)
+    return factorizations
+
+
+def _never_called(*args):
+    raise AssertionError("BiCGSTAB called")
 
 
 def _random_generator(rng, n: int) -> np.ndarray:
@@ -226,6 +275,50 @@ def _random_generator(rng, n: int) -> np.ndarray:
     q[extra] += rng.uniform(0.1, 10.0, extra.sum())
     np.fill_diagonal(q, 0.0)
     return q - np.diag(q.sum(axis=1))
+
+
+class TestGth:
+    """GTH state reduction against independent dense references."""
+
+    @given(n=st.integers(2, kron._GTH_MAX), seed=st.integers(0, 2**31),
+           spread=st.sampled_from([0.0, 2.0, 4.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_reference(self, n, seed, spread):
+        # random irreducible generators, off-diagonal rates scaled by 10^U(-spread, spread)
+        r = np.random.default_rng(seed)
+        q = _random_generator(r, n) * 10.0 ** r.uniform(-spread, spread, (n, n))
+        np.fill_diagonal(q, 0.0)
+        q -= np.diag(q.sum(axis=1))
+        p = kron._gth(RateMatrix.from_dense(q))
+        assert p is not None and np.all(p > 0)
+        want = _bordered_lapack(q)
+        # LAPACK cancels digits in the entries far below the largest
+        big = want > 1e-6 * want.max()
+        assert_allclose(p[big], want[big], rtol=1e-8 if spread else 1e-11, atol=0)
+        assert_allclose(steady_state(RateMatrix.from_dense(q)).entries, p, rtol=1e-9, atol=0)
+
+    def test_zero_pivot_on_reducible_chain(self):
+        q = RateMatrix.from_dense([[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
+        assert kron._gth(q) is None
+
+
+class TestReachable:
+    @given(n=st.integers(1, 30), density=st.floats(0.0, 0.3), seed=st.integers(0, 2**31))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_transitive_closure(self, n, density, seed):
+        r = np.random.default_rng(seed)
+        adj = r.random((n, n)) < density
+        start = r.choice(n, size=int(r.integers(1, n + 1)), replace=False)
+        edges = sp.csr_matrix(adj)
+        forward = kron.reachable(edges.indptr, edges.indices, start)
+        reverse = edges.tocsc()
+        backward = kron.reachable(reverse.indptr, reverse.indices, start)
+        # Warshall's transitive closure of the reflexive adjacency
+        closure = adj | np.eye(n, dtype=bool)
+        for k in range(n):
+            closure |= closure[:, [k]] & closure[[k], :]
+        assert np.array_equal(forward, closure[start].any(axis=0))
+        assert np.array_equal(backward, closure[:, start].any(axis=1))
 
 
 class TestBicgstab:
