@@ -41,11 +41,16 @@ __all__ = ["CacheOutput", "output_sigma", "output_r", "output_min"]
 
 @dataclass(frozen=True)
 class CacheOutput:
-    """Miss-process MAP of a cache plus its IN/OUT state partition."""
+    """Miss-process MAP of a cache plus its IN/OUT state partition.
+
+    `ttl` is the phase-type TTL the MAP was built with (the joint minimum
+    for a min(Sigma, R) cache), when known.
+    """
 
     map: MarkovArrivalProcess
     in_states: frozenset[int]
     out_states: frozenset[int]
+    ttl: PhaseTypeDistribution | None = None
 
     @property
     def order(self) -> int:
@@ -88,6 +93,7 @@ def _cache_output(
         MarkovArrivalProcess(d0p, d1p),
         in_states=frozenset(range(n, d0p.rows)),
         out_states=frozenset(range(n)),
+        ttl=ttl,
     )
 
 

@@ -48,6 +48,13 @@ def _canonicalize(rows: int, cols: int, r, c, v):
     return key // cols, key % cols, v
 
 
+def _indptr(idx: np.ndarray, n: int) -> np.ndarray:
+    """Offsets of the runs of 0..n-1 in the sorted array idx: CSR row pointers."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(idx, minlength=n), out=indptr[1:])
+    return indptr
+
+
 @dataclass(frozen=True, eq=False)
 class RateMatrix:
     """Immutable sparse matrix of transition rates.
@@ -116,8 +123,7 @@ class RateMatrix:
 
     def to_csr(self) -> sp.csr_matrix:
         # the triplets are already in CSR order: no COO conversion needed
-        indptr = np.zeros(self.rows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.row_idx, minlength=self.rows), out=indptr[1:])
+        indptr = _indptr(self.row_idx, self.rows)
         return sp.csr_matrix((self.data, self.col_idx, indptr), shape=(self.rows, self.cols))
 
     def row_sums(self) -> np.ndarray:
@@ -265,6 +271,20 @@ def reachable(indptr: np.ndarray, indices: np.ndarray, start) -> np.ndarray:
     return seen
 
 
+def edges(q: RateMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """q's edges as `reachable` reads them: its CSR arrays (indptr, column indices)."""
+    return _indptr(q.row_idx, q.rows), q.col_idx
+
+
+def reversed_edges(q: RateMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """q's edges reversed: its CSC arrays (indptr, row indices).
+
+    A stable sort of the row-major triplets by column keeps the rows of each
+    column ascending, so the arrays equal those of scipy's `tocsc()`.
+    """
+    return _indptr(q.col_idx, q.cols), q.row_idx[np.argsort(q.col_idx, kind="stable")]
+
+
 def _is_irreducible(q: RateMatrix) -> bool:
     """Every state reaches state 0 and state 0 reaches every state.
 
@@ -273,10 +293,10 @@ def _is_irreducible(q: RateMatrix) -> bool:
     directions share their levels.
     """
     n = q.rows
-    edges = q.to_csr()
-    reverse = edges.tocsc()
-    indptr = np.concatenate([edges.indptr[:-1], reverse.indptr + edges.nnz])
-    indices = np.concatenate([edges.indices, reverse.indices + n])
+    forward_ptr, forward_idx = edges(q)
+    reverse_ptr, reverse_idx = reversed_edges(q)
+    indptr = np.concatenate([forward_ptr[:-1], reverse_ptr + q.nnz])
+    indices = np.concatenate([forward_idx, reverse_idx + n])
     return reachable(indptr, indices, [0, n]).all()
 
 
@@ -427,6 +447,58 @@ def _gate(q: RateMatrix, x: np.ndarray) -> np.ndarray | None:
     return x if residual <= bound else None
 
 
+def _given_input_solve(
+    q: RateMatrix, p_in: np.ndarray, pi: np.ndarray, d1: RateMatrix
+) -> np.ndarray | None:
+    """Stationary vector of a cache's output chain from its input vector, or None.
+
+    q is the irreducible generator Q' of a `cache_ops` miss process: the n
+    OUT states, then one block of n states per transient TTL phase, for a
+    TTL with initial vector pi and requests with active matrix d1 whose
+    background chain has the stationary vector p_in. The request coordinate
+    of Q' evolves on its own, so the blocks x_0 (OUT) and x_j (TTL phase j)
+    of its stationary vector sum to p_in. Putting x_0 = p_in - sum_j x_j
+    into the balance equations of the IN columns leaves the nonsingular
+    system
+
+        x_T (-M) = p_in (pi (x) d1),   M = Q'_TT - (1 pi) (x) d1,
+
+    over the IN states T alone, with -M read from Q''s IN x IN triplets.
+    BiCGSTAB with Jacobi preconditioning (see `_bicgstab`) solves it,
+    started from p_in spread evenly over the k + 1 blocks (from zero, a
+    right-hand side with few nonzeros broke down on a 108-state chain).
+    The full vector must then pass the sign test and both gates of the
+    Krylov route of `steady_state`. None when any of these fails.
+    """
+    n, m = p_in.size, q.rows - p_in.size
+    start = np.searchsorted(q.row_idx, n)  # the IN rows are a suffix of the triplets
+    inner = q.col_idx[start:] >= n
+    phases = np.flatnonzero(pi)
+    k = m // n
+    # block (j, l) of (1 pi) (x) d1 is pi_l d1, in every IN block row j
+    row = np.tile(d1.row_idx, phases.size)
+    col = (phases[:, None] * n + d1.col_idx).ravel()
+    val = (pi[phases, None] * d1.data).ravel()
+    neg_m = RateMatrix.from_arrays(
+        m,
+        m,
+        np.concatenate([q.row_idx[start:][inner] - n, (np.arange(k)[:, None] * n + row).ravel()]),
+        np.concatenate([q.col_idx[start:][inner] - n, np.tile(col, k)]),
+        np.concatenate([-q.data[start:][inner], np.tile(val, k)]),
+    )
+    diagonal = neg_m.diagonal()
+    if np.any(diagonal <= 0.0):
+        return None
+    # -M's CSR arrays are the CSC arrays of its transpose, the system BiCGSTAB solves
+    a = sp.csc_matrix((neg_m.data, neg_m.col_idx, _indptr(neg_m.row_idx, m)), shape=(m, m))
+    p_d1 = np.bincount(d1.col_idx, weights=p_in[d1.row_idx] * d1.data, minlength=n)
+    x_t, info = _bicgstab(a, 1.0 / diagonal, np.kron(pi, p_d1), np.tile(p_in / (k + 1), k))
+    if info != 0 or not np.all(np.isfinite(x_t)):
+        return None
+    x = _as_probabilities(np.concatenate([p_in - x_t.reshape(k, n).sum(axis=0), x_t]))
+    return None if x is None else _gate(q, x)
+
+
 # Largest chain solved by GTH state reduction. Dense GTH costs O(n^3), the
 # Krylov route (reachability search, BiCGSTAB) O(nnz) per level and
 # iteration. A whole steady_state of a random ring-plus-edges chain on a
@@ -490,6 +562,11 @@ def _lu_solve(q: RateMatrix, a: sp.csc_matrix, b: np.ndarray) -> np.ndarray:
 
 def steady_state(q: RateMatrix) -> ProbabilityVector:
     """Stationary distribution p of a conservative irreducible generator.
+
+    This solves a chain knowing nothing but q. `metrics.metrics_from_maps`
+    solves a cache output chain of more than `_GTH_MAX` states from its
+    known input vector instead (see `_given_input_solve`), and comes here
+    only when that solve fails its gates.
 
     Chains of at most `_GTH_MAX` states are solved first by dense GTH state
     reduction (see `_gth`), whose positive pivots and entries also show the

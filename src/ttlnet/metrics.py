@@ -1,20 +1,26 @@
 """Cache metrics computed from MAP descriptions of the request and miss processes."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kron
 from .cache_ops import CacheOutput
 from .errors import DimensionError, NoStationaryDistributionError
-from .kron import _dot, steady_state
-from .processes import MarkovArrivalProcess
+from .kron import RateMatrix, _dot, edges, reachable, reversed_edges, steady_state
+from .processes import MarkovArrivalProcess, PhaseTypeDistribution
 
 __all__ = ["CacheMetrics", "metrics_from_maps", "stationary_interval_moments"]
 
 
 @dataclass(frozen=True)
 class CacheMetrics:
-    """Per-object steady-state metrics of one cache node."""
+    """Per-object steady-state metrics of one cache node.
+
+    `stationary` is the stationary vector of the output chain, the miss
+    MAP's background chain, when the metrics were computed from it; it is
+    not serialized.
+    """
 
     hit_probability: float
     miss_probability: float
@@ -22,6 +28,7 @@ class CacheMetrics:
     input_rate: float
     miss_rate: float
     expected_inter_miss: float
+    stationary: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -34,26 +41,37 @@ class CacheMetrics:
         }
 
 
-def metrics_from_maps(input_map: MarkovArrivalProcess, output: CacheOutput) -> CacheMetrics:
+def metrics_from_maps(
+    input_map: MarkovArrivalProcess, output: CacheOutput, p_in: np.ndarray | None = None
+) -> CacheMetrics:
     """Hit/miss probabilities, occupancy, and rates of a MAP cache.
 
     The miss probability is the ratio of the stationary miss rate
     p' d1' 1 to the stationary request rate p d1 1; the occupancy is the
     stationary mass of the IN states of the miss process. Requires the
-    background chain of the miss process to be ergodic.
+    background chain of the miss process to be ergodic; the returned
+    metrics carry its stationary vector p' as `stationary`.
 
-    Only the output chain is solved. Its request coordinate is strongly
-    lumpable: every cache operator's hit-reset and miss templates together
-    have unit row sums, so the generator Q' of the output chain satisfies
-    Q' (1 (x) I) = 1 (x) (d0 + d1). The input vector p is therefore the
-    marginal of p' over the TTL-phase blocks, and a reducible input chain
-    makes the output chain reducible too, which the output solve rejects.
+    The request coordinate of the output chain is strongly lumpable: every
+    cache operator's hit-reset and miss templates together have unit row
+    sums, so Q' (1 (x) I) = 1 (x) (d0 + d1) for the output generator Q'.
+    The input vector p is therefore the marginal of p' over the TTL-phase
+    blocks, and a reducible input chain makes the output chain reducible.
+
+    Without `p_in`, the output chain is solved alone (`steady_state`).
+    `p_in` is the stationary vector of the input MAP's background chain,
+    which must be irreducible. Given it, an output chain of `cache_ops` with
+    more than `kron._GTH_MAX` states is solved as a nonsingular system on
+    its IN states (`kron._given_input_solve`), with `steady_state` as the
+    fallback; `_phases_live` shows it irreducible where it can, a graph
+    search otherwise.
 
     Raises
     ------
     DimensionError
         If `output` has a different number of OUT states than `input_map`
-        has states, that is, was not built from `input_map`.
+        has states, that is, was not built from `input_map`, or `p_in`
+        has another length.
     """
     n = input_map.order
     if len(output.out_states) != n:
@@ -61,18 +79,20 @@ def metrics_from_maps(input_map: MarkovArrivalProcess, output: CacheOutput) -> C
             f"cache output has {len(output.out_states)} OUT states but the"
             f" input MAP has {n} states"
         )
+    if p_in is not None and p_in.size != n:
+        raise DimensionError(f"input vector has {p_in.size} entries, not {n}")
     try:
-        p_out = steady_state(output.map.generator)
+        p_out = _output_vector(input_map, output, p_in)
     except NoStationaryDistributionError as exc:
         raise NoStationaryDistributionError(
             f"cache metrics need ergodic background chains: {exc}"
         ) from exc
-    p_in = p_out.entries.reshape(-1, n).sum(axis=0)
+    p_in = p_out.reshape(-1, n).sum(axis=0)
     input_rate = float(_dot(p_in, input_map.d1.row_sums()))
-    miss_rate = float(_dot(p_out.entries, output.map.d1.row_sums()))
+    miss_rate = float(_dot(p_out, output.map.d1.row_sums()))
     miss = miss_rate / input_rate
     in_idx = np.fromiter(output.in_states, dtype=np.int64)
-    occupancy = float(np.sum(p_out.entries[in_idx])) if in_idx.size else 0.0
+    occupancy = float(np.sum(p_out[in_idx])) if in_idx.size else 0.0
     return CacheMetrics(
         hit_probability=1.0 - miss,
         miss_probability=miss,
@@ -80,6 +100,48 @@ def metrics_from_maps(input_map: MarkovArrivalProcess, output: CacheOutput) -> C
         input_rate=input_rate,
         miss_rate=miss_rate,
         expected_inter_miss=1.0 / miss_rate,
+        stationary=p_out,
+    )
+
+
+def _output_vector(
+    input_map: MarkovArrivalProcess, output: CacheOutput, p_in: np.ndarray | None
+) -> np.ndarray:
+    """The output chain's stationary vector, from `p_in` where the route applies."""
+    q = output.map.generator
+    if p_in is None or output.ttl is None or q.rows <= kron._GTH_MAX:
+        return steady_state(q).entries
+    kron._check_generator(q)
+    if not _phases_live(output.ttl, input_map.d1) and not kron._is_irreducible(q):
+        raise NoStationaryDistributionError(
+            "generator is reducible: no unique stationary distribution"
+        )
+    x = kron._given_input_solve(q, p_in, output.ttl.pi.entries, input_map.d1)
+    return steady_state(q).entries if x is None else x
+
+
+def _phases_live(ttl: PhaseTypeDistribution, d1: RateMatrix) -> bool:
+    """Whether a cache output chain is irreducible when its input chain is.
+
+    True when every TTL phase is reachable from supp(pi) through S, every
+    phase reaches absorption through S, and no miss rate pi_l d1_ij
+    underflows. Then, from any state, the TTL runs out on its own and
+    reaches the OUT block; the OUT states reach each other along the input
+    chain's edges (a d1 edge through an IN state and back out); and every
+    IN state (l, i) is reached by a miss into some request state w,
+    installing a phase of supp(pi), then the TTL moving to l while the
+    requests move from w to i by hidden transitions. Such a w exists for
+    every i: on a path of the irreducible input chain from the target of a
+    d1 edge to i, take the target of the last d1 edge. Hit resets are not
+    used, so the argument holds for every policy. False does not show the
+    chain reducible: a reset-on-request hit can lead out of a phase that
+    never absorbs.
+    """
+    pi = ttl.pi.entries
+    entered = reachable(*edges(ttl.s), np.flatnonzero(pi))
+    absorbed = reachable(*reversed_edges(ttl.s), np.flatnonzero(ttl.exit_rates))
+    return bool(
+        entered.all() and absorbed.all() and d1.nnz and pi[pi > 0].min() * d1.data.min() > 0.0
     )
 
 

@@ -17,12 +17,14 @@ the simulator use those objects as they are.
 
 import json
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, reduce
 from pathlib import Path
+
+import numpy as np
 
 from .cache_ops import output_min, output_r, output_sigma
 from .errors import BudgetExceededError, TopologyError, ValidationError
-from .kron import ProbabilityVector, RateMatrix
+from .kron import ProbabilityVector, RateMatrix, steady_state
 from .metrics import CacheMetrics, metrics_from_maps
 from .processes import (
     MarkovArrivalProcess,
@@ -376,8 +378,13 @@ def analyze(
     Walks the DAG children-first: leaf arrival MAPs feed the policy
     input-output operator at each node; a node feeding several parents is
     split by its declared vector; a node with several children superposes
-    their (split) miss MAPs. Refuses, with the offending node and exact
-    dimension, before building anything larger than `budget` states.
+    their (split) miss MAPs. Each node's input vector is known before its
+    own solve: a leaf's is its arrival MAP's stationary vector; a split
+    keeps d0 + d1, so a part has its node's output vector; and `superpose`
+    models its parts as independent, so a join has the Kronecker product of
+    its children's output vectors. `metrics_from_maps` solves each output
+    chain from it. Refuses, with the offending node and exact dimension,
+    before building anything larger than `budget` states.
     """
     if budget <= 0:
         raise ValidationError("budget must be positive")
@@ -399,9 +406,11 @@ def analyze(
         node = topo.nodes[nid]
         if not node.children:
             input_map = topo.arrival_for(obj, nid)
+            p_in = steady_state(input_map.generator).entries
         else:
             parts = [contributions[(child, nid)] for child in node.children]
             input_map = parts[0] if len(parts) == 1 else superpose(parts)
+            p_in = reduce(np.kron, [metrics[child].stationary for child in node.children])
         if node.policy == "MinSigmaR":
             out = output_min(input_map, node.ttl.ph, node.ttl_r.ph)
         else:
@@ -411,7 +420,7 @@ def analyze(
                 f"dimension accounting mismatch at node {nid!r}: realized"
                 f" {input_map.order}->{out.order}, predicted {dims[nid]}"
             )
-        node_metrics = metrics_from_maps(input_map, out)
+        node_metrics = metrics_from_maps(input_map, out, p_in)
         metrics[nid] = node_metrics
         miss_rates[nid] = node_metrics.miss_rate
         parents = topo.parents_of(nid)

@@ -16,7 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .kron import ProbabilityVector, RateMatrix, kron_sum, reachable, steady_state
+from .kron import (
+    ProbabilityVector,
+    RateMatrix,
+    kron_sum,
+    reachable,
+    reversed_edges,
+    steady_state,
+)
 
 __all__ = [
     "MarkovArrivalProcess",
@@ -184,7 +191,7 @@ def validate_map(m: MarkovArrivalProcess) -> ValidationReport:
     diag = d0.diagonal()
     for i in np.nonzero(diag >= 0)[0]:
         problems.append(f"nonnegative d0 diagonal at state {i}")
-    sums = (d0 + d1).row_sums()
+    sums = d0.row_sums() + d1.row_sums()
     for i in np.nonzero(np.abs(sums) > _ROWSUM_TOL)[0]:
         problems.append(f"row {i} of d0+d1 sums to {sums[i]:g}, not 0")
     if not problems and _d0_is_singular(d0, d1):
@@ -205,8 +212,7 @@ def _d0_is_singular(d0: RateMatrix, d1: RateMatrix) -> bool:
     from every leaking state at once, decides it in O(nnz) with no roundoff
     (the diagonal's self-loops reach nothing new).
     """
-    reverse = d0.to_csr().tocsc()
-    return not reachable(reverse.indptr, reverse.indices, np.unique(d1.row_idx)).all()
+    return not reachable(*reversed_edges(d0), np.unique(d1.row_idx)).all()
 
 
 def require_valid(m: MarkovArrivalProcess) -> MarkovArrivalProcess:

@@ -2,12 +2,15 @@
 
     python tests/import_guard.py configs/tree3.json
 
-Imports ttlnet, analyzes the topology, simulates 2e4 leaf events, and after
-each step checks that none of `LAZY` is in `sys.modules`. Then, in the same
-process, it runs each route that imports one of them on first use (the LU
-fallback of the stationary solve, `ph_mean`, `stationary_interval_moments`
-and two renewal queries) against independent values. Exits 0 when all
-checks pass, else with a message naming the first failure.
+Imports ttlnet, analyzes the topology, simulates 2e4 leaf events, and
+analyzes `LARGE`, whose root chain is above the GTH bound, with the
+bordered solve refused, so that its given-input solve must succeed. After
+each step it checks that none of `LAZY` is in `sys.modules`. Then, in the
+same process, it runs each route that imports one of them on first use (the
+LU fallback of the stationary solve, `ph_mean`,
+`stationary_interval_moments` and two renewal queries) against independent
+values. Exits 0 when all checks pass, else with a message naming the first
+failure.
 """
 
 import math
@@ -15,6 +18,18 @@ import sys
 from pathlib import Path
 
 LAZY = ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph", "scipy.special")
+
+# two Poisson leaves with Erlang-3 TTLs (4 output states each) under a
+# Sigma cache with an Erlang-4 TTL: 16 input and 80 output states
+LARGE = {
+    "nodes": [
+        {"id": "A", "policy": "R", "ttl": {"erlang": {"stages": 3, "rate": 3.0}}},
+        {"id": "B", "policy": "Sigma", "ttl": {"erlang": {"stages": 3, "rate": 2.0}}},
+        {"id": "T", "policy": "Sigma", "ttl": {"erlang": {"stages": 4, "rate": 2.0}},
+         "children": ["A", "B"]},
+    ],
+    "arrivals": {"A": {"poisson": 1.0}, "B": {"poisson": 2.0}},
+}
 
 
 def _require_unloaded(step: str) -> None:
@@ -39,6 +54,17 @@ def main(config: str) -> None:
     _require_unloaded("analyze")
     ttlnet.simulate(ttlnet.SimConfig(topology=topo, event_cap=20_000, seed=0))
     _require_unloaded("simulate")
+
+    def refuse(*args):
+        sys.exit("the given-input solve failed: the bordered solve ran")
+
+    bordered = kron._krylov_solve, kron._lu_solve
+    kron._krylov_solve = kron._lu_solve = refuse
+    large = ttlnet.analyze(ttlnet.parse_topology(LARGE))
+    if large.dimensions["T"]["output"] <= kron._GTH_MAX:
+        sys.exit("the large topology has no chain above the GTH bound")
+    kron._krylov_solve, kron._lu_solve = bordered
+    _require_unloaded("the given-input solve")
 
     # LU fallback: GTH declines and BiCGSTAB stalls on every node
     kron._gth = lambda q: None

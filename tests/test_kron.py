@@ -321,6 +321,20 @@ class TestReachable:
         assert np.array_equal(backward, closure[:, start].any(axis=1))
 
 
+class TestEdgeArrays:
+    @given(rows=st.integers(1, 30), cols=st.integers(1, 30), density=st.floats(0.0, 0.5),
+           seed=st.integers(0, 2**31))
+    @settings(max_examples=80, deadline=None)
+    def test_match_scipy(self, rows, cols, density, seed):
+        r = np.random.default_rng(seed)
+        dense = r.uniform(-1.0, 1.0, (rows, cols)) * (r.random((rows, cols)) < density)
+        q = RateMatrix.from_dense(dense)
+        csr = sp.csr_matrix(dense)
+        for (indptr, indices), want in [(kron.edges(q), csr), (kron.reversed_edges(q), csr.tocsc())]:
+            assert np.array_equal(indptr, want.indptr)
+            assert np.array_equal(indices, want.indices)
+
+
 class TestBicgstab:
     """The package's BiCGSTAB loop against scipy's, on steady_state's bordered systems."""
 

@@ -4,25 +4,30 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import random_map, random_ph
-from ttlnet import kron
+from ttlnet import kron, metrics
 from ttlnet import (
     DimensionError,
     Exponential,
     MarkovArrivalProcess,
     NoStationaryDistributionError,
     PhaseTypeDistribution,
+    ProbabilityVector,
     RateMatrix,
     StoppingPolicy,
     hit_miss_renewal,
     metrics_from_maps,
+    mmpp_map,
     occupancy_renewal,
     output_min,
     output_r,
     output_sigma,
     poisson_map,
+    steady_state,
 )
 
 
@@ -173,3 +178,95 @@ class TestStalledKrylovSolve:
         # requests are a renewal process with mean gap 1
         assert_allclose(got.input_rate, 1.0, rtol=1e-10)
         assert_allclose(got.miss_probability, miss_rate, rtol=1e-10)
+
+
+def _ring_mmpp(n: int) -> MarkovArrivalProcess:
+    """n-state MMPP whose modulating chain is a ring with faster forward steps."""
+    q = np.zeros((n, n))
+    for i in range(n):
+        q[i, (i + 1) % n] += 1.0
+        q[i, (i - 1) % n] += 0.5
+    np.fill_diagonal(q, -q.sum(axis=1))
+    return mmpp_map(q, np.linspace(0.5, 2.0, n))
+
+
+# phase 0 absorbs or passes to phase 1; phases 1 and 2 pass the clock
+# between them and never absorb
+_TRAPPED_TTL = PhaseTypeDistribution(
+    RateMatrix.from_dense([[-2.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 1.0, -1.0]]),
+    ProbabilityVector([1.0, 0.0, 0.0]),
+)
+
+
+def _loose_ph(r, order: int) -> PhaseTypeDistribution:
+    """Random PH whose phases may be unreachable from pi or never absorb."""
+    while True:
+        s = r.uniform(0.1, 1.5, (order, order)) * (r.random((order, order)) < 0.4)
+        np.fill_diagonal(s, 0.0)
+        exits = r.uniform(0.2, 1.5, order) * (r.random(order) < 0.5)
+        if exits.any() and np.all(s.sum(axis=1) + exits > 0.0):
+            break
+    s -= np.diag(s.sum(axis=1) + exits)
+    pi = r.dirichlet(np.ones(order)) * (r.random(order) < 0.6)
+    if not pi.any():
+        pi[r.integers(order)] = 1.0
+    return PhaseTypeDistribution(RateMatrix.from_dense(s), ProbabilityVector(pi / pi.sum()))
+
+
+class TestGivenInputSolve:
+    """Output chains above the GTH bound solved from the input vector."""
+
+    def test_trapped_ttl_phase_rejected(self):
+        # a Sigma hit keeps the phase, so phases 1 and 2 never leave the cache
+        m = _ring_mmpp(20)
+        out = output_sigma(m, _TRAPPED_TTL)
+        assert out.order > kron._GTH_MAX
+        assert not metrics._phases_live(out.ttl, m.d1)
+        for p_in in (None, steady_state(m.generator).entries):
+            with pytest.raises(NoStationaryDistributionError, match="reducible"):
+                metrics_from_maps(m, out, p_in)
+
+    def test_reset_frees_trapped_phase(self, monkeypatch):
+        # an R hit restarts the TTL in phase 0, which absorbs: the chain is
+        # irreducible although the structural test cannot show it
+        m = _ring_mmpp(20)
+        out = output_r(m, _TRAPPED_TTL)
+        assert out.order > kron._GTH_MAX
+        assert not metrics._phases_live(out.ttl, m.d1)
+        assert kron._is_irreducible(out.map.generator)
+        bordered = metrics_from_maps(m, out)
+        solved = []
+        real = kron._given_input_solve
+
+        def spy(*args):
+            solved.append(real(*args))
+            return solved[-1]
+
+        monkeypatch.setattr(kron, "_given_input_solve", spy)
+        got = metrics_from_maps(m, out, steady_state(m.generator).entries)
+        assert len(solved) == 1 and solved[0] is not None
+        for name, value in got.to_dict().items():
+            assert_allclose(value, bordered.to_dict()[name], rtol=1e-12, err_msg=name)
+
+    def test_input_vector_length_checked(self):
+        m = _ring_mmpp(20)
+        with pytest.raises(DimensionError):
+            metrics_from_maps(m, output_sigma(m, _TRAPPED_TTL), np.full(19, 1.0 / 19))
+
+    @given(seed=st.integers(0, 2**31), policy=st.sampled_from(["Sigma", "R", "MinSigmaR"]))
+    @settings(max_examples=150, deadline=None)
+    def test_structural_verdict_matches_graph_search(self, seed, policy):
+        r = np.random.default_rng(seed)
+        m = random_map(r, 3)  # irreducible background chain
+        ttl = _loose_ph(r, int(r.integers(1, 5)))
+        if policy == "Sigma":
+            out = output_sigma(m, ttl)
+        elif policy == "R":
+            out = output_r(m, ttl)
+        else:
+            out = output_min(m, ttl, _loose_ph(r, int(r.integers(1, 3))))
+        live = metrics._phases_live(out.ttl, m.d1)
+        irreducible = kron._is_irreducible(out.map.generator)
+        assert irreducible or not live
+        if policy == "Sigma":  # a hit moves no phase: the test is exact
+            assert live == irreducible

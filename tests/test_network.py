@@ -65,6 +65,21 @@ def erlang_tree(stages: int, ttl_speed: float = 1.0) -> dict:
     return {"nodes": nodes, "arrivals": {nid: {"poisson": lam} for nid, _, _, lam in leaves}}
 
 
+def mmpp_line() -> dict:
+    """Depth-7 line fed by a two-state MMPP: an R cache with an exp TTL, then
+    Erlang-2 caches alternating Sigma and R. The last has 2,916 output states."""
+    nodes = [{"id": "N0", "policy": "R", "ttl": {"exp": 1.0}}]
+    for i in range(1, 7):
+        nodes.append({
+            "id": f"N{i}",
+            "policy": ("Sigma", "R")[i % 2],
+            "ttl": {"erlang": {"stages": 2, "rate": 2.0 + 0.3 * i}},
+            "children": [f"N{i - 1}"],
+        })
+    mmpp = {"q": [[-0.5, 0.5], [1.0, -1.0]], "rates": [4.0, 0.5]}
+    return {"nodes": nodes, "arrivals": {"N0": {"mmpp": mmpp}}}
+
+
 class TestParsing:
     def test_line_document(self):
         topo = parse_topology(json.dumps(LINE2))
@@ -410,7 +425,9 @@ class TestSolverPaths:
             stalls.append(b.size)
             return x, 1  # positive info: no convergence
 
-        monkeypatch.setattr(ttlnet.kron, "_gth", lambda q: None)  # small nodes too
+        # every node takes the bordered route: small nodes and large ones too
+        monkeypatch.setattr(ttlnet.kron, "_gth", lambda q: None)
+        monkeypatch.setattr(ttlnet.kron, "_given_input_solve", lambda *args: None)
         monkeypatch.setattr(ttlnet.kron, "_bicgstab", stall)
         lu = analyze(topo)
         assert len(stalls) == len(topo.nodes)
@@ -418,6 +435,52 @@ class TestSolverPaths:
             want = lu.metrics[nid].to_dict()
             for name, value in metrics.to_dict().items():
                 assert_allclose(value, want[name], rtol=1e-9, err_msg=f"{nid}.{name}")
+
+
+class TestGivenInputSolve:
+    """Output chains above the GTH bound are solved from their input vectors."""
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            pytest.param(erlang_tree(5), id="erlang5-tree"),
+            pytest.param(erlang_tree(4), id="map-large-tree"),
+            pytest.param(mmpp_line(), id="map-large-line"),
+        ],
+    )
+    def test_no_bordered_solve(self, monkeypatch, doc):
+        def refuse(*args):
+            raise AssertionError("bordered solve called")
+
+        monkeypatch.setattr(ttlnet.kron, "_krylov_solve", refuse)
+        monkeypatch.setattr(ttlnet.kron, "_lu_solve", refuse)
+        res = analyze(parse_topology(doc))
+        assert max(d["output"] for d in res.dimensions.values()) > ttlnet.kron._GTH_MAX
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            pytest.param(LINE2, id="line2"),
+            pytest.param(TREE3, id="tree3"),
+            pytest.param(erlang_tree(3), id="erlang3-tree"),
+            pytest.param(erlang_tree(4), id="map-large-tree"),
+            pytest.param(mmpp_line(), id="map-large-line"),
+        ],
+    )
+    def test_agrees_with_bordered_solve(self, monkeypatch, doc):
+        topo = parse_topology(doc)
+        given = analyze(topo)
+        monkeypatch.setattr(ttlnet.kron, "_given_input_solve", lambda *args: None)
+        bordered = analyze(topo)
+        for nid, metrics in given.metrics.items():
+            want = bordered.metrics[nid].to_dict()
+            for name, value in metrics.to_dict().items():
+                assert_allclose(value, want[name], rtol=1e-12, err_msg=f"{nid}.{name}")
+
+    def test_k12_tree_without_lu(self, monkeypatch):
+        _forbid_lu(monkeypatch)
+        res = analyze(parse_topology(erlang_tree(12)), budget=250_000)
+        assert res.dimensions["T"]["output"] == 228_488
 
 
 class TestSplitMergeRoundTrip:
