@@ -111,6 +111,13 @@ def _read_config(path: str):
 
 def cmd_analyze(args) -> int:
     topo = _read_config(args.config)
+    for join, above in topo.reconvergent.items():
+        sys.stderr.write(
+            f"warning: reconvergent join {join!r}: its children share an upstream node, but"
+            " the analysis treats their streams as independent; not exact: "
+            + ", ".join(map(repr, (join, *above)))
+            + "\n"
+        )
     object_ids = [args.object] if args.object else [o.id for o in topo.objects]
     results = [analyze(topo, oid, budget=args.budget) for oid in object_ids]
     payload = {"command": "analyze", "results": [r.to_dict() for r in results]}

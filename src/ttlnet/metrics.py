@@ -47,8 +47,9 @@ def metrics_from_maps(
     """Hit/miss probabilities, occupancy, and rates of a MAP cache.
 
     The miss probability is the ratio of the stationary miss rate
-    p' d1' 1 to the stationary request rate p d1 1; the occupancy is the
-    stationary mass of the IN states of the miss process. Requires the
+    p' d1' 1 to the stationary request rate p d1 1, the hit probability
+    that of the request rate over the IN states, p'_IN (1 (x) d1 1); the
+    occupancy is the stationary mass of the IN states of the miss process. Requires the
     background chain of the miss process to be ergodic; the returned
     metrics carry its stationary vector p' as `stationary`.
 
@@ -87,15 +88,18 @@ def metrics_from_maps(
         raise NoStationaryDistributionError(
             f"cache metrics need ergodic background chains: {exc}"
         ) from exc
-    p_in = p_out.reshape(-1, n).sum(axis=0)
-    input_rate = float(_dot(p_in, input_map.d1.row_sums()))
+    # the OUT block, then one block of request states per TTL phase (IN)
+    blocks = p_out.reshape(-1, n)
+    cached = blocks[1:].sum(axis=0)
+    requests = input_map.d1.row_sums()
+    input_rate = float(_dot(blocks.sum(axis=0), requests))
     miss_rate = float(_dot(p_out, output.map.d1.row_sums()))
-    miss = miss_rate / input_rate
-    in_idx = np.fromiter(output.in_states, dtype=np.int64)
-    occupancy = float(np.sum(p_out[in_idx])) if in_idx.size else 0.0
+    # the hit flow itself, not 1 - miss, keeps relative accuracy when hits are rare
+    hit_rate = float(_dot(cached, requests))
+    occupancy = float(cached.sum())
     return CacheMetrics(
-        hit_probability=1.0 - miss,
-        miss_probability=miss,
+        hit_probability=hit_rate / input_rate,
+        miss_probability=miss_rate / input_rate,
         occupancy=occupancy,
         input_rate=input_rate,
         miss_rate=miss_rate,

@@ -136,6 +136,8 @@ class Topology:
     nodes: dict  # id -> CacheNode, in declaration order
     arrivals: dict  # leaf id -> MarkovArrivalProcess
     objects: tuple[ObjectSpec, ...]
+    # reconvergent join id -> ids of the nodes above it (`_reconvergent_joins`)
+    reconvergent: dict = field(default_factory=dict)
 
     @property
     def node_order(self) -> list[str]:
@@ -262,7 +264,7 @@ def parse_topology(document) -> Topology:
         overrides[oid] = {} if isinstance(entry, str) else entry.get("arrivals", {})
 
     graph = Topology(nodes=nodes, arrivals={}, objects=())  # the structure checks read only nodes
-    graph.topological_order()  # cycle check
+    reconvergent = _reconvergent_joins(graph)  # also the cycle check
 
     leaves = set(graph.leaves)
     for leaf in leaves:
@@ -302,7 +304,30 @@ def parse_topology(document) -> Topology:
         })
         for oid, specs in overrides.items()
     )
-    return Topology(nodes=nodes, arrivals=arrivals, objects=objects)
+    return Topology(nodes=nodes, arrivals=arrivals, objects=objects, reconvergent=reconvergent)
+
+
+def _reconvergent_joins(graph: Topology) -> dict:
+    """Joins whose children's sub-DAGs share a node, each with the nodes above it.
+
+    `superpose` models a join's inputs as independent streams. Below a
+    reconvergent join they share a node, so they are correlated, and the
+    join's metrics and those of every node above it are not exact. One pass
+    in topological order collects each node's sub-DAG (the node and every
+    node below it); raises on cycles.
+    """
+    below: dict[str, set] = {}
+    joins = []
+    for nid in graph.topological_order():
+        seen: set = set()
+        for child in graph.nodes[nid].children:
+            if seen & below[child] and nid not in joins:
+                joins.append(nid)
+            seen |= below[child]
+        below[nid] = seen | {nid}
+    return {
+        join: tuple(nid for nid in below if nid != join and join in below[nid]) for join in joins
+    }
 
 
 def state_space_size(topo: Topology, object_id: str | None = None) -> dict:

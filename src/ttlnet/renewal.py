@@ -15,50 +15,52 @@ independent under the tilt.
 
 E[tau], the mean in-cache time and E[exp(-omega S_tau)] are three readings
 of one cycle. R has closed forms for every law pair. For Sigma and
-min(Sigma, R), `_cycle` is the one place that picks the route; the first row
-that matches wins:
+min(Sigma, R), `_cycle` is the one place that picks the route. A Sigma
+cache is a min(Sigma, R) cache whose R TTL never fires ("none" below). After
+the closed forms (Sigma with Exponential requests or an Exponential TTL, min
+with all three laws Exponential) the first row that matches wins:
 
-======  =============  ==========================  =========================
-policy  requests X     TTL law(s)                  route
-======  =============  ==========================  =========================
-Sigma   Exponential    any                         closed form
-Sigma   any            Exponential                 closed form (R's, by
-                                                   memorylessness)
-Sigma   Deterministic  Exponential, Erlang, Det.   deterministic requests
-Sigma   Deterministic  Tabulated                   survival sum
-Sigma   Erlang         Deterministic               delay equation
-Sigma   Erlang         Erlang                      phase-type
-min     Exponential    both Exponential            closed form
-min     Deterministic  Exponential, Erlang, Det.   deterministic requests
-min     Exp., Erlang   both Deterministic          delay equation
-min     Exp., Erlang   both Exponential or Erlang  phase-type
-======  =============  ==========================  =========================
+=============  ==================  ======================  ==================
+requests X     Sigma TTL           R TTL                   route
+=============  ==================  ======================  ==================
+Exp., Erlang   Exp., Erlang        Exp., Erlang, none      miss chain
+any            Exp., Erlang        any                     matrix-geometric
+Det., Tab.     Det., Tab.          any                     partial sums
+Exp., Erlang   Det., Tab.          Tabulated               refused
+Exp., Erlang   Det., Tab.          Deterministic           delay equation
+Exp., Erlang   Det., Tab.          Exp., Erlang, none      alive chain
+=============  ==================  ======================  ==================
 
-Every other case (a Tabulated law, or Exponential/Erlang requests under min
-with one Deterministic and one Exponential/Erlang TTL) falls back: E[tau] and
-the occupancy run the stopping rule by Monte Carlo, the Sigma transform sums
-a tilted convolution series and the min transform runs Monte Carlo under the
-tilted measure. A route over its size limit falls back the same way, except
-that Sigma with deterministic requests then takes the survival sum. The
+Every value is exact (E[tau] and the transform come back as
+`MonteCarloValue`s with stderr 0). Deterministic and Tabulated laws are
+atoms: one at the value, or one at each cell midpoint (i + 1/2) step. A
+Tabulated Sigma TTL is drawn once per cycle, so each reading is the
+mass-weighted mixture over its atoms of the Deterministic-TTL reading. The
 routes:
 
-* deterministic requests X = d: P(tau > k) = P(T_Sigma >= k d)
-  P(T_R >= d)^k, a matrix-geometric sum for an Exponential or Erlang Sigma
-  TTL and a finite sum for a deterministic one. Sigma is the case of an R
-  TTL that never fires.
-* delay equation: for Exponential or Erlang requests under Deterministic
-  TTLs, the cached mass over request phases solves a linear delay equation,
-  solved exactly by the method of steps with Van Loan block exponentials.
-* phase-type (PH): Exponential and Erlang laws are PH, so the requests form
-  a renewal MAP, `cache_ops` builds the cache's miss process exactly, and one
-  sparse solve over one inter-miss interval of that process gives the cycle,
-  as long as its chain has at most `network.DEFAULT_BUDGET` states. Near that
-  budget a query takes about as long as the 1e6-sample Monte Carlo it
-  replaces and up to about 100 MB for the chain and its factors, where the
-  Monte Carlo needs about 30 MB.
-* survival sum: E[tau] = sum over k >= 0 of P(T >= k d), term by term.
+* miss chain: Exponential and Erlang laws are phase-type (PH), so the
+  requests form a renewal MAP, `cache_ops` builds the cache's miss process
+  exactly, and one sparse solve over one inter-miss interval of that process
+  gives the cycle (`_ph_cycle`).
+* matrix-geometric: with a PH(alpha, S) Sigma TTL, P(tau > k) = alpha K^k 1
+  for one matrix K = E[e^{S X} 1{X <= T_R}], a sum over the atoms of X, or
+  over those of T_R for PH requests (`_ph_sigma`).
+* partial sums: for requests on atoms, the weight of each partial sum of
+  requests that were all hits, by repeated convolution, read against the
+  Sigma TTL's atoms in one pass (`_atom_requests`).
+* delay equation: for PH requests under a Deterministic R TTL, the cached
+  mass over request phases solves a linear delay equation, solved exactly by
+  the method of steps with Van Loan block exponentials; a Tabulated Sigma
+  TTL takes it atom by atom (`_deterministic_ttls`).
+* alive chain: for PH requests under a PH R TTL or none, (request phase,
+  R phase) is a Markov chain until eviction, and one Van Loan block
+  exponential per Sigma atom gives the cycle (`_alive_chain`).
 
-The two dense routes are millisecond-scale computations.
+PH requests with a Deterministic or Tabulated Sigma TTL and a Tabulated R
+TTL would need a delay equation with one delay per atom; they raise
+`ValidationError`. A route that would exceed its size limit raises
+`BudgetExceededError`: a miss chain over `network.DEFAULT_BUDGET` states, a
+dense matrix over `_DENSE_MAX` or more than `_MAX_STEPS` partial sums.
 """
 
 import functools
@@ -73,11 +75,7 @@ import scipy.sparse as sp
 # that use them: `import ttlnet`, analyze and simulate need none of them.
 
 from .cache_ops import output_min, output_sigma
-from .errors import (
-    ConvergenceError,
-    DivergentStoppingTimeError,
-    ValidationError,
-)
+from .errors import BudgetExceededError, DivergentStoppingTimeError, ValidationError
 from .kron import RateMatrix, _dot
 from .network import DEFAULT_BUDGET
 from .processes import MarkovArrivalProcess, PhaseTypeDistribution
@@ -92,7 +90,6 @@ __all__ = [
     "StoppingPolicy",
     "MonteCarloValue",
     "RenewalHitMiss",
-    "combine_estimates",
     "tilt",
     "transform_r",
     "transform_sigma",
@@ -103,9 +100,6 @@ __all__ = [
     "expected_tau",
     "table1_reference",
 ]
-
-_TAIL_EPS = 1e-9
-
 
 class RenewalSpec:
     """One-dimensional inter-event (or TTL) distribution descriptor."""
@@ -135,8 +129,9 @@ class RenewalSpec:
         """Smallest x with P(X > x) <= eps."""
         raise NotImplementedError
 
-    def integral_survival(self, x: float) -> float:
-        """Integral of P(X > u) over u in [0, x]; equals E[min(X, x)]."""
+    def integral_survival(self, x):
+        """Integral of P(X > u) over u in [0, x], E[min(X, x)]; accepts
+        scalars or arrays."""
         raise NotImplementedError
 
 
@@ -175,7 +170,7 @@ class Exponential(RenewalSpec):
         return -math.log(eps) / self.rate
 
     def integral_survival(self, x):
-        return float(-np.expm1(-self.rate * x) / self.rate)
+        return -np.expm1(-self.rate * np.asarray(x, dtype=float)) / self.rate
 
 
 @dataclass(frozen=True)
@@ -202,6 +197,14 @@ class Deterministic(RenewalSpec):
         x = np.asarray(x, dtype=float)
         return np.where(x <= self.value, 1.0, 0.0)
 
+    @property
+    def points(self) -> np.ndarray:
+        return np.array([self.value])
+
+    @property
+    def masses(self) -> np.ndarray:
+        return np.ones(1)
+
     def sample(self, rng, size=None):
         if size is None:
             return self.value
@@ -211,7 +214,7 @@ class Deterministic(RenewalSpec):
         return self.value
 
     def integral_survival(self, x):
-        return min(x, self.value)
+        return np.minimum(x, self.value)
 
 
 @dataclass(frozen=True)
@@ -267,7 +270,8 @@ class Erlang(RenewalSpec):
         from scipy.special import gammainc
 
         js = np.arange(1, self.stages + 1)
-        return float(np.sum(gammainc(js, self.rate * x))) / self.rate
+        y = self.rate * np.asarray(x, dtype=float)[..., None]
+        return gammainc(js, y).sum(axis=-1) / self.rate
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,12 +336,13 @@ class Tabulated(RenewalSpec):
         return float(self.points[idx])
 
     def integral_survival(self, x):
-        # survival is a step function dropping at each atom
-        pts, masses = self.points, self.masses
-        surv_left = 1.0 - np.concatenate([[0.0], np.cumsum(masses)[:-1]])
-        prev = np.concatenate([[0.0], pts[:-1]])
-        seg = np.minimum(pts, x) - np.minimum(prev, x)
-        return float(np.dot(np.clip(seg, 0.0, None), surv_left))
+        # the survival is tail[j] between atom j - 1 and atom j (edges[j])
+        tail = 1.0 - np.concatenate([[0.0], np.cumsum(self.masses)])
+        edges = np.concatenate([[0.0], self.points])
+        area = np.concatenate([[0.0], np.cumsum(tail[:-1] * np.diff(edges))])
+        x = np.asarray(x, dtype=float)
+        j = np.searchsorted(self.points, x, side="right")
+        return area[j] + tail[j] * (x - edges[j])
 
     def __eq__(self, other):
         if not isinstance(other, Tabulated):
@@ -418,25 +423,11 @@ class StoppingPolicy:
 
 
 class MonteCarloValue(NamedTuple):
+    """A renewal value and its standard error; every route is exact, so the
+    engine returns stderr 0."""
+
     value: float
     stderr: float
-
-
-def combine_estimates(estimates) -> MonteCarloValue:
-    """Merge independent Monte-Carlo estimates by inverse-variance weighting.
-
-    An estimate with stderr 0 is exact and is returned as-is.
-    """
-    estimates = list(estimates)
-    if not estimates:
-        raise ValidationError("no estimates to combine")
-    for est in estimates:
-        if est.stderr == 0.0:
-            return est
-    weights = [1.0 / est.stderr**2 for est in estimates]
-    total = sum(weights)
-    value = sum(w * est.value for w, est in zip(weights, estimates)) / total
-    return MonteCarloValue(value, math.sqrt(1.0 / total))
 
 
 @dataclass(frozen=True)
@@ -450,9 +441,9 @@ class _Cycle(NamedTuple):
     """One inter-miss cycle: E[tau], the mean in-cache time and
     E[exp(-omega S_tau)].
 
-    Read `tau` and `in_cache` only from a cycle built at omega = 0: the PH
-    route's state occupation is discounted by exp(-omega t), so at omega > 0
-    its two are discounted as well.
+    Read `tau` and `in_cache` only from a cycle built at omega = 0: at
+    omega > 0 routes discount them by exp(-omega t) or skip the in-cache
+    time (nan).
     """
 
     tau: float
@@ -460,13 +451,15 @@ class _Cycle(NamedTuple):
     transform: float
 
 
-# A TTL that never fires: Sigma is min(Sigma, R) with it as R, and R with it as Sigma.
+# A TTL that never fires: Sigma is min(Sigma, R) with it as R.
 _NEVER = Deterministic(math.inf)
+# The phase-type laws: the miss chain and the alive chain take them as PH.
+_PH_LAWS = (Exponential, Erlang)
 
 
-def _cycle(x: RenewalSpec, policy: StoppingPolicy, omega: float) -> _Cycle | None:
-    """One Sigma or min(Sigma, R) cycle by the first exact route of the
-    module docstring's table, or None where the table falls back."""
+def _cycle(x: RenewalSpec, policy: StoppingPolicy, omega: float) -> _Cycle:
+    """One Sigma or min(Sigma, R) cycle by the first route of the module
+    docstring's table that matches; raises where the table refuses."""
     if policy.tag == "Sigma":
         t_sigma, t_r = policy.ttl, _NEVER
         if isinstance(x, Exponential):
@@ -486,29 +479,40 @@ def _cycle(x: RenewalSpec, policy: StoppingPolicy, omega: float) -> _Cycle | Non
         if all(isinstance(law, Exponential) for law in (x, t_sigma, t_r)):
             lam, rate = x.rate, t_sigma.rate + t_r.rate
             return _Cycle(1.0 + lam / rate, 1.0 / rate, lam / (lam + omega) * rate / (rate + omega))
-    cycle = _deterministic_route(x, t_sigma, t_r, omega)
-    if cycle is None and policy.tag == "Sigma" and isinstance(x, Deterministic):
-        cycle = _sigma_deterministic_requests(x, t_sigma, omega)
-    return cycle if cycle is not None else _ph_cycle(x, policy, omega)
+    ph_requests = isinstance(x, _PH_LAWS)
+    if isinstance(t_sigma, _PH_LAWS):
+        if ph_requests and (t_r is _NEVER or isinstance(t_r, _PH_LAWS)):
+            return _ph_cycle(x, policy, omega)
+        return _ph_sigma(x, t_sigma, t_r, omega)
+    if not ph_requests:
+        return _atom_requests(x, t_sigma, t_r, omega)
+    if isinstance(t_r, Tabulated):
+        raise ValidationError(
+            f"no exact route for {x.kind} requests under min({t_sigma.kind} Sigma TTL, "
+            "tabulated R TTL): it would need a delay equation with one delay per atom"
+        )
+    if t_r is _NEVER or not isinstance(t_r, Deterministic):
+        return _alive_chain(x, t_sigma, t_r, omega)
+    # Deterministic R TTL: the delay equation, atom by atom of the Sigma TTL
+    cycles = [_deterministic_ttls(x, c, t_r.value, omega) for c in t_sigma.points]
+    return _Cycle(*map(float, t_sigma.masses @ np.array(cycles)))
 
 
 @functools.lru_cache(maxsize=8)
-def _rest_cycle(x: RenewalSpec, policy: StoppingPolicy) -> _Cycle | None:
+def _rest_cycle(x: RenewalSpec, policy: StoppingPolicy) -> _Cycle:
     """`_cycle` at omega = 0, kept for the last few queries: `expected_tau`
     and `occupancy_renewal` of one query read the same cycle, and on the
     phase-type route building it builds and factors the miss chain."""
     return _cycle(x, policy, 0.0)
 
 
-def _as_ph(law: RenewalSpec) -> PhaseTypeDistribution | None:
+def _as_ph(law: RenewalSpec) -> PhaseTypeDistribution:
     if isinstance(law, Exponential):
         return PhaseTypeDistribution.exponential(law.rate)
-    if isinstance(law, Erlang):
-        return PhaseTypeDistribution.erlang(law.stages, law.rate)
-    return None
+    return PhaseTypeDistribution.erlang(law.stages, law.rate)
 
 
-def _ph_cycle(x: RenewalSpec, policy: StoppingPolicy, omega: float) -> _Cycle | None:
+def _ph_cycle(x: RenewalSpec, policy: StoppingPolicy, omega: float) -> _Cycle:
     """The cycle from the discounted state occupation of the exact miss chain.
 
     Exponential and Erlang laws are phase-type: requests with a PH(alpha, S)
@@ -524,19 +528,17 @@ def _ph_cycle(x: RenewalSpec, policy: StoppingPolicy, omega: float) -> _Cycle | 
     (Wald) and the sum of z over the IN states is the in-cache time, and
     z D1' 1 = E[exp(-omega S)].
 
-    Returns None, building nothing, when a law is not PH or the miss chain
-    would exceed `DEFAULT_BUDGET` states.
+    Every law must be phase-type. Raises `BudgetExceededError`, building
+    nothing, when the miss chain would exceed `DEFAULT_BUDGET` states.
     """
     from scipy.sparse.linalg import splu
 
     ttls = (policy.ttl,) if policy.ttl is not None else (policy.ttl_sigma, policy.ttl_r)
-    phs = [_as_ph(law) for law in (x, *ttls)]
-    if any(ph is None for ph in phs):
-        return None
-    ph_x, *ph_ttls = phs
+    ph_x, *ph_ttls = [_as_ph(law) for law in (x, *ttls)]
     n = ph_x.order
-    if n * (math.prod(t.order for t in ph_ttls) + 1) > DEFAULT_BUDGET:
-        return None
+    size = n * (math.prod(t.order for t in ph_ttls) + 1)
+    if size > DEFAULT_BUDGET:
+        raise BudgetExceededError("renewal", size, DEFAULT_BUDGET, "miss chain")
     exits = np.flatnonzero(ph_x.exit_rates)
     starts = np.flatnonzero(ph_x.pi.entries)
     d1 = RateMatrix.from_arrays(
@@ -567,110 +569,219 @@ def _ph_cycle(x: RenewalSpec, policy: StoppingPolicy, omega: float) -> _Cycle | 
     return _Cycle(float(z.sum()) / x.mean, float(z[n:].sum()), float(transform))
 
 
-# Largest dense matrix the deterministic-law routes exponentiate or factor:
-# an `expm` of this size takes tens of ms (2-vCPU host), a fraction of the
-# 1e6-sample Monte Carlo (about 0.1 s a call) that larger cases keep.
+# Largest dense matrix the other routes exponentiate or factor: an `expm` of
+# this size takes tens of ms (2-vCPU host).
 _DENSE_MAX = 200
-# Most steps the finite sums for deterministic requests take; the Monte Carlo
-# would need as many rounds per replication.
+# Most partial sums the atom routes enumerate.
 _MAX_STEPS = 1_000_000
-# Cached mass below which the method of steps stops.
+# Cached mass below which the method of steps and the partial-sum
+# convolutions stop.
 _MASS_EPS = 1e-15
 
 
-def _expm_integral(a: np.ndarray, b: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """e^{a h} and the integral of e^{a t} b over t in [0, h], from one block
-    exponential (Van Loan 1978, "Computing integrals involving the matrix
-    exponential")."""
-    from scipy.linalg import expm
+def _dense(size: int) -> None:
+    if size > _DENSE_MAX:
+        raise BudgetExceededError("renewal", size, _DENSE_MAX, "dense block")
 
+
+def _van_loan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The block [[a, b], [0, 0]]: its exponential at h holds e^{a h} and the
+    integral of e^{a t} b over t in [0, h] (Van Loan 1978, "Computing
+    integrals involving the matrix exponential")."""
     n, k = b.shape
     block = np.zeros((n + k, n + k))
     block[:n, :n] = a
     block[:n, n:] = b
-    e = expm(block * h)
+    return block
+
+
+def _expm_integral(a: np.ndarray, b: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """e^{a h} and the integral of e^{a t} b over t in [0, h]."""
+    from scipy.linalg import expm
+
+    n = a.shape[0]
+    e = expm(_van_loan(a, b) * h)
     return e[:n, :n], e[:n, n:]
 
 
-def _ph_arrays(law: RenewalSpec) -> tuple[np.ndarray, np.ndarray]:
-    ph = _as_ph(law)
-    return ph.pi.entries, ph.s.to_dense()
-
-
-def _deterministic_route(
-    x: RenewalSpec, t_sigma: RenewalSpec, t_r: RenewalSpec, omega: float
-) -> _Cycle | None:
-    """The deterministic-requests and delay-equation routes, or None.
-
-    Sigma passes t_r = `_NEVER`. Returns None for the laws these routes do
-    not cover, where a dense block would exceed `_DENSE_MAX` states and where
-    the finite sums would exceed `_MAX_STEPS` terms.
-    """
-    ttls = (t_sigma, t_r)
-    if isinstance(x, Deterministic) and all(
-        isinstance(t, (Exponential, Erlang, Deterministic)) for t in ttls
-    ):
-        return _deterministic_requests(x.value, t_sigma, t_r, omega)
-    if isinstance(x, (Exponential, Erlang)) and all(isinstance(t, Deterministic) for t in ttls):
-        return _deterministic_ttls(x, t_sigma.value, t_r.value, omega)
-    return None
-
-
-def _deterministic_requests(
-    d: float, t_sigma: RenewalSpec, t_r: RenewalSpec, omega: float
-) -> _Cycle | None:
-    """Requests X = d under min(Sigma, R).
-
-    Step k + 1 starts with the object cached with probability
-    P(tau > k) = P(T_Sigma >= k d) p_r^k, p_r = P(T_R >= d), and holds it
-    for min(d, T_R, T_Sigma - k d); S_tau = tau d. A PH T_Sigma (alpha, S)
-    gives, with E = e^{S d} and z = e^{-omega d}, E[tau] =
-    alpha (I - p_r E)^{-1} 1, E[z^tau] = z alpha (I - z p_r E)^{-1}
-    (I - p_r E) 1 and in-cache time (alpha (I - p_r E)^{-1} (x) alpha_R)
-    int_0^d e^{(S (+) S_R) v} dv 1. A Deterministic T_Sigma makes these
-    finite sums over `survival_geq(k d)`, with the ties of
-    `_sigma_deterministic_requests`: a request at exactly the TTL is a hit.
-    """
+def _expm_mix(a: np.ndarray, law: RenewalSpec, weights: np.ndarray) -> np.ndarray:
+    """The sum of weights[i] e^{a x_i} over the atoms x_i of a Deterministic
+    or Tabulated law. On a Tabulated grid the exponentials come from
+    e^{a step / 2} by repeated products with e^{a step}."""
     from scipy.linalg import expm
 
-    p_r = float(t_r.survival_geq(d))
-    z = math.exp(-omega * d)
-    if isinstance(t_sigma, Deterministic):
-        steps = math.floor(t_sigma.value / d) + 3
-        if steps > _MAX_STEPS:
-            return None
-        k = np.arange(steps)
-        cached = t_sigma.survival_geq(k * d)
-        alive = cached * p_r**k  # P(tau > k); the last entries are 0
-        last = int(cached.sum()) - 1  # the step that T_Sigma cuts short
-        full = t_r.integral_survival(d)
-        cut = t_r.integral_survival(min(d, t_sigma.value - last * d))
-        in_cache = full * alive[:last].sum() + cut * alive[last]
-        transform = float(z ** k[1:] @ (alive[:-1] - alive[1:]))
-        return _Cycle(float(alive.sum()), float(in_cache), transform)
-    alpha, s_sigma = _ph_arrays(t_sigma)
-    if isinstance(t_r, Deterministic):
-        # T_R > v for every v < c_R: one phase that never leaves, up to c_R
-        alpha_r, s_r, horizon = np.ones(1), np.zeros((1, 1)), min(d, t_r.value)
+    _dense(a.shape[0])
+    (used,) = np.nonzero(weights)
+    if used.size == 0:
+        return np.zeros_like(a)
+    if isinstance(law, Deterministic):
+        return weights[0] * expm(a * law.value)
+    power, step = expm(a * (law.step / 2)), expm(a * law.step)
+    total = weights[0] * power
+    for w in weights[1 : used[-1] + 1]:
+        power = power @ step
+        total += w * power
+    return total
+
+
+def _ph_arrays(law: RenewalSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha, S) of an Exponential or Erlang law, stage 1 first; `_NEVER` is
+    one phase that never leaves."""
+    if law is _NEVER:
+        return np.ones(1), np.zeros((1, 1))
+    stages = law.stages if isinstance(law, Erlang) else 1
+    return np.eye(stages)[0], law.rate * (np.eye(stages, k=1) - np.eye(stages))
+
+
+def _censored(m: np.ndarray, v: RenewalSpec, w: RenewalSpec, ties: bool) -> np.ndarray:
+    """E[e^{m V} 1{V <= W}] for independent V and W (1{V < W} without ties).
+
+    V on atoms sums over them. A PH(beta, T) V, t = -T 1, against W on
+    atoms is (beta (x) I) C^{-1} (E[e^{C W}] - I) (t (x) I) with C = T (+) m,
+    the integral of its density times e^{m v} up to W; W = `_NEVER` makes
+    E[e^{C W}] = 0. The case of two phase-type laws belongs to the miss
+    chain route.
+    """
+    if v is _NEVER:
+        return np.zeros_like(m)
+    if not isinstance(v, (Tabulated, Deterministic)):
+        beta, t = _ph_arrays(v)
+        eye = np.eye(m.shape[0])
+        _dense(beta.size * m.shape[0])
+        c = np.kron(t, eye) + np.kron(np.eye(beta.size), m)
+        reach = _expm_mix(c, w, w.masses) if w is not _NEVER else np.zeros_like(c)
+        exits = np.kron(-t.sum(axis=1)[:, None], eye)
+        return np.kron(beta, eye) @ np.linalg.solve(c, (reach - np.eye(c.shape[0])) @ exits)
+    beyond = w.survival_geq(v.points) if ties else 1.0 - w.cdf(v.points)
+    return _expm_mix(m, v, v.masses * beyond)
+
+
+def _ph_sigma(x: RenewalSpec, t_sigma: RenewalSpec, t_r: RenewalSpec, omega: float) -> _Cycle:
+    """A PH(alpha, S) Sigma TTL with requests or R TTL off the phase-type route.
+
+    Step k ends with the object still cached iff S_k <= T_Sigma and every
+    request so far was a hit (X <= T_R), so P(tau > k) = alpha K^k 1 with
+    K_omega = E[e^{-omega X} e^{S X} 1{X <= T_R}], K = K_0 (`_censored`).
+    Then E[tau] = alpha (I - K)^{-1} 1, the transform is
+    alpha (I - K_omega)^{-1} (L_omega(X) 1 - K_omega 1), and the in-cache
+    time is alpha (I - K)^{-1} times the integral of P(X > v) P(T_R > v)
+    e^{S v} 1 over v >= 0, which is S^{-1} (E[e^{S min(X, T_R)}] - I) 1 =
+    S^{-1} (K + E[e^{S T_R} 1{T_R < X}] - I) 1.
+    """
+    alpha, s = _ph_arrays(t_sigma)
+    eye, ones = np.eye(alpha.size), np.ones(alpha.size)
+    k = _censored(s - omega * eye, x, t_r, ties=True)
+    w = np.linalg.solve((eye - k).T, alpha)  # alpha (I - K)^{-1}
+    transform = w @ (x.laplace(omega) * ones - k @ ones)
+    in_cache = math.nan
+    if omega == 0.0:
+        held = np.linalg.solve(s, (k + _censored(s, t_r, x, ties=False) - eye) @ ones)
+        in_cache = float(w @ held)
+    return _Cycle(float(w.sum()), in_cache, float(transform))
+
+
+def _held(x: RenewalSpec, t_r: RenewalSpec, u: np.ndarray) -> np.ndarray:
+    """E[min(X, T_R, u)] for X on atoms, elementwise in u >= 0."""
+    j = np.searchsorted(x.points, u, side="right")  # atoms at or below u
+    below = np.concatenate([[0.0], np.cumsum(x.masses * t_r.integral_survival(x.points))])
+    above = 1.0 - np.concatenate([[0.0], np.cumsum(x.masses)])
+    return below[j] + above[j] * t_r.integral_survival(u)
+
+
+def _partial_sums(x: Tabulated, hits: np.ndarray, horizon: float):
+    """Positions s and weights Q(s) = sum over k of P(S_k = s, the first k
+    requests all hits) for s <= horizon, by repeated convolution.
+
+    S_k sits at (j + k / 2) step, so Q lives on the half-step lattice. A
+    convolution stops once the weight it carries drops below `_MASS_EPS`.
+    """
+    half = x.step / 2
+    size = math.floor(horizon / half) + 1
+    if size > _MAX_STEPS:
+        raise BudgetExceededError("renewal", size, _MAX_STEPS, "partial sums")
+    hits = hits[: size // 2 + 1]  # the atoms at or below the horizon, and one more
+    total = np.zeros(size)
+    q, k = np.ones(1), 0
+    while q.size and q.sum() >= _MASS_EPS:
+        total[k::2][: q.size] += q
+        k += 1
+        q = np.convolve(q, hits)[: (size - 1 - k) // 2 + 1]
+    return np.arange(size) * half, total
+
+
+def _atom_requests(x: RenewalSpec, t_sigma: RenewalSpec, t_r: RenewalSpec, omega: float) -> _Cycle:
+    """Requests on atoms under a Deterministic or Tabulated Sigma TTL.
+
+    With Q(s) from `_partial_sums` (for X = d, Q(k d) = p^k, p = P(T_R >= d))
+    P(tau > k) sums Q over the step-k partial sums s with P(T_Sigma >= s): a
+    request exactly at a TTL is a hit. E[tau] = sum of Q(s) P(T_Sigma >= s),
+    the transform is 1 - (1 - L_omega(X)) times the same sum discounted by
+    e^{-omega s}, and the in-cache time is E[min(T_Sigma, E_R)], E_R the
+    eviction time of R alone: the sum over s <= T_Sigma of Q(s) E[min(X, T_R,
+    T_Sigma - s)]. A Sigma cache holds the object for the whole TTL.
+    """
+    horizon = float(t_sigma.points[-1])
+    hits = x.masses * t_r.survival_geq(x.points)
+    if isinstance(x, Deterministic):
+        d = x.value
+        count = math.floor(horizon / d) + 2  # the last partial sum is past the horizon
+        if count > _MAX_STEPS:
+            raise BudgetExceededError("renewal", count, _MAX_STEPS, "partial sums")
+        k = np.arange(count)
+        pos, q = k * d, hits[0] ** k
+        alive = q * t_sigma.survival_geq(pos)  # P(tau > k)
+        # the difference form keeps its relative accuracy when tau is long
+        transform = float(np.exp(-omega * d * k[1:]) @ (alive[:-1] - alive[1:]))
     else:
-        alpha_r, s_r = _ph_arrays(t_r)
-        horizon = d
-    n, n_r = alpha.size, alpha_r.size
-    if n * n_r > _DENSE_MAX:
-        return None
-    e = expm(s_sigma * d)
-    eye, ones = np.eye(n), np.ones(n)
-    w = np.linalg.solve((eye - p_r * e).T, alpha)  # alpha (I - p_r E)^{-1}
-    transform = z * alpha @ np.linalg.solve(eye - z * p_r * e, ones - p_r * e @ ones)
-    kron_sum = np.kron(s_sigma, np.eye(n_r)) + np.kron(eye, s_r)
-    _, held = _expm_integral(kron_sum, np.ones((n * n_r, 1)), horizon)
-    return _Cycle(float(w.sum()), float(np.kron(w, alpha_r) @ held[:, 0]), float(transform))
+        pos, q = _partial_sums(x, hits, horizon)
+        alive = q * t_sigma.survival_geq(pos)
+        transform = 1.0 - (1.0 - x.laplace(omega)) * float(np.exp(-omega * pos) @ alive)
+    if t_r is _NEVER:
+        in_cache = t_sigma.mean
+    elif omega > 0.0:
+        in_cache = math.nan
+    else:
+        pos, q = pos[q > 0.0], q[q > 0.0]
+        gap = t_sigma.points[:, None] - pos
+        held = np.where(gap >= 0.0, _held(x, t_r, np.maximum(gap, 0.0)), 0.0)
+        in_cache = float(t_sigma.masses @ held @ q)
+    return _Cycle(float(alive.sum()), in_cache, transform)
 
 
-def _deterministic_ttls(
-    x: RenewalSpec, c_sigma: float, c_r: float, omega: float
-) -> _Cycle | None:
-    """PH(alpha, S) requests under Deterministic TTLs; c_r = inf for Sigma.
+def _alive_chain(x: RenewalSpec, t_sigma: RenewalSpec, t_r: RenewalSpec, omega: float) -> _Cycle:
+    """PH(beta, T) requests, a phase-type or `_NEVER` R TTL PH(alpha_R,
+    S_R) and a Sigma TTL on atoms.
+
+    Until eviction the pair (request phase, R phase) is a Markov chain on
+    A = T (+) S_R + (t (x) 1)(beta (x) alpha_R), t = -T 1: a request is a
+    hit that restarts both. It starts at beta (x) alpha_R at the miss and
+    loses mass only when T_R fires (rate 1 (x) s_R). With y(u) its mass at
+    time u and T_Sigma = c: E[tau] = 1 + int_0^c y (t (x) 1), the in-cache
+    time is int_0^c y 1, and S_tau is the first request after the eviction,
+    so with phi = (omega I - T)^{-1} t and y discounted by e^{-omega u} the
+    transform is y(c) (phi (x) 1) + int_0^c y (phi (x) s_R). One Van Loan
+    block gives all three at c; a Tabulated T_Sigma mixes them over its
+    atoms in one pass of `_expm_mix`.
+    """
+    beta, t = _ph_arrays(x)
+    alpha_r, s_r = _ph_arrays(t_r)
+    exits, exits_r = -t.sum(axis=1), -s_r.sum(axis=1)
+    ones_r = np.ones(alpha_r.size)
+    dim = beta.size * alpha_r.size
+    _dense(dim + 3)
+    start = np.kron(beta, alpha_r)
+    hit = np.kron(exits, ones_r)
+    a = np.kron(t, np.eye(alpha_r.size)) + np.kron(np.eye(beta.size), s_r) + np.outer(hit, start)
+    phi = np.linalg.solve(omega * np.eye(beta.size) - t, exits)
+    rates = np.column_stack([hit, np.ones(dim), np.kron(phi, exits_r)])
+    block = _van_loan(a - omega * np.eye(dim), rates)
+    end = np.concatenate([start, np.zeros(3)]) @ _expm_mix(block, t_sigma, t_sigma.masses)
+    hits, held, evicted = end[dim:]
+    return _Cycle(1.0 + float(hits), float(held), float(end[:dim] @ np.kron(phi, ones_r) + evicted))
+
+
+def _deterministic_ttls(x: RenewalSpec, c_sigma: float, c_r: float, omega: float) -> _Cycle:
+    """PH(alpha, S) requests under Deterministic TTLs.
 
     The object is evicted at E, the earlier of c_sigma and the first time
     the gap since the miss or the last request reaches c_r; tau = 1 + N(E),
@@ -680,8 +791,7 @@ def _deterministic_ttls(
     y' = y Q, a jump of -beta at u = c_r and y'(u) = y(u) Q -
     (y(u - c_r) s) beta after c_r (a request at u - c_r followed by none
     evicts at u). Then E[tau] = 1 + int y s and the in-cache time is
-    int y 1. Sigma is the one-block case, E[tau] = 1 + alpha
-    int_0^c e^{Q u} du s.
+    int y 1.
     """
     from scipy.linalg import expm
 
@@ -702,8 +812,7 @@ def _deterministic_ttls(
             needed = math.ceil(math.log(_MASS_EPS) / math.log(rho)) if rho > 0.0 else 1
             if needed < steps:
                 steps, rest = needed, 0.0
-    if n * (steps + 1) > _DENSE_MAX:
-        return None
+    _dense(n * (steps + 1))
     y_end, (hits, in_cache) = _delay_steps(alpha, q, s, beta, c_r, steps, rest, 0.0)
     transform = 1.0
     if omega > 0.0:
@@ -799,165 +908,12 @@ def transform_r(x: RenewalSpec, t: RenewalSpec, omega: float) -> float:
     return (x.laplace(omega) - psi) / (1.0 - psi)
 
 
-def _discretize_cell_masses(law: RenewalSpec, step: float, n_cells: int) -> np.ndarray:
-    """Probability mass of [i*step, (i+1)*step) for i < n_cells (midpoint atoms)."""
-    if isinstance(law, Tabulated):
-        if not math.isclose(law.step, step):
-            raise ValidationError("tabulated law must share the evaluation grid step")
-        masses = law.masses
-        if masses.size >= n_cells:
-            return masses[:n_cells].copy()
-        return np.concatenate([masses, np.zeros(n_cells - masses.size)])
-    edges = np.arange(n_cells + 1) * step
-    return np.diff(law.cdf(edges))
-
-
-def _ttl_weights(t: RenewalSpec, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluation points and weights representing the (untilted) TTL law."""
-    if isinstance(t, Deterministic):
-        return np.array([t.value]), np.array([1.0])
-    if isinstance(t, Tabulated):
-        return t.points, t.masses
-    upper = t.truncation_point(_TAIL_EPS)
-    n_cells = max(1, int(math.ceil(upper / step)))
-    weights = _discretize_cell_masses(t, step, n_cells)
-    total = weights.sum()
-    if total <= 0:
-        raise ValidationError("TTL law has no representable mass")
-    points = (np.arange(n_cells) + 0.5) * step
-    return points, weights / total
-
-
-def transform_sigma(x: RenewalSpec, t: RenewalSpec, omega: float, method: str = "auto") -> float:
-    """Laplace transform of the inter-miss time of a reset-on-miss cache.
-
-    method="auto" takes the exact route of the module docstring's table
-    where there is one. Elsewhere, and always with method="series", the
-    value is the series sum over t >= 1 of L_omega(X)^t times the
-    tilted-measure probability that exactly t requests fit inside one TTL,
-    evaluated on a uniform grid (step mean(X)/200, or the grid of Tabulated
-    requests) with tilted convolution powers and truncated once the
-    geometric tail bound drops below `_SERIES_TOL`.
-    """
+def transform_sigma(x: RenewalSpec, t: RenewalSpec, omega: float) -> float:
+    """Laplace transform of the inter-miss time of a reset-on-miss cache, by
+    the route of the module docstring's table."""
     if omega < 0:
         raise ValidationError("omega must be nonnegative")
-    if method not in ("auto", "series"):
-        raise ValidationError(f"unknown method {method!r}")
-    if method == "auto":
-        cycle = _cycle(x, StoppingPolicy.reset_on_miss(t), omega)
-        if cycle is not None:
-            return cycle.transform
-    return _sigma_series(x, t, omega)
-
-
-# Tail bound at which the Sigma series stops, and its most terms.
-_SERIES_TOL = 1e-10
-_SERIES_MAX_TERMS = 100_000
-
-
-def _sigma_deterministic_requests(x: Deterministic, t: RenewalSpec, omega: float) -> _Cycle:
-    """Sigma with requests X = d by the survival sum: P(tau > k) = P(T >= k d)
-    and S_tau = tau d, summed in blocks of `_MC_BLOCK` terms up to the point
-    where P(T >= k d) <= `_MASS_EPS`."""
-    d = x.value
-    terms = math.floor(t.truncation_point(_MASS_EPS) / d) + 2
-    tau = transform = 0.0
-    for lo in range(0, terms, _MC_BLOCK):
-        k = np.arange(lo, min(lo + _MC_BLOCK, terms) + 1)
-        alive = t.survival_geq(k * d)
-        tau += float(alive[:-1].sum())
-        transform += float(np.exp(-omega * d * k[1:]) @ (alive[:-1] - alive[1:]))
-    return _Cycle(tau, t.mean, transform)
-
-
-def _sigma_series(x: RenewalSpec, t: RenewalSpec, omega: float) -> float:
-    tilted = tilt(x, omega)
-    lx = tilted.lx
-    if isinstance(tilted.law, Deterministic):
-        return _sigma_deterministic_requests(tilted.law, t, omega).transform
-    step = x.step if isinstance(x, Tabulated) else x.mean / 200.0
-    import scipy.signal  # deferred: the only user, and slow to import
-
-    points, weights = _ttl_weights(t, step)
-    x_max = float(points.max())
-    n_cells = max(1, int(math.ceil(x_max / step)) + 1)
-    q = _discretize_cell_masses(tilted.law, step, n_cells)
-    conv = q.copy()
-    prev_vals = np.ones_like(points)
-    total = 0.0
-    cum = 0.0
-    for term_idx in range(1, _SERIES_MAX_TERMS + 1):
-        centers = (np.arange(conv.size) + 0.5 * term_idx) * step
-        cdf_vals = np.interp(points, centers, np.cumsum(conv), left=0.0)
-        term = float(np.dot(weights, np.clip(prev_vals - cdf_vals, 0.0, None)))
-        total += lx**term_idx * term
-        cum += term
-        if lx ** (term_idx + 1) * max(0.0, 1.0 - cum) < _SERIES_TOL:
-            return total
-        prev_vals = cdf_vals
-        conv = scipy.signal.convolve(conv, q)[:n_cells]
-        np.clip(conv, 0.0, None, out=conv)
-    raise ConvergenceError(
-        f"series did not reach tolerance {_SERIES_TOL:g} within {_SERIES_MAX_TERMS} terms"
-    )
-
-
-# Replications simulated together. The per-round temporaries grow with the
-# block (about 70 MB for 1e6 replications at once); blocks of this size keep
-# them to a few MB.
-_MC_BLOCK = 1 << 16
-
-
-def _simulate_stopping(
-    x_law: RenewalSpec,
-    policy: StoppingPolicy,
-    n: int,
-    rng,
-    max_rounds: int = 10_000_000,
-):
-    """Replications of the stopping rules, vectorized over blocks of `_MC_BLOCK`.
-
-    Returns (tau, s_tau, occupied) arrays; `occupied` is the in-cache time
-    min(sum of min(X_s, T^R_s), T^Sigma).
-    """
-    tau = np.empty(n, dtype=np.int64)
-    s_tau = np.empty(n)
-    occupied = np.empty(n)
-    for lo in range(0, n, _MC_BLOCK):
-        block = slice(lo, min(lo + _MC_BLOCK, n))
-        tau[block], s_tau[block], occupied[block] = _simulate_block(
-            x_law, policy, block.stop - lo, rng, max_rounds
-        )
-    return tau, s_tau, occupied
-
-
-def _simulate_block(x_law: RenewalSpec, policy: StoppingPolicy, n: int, rng, max_rounds: int):
-    """One block of the min(Sigma, R) stopping rule; a timer a policy lacks is
-    `_NEVER`, whose draws take no random numbers."""
-    t_sigma, t_r = {
-        "R": (_NEVER, policy.ttl),
-        "Sigma": (policy.ttl, _NEVER),
-        "MinSigmaR": (policy.ttl_sigma, policy.ttl_r),
-    }[policy.tag]
-    tau = np.zeros(n, dtype=np.int64)
-    s_tau = np.zeros(n)
-    occupied = np.zeros(n)
-    alive = np.ones(n, dtype=bool)
-    ttl_total = t_sigma.sample(rng, n)
-    rounds = 0
-    while alive.any():
-        rounds += 1
-        if rounds > max_rounds:
-            raise ConvergenceError("stopping-rule simulation exceeded the round cap")
-        idx = np.nonzero(alive)[0]
-        xs = x_law.sample(rng, idx.size)
-        s_tau[idx] += xs
-        tau[idx] += 1
-        tr = t_r.sample(rng, idx.size)
-        occupied[idx] += np.minimum(xs, tr)
-        stopped = (s_tau[idx] > ttl_total[idx]) | (xs > tr)
-        alive[idx[stopped]] = False
-    return tau, s_tau, np.minimum(occupied, ttl_total)
+    return _cycle(x, StoppingPolicy.reset_on_miss(t), omega).transform
 
 
 def transform_min(
@@ -970,27 +926,12 @@ def transform_min(
 ) -> MonteCarloValue:
     """Laplace transform of the inter-miss time of a min(Sigma, R) cache.
 
-    Exact (stderr 0) where the module docstring's table has a route.
-    Otherwise the value E-tilde[L_omega(X)^tau] is estimated by Monte Carlo:
-    inter-request times are drawn from the tilted law, both TTLs from their
-    original laws, and the stopping rule of the min policy is applied
-    literally.
+    Exact (stderr 0) by the route of the module docstring's table. `samples`
+    and `rng` are accepted for compatibility and change no result.
     """
     if omega < 0:
         raise ValidationError("omega must be nonnegative")
-    policy = StoppingPolicy.min_of(t_sigma, t_r)
-    cycle = _cycle(x, policy, omega)
-    if cycle is not None:
-        return MonteCarloValue(cycle.transform, 0.0)
-    if samples < 10_000:
-        raise ValidationError("transform_min needs at least 1e4 samples")
-    rng = np.random.default_rng() if rng is None else rng
-    tilted = tilt(x, omega)
-    tau, _, _ = _simulate_stopping(tilted.law, policy, samples, rng)
-    values = tilted.lx ** tau.astype(np.float64)
-    mean = float(values.mean())
-    stderr = float(values.std(ddof=1) / math.sqrt(samples)) if samples > 1 else math.inf
-    return MonteCarloValue(mean, stderr)
+    return MonteCarloValue(_cycle(x, StoppingPolicy.min_of(t_sigma, t_r), omega).transform, 0.0)
 
 
 def expected_tau(
@@ -999,11 +940,11 @@ def expected_tau(
     samples: int = 1_000_000,
     rng=None,
 ) -> MonteCarloValue:
-    """Mean number of requests per miss cycle, E[tau].
+    """Mean number of requests per miss cycle, E[tau], exact (stderr 0).
 
-    Exact (stderr 0) for R, geometric with success probability P(X > T), and
-    where the module docstring's table has a route; otherwise the literal
-    stopping rule is run by Monte Carlo (stderr reported).
+    R: geometric with success probability P(X > T). Sigma and min(Sigma,
+    R): the route of the module docstring's table. `samples` and `rng` are
+    accepted for compatibility and change no result.
     """
     if policy.tag == "R":
         p_miss = 1.0 - _psi(x, policy.ttl, 0.0)
@@ -1012,14 +953,7 @@ def expected_tau(
                 "P(X > T) = 0: the TTL structurally never expires before a request"
             )
         return MonteCarloValue(1.0 / p_miss, 0.0)
-    cycle = _rest_cycle(x, policy)
-    if cycle is not None:
-        return MonteCarloValue(cycle.tau, 0.0)
-    rng = np.random.default_rng() if rng is None else rng
-    tau, _, _ = _simulate_stopping(x, policy, samples, rng)
-    mean = float(tau.mean())
-    stderr = float(tau.std(ddof=1) / math.sqrt(samples)) if samples > 1 else math.inf
-    return MonteCarloValue(mean, stderr)
+    return MonteCarloValue(_rest_cycle(x, policy).tau, 0.0)
 
 
 def hit_miss_renewal(
@@ -1028,11 +962,10 @@ def hit_miss_renewal(
     samples: int = 1_000_000,
     rng=None,
 ) -> RenewalHitMiss:
-    """Hit and miss probabilities: M = 1 / E[tau], H = 1 - M."""
-    est = expected_tau(x, policy, samples, rng)
-    miss = 1.0 / est.value
-    stderr = None if est.stderr == 0.0 else est.stderr / est.value**2
-    return RenewalHitMiss(hit=1.0 - miss, miss=miss, stderr=stderr)
+    """Hit and miss probabilities: M = 1 / E[tau], H = 1 - M. `samples` and
+    `rng` are accepted for compatibility and change no result."""
+    miss = 1.0 / expected_tau(x, policy).value
+    return RenewalHitMiss(hit=1.0 - miss, miss=miss)
 
 
 def expected_stopped_sum(
@@ -1041,8 +974,9 @@ def expected_stopped_sum(
     samples: int = 1_000_000,
     rng=None,
 ) -> float:
-    """Mean inter-miss time E[S_tau] = E[tau] E[X] (Wald's identity)."""
-    return expected_tau(x, policy, samples, rng).value * x.mean
+    """Mean inter-miss time E[S_tau] = E[tau] E[X] (Wald's identity).
+    `samples` and `rng` are accepted for compatibility and change no result."""
+    return expected_tau(x, policy).value * x.mean
 
 
 def _expected_min(x: RenewalSpec, t: RenewalSpec) -> float:
@@ -1086,22 +1020,14 @@ def occupancy_renewal(
     """Long-run fraction of time the object is cached.
 
     R: E[min(X, T)] / E[X]. Sigma and min(Sigma, R): the mean in-cache time
-    of a cycle over E[tau] E[X], exact where the module docstring's table has
-    a route; otherwise estimated by simulating the stopped sequence (a Sigma
-    cache holds the object for the whole TTL of each cycle).
+    of a cycle over E[tau] E[X], by the route of the module docstring's
+    table. `samples` and `rng` are accepted for compatibility and change no
+    result.
     """
     if policy.tag == "R":
-        return _expected_min(x, policy.ttl) / x.mean
+        return float(_expected_min(x, policy.ttl)) / x.mean
     cycle = _rest_cycle(x, policy)
-    if cycle is not None:
-        return cycle.in_cache / (cycle.tau * x.mean)
-    rng = np.random.default_rng() if rng is None else rng
-    tau, s_tau, occupied = _simulate_stopping(x, policy, samples, rng)
-    if policy.tag == "Sigma":
-        return policy.ttl.mean / (float(tau.mean()) * x.mean)
-    return float(occupied.mean() / s_tau.mean())
-
-
+    return cycle.in_cache / (cycle.tau * x.mean)
 def table1_reference(lam: float, mu: float, nu: float, omega: float) -> dict:
     """Closed-form anchor values for the four canonical single-cache models.
 

@@ -1,16 +1,17 @@
 """The single-cache benchmark oracle still rejects a Monte Carlo value 10 SE off.
 
 `bench/test_bench.py` checks this on the (MinSigmaR, erlang, erlang) query,
-whose transform the renewal engine now computes exactly (stderr 0), so that
-test's `stderr > 0` precondition fails. Here the exact phase-type route is
-switched off by setting `DEFAULT_BUDGET` to 0 in `ttlnet.renewal`, which
-sends the same query to Monte Carlo, and the oracle is checked on it.
+whose transform the renewal engine computes exactly (stderr 0), so that
+test's `stderr > 0` precondition fails. Every renewal route is exact now and
+none can be switched to Monte Carlo, so here the query's exact transform is
+replaced by a synthesized `MonteCarloValue` with a positive standard error:
+the oracle accepts it on the exact value and rejects it 10 SE off.
 """
 
 import importlib.util
 from pathlib import Path
 
-import ttlnet.renewal
+from ttlnet.renewal import MonteCarloValue
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
@@ -22,14 +23,15 @@ def _load_workloads():
     return module
 
 
-def test_monte_carlo_value_ten_se_off_fails(monkeypatch):
-    monkeypatch.setattr(ttlnet.renewal, "DEFAULT_BUDGET", 0)
+def test_monte_carlo_value_ten_se_off_fails():
     workloads = _load_workloads()
     wl = workloads.SingleCache(7)
     q = wl.inputs(0)[workloads.COMBOS.index(("MinSigmaR", "erlang", "erlang"))]
     out = wl.run_query(q)
-    tr = out["transform"]
-    assert tr.stderr > 0
-    assert wl.check_query(q, out) == []
-    bad = dict(out, transform=tr._replace(value=tr.value + 10 * tr.stderr))
+    exact = out["transform"]
+    assert exact.stderr == 0.0
+    se = 1e-3 * exact.value
+    good = dict(out, transform=MonteCarloValue(exact.value, se))
+    assert wl.check_query(q, good) == []
+    bad = dict(out, transform=MonteCarloValue(exact.value + 10 * se, se))
     assert wl.check_query(q, bad)

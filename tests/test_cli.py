@@ -223,3 +223,23 @@ class TestOutputSchemas:
         shipped = json.loads(open("src/ttlnet/topology.schema.json").read())
         jsonschema.validators.validator_for(shipped).check_schema(shipped)
         assert shipped == TOPOLOGY_SCHEMA
+
+
+class TestReconvergentWarning:
+    def test_one_stderr_line_per_join(self, tmp_path, capsys):
+        from test_network import RECONVERGENT
+        from ttlnet import analyze, parse_topology
+
+        path = tmp_path / "reconvergent.json"
+        path.write_text(json.dumps(RECONVERGENT))
+        code, out, err = run(["analyze", "--config", str(path)], capsys)
+        assert code == 0
+        assert json.loads(out)["results"][0] == json.loads(
+            json.dumps(analyze(parse_topology(RECONVERGENT)).to_dict())
+        )
+        (line,) = err.splitlines()
+        assert "reconvergent join 'top'" in line
+
+    def test_tree_writes_nothing_to_stderr(self, tree_config, capsys):
+        code, _, err = run(["analyze", "--config", tree_config, "--format", "csv"], capsys)
+        assert code == 0 and err == ""

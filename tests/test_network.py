@@ -477,6 +477,31 @@ class TestGivenInputSolve:
             for name, value in metrics.to_dict().items():
                 assert_allclose(value, want[name], rtol=1e-12, err_msg=f"{nid}.{name}")
 
+    def test_rare_hits_keep_relative_accuracy(self, monkeypatch):
+        # Slow leaf TTLs make the M1 and M2 hits rare (3.5e-5 and 1.6e-5). The
+        # reference is the hit flow of each output chain's GTH vector, which is
+        # accurate entry by entry; 1 - miss is 4e-12 and 1.1e-11 off it, and the
+        # bordered solve's hit flow 1.6e-13 and 5.9e-12.
+        calls = []
+        real = ttlnet.network.metrics_from_maps
+
+        def spy(input_map, out, p_in=None):
+            calls.append((input_map, out))
+            return real(input_map, out, p_in)
+
+        monkeypatch.setattr(ttlnet.network, "metrics_from_maps", spy)
+        topo = parse_topology(erlang_tree(6, ttl_speed=0.01))
+        res = analyze(topo)
+        chains = dict(zip(topo.topological_order(), calls))  # analyze's node order
+        for nid in ("M1", "M2"):
+            got = res.metrics[nid]
+            input_map, out = chains[nid]
+            p = ttlnet.kron._gth(out.map.generator).reshape(-1, input_map.order)
+            rates = input_map.d1.row_sums()
+            want = p[1:].sum(axis=0) @ rates / (p.sum(axis=0) @ rates)
+            assert want < 1e-4
+            assert_allclose(got.hit_probability, want, rtol=1e-12, err_msg=nid)
+
     def test_k12_tree_without_lu(self, monkeypatch):
         _forbid_lu(monkeypatch)
         res = analyze(parse_topology(erlang_tree(12)), budget=250_000)
@@ -493,3 +518,64 @@ class TestSplitMergeRoundTrip:
             p = ProbabilityVector(rng.dirichlet(np.ones(3) * 2.0))
             merged = superpose(split(m, p))
             assert_allclose(fundamental_rate(merged), fundamental_rate(m), rtol=1e-9)
+
+
+# ROADMAP Baseline: src feeds a and b through a split, and both feed top
+RECONVERGENT = {
+    "nodes": [
+        {"id": "src", "policy": "R", "ttl": {"erlang": {"stages": 4, "rate": 4.0}},
+         "split": [0.5, 0.5]},
+        {"id": "a", "policy": "Sigma", "ttl": {"erlang": {"stages": 2, "rate": 6.0}},
+         "children": ["src"]},
+        {"id": "b", "policy": "Sigma", "ttl": {"exp": 5.0}, "children": ["src"]},
+        {"id": "top", "policy": "Sigma", "ttl": {"erlang": {"stages": 3, "rate": 1.0}},
+         "children": ["a", "b"]},
+    ],
+    "arrivals": {"src": {"poisson": 3.0}},
+}
+
+
+def _sim_network_doc():
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.sim_network_doc(0)
+
+
+class TestReconvergentJoins:
+    def test_baseline_topology_flagged(self):
+        assert parse_topology(RECONVERGENT).reconvergent == {"top": ()}
+
+    def test_nodes_above_the_join_named(self):
+        # the streams meet two levels above the split, and root sits above the join
+        doc = json.loads(json.dumps(RECONVERGENT))
+        doc["nodes"][1]["children"] = ["a2"]
+        doc["nodes"][3]["children"] = ["a", "b", "leaf"]
+        doc["nodes"] += [
+            {"id": "a2", "policy": "R", "ttl": {"exp": 2.0}, "children": ["src"]},
+            {"id": "leaf", "policy": "R", "ttl": {"exp": 2.0}, "split": [0.5, 0.5]},
+            {"id": "root", "policy": "Sigma", "ttl": {"exp": 1.0}, "children": ["top"]},
+            {"id": "side", "policy": "Sigma", "ttl": {"exp": 1.0}, "children": ["leaf"]},
+        ]
+        doc["arrivals"]["leaf"] = {"poisson": 1.0}
+        assert parse_topology(doc).reconvergent == {"top": ("root",)}
+
+    @pytest.mark.parametrize("name", ["line2.json", "tree3.json"])
+    def test_configs_not_flagged(self, name):
+        assert parse_topology((CONFIGS / name).read_text()).reconvergent == {}
+
+    def test_split_topologies_not_flagged(self):
+        # a split whose parents never meet again, and the sim-network workload
+        diamond = {
+            "nodes": [
+                {"id": "src", "policy": "Sigma", "ttl": {"exp": 1.0}, "split": [0.3, 0.7]},
+                {"id": "p1", "policy": "R", "ttl": {"exp": 1.0}, "children": ["src"]},
+                {"id": "p2", "policy": "Sigma", "ttl": {"exp": 2.0}, "children": ["src"]},
+            ],
+            "arrivals": {"src": {"poisson": 2.0}},
+        }
+        assert parse_topology(diamond).reconvergent == {}
+        assert parse_topology(_sim_network_doc()).reconvergent == {}

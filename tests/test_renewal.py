@@ -19,6 +19,7 @@ from conftest import dense_stationary, mc_mean_se, random_ph, stopped_sum_oracle
 import ttlnet
 import ttlnet.renewal
 from ttlnet import (
+    BudgetExceededError,
     Deterministic,
     DivergentStoppingTimeError,
     Erlang,
@@ -148,35 +149,42 @@ class TestTransformSigma:
                         rtol=1e-9,
                     )
 
-    def test_series_matches_closed_form(self):
-        # exponential TTL has a closed value; the series must approach it
-        x, t, omega = Erlang(2, 2.0), Exponential(1.0), 0.5
-        closed = transform_sigma(x, t, omega)
-        series = transform_sigma(x, t, omega, method="series")
-        assert abs(series - closed) < 2e-3
-
-    def test_series_against_stopping_rule_oracle(self, rng):
-        x, t, omega = Erlang(2, 2.0), Erlang(2, 1.0), 0.5
-        got = transform_sigma(x, t, omega, method="series")
-        _, sums, _ = stopped_sum_oracle(rng, x.sample, "Sigma", t.sample, n=60_000)
-        mc, se = mc_mean_se(np.exp(-omega * sums))
-        assert abs(got - mc) < 3.0 * se + 1e-3
-
     def test_deterministic_requests_and_ttl(self):
         # tau = floor(d/c) + 1 steps of length c, deterministically
         got = transform_sigma(Deterministic(0.4), Deterministic(1.0), 0.9)
         assert_allclose(got, math.exp(-0.9 * 1.2), rtol=1e-12)
 
-    def test_series_with_deterministic_ttl_against_oracle(self, rng):
-        x, t, omega = Erlang(2, 2.0), Deterministic(1.3), 0.7
-        got = transform_sigma(x, t, omega, method="series")
+    # The "series" tests below check the stopped-sum series E~[L_omega(X)^tau]
+    # of the module docstring, which every route now sums exactly; until the
+    # Tabulated laws became atoms these cells took a grid approximation of it.
+    def test_series_matches_closed_form(self):
+        # an exponential TTL has a closed value; the miss chain must reach it
+        x, t, omega = Erlang(2, 2.0), Exponential(1.0), 0.5
+        psi = x.laplace(omega + t.rate)
+        closed = (x.laplace(omega) - psi) / (1.0 - psi)
+        chain = ttlnet.renewal._ph_cycle(x, StoppingPolicy.reset_on_miss(t), omega).transform
+        assert_allclose(transform_sigma(x, t, omega), closed, rtol=1e-14)
+        assert_allclose(chain, closed, rtol=1e-10)
+
+    def test_series_against_stopping_rule_oracle(self, rng):
+        x, t, omega = Erlang(2, 2.0), Erlang(2, 1.0), 0.5
+        got = transform_sigma(x, t, omega)
         _, sums, _ = stopped_sum_oracle(rng, x.sample, "Sigma", t.sample, n=60_000)
         mc, se = mc_mean_se(np.exp(-omega * sums))
-        assert abs(got - mc) < 3.0 * se + 1e-3
+        assert abs(got - mc) < 4.0 * se
+
+    def test_series_with_deterministic_ttl_against_oracle(self, rng):
+        x, t, omega = Erlang(2, 2.0), Deterministic(1.3), 0.7
+        got = transform_sigma(x, t, omega)
+        _, sums, _ = stopped_sum_oracle(rng, x.sample, "Sigma", t.sample, n=60_000)
+        mc, se = mc_mean_se(np.exp(-omega * sums))
+        assert abs(got - mc) < 4.0 * se
 
     def test_series_normalized_at_zero(self):
-        assert abs(transform_sigma(Erlang(2, 2.0), Deterministic(1.3), 0.0, method="series") - 1.0) < 1e-6
-        assert abs(transform_sigma(Erlang(3, 1.5), Erlang(2, 0.9), 0.0, method="series") - 1.0) < 1e-6
+        # every route of the table, with Tabulated laws among them
+        for x in (Erlang(2, 2.0), Deterministic(0.9), ROUTE_REQUESTS["tab"]):
+            for t in (Erlang(2, 1.6), Deterministic(1.3), ROUTE_TTLS["tab"][0]):
+                assert_allclose(transform_sigma(x, t, 0.0), 1.0, rtol=1e-12)
 
     def test_deterministic_requests_survival_sum_against_oracle(self, rng):
         x, t = Deterministic(0.7), Erlang(2, 1.0)
@@ -186,18 +194,29 @@ class TestTransformSigma:
         mean, se = mc_mean_se(taus.astype(float))
         assert abs(got.value - mean) < 3.0 * se
 
-    def test_tabulated_requests(self, rng):
+    def test_tabulated_requests(self):
+        # the lattice version of Erlang requests stays close to the exact Erlang value
         x = tabulated_from(Erlang(2, 2.0), 0.01, 2500)
         t = Erlang(2, 1.0)
         got = transform_sigma(x, t, 0.5)
-        anchor = transform_sigma(Erlang(2, 2.0), t, 0.5, method="series")
+        anchor = transform_sigma(Erlang(2, 2.0), t, 0.5)
         assert abs(got - anchor) < 5e-3
 
+    def test_tabulated_requests_exact_value(self):
+        # the grid series this cell once took returned 0.41153, 6.8 SE from a
+        # 2e6-cycle simulation (0.41241 +- 0.00013)
+        x, t = ROUTE_REQUESTS["tab"], Erlang(2, 1.6)
+        assert abs(transform_sigma(x, t, 0.5) - 0.412454388) < 1e-9
+
     def test_import_skips_scipy_signal(self):
-        # scipy.signal is imported only when a Sigma series first needs it
+        # no renewal route uses scipy.signal, not even for Tabulated laws
         src = str(Path(ttlnet.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
-        code = "import sys, ttlnet; print('scipy.signal' in sys.modules)"
+        code = (
+            "import sys, numpy as np, ttlnet; from ttlnet import Erlang, Tabulated, transform_sigma; "
+            "transform_sigma(Tabulated(0.01, np.full(200, 0.5)), Erlang(2, 1.6), 0.5); "
+            "print('scipy.signal' in sys.modules)"
+        )
         done = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
         )
@@ -219,6 +238,7 @@ class TestTransformMin:
         assert got.value == 1.0
 
     def test_tilted_estimator_matches_direct_oracle(self, rng):
+        # this query once ran Monte Carlo under the tilted law; it is exact now
         x, ts, tr, omega = Exponential(1.0), Deterministic(2.0), Exponential(1.0), 0.5
         got = transform_min(x, ts, tr, omega, samples=120_000, rng=rng)
         _, sums, _ = stopped_sum_oracle(
@@ -228,12 +248,13 @@ class TestTransformMin:
         joint = math.hypot(se, got.stderr)
         assert abs(got.value - mc) < 3.0 * joint + 1e-4
 
-    def test_sample_floor_enforced(self, rng):
-        with pytest.raises(ValidationError):
-            transform_min(
-                Exponential(1.0), Deterministic(1.0), Exponential(1.0), 0.5,
-                samples=100, rng=rng,
-            )
+    def test_samples_and_rng_change_nothing(self):
+        # kept for compatibility: every route is exact and draws nothing
+        x, ts, tr = Erlang(2, 2.0), Deterministic(1.3), Erlang(2, 2.2)
+        policy = StoppingPolicy.min_of(ts, tr)
+        assert transform_min(x, ts, tr, 0.5, samples=100, rng=object()) == transform_min(x, ts, tr, 0.5)
+        for query in (expected_tau, occupancy_renewal):
+            assert query(x, policy, samples=100, rng=object()) == query(x, policy)
 
 
 class TestHitMiss:
@@ -263,6 +284,7 @@ class TestHitMiss:
             )
 
     def test_monte_carlo_branch_against_oracle(self, rng):
+        # the query of the former Monte Carlo branch, now on the miss chain route
         x, t = Erlang(2, 2.0), Erlang(2, 1.0)
         got = expected_tau(x, StoppingPolicy.reset_on_miss(t), samples=60_000, rng=rng)
         taus, _, _ = stopped_sum_oracle(rng, x.sample, "Sigma", t.sample, n=60_000)
@@ -270,6 +292,7 @@ class TestHitMiss:
         assert abs(got.value - mean) < 3.0 * math.hypot(se, got.stderr)
 
     def test_min_policy_monte_carlo_against_oracle(self, rng):
+        # the query of the former Monte Carlo branch, now on the alive chain route
         x = Exponential(1.0)
         pol = StoppingPolicy.min_of(Deterministic(2.0), Exponential(1.0))
         got = expected_tau(x, pol, samples=60_000, rng=rng)
@@ -299,6 +322,7 @@ class TestOccupancy:
         )
 
     def test_min_monte_carlo_against_oracle(self, rng):
+        # the query of the former Monte Carlo branch, now on the alive chain route
         x = Exponential(1.0)
         ts, tr = Deterministic(2.0), Exponential(1.0)
         got = occupancy_renewal(x, StoppingPolicy.min_of(ts, tr), samples=120_000, rng=rng)
@@ -309,8 +333,8 @@ class TestOccupancy:
         assert abs(got - oracle) < 0.01
 
     def test_min_monte_carlo_memory_is_bounded(self):
-        # replications run in blocks, so beyond the three result arrays and the
-        # Sigma TTLs (32 MB at 1e6 samples) the temporaries stay small
+        # the query of the former 1e6-sample Monte Carlo (about 40 MB), now on
+        # the alive chain route, which `samples` does not enlarge
         x, policy = Erlang(2, 2.0), StoppingPolicy.min_of(Deterministic(1.3), Erlang(2, 2.2))
         tracemalloc.start()
         try:
@@ -424,34 +448,6 @@ class TestTransformShape:
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
 
-class TestCombineEstimates:
-    def test_inverse_variance_weighting(self, rng):
-        from ttlnet.renewal import MonteCarloValue, combine_estimates
-
-        a = MonteCarloValue(1.0, 0.1)
-        b = MonteCarloValue(2.0, 0.2)
-        merged = combine_estimates([a, b])
-        assert_allclose(merged.value, (100 * 1.0 + 25 * 2.0) / 125, rtol=1e-12)
-        assert_allclose(merged.stderr, math.sqrt(1 / 125), rtol=1e-12)
-
-    def test_exact_estimate_wins(self):
-        from ttlnet.renewal import MonteCarloValue, combine_estimates
-
-        merged = combine_estimates([MonteCarloValue(0.5, 0.0), MonteCarloValue(0.7, 0.1)])
-        assert merged == MonteCarloValue(0.5, 0.0)
-
-    def test_pooled_min_transforms_tighten(self, rng):
-        x, ts, tr, omega = Exponential(1.0), Deterministic(1.5), Exponential(1.0), 0.6
-        parts = [
-            transform_min(x, ts, tr, omega, samples=20_000, rng=np.random.default_rng(s))
-            for s in (1, 2, 3)
-        ]
-        from ttlnet.renewal import combine_estimates
-
-        merged = combine_estimates(parts)
-        assert merged.stderr < min(p.stderr for p in parts)
-
-
 class TestDeterministicHorizonIdentity:
     @pytest.mark.parametrize("t", [1, 2, 3])
     def test_fixed_horizon_transform(self, t, rng):
@@ -494,6 +490,38 @@ def _ratio_mean_se(num: np.ndarray, den: np.ndarray) -> tuple[float, float]:
     ratio = num.mean() / den.mean()
     resid = num - ratio * den
     return float(ratio), float(resid.std(ddof=1) / math.sqrt(num.size) / den.mean())
+
+
+def _route_values(x, policy, omega):
+    """expected_tau, occupancy_renewal and the transform at omega, asserting exact values."""
+    tau = expected_tau(x, policy)
+    if policy.tag == "Sigma":
+        transform = ttlnet.renewal.MonteCarloValue(transform_sigma(x, policy.ttl, omega), 0.0)
+    else:
+        transform = transform_min(x, policy.ttl_sigma, policy.ttl_r, omega)
+    assert tau.stderr == 0.0 and transform.stderr == 0.0
+    return tau.value, occupancy_renewal(x, policy), transform.value
+
+
+def _assert_matches_oracle(x, policy, omega, rng, n=40_000):
+    """The three exact readings within 4 SE of `stopped_sum_oracle`; a fully
+    deterministic case has se 0, and the values must then agree to roundoff."""
+    tau, occupancy, transform = _route_values(x, policy, omega)
+    ttl, ttl_r = (policy.ttl, None) if policy.tag == "Sigma" else (policy.ttl_sigma, policy.ttl_r)
+    taus, sums, occupied = stopped_sum_oracle(
+        rng, x.sample, policy.tag, ttl.sample, ttl_r.sample if ttl_r else None, n=n
+    )
+    mean, se = mc_mean_se(taus.astype(float))
+    assert abs(tau - mean) <= 4.0 * se + 1e-12
+    mean, se = mc_mean_se(np.exp(-omega * sums))
+    assert abs(transform - mean) <= 4.0 * se + 1e-12
+    if occupied is None:
+        # a Sigma cache holds the object for the whole TTL of each cycle
+        mean, se = mc_mean_se(sums)
+        mean, se = ttl.mean / mean, ttl.mean / mean * se / mean
+    else:
+        mean, se = _ratio_mean_se(occupied, sums)
+    assert abs(occupancy - mean) <= 4.0 * se + 1e-12
 
 
 class TestExponentialRequests:
@@ -564,32 +592,7 @@ class TestPhaseTypeRoute:
     @pytest.mark.parametrize("case", PH_ROUTE_CASES.values(), ids=PH_ROUTE_CASES.keys())
     def test_exact_against_stopping_rule_oracle(self, case, rng):
         x, policy = case
-        omega = 0.5
-        tau = expected_tau(x, policy)
-        occupancy = occupancy_renewal(x, policy)
-        if policy.tag == "Sigma":
-            ttl, ttl_r = policy.ttl, None
-            transform = transform_sigma(x, ttl, omega)
-        else:
-            ttl, ttl_r = policy.ttl_sigma, policy.ttl_r
-            got = transform_min(x, ttl, ttl_r, omega)
-            assert got.stderr == 0.0
-            transform = got.value
-        assert tau.stderr == 0.0
-        taus, sums, occupied = stopped_sum_oracle(
-            rng, x.sample, policy.tag, ttl.sample, ttl_r.sample if ttl_r else None, n=40_000
-        )
-        mean, se = mc_mean_se(taus.astype(float))
-        assert abs(tau.value - mean) < 4.0 * se
-        mean, se = mc_mean_se(np.exp(-omega * sums))
-        assert abs(transform - mean) < 4.0 * se
-        if occupied is None:
-            # a Sigma cache holds the object for the whole TTL of each cycle
-            mean, se = mc_mean_se(sums)
-            mean, se = ttl.mean / mean, ttl.mean / mean * se / mean
-        else:
-            mean, se = _ratio_mean_se(occupied, sums)
-        assert abs(occupancy - mean) < 4.0 * se
+        _assert_matches_oracle(x, policy, 0.5, rng)
 
     def test_one_miss_chain_per_query(self, monkeypatch):
         # expected_tau and occupancy_renewal of one query share its cycle
@@ -651,35 +654,15 @@ class TestPhaseTypeRoute:
         z = scipy.sparse.linalg.spsolve((-out.map.d0.to_csr()).T.tocsc(), phi / phi.sum())
         assert_allclose(tau.value, z.sum() / x.mean, rtol=1e-10)
 
-    def test_sigma_series_agrees_with_exact_route(self):
-        x, t, omega = Erlang(2, 2.0), Erlang(2, 1.6), 0.5
-        exact = transform_sigma(x, t, omega)
-        series = transform_sigma(x, t, omega, method="series")
-        assert abs(exact - series) < 2e-3
-
-    def test_deterministic_ttl_keeps_monte_carlo(self, rng):
-        # PH requests with one Deterministic and one PH TTL have no exact route
-        x, ts, tr = Erlang(2, 2.0), Deterministic(1.3), Erlang(2, 2.2)
-        got = expected_tau(x, StoppingPolicy.min_of(ts, tr), samples=60_000, rng=rng)
-        assert got.stderr > 0.0
-        taus, _, _ = stopped_sum_oracle(
-            rng, x.sample, "MinSigmaR", ts.sample, tr.sample, n=60_000
-        )
-        mean, se = mc_mean_se(taus.astype(float))
-        assert abs(got.value - mean) < 4.0 * math.hypot(se, got.stderr)
-
-    def test_chain_over_budget_keeps_monte_carlo(self, rng, monkeypatch):
+    def test_chain_over_budget_refused(self, monkeypatch):
         # 400 request phases x 301 TTL phases exceed DEFAULT_BUDGET states
         def refuse(*args):
             raise AssertionError("miss chain built over the budget")
 
         monkeypatch.setattr(ttlnet.renewal, "output_sigma", refuse)
-        x, t = Erlang(400, 400.0), Erlang(300, 300.0)
-        got = expected_tau(x, StoppingPolicy.reset_on_miss(t), samples=10_000, rng=rng)
-        assert got.stderr > 0.0
-        taus, _, _ = stopped_sum_oracle(rng, x.sample, "Sigma", t.sample, n=10_000)
-        mean, se = mc_mean_se(taus.astype(float))
-        assert abs(got.value - mean) < 4.0 * math.hypot(se, got.stderr)
+        policy = StoppingPolicy.reset_on_miss(Erlang(300, 300.0))
+        with pytest.raises(BudgetExceededError):
+            expected_tau(Erlang(400, 400.0), policy)
 
 
 DETERMINISTIC_ROUTE_CASES = {
@@ -716,50 +699,44 @@ DETERMINISTIC_ROUTE_CASES = {
     "min-exp-det-det-truncated": (
         Exponential(1.0), StoppingPolicy.min_of(Deterministic(200.0), Deterministic(0.5))
     ),
+    # the mixed pairs: one Deterministic and one phase-type TTL
+    "min-erlang-det-erlang": (
+        Erlang(2, 2.0), StoppingPolicy.min_of(Deterministic(1.3), Erlang(2, 2.2))
+    ),
+    "min-erlang-erlang-det": (
+        Erlang(2, 2.0), StoppingPolicy.min_of(Erlang(2, 1.6), Deterministic(0.67))
+    ),
+    # Tabulated laws next to laws of other kinds
+    "min-det-tab-exp": (
+        Deterministic(0.9),
+        StoppingPolicy.min_of(tabulated_from(Erlang(2, 1.6), 0.01, 1000), Exponential(1.5)),
+    ),
+    "min-erlang-tab-erlang": (
+        Erlang(2, 2.0),
+        StoppingPolicy.min_of(tabulated_from(Erlang(2, 1.6), 0.01, 1000), Erlang(2, 3.0)),
+    ),
+    "min-erlang-tab-det": (
+        Erlang(2, 2.0),
+        StoppingPolicy.min_of(tabulated_from(Erlang(2, 1.6), 0.05, 200), Deterministic(0.67)),
+    ),
+    "min-tab-erlang-tab": (
+        tabulated_from(Erlang(2, 2.0), 0.01, 1000),
+        StoppingPolicy.min_of(Erlang(2, 1.6), tabulated_from(Erlang(2, 3.0), 0.01, 1000)),
+    ),
+    "min-exp-erlang-tab": (
+        Exponential(1.0),
+        StoppingPolicy.min_of(Erlang(2, 1.6), tabulated_from(Erlang(2, 3.0), 0.01, 1000)),
+    ),
 }
-
-
-def _route_values(x, policy, omega):
-    """expected_tau, occupancy_renewal and the transform at omega, asserting no Monte Carlo."""
-    tau = expected_tau(x, policy)
-    if policy.tag == "Sigma":
-        transform = ttlnet.renewal.MonteCarloValue(transform_sigma(x, policy.ttl, omega), 0.0)
-    else:
-        transform = transform_min(x, policy.ttl_sigma, policy.ttl_r, omega)
-    assert tau.stderr == 0.0 and transform.stderr == 0.0
-    return tau.value, occupancy_renewal(x, policy), transform.value
 
 
 class TestDeterministicRoutes:
     @pytest.mark.parametrize(
         "case", DETERMINISTIC_ROUTE_CASES.values(), ids=DETERMINISTIC_ROUTE_CASES.keys()
     )
-    def test_exact_against_stopping_rule_oracle(self, case, rng, monkeypatch):
-        def no_monte_carlo(*args, **kwargs):
-            raise AssertionError("Monte Carlo run on an exact route")
-
-        monkeypatch.setattr(ttlnet.renewal, "_simulate_stopping", no_monte_carlo)
+    def test_exact_against_stopping_rule_oracle(self, case, rng):
         x, policy = case
-        omega = 0.5
-        tau, occupancy, transform = _route_values(x, policy, omega)
-        if policy.tag == "Sigma":
-            ttl, ttl_r = policy.ttl, None
-        else:
-            ttl, ttl_r = policy.ttl_sigma, policy.ttl_r
-        taus, sums, occupied = stopped_sum_oracle(
-            rng, x.sample, policy.tag, ttl.sample, ttl_r.sample if ttl_r else None, n=40_000
-        )
-        # a fully deterministic case has se 0: the values must then agree to roundoff
-        mean, se = mc_mean_se(taus.astype(float))
-        assert abs(tau - mean) <= 4.0 * se + 1e-12
-        mean, se = mc_mean_se(np.exp(-omega * sums))
-        assert abs(transform - mean) <= 4.0 * se + 1e-12
-        if occupied is None:
-            mean, se = mc_mean_se(sums)
-            mean, se = ttl.mean / mean, ttl.mean / mean * se / mean
-        else:
-            mean, se = _ratio_mean_se(occupied, sums)
-        assert abs(occupancy - mean) <= 4.0 * se + 1e-12
+        _assert_matches_oracle(x, policy, 0.5, rng)
 
     @pytest.mark.parametrize("d,mu,nu", [(0.9, 0.8, 1.5), (0.3, 2.0, 0.4), (2.5, 0.1, 0.7)])
     def test_deterministic_requests_exponential_ttls_closed_forms(self, d, mu, nu):
@@ -778,12 +755,6 @@ class TestDeterministicRoutes:
         want = _route_values(x, StoppingPolicy.reset_on_miss(c_sigma), 0.7)
         assert_allclose(got, want, rtol=1e-12)
 
-    def test_sigma_transform_against_series(self):
-        x, t, omega = Erlang(2, 2.0), Deterministic(1.3), 0.5
-        exact = transform_sigma(x, t, omega)
-        series = transform_sigma(x, t, omega, method="series")
-        assert abs(exact - series) < 2e-3
-
     def test_deterministic_ties(self):
         # d = c_R is a hit and k d = c_Sigma stays cached: 5 requests at 0.25
         # spacing, the last one 0.25 after c_Sigma = 1, the object held for all of c_Sigma
@@ -797,19 +768,29 @@ class TestDeterministicRoutes:
         tau = expected_tau(x, StoppingPolicy.min_of(Exponential(1.0), Deterministic(0.25)))
         assert_allclose(tau.value, 1.0 / (1.0 - math.exp(-0.25)), rtol=1e-12)
 
-    def test_large_dense_block_keeps_monte_carlo(self, rng):
+    def test_tabulated_ties(self):
+        # atoms at 0.5 and 1.5 for X and 1.5 for T_Sigma: a partial sum of 1.5
+        # stays cached; the cycles by hand are (1.5, x), (0.5, 1.5), (0.5, 0.5,
+        # 1.5) and (0.5, 0.5, 0.5, x)
+        x, t = Tabulated(1.0, [0.5, 0.5]), Tabulated(1.0, [0.0, 1.0])
+        tau, _, transform = _route_values(x, StoppingPolicy.reset_on_miss(t), 0.5)
+        assert_allclose(tau, 2.375, rtol=1e-14)
+        want = 0.5625 * math.exp(-1.0) + 0.3125 * math.exp(-1.5) + 0.125 * math.exp(-1.25)
+        assert_allclose(transform, want, rtol=1e-14)
+
+    def test_sigma_ttl_before_the_first_atom(self):
+        # every cycle is one request: the TTL ends before the first request atom
+        x, c = Tabulated(0.01, np.full(100, 1.0)), 0.001
+        tau, occupancy, transform = _route_values(x, StoppingPolicy.reset_on_miss(Deterministic(c)), 0.5)
+        assert tau == 1.0
+        assert_allclose([transform, occupancy], [x.laplace(0.5), c / x.mean], rtol=1e-12)
+
+    def test_large_dense_block_refused(self):
         # 20 windows of 10 request phases exceed the dense size of the method of steps
         x = Erlang(10, 10.0)
         policy = StoppingPolicy.min_of(Deterministic(30.0), Deterministic(1.5))
-        got = expected_tau(x, policy, samples=10_000, rng=rng)
-        assert got.stderr > 0.0
-
-    def test_tabulated_ttl_keeps_monte_carlo(self, rng):
-        t = tabulated_from(Erlang(2, 1.6), 0.01, 1000)
-        got = expected_tau(
-            Deterministic(0.9), StoppingPolicy.min_of(t, Exponential(1.5)), samples=10_000, rng=rng
-        )
-        assert got.stderr > 0.0
+        with pytest.raises(BudgetExceededError):
+            expected_tau(x, policy)
 
 
 class TestErlangPairs:
@@ -915,6 +896,11 @@ class TestSigmaFineDeterministicRequests:
             rtol=1e-10,
         )
 
+    def test_partial_sums_over_the_limit_refused(self):
+        # 1e7 requests fit in the TTL, more partial sums than _MAX_STEPS
+        with pytest.raises(BudgetExceededError):
+            expected_tau(Deterministic(1e-7), StoppingPolicy.reset_on_miss(Deterministic(1.0)))
+
     def test_tabulated_ttl_survival_sum(self):
         # a TTL atom at p holds floor(p / d) + 1 requests
         d, omega = 0.0937, 0.5
@@ -927,7 +913,6 @@ class TestSigmaFineDeterministicRequests:
         assert_allclose(occupancy_renewal(x, policy), t.mean / (tau.value * d), rtol=1e-12)
         want = t.masses @ np.exp(-omega * d * steps)
         assert_allclose(transform_sigma(x, t, omega), want, rtol=1e-12)
-        assert_allclose(transform_sigma(x, t, omega, method="series"), want, rtol=1e-12)
 
 
 ROUTE_REQUESTS = {
@@ -943,18 +928,9 @@ ROUTE_TTLS = {
     "det": (Deterministic(1.3), Deterministic(0.67)),
     "tab": (tabulated_from(Erlang(2, 1.6), 0.01, 1000), tabulated_from(Erlang(2, 3.0), 0.01, 1000)),
 }
-# The combinations the `renewal` module docstring's route table sends to the
-# fallbacks; every other one is exact.
-ROUTE_FALLBACKS = {
-    ("Sigma", "erlang", "tab"),
-    ("Sigma", "tab", "erlang"),
-    ("Sigma", "tab", "det"),
-    ("Sigma", "tab", "tab"),
-    ("MinSigmaR", "exp", "tab"),
-    ("MinSigmaR", "erlang", "tab"),
-    ("MinSigmaR", "det", "tab"),
-    *(("MinSigmaR", "tab", tk) for tk in ROUTE_TTLS),
-}
+# The combinations the `renewal` module docstring's route table refuses;
+# every other one is exact.
+ROUTE_REFUSALS = {("MinSigmaR", "exp", "tab"), ("MinSigmaR", "erlang", "tab")}
 
 
 class TestRouteTable:
@@ -962,13 +938,6 @@ class TestRouteTable:
     @pytest.mark.parametrize("xk", ROUTE_REQUESTS)
     @pytest.mark.parametrize("tag", ["Sigma", "MinSigmaR"])
     def test_route(self, tag, xk, tk, rng, monkeypatch):
-        calls = []
-        for name in ("_simulate_stopping", "_sigma_series"):
-            def spy(*args, _f=getattr(ttlnet.renewal, name), _name=name, **kwargs):
-                calls.append(_name)
-                return _f(*args, **kwargs)
-
-            monkeypatch.setattr(ttlnet.renewal, name, spy)
         if tag == "Sigma" and tk == "exp":
             # memorylessness: R's closed forms, no miss chain
             def refuse(*args):
@@ -977,23 +946,10 @@ class TestRouteTable:
             monkeypatch.setattr(ttlnet.renewal, "output_sigma", refuse)
         x, (ts, tr) = ROUTE_REQUESTS[xk], ROUTE_TTLS[tk]
         policy = StoppingPolicy.reset_on_miss(ts) if tag == "Sigma" else StoppingPolicy.min_of(ts, tr)
-        queries = {
-            "tau": lambda: expected_tau(x, policy, samples=10_000, rng=rng),
-            "occupancy": lambda: occupancy_renewal(x, policy, samples=10_000, rng=rng),
-            "transform": lambda: (
-                transform_sigma(x, ts, 0.5)
-                if tag == "Sigma"
-                else transform_min(x, ts, tr, 0.5, samples=10_000, rng=rng)
-            ),
-        }
-        routes = {}
-        for name, query in queries.items():
-            calls.clear()
-            query()
-            routes[name] = list(calls)
-        if (tag, xk, tk) in ROUTE_FALLBACKS:
-            series = "_sigma_series" if tag == "Sigma" else "_simulate_stopping"
-            want = {"tau": ["_simulate_stopping"], "occupancy": ["_simulate_stopping"], "transform": [series]}
+        if (tag, xk, tk) in ROUTE_REFUSALS:
+            with pytest.raises(ValidationError, match="tabulated R TTL"):
+                expected_tau(x, policy)
+            with pytest.raises(ValidationError, match="tabulated R TTL"):
+                transform_min(x, ts, tr, 0.5)
         else:
-            want = {"tau": [], "occupancy": [], "transform": []}
-        assert routes == want
+            _assert_matches_oracle(x, policy, 0.5, rng, n=20_000)
