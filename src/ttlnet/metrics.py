@@ -156,10 +156,11 @@ def stationary_interval_moments(m: MarkovArrivalProcess, count: int = 2) -> list
     phase-type with subintensity d0 and initial vector p d1 / (p d1 1), so
     the k-th moment is k! phi (-d0)^{-k} 1.
     """
-    from scipy.sparse import linalg as spla  # deferred: keeps scipy.linalg off import
+    from scipy.sparse import linalg as spla  # deferred: keeps scipy off import
 
     p = steady_state(m.generator)
-    rate_vec = m.d1.to_csr().T @ p.entries
+    d1 = m.d1
+    rate_vec = np.bincount(d1.col_idx, weights=p.entries[d1.row_idx] * d1.data, minlength=m.order)
     phi = rate_vec / rate_vec.sum()
     lu = spla.splu((m.d0.scale(-1.0)).to_csr().tocsc())
     moments = []

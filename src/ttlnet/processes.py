@@ -19,6 +19,7 @@ from .errors import DimensionError, ValidationError
 from .kron import (
     ProbabilityVector,
     RateMatrix,
+    _dot,
     kron_sum,
     reachable,
     reversed_edges,
@@ -225,7 +226,7 @@ def require_valid(m: MarkovArrivalProcess) -> MarkovArrivalProcess:
 def fundamental_rate(m: MarkovArrivalProcess) -> float:
     """Long-run event rate p d1 1 for the stationary background vector p."""
     p = steady_state(m.generator)
-    return float(np.sum(m.d1.to_csr().T @ p.entries))
+    return float(_dot(p.entries, m.d1.row_sums()))
 
 
 def superpose(maps) -> MarkovArrivalProcess:
@@ -272,7 +273,7 @@ def ph_min(t1: PhaseTypeDistribution, t2: PhaseTypeDistribution) -> PhaseTypeDis
 
 def ph_mean(t: PhaseTypeDistribution) -> float:
     """Expected absorption time -pi s^{-1} 1."""
-    from scipy.sparse import linalg as spla  # deferred: keeps scipy.linalg off import
+    from scipy.sparse import linalg as spla  # deferred: keeps scipy off import
 
     try:
         y = spla.splu(t.s.to_csr().tocsc()).solve(np.ones(t.order))

@@ -69,10 +69,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
-# scipy.linalg, scipy.sparse.linalg and scipy.special load in the functions
-# that use them: `import ttlnet`, analyze and simulate need none of them.
+# scipy.linalg, scipy.sparse and scipy.special load in the functions that use
+# them: `import ttlnet`, analyze and simulate need none of them.
 
 from .cache_ops import output_min, output_sigma
 from .errors import BudgetExceededError, DivergentStoppingTimeError, ValidationError
@@ -326,8 +325,16 @@ class Tabulated(RenewalSpec):
         idx = np.searchsorted(self.points, x, side="left")
         return 1.0 - cum[idx]
 
+    @functools.cached_property
+    def _cdf(self) -> np.ndarray:
+        cdf = np.cumsum(self.masses)
+        cdf /= cdf[-1]
+        return cdf
+
     def sample(self, rng, size=None):
-        return rng.choice(self.points, size=size, p=self.masses)
+        # numpy's own `Generator.choice(points, size, p=masses)` algorithm,
+        # so the draws are the same, with the cumulative masses formed once
+        return self.points[self._cdf.searchsorted(rng.random(size), side="right")]
 
     def truncation_point(self, eps):
         tail = 1.0 - np.cumsum(self.masses)
@@ -550,8 +557,8 @@ def _ph_cycle(x: RenewalSpec, policy: StoppingPolicy, omega: float) -> _Cycle:
     )
     m = MarkovArrivalProcess(ph_x.s, d1)
     out = (output_sigma if policy.tag == "Sigma" else output_min)(m, *ph_ttls)
-    phi = np.asarray(out.map.d1.to_csr().sum(axis=0)).ravel()
-    a = omega * sp.identity(out.order, format="csr") - out.map.d0.to_csr()
+    d0, d1, size = out.map.d0, out.map.d1, out.order
+    phi = np.bincount(d1.col_idx, weights=d1.data, minlength=size)
     # In the cache_ops state order (OUT block, then Sigma phase, R phase and
     # request phase, outermost first) Erlang phases only move forward; the
     # only moves back are evictions into the OUT block and hits, which return
@@ -561,11 +568,23 @@ def _ph_cycle(x: RenewalSpec, policy: StoppingPolicy, omega: float) -> _Cycle:
     # order without pivoting (a fill-reducing ordering such as COLAMD does not
     # see the structure and filled up to 1 GB near the budget).
     n = len(out.out_states)
-    order = np.concatenate([np.arange(n)[::-1], np.arange(n, out.order)[::-1]])
-    lu = splu(a[order][:, order].T, permc_spec="NATURAL")
-    z = np.empty(out.order)
+    order = np.concatenate([np.arange(n)[::-1], np.arange(n, size)[::-1]])
+    # order reverses each block, so it is its own inverse: entry (i, j) of
+    # a = omega I - D0' is entry (order[i], order[j]) of the permuted system,
+    # built from the triplets with one sort; the transpose of its CSR matrix
+    # is a CSC matrix on the same arrays
+    diag = np.arange(size)
+    permuted = RateMatrix.from_arrays(
+        size,
+        size,
+        order[np.concatenate([diag, d0.row_idx])],
+        order[np.concatenate([diag, d0.col_idx])],
+        np.concatenate([np.full(size, omega), -d0.data]),
+    )
+    lu = splu(permuted.to_csr().T, permc_spec="NATURAL")
+    z = np.empty(size)
     z[order] = lu.solve(phi[order] / phi.sum())
-    transform = _dot(z, out.map.d1.row_sums())
+    transform = _dot(z, d1.row_sums())
     return _Cycle(float(z.sum()) / x.mean, float(z[n:].sum()), float(transform))
 
 

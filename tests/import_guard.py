@@ -1,4 +1,4 @@
-"""Import guard: `import ttlnet`, analyze and simulate load no lazy scipy module.
+"""Import guard: `import ttlnet`, analyze and simulate load no scipy module.
 
     python tests/import_guard.py configs/tree3.json
 
@@ -6,18 +6,26 @@ Imports ttlnet, analyzes the topology, simulates 2e4 leaf events, and
 analyzes `LARGE`, whose root chain is above the GTH bound, with the
 bordered solve refused, so that its given-input solve must succeed. After
 each step it checks that none of `LAZY` is in `sys.modules`. Then, in the
-same process, it runs each route that imports one of them on first use (the
-LU fallback of the stationary solve, `ph_mean`,
-`stationary_interval_moments` and two renewal queries) against independent
-values. Exits 0 when all checks pass, else with a message naming the first
-failure.
+same process, it runs each route that imports one of them on first use
+against the values of the routes that do not or against independent
+values: `LARGE` again with scipy's sparse product (`kron._NUMPY_PRODUCT_MAX`
+patched to 0), the LU fallback of the stationary solve, `ph_mean`,
+`stationary_interval_moments` and two renewal queries. Exits 0 when all
+checks pass, else with a message naming the first failure.
 """
 
 import math
 import sys
 from pathlib import Path
 
-LAZY = ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph", "scipy.special")
+LAZY = (
+    "scipy",
+    "scipy.sparse",
+    "scipy.linalg",
+    "scipy.sparse.linalg",
+    "scipy.sparse.csgraph",
+    "scipy.special",
+)
 
 # two Poisson leaves with Erlang-3 TTLs (4 output states each) under a
 # Sigma cache with an Erlang-4 TTL: 16 input and 80 output states
@@ -65,6 +73,16 @@ def main(config: str) -> None:
         sys.exit("the large topology has no chain above the GTH bound")
     kron._krylov_solve, kron._lu_solve = bordered
     _require_unloaded("the given-input solve")
+
+    # above the product bound, BiCGSTAB multiplies with scipy.sparse
+    bound, kron._NUMPY_PRODUCT_MAX = kron._NUMPY_PRODUCT_MAX, 0
+    for nid, metrics in ttlnet.analyze(ttlnet.parse_topology(LARGE)).metrics.items():
+        want = large.metrics[nid].to_dict()
+        for name, value in metrics.to_dict().items():
+            _require_close(f"scipy product {nid}.{name}", value, want[name])
+    if "scipy.sparse" not in sys.modules:
+        sys.exit("the scipy product did not run")
+    kron._NUMPY_PRODUCT_MAX = bound
 
     # LU fallback: GTH declines and BiCGSTAB stalls on every node
     kron._gth = lambda q: None

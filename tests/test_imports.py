@@ -1,4 +1,4 @@
-"""Cold start: import, analyze and simulate load numpy and scipy.sparse only."""
+"""Cold start: import, analyze and simulate load numpy and no scipy module."""
 
 import os
 import subprocess

@@ -1,5 +1,7 @@
 """Kronecker algebra and steady-state solving."""
 
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -335,12 +337,40 @@ class TestEdgeArrays:
             assert np.array_equal(indices, want.indices)
 
 
+class TestProduct:
+    @pytest.mark.parametrize("bound", [sys.maxsize, -1], ids=["numpy", "scipy"])
+    @given(n=st.integers(1, 40), density=st.floats(0.0, 0.5), seed=st.integers(0, 2**31))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_scipy(self, bound, n, density, seed):
+        r = np.random.default_rng(seed)
+        dense = r.uniform(-1.0, 1.0, (n, n)) * (r.random((n, n)) < density)
+        csc = sp.csc_matrix(dense)
+        a = (csc.data, csc.indices.astype(np.int64), csc.indptr.astype(np.int64))
+        x = r.uniform(-1.0, 1.0, n)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kron, "_NUMPY_PRODUCT_MAX", bound)
+            got = kron._product(a, n)(x)
+        assert_allclose(got, csc @ x, rtol=1e-15, atol=1e-15)
+
+
 class TestBicgstab:
-    """The package's BiCGSTAB loop against scipy's, on steady_state's bordered systems."""
+    """The package's BiCGSTAB loop against scipy's, on steady_state's bordered
+    systems, with either sparse product: numpy's at or below
+    `kron._NUMPY_PRODUCT_MAX` nonzeros (these systems), scipy's above it."""
 
     @pytest.mark.parametrize("maxiter", [None, 2], ids=["converged", "out-of-iterations"])
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_scipy(self, seed, maxiter, monkeypatch):
+        self._check(seed, maxiter, monkeypatch, numpy_product=True)
+
+    @pytest.mark.parametrize("maxiter", [None, 2], ids=["converged", "out-of-iterations"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_scipy_product_matches_scipy(self, seed, maxiter, monkeypatch):
+        monkeypatch.setattr(kron, "_NUMPY_PRODUCT_MAX", -1)
+        self._check(seed, maxiter, monkeypatch, numpy_product=False)
+
+    @staticmethod
+    def _check(seed, maxiter, monkeypatch, numpy_product):
         if maxiter is not None:
             monkeypatch.setattr(kron, "_KRYLOV_MAXITER", maxiter)
         rng = np.random.default_rng(seed)
@@ -348,10 +378,12 @@ class TestBicgstab:
         a = _random_generator(rng, n).T
         a[-1] = 1.0
         a = sp.csc_matrix(a)
+        assert (a.nnz <= kron._NUMPY_PRODUCT_MAX) == numpy_product
         b = np.zeros(n)
         b[-1] = 1.0
         inv_diag = 1.0 / a.diagonal()
-        got, info = kron._bicgstab(a, inv_diag, b, np.full(n, 1.0 / n))
+        csc = (a.data, a.indices, a.indptr)
+        got, info = kron._bicgstab(csc, inv_diag, b, np.full(n, 1.0 / n))
         want, want_info = spla.bicgstab(
             a, b, x0=np.full(n, 1.0 / n), rtol=1e-14, atol=0.0,
             maxiter=kron._KRYLOV_MAXITER, M=sp.diags(inv_diag),

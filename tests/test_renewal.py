@@ -430,6 +430,17 @@ class TestTabulatedSpec:
         with pytest.raises(ValidationError):
             Tabulated(0.1, [-0.1, 10.1])
 
+    @pytest.mark.parametrize("size", [None, 7], ids=["scalar", "array"])
+    def test_draws_equal_generator_choice(self, size):
+        # the stream of numpy's choice(p=...), with the cumulative masses formed once
+        tab = tabulated_from(Erlang(2, 2.0), 0.01, 1000)
+        got_rng, want_rng = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(20):
+            got = tab.sample(got_rng, size)
+            want = want_rng.choice(tab.points, size=size, p=tab.masses)
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want)
+
 
 class TestTransformShape:
     @pytest.mark.parametrize(
