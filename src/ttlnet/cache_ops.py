@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kron import RateMatrix, kron_product, kron_sum
+from .kron import RateMatrix, kron_product, kron_sum_terms, kron_terms
 from .processes import (
     MarkovArrivalProcess,
     PhaseTypeDistribution,
@@ -60,7 +60,8 @@ class CacheOutput:
 def _pi_rows(pi: np.ndarray, rows: int) -> RateMatrix:
     """Sparse (rows x len(pi)) matrix with every row equal to pi."""
     nz = np.flatnonzero(pi)
-    return RateMatrix.from_arrays(
+    # canonical as built: rows ascending, pi's nonzeros ascending in each
+    return RateMatrix(
         rows,
         pi.size,
         np.repeat(np.arange(rows), nz.size),
@@ -77,21 +78,24 @@ def _cache_output(
     `hit_reset` is the IN block of H: a sparse (ttl.order x ttl.order)
     matrix over the transient TTL phases whose rows sum to one. H and A
     shift it and pi past the absorbing phase, so every step stays O(nnz).
+    d0' is assembled from the triplets of its three Kronecker terms in one
+    sort, bit for bit the sum built term by term (see
+    `RateMatrix.from_terms`).
     """
     require_valid(m)
     k = ttl.order
-    h = RateMatrix.from_arrays(
-        k + 1, k + 1, hit_reset.row_idx + 1, hit_reset.col_idx + 1, hit_reset.data
-    )
+    # canonical as built, so no sort: H is hit_reset shifted, A row 0 of pi's nonzeros
+    h = RateMatrix(k + 1, k + 1, hit_reset.row_idx + 1, hit_reset.col_idx + 1, hit_reset.data)
     pi = ttl.pi.entries
     nz = np.flatnonzero(pi)
-    a = RateMatrix.from_arrays(k + 1, k + 1, np.zeros_like(nz), nz + 1, pi[nz])
-    d0p = kron_sum(ttl.full_generator(), m.d0) + kron_product(h, m.d1)
+    a = RateMatrix(k + 1, k + 1, np.zeros_like(nz), nz + 1, pi[nz])
+    n, size = m.order, (k + 1) * m.order
+    terms = kron_sum_terms([ttl.full_generator(), m.d0]) + [kron_terms(h, m.d1)]
+    d0p = RateMatrix.from_terms(size, size, terms)
     d1p = kron_product(a, m.d1)
-    n = m.order
     return CacheOutput(
         MarkovArrivalProcess(d0p, d1p),
-        in_states=frozenset(range(n, d0p.rows)),
+        in_states=frozenset(range(n, size)),
         out_states=frozenset(range(n)),
         ttl=ttl,
     )

@@ -87,6 +87,18 @@ class RateMatrix:
         return cls(rows, cols, r, c, v)
 
     @classmethod
+    def from_terms(cls, rows: int, cols: int, terms) -> "RateMatrix":
+        """The sum of the triplet terms (r, c, v), canonicalized in one sort.
+
+        When no term repeats a coordinate within itself (as `kron_terms` of
+        canonical matrices), the bits equal those of adding the terms as
+        canonical matrices one at a time, in order: both sum each
+        coordinate's entries in term order and drop the zeros left.
+        """
+        r, c, v = (np.concatenate(parts) for parts in zip(*terms))
+        return cls.from_arrays(rows, cols, r, c, v)
+
+    @classmethod
     def from_dense(cls, array) -> "RateMatrix":
         try:
             a = np.asarray(array, dtype=np.float64)
@@ -146,12 +158,10 @@ class RateMatrix:
             raise DimensionError(
                 f"cannot add {self.rows}x{self.cols} and {other.rows}x{other.cols}"
             )
-        return RateMatrix.from_arrays(
+        return RateMatrix.from_terms(
             self.rows,
             self.cols,
-            np.concatenate([self.row_idx, other.row_idx]),
-            np.concatenate([self.col_idx, other.col_idx]),
-            np.concatenate([self.data, other.data]),
+            [(m.row_idx, m.col_idx, m.data) for m in (self, other)],
         )
 
     def __eq__(self, other) -> bool:
@@ -216,21 +226,42 @@ class ProbabilityVector:
         return f"ProbabilityVector({np.array2string(self.entries, precision=6)})"
 
 
-def kron_product(a: RateMatrix, b: RateMatrix) -> RateMatrix:
-    """Kronecker product: block (i, j) of the result equals a[i, j] * b."""
+def kron_terms(a: RateMatrix, b: RateMatrix) -> tuple:
+    """Unsorted triplets (r, c, v) of a (x) b, for `RateMatrix.from_terms`."""
     r = (a.row_idx[:, None] * b.rows + b.row_idx[None, :]).ravel()
     c = (a.col_idx[:, None] * b.cols + b.col_idx[None, :]).ravel()
     v = (a.data[:, None] * b.data[None, :]).ravel()
-    return RateMatrix.from_arrays(a.rows * b.rows, a.cols * b.cols, r, c, v)
+    return r, c, v
+
+
+def kron_product(a: RateMatrix, b: RateMatrix) -> RateMatrix:
+    """Kronecker product: block (i, j) of the result equals a[i, j] * b."""
+    return RateMatrix.from_arrays(a.rows * b.rows, a.cols * b.cols, *kron_terms(a, b))
+
+
+def kron_sum_terms(mats) -> list[tuple]:
+    """Unsorted triplets of the terms I (x) M_i (x) I of the Kronecker sum of
+    the square matrices `mats`, first outermost, for `RateMatrix.from_terms`."""
+    if not all(m.is_square for m in mats):
+        raise DimensionError("kron_sum requires square matrices")
+    terms, left, right = [], 1, math.prod(m.rows for m in mats)
+    for m in mats:
+        right //= m.rows
+        # axes (left block, entry of m, right block)
+        outer = np.arange(left)[:, None, None] * m.rows
+        inner = np.arange(right)
+        r = ((outer + m.row_idx[:, None]) * right + inner).ravel()
+        c = ((outer + m.col_idx[:, None]) * right + inner).ravel()
+        v = np.empty((left, m.nnz, right))
+        v[...] = m.data[:, None]
+        terms.append((r, c, v.ravel()))
+        left *= m.rows
+    return terms
 
 
 def kron_sum(a: RateMatrix, b: RateMatrix) -> RateMatrix:
     """Kronecker sum a (x) I_n + I_m (x) b for square a (m x m) and b (n x n)."""
-    if not a.is_square or not b.is_square:
-        raise DimensionError("kron_sum requires square matrices")
-    return kron_product(a, RateMatrix.identity(b.rows)) + kron_product(
-        RateMatrix.identity(a.rows), b
-    )
+    return RateMatrix.from_terms(a.rows * b.rows, a.rows * b.rows, kron_sum_terms([a, b]))
 
 
 def _check_generator(q: RateMatrix, tol: float = 1e-9) -> None:
@@ -302,9 +333,11 @@ def _is_irreducible(q: RateMatrix) -> bool:
 
 
 # BiCGSTAB iterations before the LU fallback. Converging solves need far
-# fewer (75 for the 5,000-state tree of the map-large benchmark); where
-# BiCGSTAB stalls (a 2,550-state Sigma cache with Erlang-50 laws), every
-# 1,000 iterations cost about 0.1 s and LU takes milliseconds.
+# fewer: 33-34 for the given-input systems of the map-large benchmark's
+# 5,000-state tree and 2,916-state line (the tree's bordered system, which
+# only the fallback builds now, took 75). Where BiCGSTAB stalls (a
+# 2,550-state Sigma cache with Erlang-50 laws), every 1,000 iterations
+# cost about 0.1 s and LU takes milliseconds.
 _KRYLOV_MAXITER = 1_000
 # BiCGSTAB iterations without a new lowest residual norm before it gives up.
 # Converging solves of the test suite and the benchmark went at most 24 in a
@@ -366,21 +399,38 @@ def _relax(q: RateMatrix, x: np.ndarray) -> np.ndarray | None:
 
 
 def _dot(u: np.ndarray, w: np.ndarray) -> float:
-    """Inner product on the calling thread. BLAS splits long vectors (over
-    10,000 entries in OpenBLAS) over its threads, and on a 2-vCPU VM whose
-    idle core was slow to wake that cost 0.9 s of a 100-iteration solve of
-    10,100 states, against 0.02 s on one thread."""
-    return np.einsum("i,i", u, w)
+    """Inner product on the calling thread.
+
+    OpenBLAS runs a dot product of at most 10,000 entries on the calling
+    thread and splits longer ones over its threads. On a 2-vCPU VM, 20,000
+    dots took 0.07 s at 10,000 entries and 0.96 s at 10,001, where the
+    BLAS worker thread's CPU time went from 0 to 0.52 s. So `ndarray.dot`
+    up to that length (1.0 us at 100 entries, 3.2 us at 10,000), and
+    `einsum`, which never threads, above it (3.9 and 8.7 us).
+    """
+    return u.dot(w) if u.size <= 10_000 else np.einsum("i,i", u, w)
 
 
 # Most nonzeros of a system that `_bicgstab` multiplies by with numpy
-# (`_product`); above it, scipy's compiled product is faster. Per product on
-# the given-input systems of a 5,000-state tree, 2-vCPU host, scipy `@`
-# against numpy `bincount`: 2.5 against 1.4 us at 344 nonzeros, 5.0 against
-# 8.4 us at 3,992, 11.7 against 27.0 us at 17,000. Below the bound a solve
-# pays at most about 7 ms more, at `_KRYLOV_MAXITER`; importing scipy.sparse
-# costs about 0.1 s.
-_NUMPY_PRODUCT_MAX = 4096
+# (`_product`), set under the break-even with importing scipy.sparse.
+# Per product on the given-input systems of a 5,000-state tree, a
+# 2,916-state line and a 10,368-state tree (Erlang-5 leaves), in us, best
+# of 15 on a 2-vCPU host, two runs:
+#
+#     nonzeros           344   3,992   13,284   17,000   36,288
+#     scipy `@`          5-6    8-12    16-23    21-31    34-51
+#     numpy `bincount`   3-4   14-17    37-53    58-70   92-105
+#
+# numpy costs 1.5-2.3 ns more per nonzero, so a solve under the bound pays
+# at most 32,768 x 2,000 x 2.3 ns = 0.15 s more, even at `_KRYLOV_MAXITER`
+# (1,000 iterations, 2,000 products), while importing scipy.sparse costs 0.2-0.25 s and
+# 22 MB of resident memory there: a break-even of 43,000 nonzeros or more.
+# Converging solves take far fewer products (68 on the map-large systems).
+# Above the bound scipy's product stays, for the large trees whose run
+# pays the import once: with numpy at every size the 80,000-state tree of
+# Erlang-9 leaves took 0.36-0.44 s against 0.25-0.29 s, and the
+# 228,488-state tree of Erlang-12 leaves 1.5 s against 0.92-0.98 s.
+_NUMPY_PRODUCT_MAX = 32_768
 
 
 def _product(a: tuple, n: int):

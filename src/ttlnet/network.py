@@ -201,8 +201,9 @@ def parse_topology(document) -> Topology:
 
     Raises TopologyError with a path-qualified message on schema
     violations, duplicate or dangling node ids, cycles, non-stochastic
-    split vectors, arrival processes that do not cover the leaves, or
-    invalid arrival MAPs and phase-type TTLs.
+    split vectors, nodes that split weights of 0 leave with no requests,
+    arrival processes that do not cover the leaves, or invalid arrival MAPs
+    and phase-type TTLs.
     """
     if isinstance(document, (str, bytes)):
         try:
@@ -291,6 +292,23 @@ def parse_topology(document) -> Topology:
             raise TopologyError(
                 f"$.nodes[{i}].split: length {len(node.split)} does not match"
                 f" out-degree {n_parents}"
+            )
+    # a node with no requests has a singular d0: refuse it here, not in analyze()
+    index = {nid: i for i, nid in enumerate(nodes)}
+    requested = set(leaves)
+    for nid in graph.topological_order():
+        if nid in requested:
+            continue
+        for child in nodes[nid].children:
+            split = nodes[child].split
+            weight = 1.0 if split is None else split[graph.parents_of(child).index(nid)]
+            if child in requested and weight > 0.0:
+                requested.add(nid)
+                break
+        else:
+            raise TopologyError(
+                f"$.nodes[{index[nid]}]: node {nid!r} receives no requests: every"
+                " child routes it split weight 0 or receives none itself"
             )
     # the arrival MAPs are built and validated here, so analyze() cannot fail late
     arrivals = {

@@ -10,8 +10,10 @@ state first (row 0), which lets the cache input-output constructions
 transcribe as plain block templates.
 """
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -21,6 +23,7 @@ from .kron import (
     RateMatrix,
     _dot,
     kron_sum,
+    kron_sum_terms,
     reachable,
     reversed_edges,
     steady_state,
@@ -64,9 +67,9 @@ class MarkovArrivalProcess:
     def order(self) -> int:
         return self.d0.rows
 
-    @property
+    @cached_property
     def generator(self) -> RateMatrix:
-        """Background-chain generator d0 + d1."""
+        """Background-chain generator d0 + d1, summed on first use."""
         return self.d0 + self.d1
 
     def __eq__(self, other):
@@ -233,15 +236,15 @@ def superpose(maps) -> MarkovArrivalProcess:
     """Merge independent MAPs; matrices combine by Kronecker sums.
 
     State order is the Cartesian product of the input state spaces in
-    lexicographic order (first argument outermost).
+    lexicographic order (first argument outermost). Each matrix takes one
+    sort of its Kronecker terms, bit for bit the chained `kron_sum`s.
     """
     maps = list(maps)
     if not maps:
         raise ValidationError("superpose requires at least one MAP")
-    d0, d1 = maps[0].d0, maps[0].d1
-    for m in maps[1:]:
-        d0 = kron_sum(d0, m.d0)
-        d1 = kron_sum(d1, m.d1)
+    n = math.prod(m.order for m in maps)
+    d0 = RateMatrix.from_terms(n, n, kron_sum_terms([m.d0 for m in maps]))
+    d1 = RateMatrix.from_terms(n, n, kron_sum_terms([m.d1 for m in maps]))
     return MarkovArrivalProcess(d0, d1)
 
 

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import random_map, random_ph
@@ -13,6 +15,7 @@ from ttlnet import (
     ProbabilityVector,
     RateMatrix,
     fundamental_rate,
+    kron_sum,
     metrics_from_maps,
     mmpp_map,
     output_min,
@@ -22,8 +25,10 @@ from ttlnet import (
     poisson_map,
     stationary_interval_moments,
     steady_state,
+    superpose,
     validate_map,
 )
+from ttlnet.kron import kron_terms
 
 
 def two_phase_ttl(r1, r2):
@@ -238,3 +243,130 @@ class TestMemorylessnessCollapse:
             assert a.map.d0 == b.map.d0
             assert a.map.d1 == b.map.d1
             assert a.in_states == b.in_states
+
+
+def _chained_product(a, b):
+    """a (x) b canonicalized on its own: the reference for one-sort assembly."""
+    r = (a.row_idx[:, None] * b.rows + b.row_idx[None, :]).ravel()
+    c = (a.col_idx[:, None] * b.cols + b.col_idx[None, :]).ravel()
+    v = (a.data[:, None] * b.data[None, :]).ravel()
+    return RateMatrix.from_arrays(a.rows * b.rows, a.cols * b.cols, r, c, v)
+
+
+def _chained_sum(a, b):
+    """a (x) I + I (x) b as two canonical products and a merging `+`."""
+    return _chained_product(a, RateMatrix.identity(b.rows)) + _chained_product(
+        RateMatrix.identity(a.rows), b
+    )
+
+
+def _chained_pi_rows(pi, rows):
+    nz = np.flatnonzero(pi)
+    return RateMatrix.from_arrays(
+        rows, pi.size, np.repeat(np.arange(rows), nz.size), np.tile(nz, rows), np.tile(pi[nz], rows)
+    )
+
+
+def _chained_output(m, ttl, hit_reset):
+    """(d0', d1') of the cache template, each Kronecker term sorted on its own:
+    d0' = (P (+) d0) + (H (x) d1), d1' = A (x) d1."""
+    k = ttl.order
+    h = RateMatrix.from_arrays(
+        k + 1, k + 1, hit_reset.row_idx + 1, hit_reset.col_idx + 1, hit_reset.data
+    )
+    nz = np.flatnonzero(ttl.pi.entries)
+    a = RateMatrix.from_arrays(k + 1, k + 1, np.zeros_like(nz), nz + 1, ttl.pi.entries[nz])
+    d0 = _chained_sum(ttl.full_generator(), m.d0) + _chained_product(h, m.d1)
+    return d0, _chained_product(a, m.d1)
+
+
+def _rates_map(rng, tiny: bool) -> MarkovArrivalProcess:
+    """A random MAP; with `tiny`, state 0's active rates are scaled by 1e-170."""
+    m = random_map(rng)
+    if not tiny:
+        return m
+    d0, d1 = m.d0.to_dense(), m.d1.to_dense()
+    d1[0] *= 1e-170
+    np.fill_diagonal(d0, 0.0)
+    d0 -= np.diag(d0.sum(axis=1) + d1.sum(axis=1))
+    return MarkovArrivalProcess(RateMatrix.from_dense(d0), RateMatrix.from_dense(d1))
+
+
+def _ttl(rng, tiny: bool, zero_pi: bool) -> PhaseTypeDistribution:
+    """A random PH TTL; `zero_pi` zeroes all but one pi entry at random,
+    `tiny` sets one pi entry to 1e-200 (so pi times a `tiny` d1 rate
+    underflows to 0.0)."""
+    t = random_ph(rng)
+    pi = t.pi.entries.copy()
+    if zero_pi:
+        pi[rng.random(pi.size) < 0.5] = 0.0
+        pi[rng.integers(pi.size)] = 1.0
+    if tiny:
+        pi[rng.integers(pi.size)] = 1e-200
+    if pi.sum() == 1e-200:
+        pi[:] = 1.0
+    return PhaseTypeDistribution(t.s, ProbabilityVector(pi / pi.sum()))
+
+
+class TestOneSortAssembly:
+    """Each assembled matrix takes one sort of its Kronecker terms; the bits
+    equal those of canonicalizing every term and adding them in order."""
+
+    @given(seed=st.integers(0, 2**32 - 1), tiny=st.booleans(), zero_pi=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_cache_outputs_match_chained_terms(self, seed, tiny, zero_pi):
+        rng = np.random.default_rng(seed)
+        m = _rates_map(rng, tiny)
+        t, t_r = _ttl(rng, tiny, zero_pi), _ttl(rng, tiny, zero_pi)
+        joint = PhaseTypeDistribution(
+            _chained_sum(t.s, t_r.s), ProbabilityVector(np.kron(t.pi.entries, t_r.pi.entries))
+        )
+        min_reset = _chained_product(
+            RateMatrix.identity(t.order), _chained_pi_rows(t_r.pi.entries, t_r.order)
+        )
+        cases = [
+            (output_sigma(m, t), t, RateMatrix.identity(t.order)),
+            (output_r(m, t), t, _chained_pi_rows(t.pi.entries, t.order)),
+            (output_min(m, t, t_r), joint, min_reset),
+        ]
+        for out, ttl, reset in cases:
+            d0, d1 = _chained_output(m, ttl, reset)
+            assert out.ttl == ttl
+            assert out.map.d0 == d0
+            assert out.map.d1 == d1
+
+    def test_underflowing_product_is_dropped(self):
+        m = _rates_map(np.random.default_rng(4), tiny=True)
+        pi = np.array([1e-200, 1.0])
+        t = PhaseTypeDistribution(
+            RateMatrix.from_dense([[-2.0, 1.0], [0.0, -1.5]]), ProbabilityVector(pi / pi.sum())
+        )
+        a = RateMatrix.from_dense([[0.0, 1e-200, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        assert np.any(kron_terms(a, m.d1)[2] == 0.0)  # 1e-200 * 1e-170 underflows
+        for out, reset in [
+            (output_sigma(m, t), RateMatrix.identity(2)),
+            (output_r(m, t), _chained_pi_rows(t.pi.entries, 2)),
+        ]:
+            d0, d1 = _chained_output(m, t, reset)
+            assert out.map.d0 == d0 and out.map.d1 == d1
+
+    @given(seed=st.integers(0, 2**32 - 1), parts=st.integers(2, 3), tiny=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_superpose_matches_chained_sums(self, seed, parts, tiny):
+        rng = np.random.default_rng(seed)
+        maps = [_rates_map(rng, tiny) for _ in range(parts)]
+        d0, d1 = maps[0].d0, maps[0].d1
+        for m in maps[1:]:
+            d0, d1 = _chained_sum(d0, m.d0), _chained_sum(d1, m.d1)
+        got = superpose(maps)
+        assert got.d0 == d0 and got.d1 == d1
+
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 5), n=st.integers(1, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_kron_sum_matches_chained_sum(self, seed, m, n):
+        # entries from a small set, so that diagonal sums cancel to exactly 0.0
+        rng = np.random.default_rng(seed)
+        values = np.array([0.0, 0.0, -2.0, -1.0, 1.0, 2.0, 1e-300])
+        a = RateMatrix.from_dense(rng.choice(values, (m, m)))
+        b = RateMatrix.from_dense(rng.choice(values, (n, n)))
+        assert kron_sum(a, b) == _chained_sum(a, b)

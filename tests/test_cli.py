@@ -93,6 +93,23 @@ class TestAnalyzeCommand:
         code, _, err = run(["analyze", "--config", str(bad)], capsys)
         assert code == 2
 
+    def test_node_without_requests_exit_two(self, tmp_path, capsys):
+        # A sends all its misses to B, none to C
+        bad = tmp_path / "zero-weight.json"
+        bad.write_text(json.dumps({
+            "nodes": [
+                {"id": "A", "policy": "R", "ttl": {"exp": 1.0}, "split": [1.0, 0.0]},
+                {"id": "B", "policy": "Sigma", "ttl": {"exp": 1.0}, "children": ["A"]},
+                {"id": "C", "policy": "Sigma", "ttl": {"exp": 1.0}, "children": ["A"]},
+            ],
+            "arrivals": {"A": {"poisson": 1.0}},
+        }))
+        code, out, err = run(["analyze", "--config", str(bad)], capsys)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "TopologyError"
+        assert error["message"].startswith("$.nodes[2]: node 'C' receives no requests")
+
 
     @pytest.mark.parametrize(
         "path, arrival, ttl",

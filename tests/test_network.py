@@ -12,6 +12,7 @@ import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
 import ttlnet
+from topologies import erlang_tree, mmpp_line
 from ttlnet import (
     BudgetExceededError,
     TopologyError,
@@ -42,44 +43,6 @@ TREE3 = {
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
-def erlang_tree(stages: int, ttl_speed: float = 1.0) -> dict:
-    """7-node binary tree: Poisson leaves with Erlang TTLs, R/Sigma/MinSigmaR above.
-
-    The root has 2 * ((stages + 1) ** 2 * 2) ** 2 output states: 10,368 for
-    Erlang-5 leaves. `ttl_speed` scales the leaf TTL rates; fast TTLs leave
-    states of tiny stationary probability.
-    """
-    leaves = [("L1", "R", 4.0, 1.0), ("L2", "Sigma", 3.0, 2.0),
-              ("L3", "Sigma", 5.0, 1.5), ("L4", "R", 2.0, 0.8)]
-    nodes = [
-        {"id": nid, "policy": policy,
-         "ttl": {"erlang": {"stages": stages, "rate": stages * rate * ttl_speed}}}
-        for nid, policy, rate, _ in leaves
-    ]
-    nodes += [
-        {"id": "M1", "policy": "MinSigmaR", "ttl": {"exp": 1.0}, "ttl_r": {"exp": 2.0},
-         "children": ["L1", "L2"]},
-        {"id": "M2", "policy": "R", "ttl": {"exp": 1.5}, "children": ["L3", "L4"]},
-        {"id": "T", "policy": "Sigma", "ttl": {"exp": 0.7}, "children": ["M1", "M2"]},
-    ]
-    return {"nodes": nodes, "arrivals": {nid: {"poisson": lam} for nid, _, _, lam in leaves}}
-
-
-def mmpp_line() -> dict:
-    """Depth-7 line fed by a two-state MMPP: an R cache with an exp TTL, then
-    Erlang-2 caches alternating Sigma and R. The last has 2,916 output states."""
-    nodes = [{"id": "N0", "policy": "R", "ttl": {"exp": 1.0}}]
-    for i in range(1, 7):
-        nodes.append({
-            "id": f"N{i}",
-            "policy": ("Sigma", "R")[i % 2],
-            "ttl": {"erlang": {"stages": 2, "rate": 2.0 + 0.3 * i}},
-            "children": [f"N{i - 1}"],
-        })
-    mmpp = {"q": [[-0.5, 0.5], [1.0, -1.0]], "rates": [4.0, 0.5]}
-    return {"nodes": nodes, "arrivals": {"N0": {"mmpp": mmpp}}}
-
-
 class TestParsing:
     def test_line_document(self):
         topo = parse_topology(json.dumps(LINE2))
@@ -92,6 +55,46 @@ class TestParsing:
         topo = parse_topology(TREE3)
         assert topo.leaves == ["C1", "C2"]
         assert topo.parents_of("C1") == ["C3"]
+
+    @staticmethod
+    def _zero_weight_doc(extra_nodes=(), arrivals=None):
+        """Leaf A splits [1, 0] into B and C, so C gets no requests from A."""
+        return {
+            "nodes": [
+                {"id": "A", "policy": "R", "ttl": {"exp": 1.0}, "split": [1.0, 0.0]},
+                {"id": "B", "policy": "Sigma", "ttl": {"exp": 1.0}, "children": ["A"]},
+                *extra_nodes,
+            ],
+            "arrivals": {"A": {"poisson": 1.0}, **(arrivals or {})},
+        }
+
+    def test_node_without_requests_refused(self):
+        doc = self._zero_weight_doc([
+            {"id": "C", "policy": "Sigma", "ttl": {"exp": 1.0}, "children": ["A"]},
+        ])
+        with pytest.raises(TopologyError, match=r"^\$\.nodes\[2\]: node 'C' receives no requests"):
+            parse_topology(doc)
+
+    def test_no_requests_propagate_up(self):
+        # D's only child is C, which gets nothing from A: C is named first
+        doc = self._zero_weight_doc([
+            {"id": "D", "policy": "R", "ttl": {"exp": 2.0}, "children": ["C"]},
+            {"id": "C", "policy": "Sigma", "ttl": {"exp": 1.0}, "children": ["A"]},
+        ])
+        with pytest.raises(TopologyError, match=r"^\$\.nodes\[3\]: node 'C'"):
+            parse_topology(doc)
+
+    def test_join_with_a_requested_child_is_valid(self):
+        doc = self._zero_weight_doc(
+            [
+                {"id": "E", "policy": "R", "ttl": {"exp": 1.0}},
+                {"id": "C", "policy": "Sigma", "ttl": {"exp": 1.0}, "children": ["A", "E"]},
+            ],
+            arrivals={"E": {"poisson": 2.0}},
+        )
+        result = analyze(parse_topology(doc))
+        # C's input is E's miss stream alone
+        assert result.metrics["C"].input_rate == pytest.approx(result.metrics["E"].miss_rate)
 
     def test_split_not_stochastic(self):
         doc = {
