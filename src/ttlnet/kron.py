@@ -421,16 +421,20 @@ def _dot(u: np.ndarray, w: np.ndarray) -> float:
 #     scipy `@`          5-6    8-12    16-23    21-31    34-51
 #     numpy `bincount`   3-4   14-17    37-53    58-70   92-105
 #
-# numpy costs 1.5-2.3 ns more per nonzero, so a solve under the bound pays
-# at most 32,768 x 2,000 x 2.3 ns = 0.15 s more, even at `_KRYLOV_MAXITER`
-# (1,000 iterations, 2,000 products), while importing scipy.sparse costs 0.2-0.25 s and
-# 22 MB of resident memory there: a break-even of 43,000 nonzeros or more.
-# Converging solves take far fewer products (68 on the map-large systems).
-# Above the bound scipy's product stays, for the large trees whose run
-# pays the import once: with numpy at every size the 80,000-state tree of
-# Erlang-9 leaves took 0.36-0.44 s against 0.25-0.29 s, and the
+# numpy costs 1.5-2.3 ns more per nonzero. The bound is the break-even
+# with the cheapest import measured: `import scipy.sparse` after numpy took
+# 0.115-0.122 s and 22 MB of resident memory (8 cold interpreters on the
+# same host, scipy 1.17), earlier 0.1 s, and 0.2-0.25 s on a loaded host.
+# At 0.1 s, a solve pays no more for numpy's product than the import
+# while n x 2,000 x 2.3 ns <= 0.1 s, n <= 21,700, even if it runs to
+# `_KRYLOV_MAXITER` (2,000 products); such a solve ends in the LU fallback,
+# which loads scipy.sparse as well, so it pays both. Converging
+# solves take far fewer products (68 on the map-large systems: 3 ms more at
+# the bound). Above the bound scipy's product stays, for the large trees
+# whose run pays the import once: with numpy at every size the 80,000-state
+# tree of Erlang-9 leaves took 0.36-0.44 s against 0.25-0.29 s, and the
 # 228,488-state tree of Erlang-12 leaves 1.5 s against 0.92-0.98 s.
-_NUMPY_PRODUCT_MAX = 32_768
+_NUMPY_PRODUCT_MAX = 20_480
 
 
 def _product(a: tuple, n: int):

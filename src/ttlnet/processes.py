@@ -13,7 +13,6 @@ transcribe as plain block templates.
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -67,9 +66,9 @@ class MarkovArrivalProcess:
     def order(self) -> int:
         return self.d0.rows
 
-    @cached_property
+    @property
     def generator(self) -> RateMatrix:
-        """Background-chain generator d0 + d1, summed on first use."""
+        """Background-chain generator d0 + d1."""
         return self.d0 + self.d1
 
     def __eq__(self, other):
