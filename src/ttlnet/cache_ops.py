@@ -43,13 +43,14 @@ __all__ = ["CacheOutput", "output_sigma", "output_r", "output_min"]
 class CacheOutput:
     """Miss-process MAP of a cache plus its IN/OUT state partition.
 
-    `ttl` is the phase-type TTL the MAP was built with (the joint minimum
-    for a min(Sigma, R) cache), when known.
+    The OUT group is the first n states, n the request MAP's order, and the
+    IN group the rest. `ttl` is the phase-type TTL the MAP was built with
+    (the joint minimum for a min(Sigma, R) cache), when known.
     """
 
     map: MarkovArrivalProcess
-    in_states: frozenset[int]
-    out_states: frozenset[int]
+    in_states: range
+    out_states: range
     ttl: PhaseTypeDistribution | None = None
 
     @property
@@ -95,8 +96,8 @@ def _cache_output(
     d1p = kron_product(a, m.d1)
     return CacheOutput(
         MarkovArrivalProcess(d0p, d1p),
-        in_states=frozenset(range(n, size)),
-        out_states=frozenset(range(n)),
+        in_states=range(n, size),
+        out_states=range(n),
         ttl=ttl,
     )
 

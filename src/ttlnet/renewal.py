@@ -40,8 +40,8 @@ routes:
 
 * miss chain: Exponential and Erlang laws are phase-type (PH), so the
   requests form a renewal MAP, `cache_ops` builds the cache's miss process
-  exactly, and one sparse solve over one inter-miss interval of that process
-  gives the cycle (`_ph_cycle`).
+  exactly, and one solve over one inter-miss interval of that process gives
+  the cycle (`_ph_cycle`; dense up to `_DENSE_MAX` states, sparse LU above).
 * matrix-geometric: with a PH(alpha, S) Sigma TTL, P(tau > k) = alpha K^k 1
   for one matrix K = E[e^{S X} 1{X <= T_R}], a sum over the atoms of X, or
   over those of T_R for PH requests (`_ph_sigma`).
@@ -70,8 +70,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-# scipy.linalg, scipy.sparse and scipy.special load in the functions that use
-# them: `import ttlnet`, analyze and simulate need none of them.
+# numpy alone runs every route while the miss chain has at most `_DENSE_MAX`
+# states: matrix exponentials are `_expm`'s and Erlang-law tails finite sums.
+# A larger miss chain loads `scipy.sparse` and `scipy.sparse.linalg` (with
+# `scipy.linalg`) for its sparse LU in `_ph_cycle`; `scipy.special` loads only
+# in `Erlang.truncation_point`, which no route calls.
 
 from .cache_ops import output_min, output_sigma
 from .errors import BudgetExceededError, DivergentStoppingTimeError, ValidationError
@@ -236,26 +239,24 @@ class Erlang(RenewalSpec):
         return (self.rate / (self.rate + omega)) ** self.stages
 
     def pdf(self, x):
-        # in log space: rate**stages and x**(stages-1) overflow for many stages
-        from scipy.special import gammaln, xlogy
-
+        # in log space: rate**stages and x**(stages-1) overflow for many stages;
+        # one stage has no power term, so its density at 0 is the rate
         y = self.rate * np.asarray(x, dtype=float)
         k = self.stages
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = self.rate * np.exp(xlogy(k - 1, y) - y - gammaln(k))
+            log_power = (k - 1) * np.log(y) if k > 1 else 0.0
+            out = self.rate * np.exp(log_power - y - math.lgamma(k))
         return np.where(y >= 0, out, 0.0)
 
     def cdf(self, x):
-        from scipy.special import gammainc
-
         x = np.asarray(x, dtype=float)
-        return np.where(x >= 0, gammainc(self.stages, self.rate * x), 0.0)
+        p, _ = _gamma_tails(self.stages, self.rate * x)
+        return np.where(x >= 0, p, 0.0)
 
     def survival_geq(self, x):
-        from scipy.special import gammaincc
-
         x = np.asarray(x, dtype=float)
-        return np.where(x <= 0, 1.0, gammaincc(self.stages, self.rate * x))
+        _, q = _gamma_tails(self.stages, self.rate * x)
+        return np.where(x <= 0, 1.0, q)
 
     def sample(self, rng, size=None):
         return rng.gamma(self.stages, 1.0 / self.rate, size)
@@ -266,11 +267,145 @@ class Erlang(RenewalSpec):
         return float(gammainccinv(self.stages, eps)) / self.rate
 
     def integral_survival(self, x):
-        from scipy.special import gammainc
+        # x P(X > x) + E[X; X <= x], and E[X; X <= x] is the mean times the
+        # Erlang(k + 1, rate) cdf at x
+        x = np.asarray(x, dtype=float)
+        _, q = _gamma_tails(self.stages, self.rate * x)
+        p_next, _ = _gamma_tails(self.stages + 1, self.rate * x)
+        # (x P(X > x) is 0 where the survival is, at x = inf too)
+        return np.where(q > 0.0, x, 0.0) * q + self.mean * p_next
 
-        js = np.arange(1, self.stages + 1)
-        y = self.rate * np.asarray(x, dtype=float)[..., None]
-        return gammainc(js, y).sum(axis=-1) / self.rate
+
+# Erlang laws through finite sums. At integer k the regularized incomplete
+# gamma functions P(k, y) and Q(k, y) = 1 - P(k, y) are the chances of at
+# least and of fewer than k events of a Poisson(y) count, and negative
+# binomial laws are binomial tails. Each routine sums the smaller tail
+# directly and takes one minus it for the other, so neither loses relative
+# accuracy. A tail starts at its term next to the boundary, the largest of
+# the tail, whose log comes from Loader's saddle-point form (2000, "Fast and
+# accurate computation of binomial probabilities"), so that c log y, y and
+# log c! never cancel; the terms after it are running products of ratios
+# below one.
+
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+# Running products below this are dropped; as the ratios fall, what follows
+# them sums to less than 1e-16 of a tail.
+_SERIES_EPS = 1e-17
+# Most entries of the table of powers `_power_series` builds at once.
+_SERIES_CELLS = 1 << 16
+
+
+def _log_norm(c: int) -> float:
+    """log(c^c e^{-c} / c!): 0 at c = 0, else -log sqrt(2 pi c) less
+    Stirling's error term, by its series above 15 stages."""
+    if c == 0:
+        return 0.0
+    if c <= 15:
+        return c * math.log(c) - c - math.lgamma(c + 1.0)
+    cc = float(c) * c
+    stirlerr = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / cc) / cc) / cc) / cc) / c
+    return -_LOG_SQRT_2PI - 0.5 * math.log(c) - stirlerr
+
+
+def _deviance(c: int, mean):
+    """c log(c / mean) + mean - c >= 0, elementwise in mean >= 0.
+
+    The log of the Poisson(mean) probability of c is `_log_norm(c)` less
+    this. With d = mean / c - 1 it is c (d - log(1 + d)), log1p unless
+    mean < c / 2.
+    """
+    if c == 0:
+        return mean
+    d = (mean - c) / c
+    return c * (d - np.where(d < -0.5, np.log(mean / c), np.log1p(d)))
+
+
+def _running_products(ratios: np.ndarray) -> np.ndarray:
+    """1 and the running products of `ratios`, each at most 1, down to
+    `_SERIES_EPS`."""
+    products = np.cumprod(np.concatenate([[1.0], ratios]))
+    return products[products >= _SERIES_EPS]
+
+
+@functools.lru_cache(maxsize=64)
+def _gamma_series(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of the two tail series of `_gamma_tails` at shape k.
+
+    They are the running products of k / (k + i) and of 1 - i / k over
+    i = 1, 2, ... Both fall below `_SERIES_EPS` within min(k, 11 sqrt(k)) +
+    60 factors: below k factors the logs add up to at least n^2 / (3 k), and
+    past k each factor is at most 1/2.
+    """
+    i = np.arange(1.0, min(k, math.ceil(11.0 * math.sqrt(k))) + 61)
+    return _running_products(k / (k + i)), _running_products(np.maximum(1.0 - i / k, 0.0))
+
+
+def _power_series(r: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """The sum over n of coef[n] r^n for each entry of the vector r, in
+    tables of at most `_SERIES_CELLS` powers."""
+    out = np.empty(r.size)
+    rows = max(1, _SERIES_CELLS // coef.size)
+    powers = np.arange(coef.size)
+    for lo in range(0, r.size, rows):
+        out[lo : lo + rows] = np.power.outer(r[lo : lo + rows], powers) @ coef
+    return out
+
+
+def _gamma_tails(k: int, y) -> tuple[np.ndarray, np.ndarray]:
+    """P(k, y) and Q(k, y), elementwise in y >= 0, for an integer k >= 1.
+
+    With t the Poisson(y) probability of k and (up, down) the coefficients of
+    `_gamma_series`, P is t times the power series of up at y / k for y < k,
+    and Q is t times the series of down at k / y, times k / y, for y >= k.
+    """
+    y = np.asarray(y, dtype=float)
+    up, down = _gamma_series(k)
+    upper = y < k
+    lower = ~upper
+    tail = np.empty(y.shape)
+    tail[upper] = _power_series(y[upper] / k, up)
+    inv = k / y[lower]
+    tail[lower] = inv * _power_series(inv, down)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tail *= np.exp(_log_norm(k) - _deviance(k, y))
+    tail[y == math.inf] = 0.0
+    return np.where(upper, tail, 1.0 - tail), np.where(upper, 1.0 - tail, tail)
+
+
+def _binomial_run(n: int, c: int, p: float, q: float, up: bool) -> float:
+    """The sum of the Binomial(n, p) probabilities of c, c + 1, ..., n (up)
+    or of c, c - 1, ..., 0, for a c on the side of the mean where they fall."""
+    log_first = (
+        _log_norm(c) + _log_norm(n - c) - _log_norm(n) - _deviance(c, n * p) - _deviance(n - c, n * q)
+    )
+    if up:
+        j = np.arange(c, n)
+        ratios = (n - j) / (j + 1) * (p / q)
+    else:
+        j = np.arange(c, 0, -1)
+        ratios = j / (n - j + 1) * (q / p)
+    return math.exp(log_first) * (1.0 + float(np.cumprod(ratios).sum()))
+
+
+def _binomial_tails(n: int, s: int, p: float, q: float) -> tuple[float, float]:
+    """P(B >= s) and P(B < s) for B ~ Binomial(n, p), with q = 1 - p passed
+    on its own so that it keeps its relative accuracy.
+
+    The binomial median is within 1 of the mean, so the tail from s up is
+    the smaller one when s >= n p + 1 and the tail from s - 1 down when s <=
+    n p; between the two, where either may be, both are summed.
+    """
+    if s <= 0:
+        return 1.0, 0.0
+    if s > n:
+        return 0.0, 1.0
+    if s <= n * p:
+        lower = _binomial_run(n, s - 1, p, q, up=False)
+        return 1.0 - lower, lower
+    upper = _binomial_run(n, s, p, q, up=True)
+    if s >= n * p + 1:
+        return upper, 1.0 - upper
+    return upper, _binomial_run(n, s - 1, p, q, up=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -529,7 +664,8 @@ def _ph_cycle(x: RenewalSpec, policy: StoppingPolicy, omega: float) -> _Cycle:
     TTL, so misses are regeneration points: every row of D1' is a multiple
     of one vector, the initial vector phi of the next inter-miss interval,
     and phi is proportional to p' D1' whatever the stationary vector p' is.
-    One sparse solve gives z = phi (omega I - D0')^{-1}. Entry i of z is the
+    One solve gives z = phi (omega I - D0')^{-1}: dense up to `_DENSE_MAX`
+    states, sparse LU above. Entry i of z is the
     expected time spent in state i during one inter-miss interval S,
     discounted by exp(-omega t); so at omega = 0, z 1 = E[S] = E[tau] E[X]
     (Wald) and the sum of z over the IN states is the in-cache time, and
@@ -538,8 +674,6 @@ def _ph_cycle(x: RenewalSpec, policy: StoppingPolicy, omega: float) -> _Cycle:
     Every law must be phase-type. Raises `BudgetExceededError`, building
     nothing, when the miss chain would exceed `DEFAULT_BUDGET` states.
     """
-    from scipy.sparse.linalg import splu
-
     ttls = (policy.ttl,) if policy.ttl is not None else (policy.ttl_sigma, policy.ttl_r)
     ph_x, *ph_ttls = [_as_ph(law) for law in (x, *ttls)]
     n = ph_x.order
@@ -581,15 +715,21 @@ def _ph_cycle(x: RenewalSpec, policy: StoppingPolicy, omega: float) -> _Cycle:
         order[np.concatenate([diag, d0.col_idx])],
         np.concatenate([np.full(size, omega), -d0.data]),
     )
-    lu = splu(permuted.to_csr().T, permc_spec="NATURAL")
+    rhs = phi[order] / phi.sum()
     z = np.empty(size)
-    z[order] = lu.solve(phi[order] / phi.sum())
+    if size <= _DENSE_MAX:
+        z[order] = np.linalg.solve(permuted.to_dense().T, rhs)
+    else:
+        from scipy.sparse.linalg import splu
+
+        z[order] = splu(permuted.to_csr().T, permc_spec="NATURAL").solve(rhs)
     transform = _dot(z, d1.row_sums())
     return _Cycle(float(z.sum()) / x.mean, float(z[n:].sum()), float(transform))
 
 
-# Largest dense matrix the other routes exponentiate or factor: an `expm` of
-# this size takes tens of ms (2-vCPU host).
+# Largest dense matrix the routes exponentiate or factor, the miss chain's
+# included: at this size an `_expm` takes 1.3-2.8 ms (1-norms 0.1 to 1e3)
+# and a dense solve 0.16 ms (2-vCPU host).
 _DENSE_MAX = 200
 # Most partial sums the atom routes enumerate.
 _MAX_STEPS = 1_000_000
@@ -614,12 +754,66 @@ def _van_loan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return block
 
 
+# (degree m, largest 1-norm theta_m at which the Padé approximant of e^A of
+# degree m is accurate to double precision, coefficients b_0, ..., b_m of its
+# numerator p_m; the denominator is p_m(-A)), from Higham 2005, "The scaling
+# and squaring method for the matrix exponential revisited", Table 2.3 and (2.8)
+_PADE = tuple(
+    (m, theta, np.array(b))
+    for m, theta, b in (
+        (3, 1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+        (5, 2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+        (7, 9.504178996162932e-1,
+         (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0)),
+        (9, 2.097847961257068e0,
+         (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+          2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
+        (13, 5.371920351148152e0,
+         (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+          1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+          33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)),
+    )
+)
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """e^a by scaling and squaring (Higham 2005).
+
+    The Padé approximant is of the least degree whose theta bounds the
+    1-norm of a; above theta_13 it is that of degree 13 at a / 2^s, the least
+    s that brings the norm within theta_13, squared s times.
+    """
+    n = a.shape[0]
+    if n == 1:
+        return np.exp(a)
+    norm = float(np.abs(a).sum(axis=0).max())
+    squarings = 0
+    for m, theta, b in _PADE:
+        if norm <= theta:
+            break
+    else:
+        squarings = math.ceil(math.log2(norm / theta))
+        a = a / 2.0**squarings
+    # A^0, A^2, ..., A^(m - 1); p_m(A) = V + U with V their sum weighted by
+    # the even coefficients and U = A times their sum weighted by the odd ones
+    even = np.empty((m // 2 + 1, n, n))
+    even[0] = np.eye(n)
+    even[1] = a @ a
+    for j in range(2, m // 2 + 1):
+        np.matmul(even[j - 1], even[1], out=even[j])
+    rows = even.reshape(m // 2 + 1, n * n)
+    u = a @ (b[1::2] @ rows).reshape(n, n)
+    v = (b[0::2] @ rows).reshape(n, n)
+    e = np.linalg.solve(v - u, v + u)
+    for _ in range(squarings):
+        e = e @ e
+    return e
+
+
 def _expm_integral(a: np.ndarray, b: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     """e^{a h} and the integral of e^{a t} b over t in [0, h]."""
-    from scipy.linalg import expm
-
     n = a.shape[0]
-    e = expm(_van_loan(a, b) * h)
+    e = _expm(_van_loan(a, b) * h)
     return e[:n, :n], e[:n, n:]
 
 
@@ -627,15 +821,13 @@ def _expm_mix(a: np.ndarray, law: RenewalSpec, weights: np.ndarray) -> np.ndarra
     """The sum of weights[i] e^{a x_i} over the atoms x_i of a Deterministic
     or Tabulated law. On a Tabulated grid the exponentials come from
     e^{a step / 2} by repeated products with e^{a step}."""
-    from scipy.linalg import expm
-
     _dense(a.shape[0])
     (used,) = np.nonzero(weights)
     if used.size == 0:
         return np.zeros_like(a)
     if isinstance(law, Deterministic):
-        return weights[0] * expm(a * law.value)
-    power, step = expm(a * (law.step / 2)), expm(a * law.step)
+        return weights[0] * _expm(a * law.value)
+    power, step = _expm(a * (law.step / 2)), _expm(a * law.step)
     total = weights[0] * power
     for w in weights[1 : used[-1] + 1]:
         power = power @ step
@@ -762,7 +954,9 @@ def _atom_requests(x: RenewalSpec, t_sigma: RenewalSpec, t_r: RenewalSpec, omega
     else:
         pos, q = pos[q > 0.0], q[q > 0.0]
         gap = t_sigma.points[:, None] - pos
-        held = np.where(gap >= 0.0, _held(x, t_r, np.maximum(gap, 0.0)), 0.0)
+        held = np.zeros(gap.shape)
+        reached = gap >= 0.0
+        held[reached] = _held(x, t_r, gap[reached])
         in_cache = float(t_sigma.masses @ held @ q)
     return _Cycle(float(alive.sum()), in_cache, transform)
 
@@ -812,8 +1006,6 @@ def _deterministic_ttls(x: RenewalSpec, c_sigma: float, c_r: float, omega: float
     evicts at u). Then E[tau] = 1 + int y s and the in-cache time is
     int y 1.
     """
-    from scipy.linalg import expm
-
     alpha, s_mat = _ph_arrays(x)
     n = alpha.size
     s = -s_mat.sum(axis=1)
@@ -821,7 +1013,7 @@ def _deterministic_ttls(x: RenewalSpec, c_sigma: float, c_r: float, omega: float
     steps, rest = divmod(c_sigma, c_r)  # R windows that close before c_sigma
     steps, beta = int(steps), None
     if steps:
-        e_r = expm(s_mat * c_r)
+        e_r = _expm(s_mat * c_r)
         beta = alpha @ e_r
         # A window of length c_r without a request evicts, so the mass still
         # cached after j windows is at most rho^j, rho the largest chance over
@@ -904,11 +1096,11 @@ def _psi(x: RenewalSpec, t: RenewalSpec, omega: float) -> float:
         )
     # Erlang(k, a) under Erlang(m, b): the tilted X is Erlang(k, a + omega) and
     # ends first iff k of its events come before m of T's in the merged Poisson
-    # streams, a negative binomial CDF
-    from scipy.special import nbdtr
-
+    # streams, that is iff at least k of the first k + m - 1 merged events are X's
     rate = x.rate + omega
-    return x.laplace(omega) * float(nbdtr(t.stages - 1, x.stages, rate / (rate + t.rate)))
+    total = rate + t.rate
+    first, _ = _binomial_tails(x.stages + t.stages - 1, x.stages, rate / total, t.rate / total)
+    return x.laplace(omega) * first
 
 
 def transform_r(x: RenewalSpec, t: RenewalSpec, omega: float) -> float:
@@ -1007,27 +1199,23 @@ def _expected_min(x: RenewalSpec, t: RenewalSpec) -> float:
     if isinstance(t, Deterministic):
         return x.integral_survival(t.value)
     if isinstance(x, Tabulated):
-        return float(sum(m * t.integral_survival(p) for m, p in zip(x.masses, x.points)))
+        return float(x.masses @ t.integral_survival(x.points))
     if isinstance(t, Tabulated):
-        return float(sum(m * x.integral_survival(p) for m, p in zip(t.masses, t.points)))
+        return float(t.masses @ x.integral_survival(t.points))
     if isinstance(x, Exponential):
         # E[integral of e^{-lam u} over [0, T]]
         return (1.0 - t.laplace(x.rate)) / x.rate
-    # Erlang(k, a) against Erlang(m, b), m = 1 for an Exponential TTL: X has a
-    # Binomial(n, p) share of the first n events of the merged Poisson streams
-    # (rate a + b), p = a / (a + b), and min(X, T) outlasts event n iff X has
-    # fewer than k of them and T fewer than m
-    from scipy.special import bdtr
-
+    # Erlang(k, a) against Erlang(m, b), m = 1 for an Exponential TTL:
+    # min(X, T) is the time of merged event N of the two Poisson streams (rate
+    # a + b), N the event that brings X's k-th or T's m-th. X's share of the
+    # first k + m events is B ~ Binomial(k + m, p), p = a / (a + b), and
+    # E[N; X first] = (k / p) P(B >= k + 1), E[N; T first] = (m / (1 - p))
+    # P(B <= k - 1), so by Wald E[min(X, T)] = E[N] / (a + b) is
     k, a = x.stages, x.rate
     m, b = (t.stages, t.rate) if isinstance(t, Erlang) else (1, t.rate)
-    n = np.arange(k + m - 1)
-    p = a / (a + b)
-
-    def at_most(j):  # P(Binomial(n, p) <= j)
-        return np.where(j < 0, 0.0, bdtr(np.clip(j, 0, n), n, p))
-
-    return float(np.sum(at_most(k - 1) - at_most(n - m))) / (a + b)
+    x_first, _ = _binomial_tails(k + m, k + 1, a / (a + b), b / (a + b))
+    _, t_first = _binomial_tails(k + m, k, a / (a + b), b / (a + b))
+    return k / a * x_first + m / b * t_first
 
 
 def occupancy_renewal(

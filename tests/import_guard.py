@@ -7,14 +7,17 @@ analyzes `LARGE`, whose root chain is above the GTH bound, with the
 bordered solve refused, so that its given-input solve must succeed. Then
 it analyzes the two map-large shapes of `topologies.py`, the 5,000-state
 tree and the 2,916-state line, whose largest BiCGSTAB systems have 17,000
-and 13,284 nonzeros. After each step it checks that none of `LAZY` is in
-`sys.modules`. Then, in the same process, it runs each route that imports
-one of them on first use against the values of the routes that do not or
-against independent values: `LARGE` again with scipy's sparse product
-(`kron._NUMPY_PRODUCT_MAX` patched to 0), the LU fallback of the
-stationary solve, `ph_mean`, `stationary_interval_moments` and two renewal
-queries. Exits 0 when all checks pass, else with a message naming the
-first failure.
+and 13,284 nonzeros, and runs `expected_tau`, `occupancy_renewal` and the
+transform of one renewal query per route of the `renewal` module's route
+table and of R caches over Exponential, Erlang and Deterministic laws.
+After each step it checks that none of `LAZY` is in `sys.modules`. Then,
+in the same process, it runs each route that imports one of them on first
+use against the values of the routes that do not or against independent
+values: a miss chain above `renewal._DENSE_MAX` (sparse LU), `LARGE` again
+with scipy's sparse product (`kron._NUMPY_PRODUCT_MAX` patched to 0), the
+LU fallback of the stationary solve, `ph_mean` and
+`stationary_interval_moments`. Exits 0 when all checks pass, else with a
+message naming the first failure.
 """
 
 import math
@@ -31,6 +34,44 @@ LAZY = (
     "scipy.sparse.csgraph",
     "scipy.special",
 )
+
+# one query per route of the renewal route table (requests, policy), and R
+# caches over each pair of Exponential, Erlang and Deterministic laws
+def _renewal_queries():
+    from ttlnet.renewal import Deterministic, Erlang, Exponential, StoppingPolicy, Tabulated
+
+    exp, erlang, det = Exponential(0.8), Erlang(2, 1.6), Deterministic(1.3)
+    tab = Tabulated(0.1, [0.5] * 20)
+    sigma, min_of = StoppingPolicy.reset_on_miss, StoppingPolicy.min_of
+    queries = [
+        (Exponential(1.0), sigma(erlang)),  # closed form, Exponential requests
+        (Erlang(2, 2.0), sigma(exp)),  # closed form, Exponential TTL
+        (Exponential(1.0), min_of(exp, Exponential(1.5))),  # closed form, all Exponential
+        (Erlang(2, 2.0), sigma(erlang)),  # miss chain
+        (Exponential(1.0), min_of(erlang, Erlang(2, 3.0))),  # miss chain
+        (Deterministic(0.9), sigma(erlang)),  # matrix-geometric
+        (tab, min_of(erlang, det)),  # matrix-geometric
+        (Deterministic(0.4), sigma(det)),  # partial sums
+        (tab, min_of(tab, Exponential(1.5))),  # partial sums
+        (Erlang(2, 2.0), min_of(det, Deterministic(0.67))),  # delay equation
+        (Erlang(2, 2.0), sigma(det)),  # alive chain
+        (Exponential(1.0), min_of(tab, erlang)),  # alive chain
+    ]
+    for x in (Exponential(1.0), Erlang(2, 2.0), Deterministic(1.0)):
+        for ttl in (exp, erlang, Deterministic(0.5)):
+            queries.append((x, StoppingPolicy.reset_on_request(ttl)))
+    return queries
+
+
+def _transform(x, policy, omega):
+    from ttlnet.renewal import transform_min, transform_r, transform_sigma
+
+    if policy.tag == "R":
+        return transform_r(x, policy.ttl, omega)
+    if policy.tag == "Sigma":
+        return transform_sigma(x, policy.ttl, omega)
+    return transform_min(x, policy.ttl_sigma, policy.ttl_r, omega).value
+
 
 # two Poisson leaves with Erlang-3 TTLs (4 output states each) under a
 # Sigma cache with an Erlang-4 TTL: 16 input and 80 output states
@@ -58,8 +99,14 @@ def _require_close(what: str, got: float, want: float, rtol: float = 1e-9) -> No
 
 def main(config: str) -> None:
     import ttlnet
-    from ttlnet import kron
-    from ttlnet.renewal import Deterministic, Erlang, StoppingPolicy, expected_tau
+    from ttlnet import kron, renewal
+    from ttlnet.renewal import (
+        Deterministic,
+        Erlang,
+        StoppingPolicy,
+        expected_tau,
+        occupancy_renewal,
+    )
 
     _require_unloaded("import ttlnet")
     topo = ttlnet.parse_topology(Path(config).read_text())
@@ -95,6 +142,31 @@ def main(config: str) -> None:
             sys.exit(f"{name} solved no system of more than 10,000 nonzeros")
     kron._bicgstab = bicgstab
 
+    for x, policy in _renewal_queries():
+        values = expected_tau(x, policy).value, occupancy_renewal(x, policy), _transform(x, policy, 0.5)
+        if not all(math.isfinite(v) for v in values):
+            sys.exit(f"renewal query {x!r}, {policy!r} gave {values!r}")
+    # R cache, i.i.d. Erlang gap and TTL: a miss ends each gap longer than
+    # the TTL, which has probability 1/2
+    tau = expected_tau(Erlang(2, 1.0), StoppingPolicy.reset_on_request(Erlang(2, 1.0)))
+    _require_close("Erlang R expected_tau", tau.value, 2.0)
+    # Sigma cache, deterministic TTL c: 1 + the Erlang(2, 1) renewal
+    # function c / 2 - 1 / 4 + exp(-2 c) / 4
+    tau = expected_tau(Erlang(2, 1.0), StoppingPolicy.reset_on_miss(Deterministic(1.5)))
+    _require_close("Deterministic Sigma expected_tau", tau.value, 1.5 + math.exp(-3.0) / 4)
+    _require_unloaded("renewal routes")
+
+    # a miss chain above the dense bound: Erlang(5) requests under a Sigma
+    # Erlang(40) TTL, 205 states, take the sparse LU
+    x, policy = Erlang(5, 3.0), StoppingPolicy.reset_on_miss(Erlang(40, 8.0))
+    sparse = renewal._cycle(x, policy, 0.5)
+    if "scipy.sparse.linalg" not in sys.modules:
+        sys.exit("the miss chain above the dense bound did not take the sparse LU")
+    bound, renewal._DENSE_MAX = renewal._DENSE_MAX, 205
+    for name, got, want in zip(sparse._fields, sparse, renewal._cycle(x, policy, 0.5)):
+        _require_close(f"sparse miss chain {name}", got, want, rtol=1e-12)
+    renewal._DENSE_MAX = bound
+
     # above the product bound, BiCGSTAB multiplies with scipy.sparse
     bound, kron._NUMPY_PRODUCT_MAX = kron._NUMPY_PRODUCT_MAX, 0
     for nid, metrics in ttlnet.analyze(ttlnet.parse_topology(LARGE)).metrics.items():
@@ -120,14 +192,6 @@ def main(config: str) -> None:
     moments = ttlnet.stationary_interval_moments(ttlnet.poisson_map(2.0))
     _require_close("Poisson(2) first moment", moments[0], 0.5)
     _require_close("Poisson(2) second moment", moments[1], 0.5)
-    # R cache, i.i.d. Erlang gap and TTL: a miss ends each gap longer than
-    # the TTL, which has probability 1/2
-    tau = expected_tau(Erlang(2, 1.0), StoppingPolicy.reset_on_request(Erlang(2, 1.0)))
-    _require_close("Erlang R expected_tau", tau.value, 2.0)
-    # Sigma cache, deterministic TTL c: 1 + the Erlang(2, 1) renewal
-    # function c / 2 - 1 / 4 + exp(-2 c) / 4
-    tau = expected_tau(Erlang(2, 1.0), StoppingPolicy.reset_on_miss(Deterministic(1.5)))
-    _require_close("Deterministic Sigma expected_tau", tau.value, 1.5 + math.exp(-3.0) / 4)
 
 
 if __name__ == "__main__":

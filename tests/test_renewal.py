@@ -1,18 +1,23 @@
 """Tilting, stopped-sum transforms, and renewal-level cache metrics."""
 
+import itertools
 import math
 import os
 import subprocess
 import sys
 import time
 import tracemalloc
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 import scipy.sparse.linalg
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import dense_stationary, mc_mean_se, random_ph, stopped_sum_oracle
@@ -665,6 +670,23 @@ class TestPhaseTypeRoute:
         z = scipy.sparse.linalg.spsolve((-out.map.d0.to_csr()).T.tocsc(), phi / phi.sum())
         assert_allclose(tau.value, z.sum() / x.mean, rtol=1e-10)
 
+    @pytest.mark.parametrize("omega", [0.0, 0.5])
+    def test_dense_solve_matches_sparse_lu(self, omega, monkeypatch):
+        # every phase-type combination of the single-cache benchmark sweep
+        # (laws of mean 1 / rate, rates 1, 0.8 and 1.5), whatever its own route
+        def law(kind, rate):
+            return Exponential(rate) if kind == "exp" else Erlang(2, 2.0 * rate)
+
+        cases = []
+        for xk, tk in itertools.product(["exp", "erlang"], repeat=2):
+            x, t, t_r = law(xk, 1.0), law(tk, 0.8), law(tk, 1.5)
+            cases += [(x, StoppingPolicy.reset_on_miss(t)), (x, StoppingPolicy.min_of(t, t_r))]
+        dense = [ttlnet.renewal._ph_cycle(x, policy, omega) for x, policy in cases]
+        monkeypatch.setattr(ttlnet.renewal, "_DENSE_MAX", 0)
+        for (x, policy), want in zip(cases, dense):
+            got = ttlnet.renewal._ph_cycle(x, policy, omega)
+            assert_allclose(got, want, rtol=1e-12)
+
     def test_chain_over_budget_refused(self, monkeypatch):
         # 400 request phases x 301 TTL phases exceed DEFAULT_BUDGET states
         def refuse(*args):
@@ -870,6 +892,219 @@ class TestErlangPdf:
         assert Erlang(1, 2.0).pdf(0.0) == 2.0
         assert Erlang(3, 2.0).pdf(0.0) == 0.0
         assert Erlang(3, 2.0).pdf(-1.0) == 0.0
+
+
+def _sub_generator(rng, n, norm, leak):
+    """A random n-state generator of 1-norm `norm` less a random leak of at
+    most min(norm, leak) from each row."""
+    q = rng.random((n, n)) * (rng.random((n, n)) < 0.6)
+    np.fill_diagonal(q, 0.0)
+    q -= np.diag(q.sum(axis=1))
+    scale = np.abs(q).sum(axis=0).max()
+    a = q * (norm / scale) if scale > 0.0 else q
+    return a - np.diag(rng.random(n) * min(leak, norm))
+
+
+def _assert_expm_close(a, want=None, rtol=1e-12):
+    """`_expm(a)` within rtol of scipy's (and of `want`), relative to the result's 1-norm."""
+    got = ttlnet.renewal._expm(a)
+    for ref in [scipy.linalg.expm(a)] + ([] if want is None else [want]):
+        scale = np.abs(ref).sum(axis=0).max()
+        assert np.abs(got - ref).sum(axis=0).max() <= rtol * scale
+
+
+# 1-norms of the matrices: 1e-8 up to 1e3, so that every Padé degree and up
+# to 8 squarings run. A sub-generator leaks at most 40 in total, so that e^A
+# keeps a norm above e^-40: past that scipy's expm, the reference, loses
+# relative accuracy (5e-12 at e^-287, against 5e-14 for `_expm`, both against
+# a 40-digit exponential); the Erlang generators cover that range against
+# their closed form.
+LOG_NORMS = st.floats(-8.0, 3.0)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+class TestExpm:
+    @given(seed=SEEDS, log_norm=LOG_NORMS, n=st.integers(1, 9))
+    @settings(max_examples=80, deadline=None)
+    def test_sub_generators(self, seed, log_norm, n):
+        rng = np.random.default_rng(seed)
+        _assert_expm_close(_sub_generator(rng, n, 10.0**log_norm, 40.0))
+
+    @given(seed=SEEDS, log_norm=LOG_NORMS, n=st.integers(1, 6), k=st.integers(1, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_van_loan_blocks(self, seed, log_norm, n, k):
+        rng = np.random.default_rng(seed)
+        norm = 10.0**log_norm
+        a = _sub_generator(rng, n, norm, 40.0)
+        _assert_expm_close(ttlnet.renewal._van_loan(a, rng.random((n, k)) * norm))
+
+    @given(stages=st.integers(2, 12), log_norm=st.floats(-8.0, math.log10(500.0)))
+    @settings(max_examples=80, deadline=None)
+    def test_erlang_generators(self, stages, log_norm):
+        # e^{x (N - I)}, N the shift: entry (i, i + j) is e^-x x^j / j!, down to e^-500
+        x = 10.0**log_norm
+        _, s = ttlnet.renewal._ph_arrays(Erlang(stages, x))
+        exact = np.zeros((stages, stages))
+        for i in range(stages):
+            for j in range(i, stages):
+                exact[i, j] = math.exp(-x) * x ** (j - i) / math.factorial(j - i)
+        _assert_expm_close(s, exact)
+
+    @given(
+        seed=SEEDS,
+        log_norm=LOG_NORMS,
+        stages=st.integers(1, 3),
+        blocks=st.integers(1, 4),
+        omega=st.floats(0.0, 2.0),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_delay_step_blocks(self, seed, log_norm, stages, blocks, omega):
+        # the Van Loan block of `_delay_steps`: its off-diagonal blocks are
+        # negative, so the matrix is not Metzler
+        rng = np.random.default_rng(seed)
+        alpha, s_mat = ttlnet.renewal._ph_arrays(Erlang(stages, rng.uniform(0.5, 5.0)))
+        s = -s_mat.sum(axis=1)
+        c_r = rng.uniform(0.2, 2.0)
+        beta = alpha @ scipy.linalg.expm(s_mat * c_r)
+        g = np.kron(np.eye(blocks), s_mat + np.outer(s, alpha) - omega * np.eye(stages))
+        g -= np.kron(np.eye(blocks, k=1), math.exp(-omega * c_r) * np.outer(s, beta))
+        w = np.column_stack([np.tile(s, blocks), np.ones(stages * blocks)])
+        block = ttlnet.renewal._van_loan(g, w)
+        _assert_expm_close(block * (10.0**log_norm / np.abs(block).sum(axis=0).max()))
+
+    @pytest.mark.parametrize("degree", [3, 5, 7, 9, 13])
+    @pytest.mark.parametrize("side", [0.99, 1.01])
+    def test_every_degree_at_its_bound(self, degree, side, rng):
+        theta = {m: theta for m, theta, _ in ttlnet.renewal._PADE}[degree]
+        _assert_expm_close(_sub_generator(rng, 5, side * theta, 40.0))
+
+    def test_zero_is_identity(self):
+        assert np.array_equal(ttlnet.renewal._expm(np.zeros((3, 3))), np.eye(3))
+
+
+def _decimal_gamma_tails(k, y):
+    """P(k, y) and Q(k, y) from the Poisson(y) probabilities in 60-digit
+    decimal arithmetic: the finite sum below k, and the series from k up
+    until its terms stop counting."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        y = Decimal(y)
+        term, below = (-y).exp(), Decimal(0)
+        for j in range(k):
+            below += term
+            term *= y / (j + 1)
+        above, j = Decimal(0), k
+        while term > above * Decimal("1e-40") or j <= y:
+            above += term
+            j += 1
+            term *= y / j
+        return float(above), float(below)
+
+
+def _decimal_binomial_tails(n, s, p, q):
+    """P(B >= s) and P(B < s), B ~ Binomial(n, p), from the terms in 60-digit
+    decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        p, q = Decimal(p), Decimal(q)
+        term, below, above = q**n, Decimal(0), Decimal(0)
+        for i in range(n + 1):
+            if i < s:
+                below += term
+            else:
+                above += term
+            term = term * (n - i) / (i + 1) * p / q
+        return float(above), float(below)
+
+
+def _tail_points(k, floor):
+    """y where P(k, y) or Q(k, y) runs from 1/2 down to `floor`."""
+    probs = np.geomspace(floor, 0.5, 12)
+    return np.concatenate([scipy.special.gammaincinv(k, probs), scipy.special.gammainccinv(k, probs)])
+
+
+ERLANG_SHAPES = [1, 2, 3, 40, 500, 2000]
+
+
+def _scipy_floor(k):
+    # at 2,000 stages and below 1e-30, scipy's gammainc and nbdtr are off by
+    # up to 4e-12 (they round a log of magnitude 3e4); the decimal sums cover
+    # those tails
+    return 1e-30 if k > 500 else 1e-300
+
+
+class TestErlangSums:
+    """Erlang-law tails from finite sums, against scipy.special and against
+    the defining sums in decimal arithmetic, both tails down to 1e-300."""
+
+    @pytest.mark.parametrize("k", ERLANG_SHAPES)
+    def test_gamma_tails_against_scipy(self, k):
+        y = _tail_points(k, _scipy_floor(k))
+        law = Erlang(k, 2.0)
+        assert_allclose(law.cdf(y / 2.0), scipy.special.gammainc(k, y), rtol=1e-12)
+        assert_allclose(law.survival_geq(y / 2.0), scipy.special.gammaincc(k, y), rtol=1e-12)
+        want = [scipy.special.gammainc(np.arange(1, k + 1), v).sum() / 2.0 for v in y]
+        assert_allclose(law.integral_survival(y / 2.0), want, rtol=1e-12)
+
+    @pytest.mark.parametrize("k", ERLANG_SHAPES)
+    def test_gamma_tails_against_decimal_sums(self, k):
+        y = _tail_points(k, 1e-300)
+        p, q = ttlnet.renewal._gamma_tails(k, y)
+        want = np.array([_decimal_gamma_tails(k, v) for v in y])
+        assert_allclose(p, want[:, 0], rtol=1e-12)
+        assert_allclose(q, want[:, 1], rtol=1e-12)
+
+    @pytest.mark.parametrize("k", ERLANG_SHAPES)
+    def test_psi_and_expected_min_against_scipy(self, k):
+        # Erlang(k, a) requests under an Erlang(m, 1) TTL: P(X <= T) is
+        # nbdtr(m - 1, k, p), p = a / (a + 1)
+        for m in sorted({1, 2, k, 3 * k}):
+            for p in np.geomspace(1e-4, 1.0 - 1e-4, 15):
+                x, t = Erlang(k, p / (1.0 - p)), Erlang(m, 1.0)
+                want = scipy.special.nbdtr(m - 1, k, p)
+                if want >= _scipy_floor(k):
+                    assert_allclose(ttlnet.renewal._psi(x, t, 0.0), want, rtol=1e-12)
+                # E[min(X, T)] by the binomial sum the closed form replaced: the
+                # chance that min(X, T) outlasts merged event n, summed over n
+                n = np.arange(k + m - 1)
+
+                def at_most(j):  # P(Binomial(n, p) <= j)
+                    return np.where(j < 0, 0.0, scipy.special.bdtr(np.clip(j, 0, n), n, p))
+
+                want = float(np.sum(at_most(k - 1) - at_most(n - m))) * (1.0 - p)
+                assert_allclose(ttlnet.renewal._expected_min(x, t), want, rtol=1e-12)
+
+    @pytest.mark.parametrize("k", ERLANG_SHAPES)
+    def test_binomial_tails_against_decimal_sums(self, k):
+        for m in sorted({1, k}):
+            n = k + m - 1
+            for p in np.geomspace(1e-6, 1.0 - 1e-6, 9):
+                got = ttlnet.renewal._binomial_tails(n, k, p, 1.0 - p)
+                want = _decimal_binomial_tails(n, k, p, 1.0 - p)
+                for g, w in zip(got, want):
+                    if w >= 1e-300:
+                        assert_allclose(g, w, rtol=1e-12)
+
+    def test_zero_and_infinite_arguments(self):
+        law = Erlang(3, 2.0)
+        assert law.cdf(0.0) == 0.0 and law.survival_geq(0.0) == 1.0
+        assert law.cdf(math.inf) == 1.0 and law.survival_geq(math.inf) == 0.0
+        assert law.cdf(-1.0) == 0.0 and law.survival_geq(-1.0) == 1.0
+        assert law.integral_survival(0.0) == 0.0 and law.integral_survival(math.inf) == law.mean
+
+    def test_many_points_in_small_tables(self):
+        # 200,000 points at 2,000 stages: one table of powers for all of them
+        # would take 650 MB
+        y = np.linspace(0.0, 4000.0, 200_000)
+        tracemalloc.start()
+        try:
+            p, q = ttlnet.renewal._gamma_tails(2000, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * y.nbytes
+        assert_allclose(p[::1000], scipy.special.gammainc(2000, y[::1000]), rtol=1e-11, atol=1e-300)
+
 
 def _timed(f):
     start = time.perf_counter()
