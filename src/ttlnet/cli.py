@@ -118,6 +118,26 @@ def cmd_analyze(args) -> int:
             + ", ".join(map(repr, (join, *above)))
             + "\n"
         )
+    order = topo.topological_order()
+    for nid in order:
+        node = topo.nodes[nid]
+        approximated = [
+            f"{name} by Erlang-{ttl.stages}"
+            for name, ttl in (("ttl", node.ttl), ("ttl_r", node.ttl_r))
+            if ttl is not None and not ttl.exact_on_map_path
+        ]
+        if approximated:
+            inexact = {nid}  # the node and every node its misses reach
+            for other in order:
+                if inexact.intersection(topo.nodes[other].children):
+                    inexact.add(other)
+            sys.stderr.write(
+                f"warning: node {nid!r}: the MAP path approximates its deterministic "
+                + " and ".join(approximated)
+                + "; not exact: "
+                + ", ".join(repr(other) for other in order if other in inexact)
+                + "\n"
+            )
     object_ids = [args.object] if args.object else [o.id for o in topo.objects]
     results = [analyze(topo, oid, budget=args.budget) for oid in object_ids]
     payload = {"command": "analyze", "results": [r.to_dict() for r in results]}

@@ -10,14 +10,16 @@ the result when the node feeds several parents.
 
 `parse_topology` is the only place where a topology document becomes
 engine objects. It checks the document against `topology.schema.json`,
-which ships with the package, and builds each leaf's arrival MAP and each
-TTL's phase-type form once, validated. `analyze`, `state_space_size` and
+which ships with the package, with the package's own walker
+(`_schema_error`, no jsonschema), and builds each leaf's arrival MAP and
+each TTL's phase-type form once, validated. `analyze`, `state_space_size` and
 the simulator use those objects as they are.
 """
 
 import json
 from dataclasses import dataclass, field
-from functools import cache, reduce
+from functools import reduce
+from numbers import Number
 from pathlib import Path
 
 import numpy as np
@@ -185,25 +187,107 @@ TOPOLOGY_SCHEMA = json.loads(
     Path(__file__).with_name("topology.schema.json").read_text(encoding="utf-8")
 )
 
+# JSON Schema (draft 2020-12) type tests: a bool is not a number, 1.0 is an integer
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": lambda v: isinstance(v, Number) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool))
+    or (isinstance(v, float) and v.is_integer()),
+}
+# every keyword of `topology.schema.json`; `$schema` and `$defs` constrain nothing
+_KEYWORDS = frozenset({
+    "$schema", "$defs", "$ref", "type", "enum", "required", "properties",
+    "additionalProperties", "items", "minItems", "minLength", "minProperties",
+    "maxProperties", "minimum", "exclusiveMinimum", "oneOf",
+})
+# (kind, keyword, message when the bound is above 1) of the lower size bounds
+_MIN_SIZES = (
+    (dict, "minProperties", "does not have enough properties"),
+    (list, "minItems", "is too short"),
+    (str, "minLength", "is too short"),
+)
 
-@cache
-def _validator():
-    """The topology schema's validator, checked against its metaschema once."""
-    from jsonschema.validators import validator_for  # deferred: about 80 ms of a cold import
 
-    cls = validator_for(TOPOLOGY_SCHEMA)
-    cls.check_schema(TOPOLOGY_SCHEMA)
-    return cls(TOPOLOGY_SCHEMA)
+def _member(path: str, key) -> str:
+    """The JSONPath of member `key` of the value at `path`, as jsonschema writes
+    it: `.key` for an ASCII letter followed by ASCII letters, digits and
+    underscores, else `['key']`."""
+    if isinstance(key, int):
+        return f"{path}[{key}]"
+    if key.isascii() and key[:1].isalpha() and key.replace("_", "").isalnum():
+        return f"{path}.{key}"
+    return "{}['{}']".format(path, key.replace("\\", "\\\\").replace("'", "\\'"))
+
+
+def _schema_error(value, schema: dict, path: str = "$") -> tuple[str, str] | None:
+    """The first violation of `schema` by `value` as (JSONPath, message), or None.
+
+    Implements the keywords of `topology.schema.json` with jsonschema's
+    semantics and messages; `$ref` resolves into the topology schema's
+    `$defs`. The value's own keywords are checked before its members, the
+    members in document order. Raises NotImplementedError on any other
+    keyword, so that no constraint of the schema goes unchecked.
+    """
+    unknown = schema.keys() - _KEYWORDS
+    if unknown:
+        raise NotImplementedError(f"unsupported schema keywords: {sorted(unknown)}")
+    if "type" in schema and not _TYPES[schema["type"]](value):
+        return path, f"{value!r} is not of type {schema['type']!r}"
+    if "enum" in schema and value not in schema["enum"]:
+        return path, f"{value!r} is not one of {schema['enum']!r}"
+    known, extra = schema.get("properties", {}), schema.get("additionalProperties", True)
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                return path, f"{key!r} is a required property"
+        extras = sorted(key for key in value if key not in known)
+        if extra is False and extras:
+            names, verb = ", ".join(map(repr, extras)), "was" if len(extras) == 1 else "were"
+            return path, f"Additional properties are not allowed ({names} {verb} unexpected)"
+        if len(value) > schema.get("maxProperties", len(value)):
+            return path, f"{value!r} has too many properties"
+    for kind, keyword, short in _MIN_SIZES:
+        if isinstance(value, kind) and len(value) < schema.get(keyword, 0):
+            return path, f"{value!r} " + ("should be non-empty" if schema[keyword] == 1 else short)
+    if _TYPES["number"](value):
+        if "minimum" in schema and value < schema["minimum"]:
+            return path, f"{value!r} is less than the minimum of {schema['minimum']!r}"
+        bound = schema.get("exclusiveMinimum")
+        if bound is not None and value <= bound:
+            return path, f"{value!r} is less than or equal to the minimum of {bound!r}"
+    members = []
+    if isinstance(value, dict):
+        members = [(key, known.get(key, extra)) for key in value]
+    elif isinstance(value, list):
+        members = [(i, schema.get("items")) for i in range(len(value))]
+    for key, subschema in members:
+        if isinstance(subschema, dict):
+            error = _schema_error(value[key], subschema, _member(path, key))
+            if error:
+                return error
+    if "oneOf" in schema:
+        valid = sum(_schema_error(value, branch, path) is None for branch in schema["oneOf"])
+        if valid != 1:
+            verdict = "valid under each of" if valid else "not valid under any of"
+            return path, f"{value!r} is {verdict} the given schemas"
+    if "$ref" in schema:
+        prefix, _, name = schema["$ref"].rpartition("/")
+        if prefix != "#/$defs":
+            raise NotImplementedError(f"unsupported $ref {schema['$ref']!r}")
+        return _schema_error(value, TOPOLOGY_SCHEMA["$defs"][name], path)
+    return None
 
 
 def parse_topology(document) -> Topology:
     """Validate and load a topology document (JSON text or parsed dict).
 
-    Raises TopologyError with a path-qualified message on schema
-    violations, duplicate or dangling node ids, cycles, non-stochastic
-    split vectors, nodes that split weights of 0 leave with no requests,
-    arrival processes that do not cover the leaves, or invalid arrival MAPs
-    and phase-type TTLs.
+    Raises TopologyError with a path-qualified message on a violation of
+    `TOPOLOGY_SCHEMA` (the first one `_schema_error` finds), duplicate or
+    dangling node ids, cycles, non-stochastic split vectors, nodes that
+    split weights of 0 leave with no requests, arrival processes that do
+    not cover the leaves, or invalid arrival MAPs and phase-type TTLs.
     """
     if isinstance(document, (str, bytes)):
         try:
@@ -212,11 +296,9 @@ def parse_topology(document) -> Topology:
             raise TopologyError(f"not valid JSON: {exc}") from exc
     else:
         payload = document
-    from jsonschema.exceptions import best_match
-
-    error = best_match(_validator().iter_errors(payload))
+    error = _schema_error(payload, TOPOLOGY_SCHEMA)
     if error is not None:
-        raise TopologyError(f"{error.json_path}: {error.message}") from error
+        raise TopologyError("{}: {}".format(*error))
 
     nodes: dict[str, CacheNode] = {}
     for i, spec in enumerate(payload["nodes"]):

@@ -1,10 +1,11 @@
-"""Import guard: `import ttlnet`, analyze and simulate load no scipy module.
+"""Import guard: `import ttlnet`, parse, analyze and simulate load no scipy
+module and no jsonschema.
 
     python tests/import_guard.py configs/tree3.json
 
-Imports ttlnet, analyzes the topology, simulates 2e4 leaf events, and
-analyzes `LARGE`, whose root chain is above the GTH bound, with the
-bordered solve refused, so that its given-input solve must succeed. Then
+Imports ttlnet, parses and analyzes the topology, simulates 2e4 leaf
+events, and analyzes `LARGE`, whose root chain is above the GTH bound, with
+the bordered solve refused, so that its given-input solve must succeed. Then
 it analyzes the two map-large shapes of `topologies.py`, the 5,000-state
 tree and the 2,916-state line, whose largest BiCGSTAB systems have 17,000
 and 13,284 nonzeros, and runs `expected_tau`, `occupancy_renewal` and the
@@ -27,6 +28,7 @@ from pathlib import Path
 from topologies import erlang_tree, mmpp_line
 
 LAZY = (
+    "jsonschema",
     "scipy",
     "scipy.sparse",
     "scipy.linalg",
@@ -110,6 +112,7 @@ def main(config: str) -> None:
 
     _require_unloaded("import ttlnet")
     topo = ttlnet.parse_topology(Path(config).read_text())
+    _require_unloaded("parse_topology")
     result = ttlnet.analyze(topo)
     _require_unloaded("analyze")
     ttlnet.simulate(ttlnet.SimConfig(topology=topo, event_cap=20_000, seed=0))

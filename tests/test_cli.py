@@ -137,6 +137,27 @@ class TestAnalyzeCommand:
         assert error["message"].startswith(f"{path}: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc["nodes"][0].update(policy="LRU"),
+            lambda doc: doc["nodes"][0].update(ttl={"det": {"value": -1}}),  # a oneOf branch
+            lambda doc: doc.update(comment="unknown top-level key"),
+        ],
+        ids=["policy", "det oneOf", "unknown key"],
+    )
+    def test_schema_violation_exit_two(self, tmp_path, capsys, edit):
+        doc = json.loads(json.dumps(LINE2))
+        edit(doc)
+        bad = tmp_path / "schema.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(["analyze", "--config", str(bad)], capsys)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "TopologyError"
+        assert error["message"].startswith("$")
+        assert "Traceback" not in err
+
 
 class TestSimulateCommand:
     def test_deterministic_given_seed(self, line_config, capsys):
@@ -260,3 +281,42 @@ class TestReconvergentWarning:
     def test_tree_writes_nothing_to_stderr(self, tree_config, capsys):
         code, _, err = run(["analyze", "--config", tree_config, "--format", "csv"], capsys)
         assert code == 0 and err == ""
+
+
+class TestDeterministicTtlWarning:
+    # Poisson(3) requests, a det-1.0 R cache `a`, an exp(2) R cache `b` above it
+    LINE = {
+        "nodes": [
+            {"id": "a", "policy": "R", "ttl": {"det": 1.0}},
+            {"id": "b", "policy": "R", "ttl": {"exp": 2.0}, "children": ["a"]},
+        ],
+        "arrivals": {"a": {"poisson": 3.0}},
+    }
+
+    def test_one_stderr_line_naming_the_node(self, tmp_path, capsys):
+        from ttlnet import analyze, parse_topology
+
+        path = tmp_path / "det-line.json"
+        path.write_text(json.dumps(self.LINE))
+        code, out, err = run(["analyze", "--config", str(path)], capsys)
+        assert code == 0
+        assert json.loads(out)["results"][0] == json.loads(
+            json.dumps(analyze(parse_topology(self.LINE)).to_dict())
+        )
+        (line,) = err.splitlines()
+        assert line.startswith("warning: node 'a': ")
+        assert "Erlang-20" in line and line.endswith("not exact: 'a', 'b'")
+
+    def test_min_policy_names_both_ttls(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(self.LINE))
+        doc["nodes"][1].update(
+            policy="MinSigmaR", ttl={"det": {"value": 2.0, "stages": 5}}, ttl_r={"det": 0.5}
+        )
+        path = tmp_path / "det-min.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(["analyze", "--config", str(path), "--format", "csv"], capsys)
+        assert code == 0
+        first, second = err.splitlines()
+        assert first.startswith("warning: node 'a': ")
+        assert second.startswith("warning: node 'b': ")
+        assert "ttl by Erlang-5 and ttl_r by Erlang-20" in second

@@ -1,4 +1,4 @@
-"""Cold start: import, analyze and simulate load numpy and no scipy module."""
+"""Cold start: import, parse, analyze and simulate load numpy and no scipy module or jsonschema."""
 
 import os
 import subprocess

@@ -132,13 +132,18 @@ class TestParsing:
         with pytest.raises(TopologyError, match=r"\$\.nodes\[0\]"):
             parse_topology(doc)
 
-    def test_import_skips_jsonschema(self):
-        # jsonschema is imported only when parse_topology first validates a document
+    def test_parse_and_analyze_skip_jsonschema(self):
+        # a fresh interpreter: this one has loaded jsonschema for other tests
         src = str(Path(ttlnet.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
-        code = "import sys, ttlnet; print('jsonschema' in sys.modules)"
+        code = (
+            "import sys, ttlnet; from pathlib import Path; "
+            "ttlnet.analyze(ttlnet.parse_topology(Path(sys.argv[1]).read_text())); "
+            "print('jsonschema' in sys.modules)"
+        )
         done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+            [sys.executable, "-c", code, str(CONFIGS / "tree3.json")],
+            env=env, capture_output=True, text=True, timeout=60,
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "False"
