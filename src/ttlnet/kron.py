@@ -3,8 +3,18 @@
 Matrices are stored as canonical COO triplets (row-major order, duplicates
 summed, exact zeros dropped) so that two matrices built from the same
 literal rates compare equal entry-by-entry.
+
+A sum of Kronecker products of small factors need not be assembled:
+`KronOperator` keeps the factors and gives what the stationary solve
+reads, the product x A, the diagonal, the row sums and the off-diagonal
+part, term by term. A cache's output chain is such a sum (see
+`cache_ops.CacheChain`), and `_given_input_solve` solves it on its
+factors, with the generator checks and both gates of `steady_state`
+evaluated on them too. `steady_state` takes an assembled matrix, as an
+operator of one factor.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -15,6 +25,7 @@ from .errors import DimensionError, NoStationaryDistributionError, ValidationErr
 __all__ = [
     "RateMatrix",
     "ProbabilityVector",
+    "KronOperator",
     "kron_product",
     "kron_sum",
     "steady_state",
@@ -239,37 +250,156 @@ def kron_product(a: RateMatrix, b: RateMatrix) -> RateMatrix:
     return RateMatrix.from_arrays(a.rows * b.rows, a.cols * b.cols, *kron_terms(a, b))
 
 
-def kron_sum_terms(mats) -> list[tuple]:
-    """Unsorted triplets of the terms I (x) M_i (x) I of the Kronecker sum of
-    the square matrices `mats`, first outermost, for `RateMatrix.from_terms`."""
+def kron_triplets(dims, factors) -> tuple:
+    """Unsorted triplets (r, c, v) of F_1 (x) ... (x) F_c, for `RateMatrix.from_terms`.
+
+    F_i is a square factor of order dims[i], or None for the identity. No
+    coordinate repeats, and an identity multiplies by an exact 1.0.
+    """
+    r = c = v = None
+    for n, f in zip(dims, factors):
+        if f is None:
+            fr = fc = np.arange(n)
+            fv = np.ones(n)
+        else:
+            fr, fc, fv = f.row_idx, f.col_idx, f.data
+        if r is None:
+            r, c, v = fr, fc, fv
+        else:
+            r = (r[:, None] * n + fr).ravel()
+            c = (c[:, None] * n + fc).ravel()
+            v = (v[:, None] * fv).ravel()
+    return r, c, v
+
+
+def _part(f: RateMatrix, on_diagonal: bool) -> RateMatrix:
+    """The diagonal or the off-diagonal entries of f: a subset, so canonical."""
+    keep = (f.row_idx == f.col_idx) == on_diagonal
+    return RateMatrix(f.rows, f.cols, f.row_idx[keep], f.col_idx[keep], f.data[keep])
+
+
+class KronOperator:
+    """A sum of Kronecker products of square factors, applied factor by factor.
+
+    Term t is F_t1 (x) ... (x) F_tc over axes of orders `dims`, a factor None
+    being the identity; a term with an empty factor is zero and dropped. A
+    row vector x times a term is x reshaped to `dims` with one factor
+    applied along each axis (the shuffle algorithm: Plateau 1985; Dayar
+    2012, "Analyzing Markov Chains using Kronecker Products"), each factor
+    by the rule of `_axis_product`. Below that scale one product costs
+    more in numpy calls than in arithmetic, so an operator whose terms
+    have at most `_NUMPY_PRODUCT_MAX` nonzeros in all, assembled, takes the
+    rule of `_product` instead: one `np.bincount` over the terms' unsorted
+    triplets, kept for later products.
+    """
+
+    def __init__(self, dims, terms):
+        self.dims = tuple(dims)
+        self.size = math.prod(self.dims)
+        self.terms = [tuple(t) for t in terms if all(f is None or f.nnz for f in t)]
+        self._steps = None
+
+    def product(self, x: np.ndarray) -> np.ndarray:
+        """The row vector x times the operator."""
+        if self._steps is None:
+            nonzeros = sum(
+                math.prod(self.dims[i] if f is None else f.nnz for i, f in enumerate(t))
+                for t in self.terms
+            )
+            if nonzeros <= _NUMPY_PRODUCT_MAX:
+                triplets = [kron_triplets(self.dims, t) for t in self.terms]
+                self._steps = [[_triplet_product(self.size, triplets)]]
+            else:
+                self._steps = [
+                    [_axis_product(self.dims, axis, f) for axis, f in enumerate(t) if f is not None]
+                    for t in self.terms
+                ]
+        total = None
+        for steps in self._steps:
+            y = x
+            for step in steps:
+                y = step(y)
+            # a step returns a new array, so the first term's can take the sum
+            if total is None:
+                total = y
+            else:
+                total += y
+        return np.zeros(self.size) if total is None else total
+
+    def _sum_of_kron(self, part) -> np.ndarray:
+        """sum_t part(F_t1) (x) ... (x) part(F_tc), where part(I) is a vector of ones."""
+        total = None
+        for t in self.terms:
+            v = None
+            for n, f in zip(self.dims, t):
+                w = np.ones(n) if f is None else part(f)
+                v = w if v is None else np.multiply.outer(v, w).ravel()
+            # part returns a new array, so the first term's can take the sum
+            total = v if total is None else total + v
+        return np.zeros(self.size) if total is None else total
+
+    @functools.cached_property
+    def _diagonal(self) -> np.ndarray:
+        return self._sum_of_kron(RateMatrix.diagonal)
+
+    def diagonal(self) -> np.ndarray:
+        return self._diagonal.copy()
+
+    def row_sums(self) -> np.ndarray:
+        return self._sum_of_kron(RateMatrix.row_sums)
+
+    def off_diagonal(self) -> "KronOperator":
+        """The off-diagonal part, term by term: that of F_1 (x) ... (x) F_c is
+        the sum over j of diag(F_1) (x) ... (x) diag(F_j-1) (x) off(F_j) (x)
+        F_j+1 (x) ... (x) F_c, so that no entry is found by a subtraction."""
+        terms = []
+        for t in self.terms:
+            for j, f in enumerate(t):
+                if f is not None:
+                    head = tuple(None if g is None else _part(g, True) for g in t[:j])
+                    terms.append(head + (_part(f, False),) + t[j + 1:])
+        return KronOperator(self.dims, terms)
+
+    def assemble(self) -> RateMatrix:
+        """The operator as one canonical matrix: its terms' triplets in one
+        sort (`RateMatrix.from_terms`), summed in term order."""
+        if not self.terms:
+            return RateMatrix.zeros(self.size, self.size)
+        triplets = [kron_triplets(self.dims, t) for t in self.terms]
+        return RateMatrix.from_terms(self.size, self.size, triplets)
+
+
+def kron_sum_operator(mats) -> KronOperator:
+    """The Kronecker sum of the square matrices `mats`, first outermost: the
+    terms I (x) M_i (x) I."""
     if not all(m.is_square for m in mats):
         raise DimensionError("kron_sum requires square matrices")
-    terms, left, right = [], 1, math.prod(m.rows for m in mats)
-    for m in mats:
-        right //= m.rows
-        # axes (left block, entry of m, right block)
-        outer = np.arange(left)[:, None, None] * m.rows
-        inner = np.arange(right)
-        r = ((outer + m.row_idx[:, None]) * right + inner).ravel()
-        c = ((outer + m.col_idx[:, None]) * right + inner).ravel()
-        v = np.empty((left, m.nnz, right))
-        v[...] = m.data[:, None]
-        terms.append((r, c, v.ravel()))
-        left *= m.rows
-    return terms
+    c = len(mats)
+    terms = [(None,) * i + (m,) + (None,) * (c - 1 - i) for i, m in enumerate(mats)]
+    return KronOperator([m.rows for m in mats], terms)
+
+
+def kron_sum_vector(vectors) -> np.ndarray:
+    """v_1 (+) ... (+) v_c = sum_i 1 (x) v_i (x) 1: the diagonal or the row
+    sums of a Kronecker sum, from those of its parts."""
+    return functools.reduce(lambda a, b: np.add.outer(a, b).ravel(), vectors)
 
 
 def kron_sum(a: RateMatrix, b: RateMatrix) -> RateMatrix:
     """Kronecker sum a (x) I_n + I_m (x) b for square a (m x m) and b (n x n)."""
-    return RateMatrix.from_terms(a.rows * b.rows, a.rows * b.rows, kron_sum_terms([a, b]))
+    return kron_sum_operator([a, b]).assemble()
 
 
-def _check_generator(q: RateMatrix, tol: float = 1e-9) -> None:
-    if not q.is_square:
-        raise ValidationError("generator must be square")
-    off_diag = q.row_idx != q.col_idx
-    if np.any(q.data[off_diag] < 0):
-        raise ValidationError("generator has negative off-diagonal entries")
+def _check_generator(q: KronOperator, tol: float = 1e-9) -> None:
+    """Nonnegative off-diagonal rates and zero row sums, read from q's factors.
+
+    The sign test asks every factor of every off-diagonal term
+    (`KronOperator.off_diagonal`) to be nonnegative: enough for an operator
+    of several factors, and exact for one of an assembled matrix.
+    """
+    for term in q.off_diagonal().terms:
+        if any(f is not None and np.any(f.data < 0) for f in term):
+            raise ValidationError("generator has negative off-diagonal entries")
     sums = q.row_sums()
     worst = np.max(np.abs(sums)) if sums.size else 0.0
     if worst > tol:
@@ -360,14 +490,18 @@ def _as_probabilities(x: np.ndarray) -> np.ndarray | None:
     return x / x.sum()
 
 
-def _residual(q: RateMatrix, x: np.ndarray) -> tuple[float, float]:
-    """Balance residual max |x q| and the largest residual the gate accepts."""
-    xq = np.bincount(q.col_idx, weights=x[q.row_idx] * q.data, minlength=q.rows)
-    residual = np.max(np.abs(xq))
-    return residual, max(1e-10, 1e-13 * np.max(np.abs(q.data)))
+def _residual(q: KronOperator, x: np.ndarray) -> tuple[float, float]:
+    """Balance residual max |x q| and the largest residual the gate accepts.
+
+    The bound scales with the largest exit rate max |q_ii|, which is the
+    largest rate of a generator: every off-diagonal rate of row i is at
+    most |q_ii|.
+    """
+    residual = np.max(np.abs(q.product(x)))
+    return residual, max(1e-10, 1e-13 * np.max(np.abs(q.diagonal())))
 
 
-def _relax(q: RateMatrix, x: np.ndarray) -> np.ndarray | None:
+def _relax(q: KronOperator, x: np.ndarray) -> np.ndarray | None:
     """Jacobi-sweep x until its componentwise backward error is small enough.
 
     The Oettli-Prager backward error of x >= 0 is
@@ -377,19 +511,19 @@ def _relax(q: RateMatrix, x: np.ndarray) -> np.ndarray | None:
     small entries are as trustworthy as large ones; a normwise residual
     cannot tell when they are not. A sweep sets x_i = in_i / (exit rate of
     i), a subtraction-free update with the stationary vector as its fixed
-    point. Returns the first vector within the bound, or None after
-    _MAX_SWEEPS sweeps. Needs a positive exit rate in every state, which
-    an irreducible chain of two or more states has.
+    point: in_i is the product with q's off-diagonal terms, whose factors
+    are nonnegative (`_check_generator`). Returns the first vector within
+    the bound, or None after _MAX_SWEEPS sweeps. Needs a positive exit rate
+    in every state, which an irreducible chain of two or more states has.
     """
-    off = q.row_idx != q.col_idx
-    src, dst, rate = q.row_idx[off], q.col_idx[off], q.data[off]
+    off = q.off_diagonal()
     exit_rate = -q.diagonal()
     for _ in range(_MAX_SWEEPS + 1):
-        inflow = np.bincount(dst, weights=rate * x[src], minlength=q.rows)
+        inflow = off.product(x)
         outflow = exit_rate * x
         total = inflow + outflow
         ratio = np.divide(
-            np.abs(inflow - outflow), total, out=np.zeros(q.rows), where=total > 0
+            np.abs(inflow - outflow), total, out=np.zeros(q.size), where=total > 0
         )
         if np.max(ratio) <= _BACKWARD_ERROR_MAX:
             return x
@@ -412,7 +546,9 @@ def _dot(u: np.ndarray, w: np.ndarray) -> float:
 
 
 # Most nonzeros of a system that `_bicgstab` multiplies by with numpy
-# (`_product`), set under the break-even with importing scipy.sparse.
+# (`_product`), set under the break-even with importing scipy.sparse. A
+# `KronOperator` applies it to its terms' nonzeros in all, then to each
+# factor's assembled term (`_axis_product`).
 # Per product on the given-input systems of a 5,000-state tree, a
 # 2,916-state line and a 10,368-state tree (Erlang-5 leaves), in us, best
 # of 15 on a 2-vCPU host, two runs:
@@ -453,20 +589,64 @@ def _product(a: tuple, n: int):
     return lambda x: np.bincount(indices, weights=data * x.repeat(counts), minlength=n)
 
 
-def _bicgstab(a: tuple, inv_diag: np.ndarray, b: np.ndarray, x: np.ndarray):
+def _triplet_product(size: int, triplets: list):
+    """The map y -> y A for the matrix A that is the sum of the unsorted
+    triplet terms (r, c, v): one `np.bincount` over all of them."""
+    src, dst, w = (a[0] if len(a) == 1 else np.concatenate(a) for a in zip(*triplets))
+    return lambda y: np.bincount(dst, weights=y[src] * w, minlength=size)
+
+
+def _axis_product(dims: tuple, axis: int, f: RateMatrix):
+    """The map y -> y (I (x) f (x) I) for f on axis `axis` of an operator over `dims`.
+
+    The rule of `_product`, applied to the assembled term I (x) f (x) I: at
+    most `_NUMPY_PRODUCT_MAX` nonzeros, numpy; above it, scipy's product of
+    f^T with y's axis as rows, which leaves the term unassembled. numpy
+    holds whichever form of the term has fewer entries: f dense, applied
+    by BLAS to y's blocks, or the term's triplets, for one `np.bincount`.
+    Per product on the map-large shapes, best of 7 on a 2-vCPU host: a
+    50-state factor with 195 nonzeros on 50 x 50 blocks (2,500 dense
+    entries, 9,750 triplets) took 3-9 us dense and 15-17 us by bincount; a
+    972-state factor with 6,154 nonzeros on two blocks (944,784 dense
+    entries, 12,308 triplets) took 76-200 us dense and 16-21 us by
+    bincount.
+    """
+    left, n, right = math.prod(dims[:axis]), dims[axis], math.prod(dims[axis + 1:])
+    size = left * n * right
+    triplets = left * f.nnz * right
+    if n * n <= triplets <= _NUMPY_PRODUCT_MAX:
+        dense = f.to_dense()
+        if right == 1:
+            return lambda y: (y.reshape(left, n) @ dense).ravel()
+        dense_t = np.ascontiguousarray(dense.T)
+        return lambda y: np.matmul(dense_t, y.reshape(left, n, right)).ravel()
+    if triplets <= _NUMPY_PRODUCT_MAX:
+        return _triplet_product(size, [kron_triplets((left, n, right), (None, f, None))])
+    import scipy.sparse as sp  # deferred: small systems never load it
+
+    f_t = sp.csr_matrix((f.data, (f.col_idx, f.row_idx)), shape=(n, n))
+
+    def step(y):
+        z = np.moveaxis(y.reshape(left, n, right), 1, 0).reshape(n, left * right)
+        return np.moveaxis((f_t @ z).reshape(n, left, right), 0, 1).ravel()
+
+    return step
+
+
+def _bicgstab(product, inv_diag: np.ndarray, b: np.ndarray, x: np.ndarray):
     """Solve a x = b by BiCGSTAB preconditioned by inv_diag, updating x in place.
 
-    a is the system's CSC arrays (data, indices, indptr), applied by
-    `_product`. The recurrence, breakdown tests and stopping test
-    (||r|| < 1e-14 ||b||) are those of `scipy.sparse.linalg.bicgstab`, so
-    the iterates are its own up to the rounding of the inner products;
-    without its operator wrappers an iteration costs two sparse products
-    and some vector work. One more exit: the iteration gives up once the
-    residual norm has not fallen below its best for `_STAGNATION_ITERS`
-    iterations. Returns (x, info): info 0 on convergence, positive when out
-    of iterations or stagnating, negative on a breakdown.
+    `product` is the map x -> a x (`_product`, or a `KronOperator`'s
+    product for a system that is never assembled). The recurrence,
+    breakdown tests and stopping test (||r|| < 1e-14 ||b||) are those of
+    `scipy.sparse.linalg.bicgstab`, so the iterates are its own up to the
+    rounding of the inner products; without its operator wrappers an
+    iteration costs two products and some vector work. One more exit: the
+    iteration gives up once the residual norm has not fallen below its
+    best for `_STAGNATION_ITERS` iterations. Returns (x, info): info 0 on
+    convergence, positive when out of iterations or stagnating, negative on
+    a breakdown.
     """
-    product = _product(a, b.size)
     atol = 1e-14 * math.sqrt(_dot(b, b))
     rhotol = np.finfo(np.float64).eps ** 2
     r = b - product(x)
@@ -512,21 +692,21 @@ def _bicgstab(a: tuple, inv_diag: np.ndarray, b: np.ndarray, x: np.ndarray):
     return x, _KRYLOV_MAXITER
 
 
-def _krylov_solve(q: RateMatrix, a: tuple, b: np.ndarray) -> np.ndarray | None:
+def _krylov_solve(q: KronOperator, a: tuple, b: np.ndarray) -> np.ndarray | None:
     """Jacobi-preconditioned BiCGSTAB solution of `steady_state`'s bordered
     system with CSC arrays a, or None if any acceptance test fails."""
-    n = q.rows
+    n = q.size
     # a's diagonal is q's, but for the 1 of the normalization row
     inv_diag = 1.0 / q.diagonal()
     inv_diag[-1] = 1.0
-    x, info = _bicgstab(a, inv_diag, b, np.full(n, 1.0 / n))
+    x, info = _bicgstab(_product(a, n), inv_diag, b, np.full(n, 1.0 / n))
     if info != 0 or not np.all(np.isfinite(x)):
         return None
     x = _as_probabilities(x)
     return None if x is None else _gate(q, x)
 
 
-def _gate(q: RateMatrix, x: np.ndarray) -> np.ndarray | None:
+def _gate(q: KronOperator, x: np.ndarray) -> np.ndarray | None:
     """x, polished by `_relax`, if it passes the backward-error and residual gates."""
     x = _relax(q, x)
     if x is None:
@@ -535,52 +715,77 @@ def _gate(q: RateMatrix, x: np.ndarray) -> np.ndarray | None:
     return x if residual <= bound else None
 
 
-def _given_input_solve(
-    q: RateMatrix, p_in: np.ndarray, pi: np.ndarray, d1: RateMatrix
-) -> np.ndarray | None:
+def _in_system(q: KronOperator, p_in: np.ndarray) -> tuple[KronOperator, np.ndarray]:
+    """(-M, p_in Q'_OT) of `_given_input_solve`'s system, on q's factors.
+
+    Term by term, a TTL factor F of q becomes F_TT - 1 F_OT in M, and the
+    right-hand side is sum_t F_OT (x) (p_in R_t) for the request factors R_t
+    of term t. Terms with the same request factors merge into one, with
+    the sum of their TTL factors; an identity TTL factor (I (x) R) keeps
+    the identity and negates R.
+    """
+    k = q.dims[0] - 1
+    groups: dict = {}  # request factors, by identity -> (factors, triplets of -M's TTL factor)
+    rhs = np.zeros((k, p_in.size))
+    for ttl, *rest in q.terms:
+        rest = tuple(rest)
+        parts = groups.setdefault(tuple(map(id, rest)), (rest, []))[1]
+        if ttl is None:
+            parts.append(None)
+            continue
+        # -F_TT, and 1 F_OT added to every IN row
+        r, c, v = ttl.row_idx, ttl.col_idx, ttl.data
+        inner, top = (r > 0) & (c > 0), (r == 0) & (c > 0)
+        parts.append((r[inner] - 1, c[inner] - 1, -v[inner]))
+        if top.any():
+            cols, vals = c[top] - 1, v[top]
+            parts.append((np.repeat(np.arange(k), cols.size), np.tile(cols, k), np.tile(vals, k)))
+            row = np.zeros(k)
+            row[cols] = vals
+            rhs += np.outer(row, KronOperator(q.dims[1:], [rest]).product(p_in))
+    terms = []
+    for rest, parts in groups.values():
+        if len(parts) == 1 and parts[0] is None:
+            j = next(i for i, f in enumerate(rest) if f is not None)
+            terms.append((None,) + rest[:j] + (rest[j].scale(-1.0),) + rest[j + 1:])
+            continue
+        identity = (np.arange(k), np.arange(k), np.full(k, -1.0))
+        ttl = RateMatrix.from_terms(k, k, [identity if p is None else p for p in parts])
+        terms.append((ttl,) + rest)
+    return KronOperator((k,) + q.dims[1:], terms), rhs.ravel()
+
+
+def _given_input_solve(q: KronOperator, p_in: np.ndarray) -> np.ndarray | None:
     """Stationary vector of a cache's output chain from its input vector, or None.
 
-    q is the irreducible generator Q' of a `cache_ops` miss process: the n
-    OUT states, then one block of n states per transient TTL phase, for a
-    TTL with initial vector pi and requests with active matrix d1 whose
-    background chain has the stationary vector p_in. The request coordinate
-    of Q' evolves on its own, so the blocks x_0 (OUT) and x_j (TTL phase j)
-    of its stationary vector sum to p_in. Putting x_0 = p_in - sum_j x_j
-    into the balance equations of the IN columns leaves the nonsingular
-    system
+    q is the irreducible generator Q' of a `cache_ops` output chain on its
+    factors: axis 0 is the TTL phase, the OUT state 0 first, then the k
+    transient phases (the IN blocks); the other axes are the request
+    states, whose background chain has the stationary vector p_in and
+    evolves on its own. So the blocks x_0 (OUT) and x_j (TTL phase j) of
+    Q''s stationary vector sum to p_in. Putting x_0 = p_in - sum_j x_j into
+    the balance equations of the IN columns leaves the nonsingular system
 
-        x_T (-M) = p_in (pi (x) d1),   M = Q'_TT - (1 pi) (x) d1,
+        x_T (-M) = p_in Q'_OT,   M = Q'_TT - (1 (x) I) Q'_OT,
 
-    over the IN states T alone, with -M read from Q''s IN x IN triplets.
-    BiCGSTAB with Jacobi preconditioning (see `_bicgstab`) solves it,
-    started from p_in spread evenly over the k + 1 blocks (from zero, a
-    right-hand side with few nonzeros broke down on a 108-state chain).
-    The full vector must then pass the sign test and both gates of the
-    Krylov route of `steady_state`. None when any of these fails.
+    over the IN states T alone, built on q's factors by `_in_system`. For
+    the cache template (P (+) d0) + H (x) d1 + A (x) d1 only A has an OUT
+    row, (0, pi), so M = S (+) d0 + (H_IN - 1 pi) (x) d1 and the right-hand
+    side is pi (x) p_in d1; the H and A terms share their d1 factor, so
+    they merge, and for an R cache, whose H_IN is 1 pi, they cancel.
+    BiCGSTAB with Jacobi preconditioning (see `_bicgstab`) solves it on the
+    factors, started from p_in spread evenly over the k + 1 blocks (from
+    zero, a right-hand side with few nonzeros broke down on a 108-state
+    chain). The full vector must then pass the sign test and both gates of
+    the Krylov route of `steady_state`, on q's factors. None when any of
+    these fails.
     """
-    n, m = p_in.size, q.rows - p_in.size
-    start = np.searchsorted(q.row_idx, n)  # the IN rows are a suffix of the triplets
-    inner = q.col_idx[start:] >= n
-    phases = np.flatnonzero(pi)
-    k = m // n
-    # block (j, l) of (1 pi) (x) d1 is pi_l d1, in every IN block row j
-    row = np.tile(d1.row_idx, phases.size)
-    col = (phases[:, None] * n + d1.col_idx).ravel()
-    val = (pi[phases, None] * d1.data).ravel()
-    neg_m = RateMatrix.from_arrays(
-        m,
-        m,
-        np.concatenate([q.row_idx[start:][inner] - n, (np.arange(k)[:, None] * n + row).ravel()]),
-        np.concatenate([q.col_idx[start:][inner] - n, np.tile(col, k)]),
-        np.concatenate([-q.data[start:][inner], np.tile(val, k)]),
-    )
+    k, n = q.dims[0] - 1, p_in.size
+    neg_m, rhs = _in_system(q, p_in)
     diagonal = neg_m.diagonal()
     if np.any(diagonal <= 0.0):
         return None
-    # -M's CSR arrays are the CSC arrays of its transpose, the system BiCGSTAB solves
-    a = (neg_m.data, neg_m.col_idx, _indptr(neg_m.row_idx, m))
-    p_d1 = np.bincount(d1.col_idx, weights=p_in[d1.row_idx] * d1.data, minlength=n)
-    x_t, info = _bicgstab(a, 1.0 / diagonal, np.kron(pi, p_d1), np.tile(p_in / (k + 1), k))
+    x_t, info = _bicgstab(neg_m.product, 1.0 / diagonal, rhs, np.tile(p_in / (k + 1), k))
     if info != 0 or not np.all(np.isfinite(x_t)):
         return None
     x = _as_probabilities(np.concatenate([p_in - x_t.reshape(k, n).sum(axis=0), x_t]))
@@ -628,13 +833,13 @@ def _gth(q: RateMatrix) -> np.ndarray | None:
     return x / x.sum()
 
 
-def _lu_solve(q: RateMatrix, a: tuple, b: np.ndarray) -> np.ndarray:
+def _lu_solve(q: KronOperator, a: tuple, b: np.ndarray) -> np.ndarray:
     """Sparse LU solution of the system with CSC arrays a, held to the sign
     test and the residual gate."""
     import scipy.sparse as sp  # deferred: only the LU fallback needs scipy here
     from scipy.sparse import linalg as spla
 
-    a = sp.csc_matrix(a, shape=(q.rows, q.rows))
+    a = sp.csc_matrix(a, shape=(q.size, q.size))
     try:
         lu = spla.splu(a)
     except RuntimeError as exc:  # pragma: no cover - guards exact singularity
@@ -656,9 +861,10 @@ def steady_state(q: RateMatrix) -> ProbabilityVector:
     """Stationary distribution p of a conservative irreducible generator.
 
     This solves a chain knowing nothing but q. `metrics.metrics_from_maps`
-    solves a cache output chain of more than `_GTH_MAX` states from its
-    known input vector instead (see `_given_input_solve`), and comes here
-    only when that solve fails its gates.
+    and `metrics.chain_metrics` solve a cache output chain on its Kronecker
+    factors, by GTH or from its known input vector (see
+    `_given_input_solve`), and assemble it for this function only when that
+    solve fails its gates.
 
     Chains of at most `_GTH_MAX` states are solved first by dense GTH state
     reduction (see `_gth`), whose positive pivots and entries also show the
@@ -686,8 +892,9 @@ def steady_state(q: RateMatrix) -> ProbabilityVector:
     3. Otherwise, a sparse LU factorization with one round of iterative
        refinement, held to the same sign test and residual gate.
 
-    The residual gate is max |p q| <= max(1e-10, 1e-13 * max |q_ij|). A
-    one-state chain needs no solve: its only entry is zero up to roundoff.
+    The residual gate is max |p q| <= max(1e-10, 1e-13 * max |q_ii|), the
+    largest exit rate being the largest rate of a generator. A one-state
+    chain needs no solve: its only entry is zero up to roundoff.
 
     Raises
     ------
@@ -697,13 +904,16 @@ def steady_state(q: RateMatrix) -> ProbabilityVector:
         If the chain is not irreducible (no unique stationary distribution),
         or the LU solution fails the sign test or the residual gate.
     """
-    _check_generator(q)
+    if not q.is_square:
+        raise ValidationError("generator must be square")
+    op = KronOperator((q.rows,), [(q,)])
+    _check_generator(op)
     n = q.rows
     if n == 1:
         return ProbabilityVector([1.0])
     x = _gth(q) if n <= _GTH_MAX else None
     if x is not None:  # q is irreducible
-        x = _gate(q, x)
+        x = _gate(op, x)
         if x is not None:
             return ProbabilityVector(x)
     elif not _is_irreducible(q):
@@ -725,7 +935,7 @@ def steady_state(q: RateMatrix) -> ProbabilityVector:
     a = (vals, indices, indptr)
     b = np.zeros(n)
     b[n - 1] = 1.0
-    x = _krylov_solve(q, a, b)
+    x = _krylov_solve(op, a, b)
     if x is None:
-        x = _lu_solve(q, a, b)
+        x = _lu_solve(op, a, b)
     return ProbabilityVector(x)

@@ -5,12 +5,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kron
-from .cache_ops import CacheOutput
-from .errors import DimensionError, NoStationaryDistributionError
-from .kron import RateMatrix, _dot, edges, reachable, reversed_edges, steady_state
+from .cache_ops import CacheChain, CacheOutput
+from .errors import DimensionError, NoStationaryDistributionError, ValidationError
+from .kron import (
+    KronOperator,
+    RateMatrix,
+    _dot,
+    edges,
+    kron_sum_vector,
+    reachable,
+    reversed_edges,
+    steady_state,
+)
 from .processes import MarkovArrivalProcess, PhaseTypeDistribution
 
-__all__ = ["CacheMetrics", "metrics_from_maps", "stationary_interval_moments"]
+__all__ = ["CacheMetrics", "metrics_from_maps", "chain_metrics", "stationary_interval_moments"]
 
 
 @dataclass(frozen=True)
@@ -61,11 +70,8 @@ def metrics_from_maps(
 
     Without `p_in`, the output chain is solved alone (`steady_state`).
     `p_in` is the stationary vector of the input MAP's background chain,
-    which must be irreducible. Given it, an output chain of `cache_ops` with
-    more than `kron._GTH_MAX` states is solved as a nonsingular system on
-    its IN states (`kron._given_input_solve`), with `steady_state` as the
-    fallback; `_phases_live` shows it irreducible where it can, a graph
-    search otherwise.
+    which must be irreducible. Given it, an output chain of `cache_ops` is
+    solved on its Kronecker factors (`output.chain`; see `chain_metrics`).
 
     Raises
     ------
@@ -82,18 +88,45 @@ def metrics_from_maps(
         )
     if p_in is not None and p_in.size != n:
         raise DimensionError(f"input vector has {p_in.size} entries, not {n}")
+    chain = None if p_in is None else output.chain
+    return _cache_metrics(
+        chain, p_in, lambda: output.map.generator, input_map.d1.row_sums(), output.map.d1.row_sums()
+    )
+
+
+def chain_metrics(chain: CacheChain, p_in: np.ndarray) -> CacheMetrics:
+    """`metrics_from_maps` of a cache given as its output chain's factors.
+
+    The stationary vector p' comes from the factors by the given-input
+    solve (`kron._given_input_solve`), and so do the request rates d1 1
+    and the miss rates d1' 1 that the metrics read, so no matrix of Q''s
+    size is built. Q' is assembled only where the factors do not decide:
+    for a chain of at most `kron._GTH_MAX` states, whose GTH solve reads it
+    dense, when a solve fails its gates, or when the chain's
+    irreducibility needs the graph search.
+    """
+    requests = kron_sum_vector([m.d1.row_sums() for m in chain.inputs])
+    misses = KronOperator(chain.dims, chain.active).row_sums()
+    return _cache_metrics(chain, p_in, chain.generator.assemble, requests, misses)
+
+
+def _cache_metrics(
+    chain: CacheChain | None, p_in, generator, requests: np.ndarray, misses: np.ndarray
+) -> CacheMetrics:
+    """The metrics of the output vector (`_output_vector`) from the request
+    rates d1 1 of the input states and the miss rates d1' 1 of the output
+    states."""
     try:
-        p_out = _output_vector(input_map, output, p_in)
+        p_out = _output_vector(chain, p_in, generator)
     except NoStationaryDistributionError as exc:
         raise NoStationaryDistributionError(
             f"cache metrics need ergodic background chains: {exc}"
         ) from exc
     # the OUT block, then one block of request states per TTL phase (IN)
-    blocks = p_out.reshape(-1, n)
+    blocks = p_out.reshape(-1, requests.size)
     cached = blocks[1:].sum(axis=0)
-    requests = input_map.d1.row_sums()
     input_rate = float(_dot(blocks.sum(axis=0), requests))
-    miss_rate = float(_dot(p_out, output.map.d1.row_sums()))
+    miss_rate = float(_dot(p_out, misses))
     # the hit flow itself, not 1 - miss, keeps relative accuracy when hits are rare
     hit_rate = float(_dot(cached, requests))
     occupancy = float(cached.sum())
@@ -108,45 +141,58 @@ def metrics_from_maps(
     )
 
 
-def _output_vector(
-    input_map: MarkovArrivalProcess, output: CacheOutput, p_in: np.ndarray | None
-) -> np.ndarray:
-    """The output chain's stationary vector, from `p_in` where the route applies."""
-    q = output.map.generator
-    if p_in is None or output.ttl is None or q.rows <= kron._GTH_MAX:
-        return steady_state(q).entries
-    kron._check_generator(q)
-    if not _phases_live(output.ttl, input_map.d1) and not kron._is_irreducible(q):
-        raise NoStationaryDistributionError(
-            "generator is reducible: no unique stationary distribution"
-        )
-    x = kron._given_input_solve(q, p_in, output.ttl.pi.entries, input_map.d1)
-    return steady_state(q).entries if x is None else x
+def _output_vector(chain: CacheChain | None, p_in, generator) -> np.ndarray:
+    """The output chain's stationary vector, from `p_in` on the chain's factors.
+
+    The generator checks and the gates read the factors (see
+    `kron._check_generator` and `kron._gate`). `generator()` assembles Q'
+    for what the factors cannot do: the graph search for irreducibility
+    where `_phases_live` cannot show it, and `steady_state`, which solves
+    the chain alone (no chain or no `p_in`), by GTH (at most
+    `kron._GTH_MAX` states), and whenever the given-input route declines
+    or fails a gate.
+    """
+    if chain is None or chain.generator.size <= kron._GTH_MAX:
+        return steady_state(generator()).entries
+    q = chain.generator
+    try:
+        kron._check_generator(q)
+    except ValidationError:  # the factor test is only sufficient: steady_state's decides
+        return steady_state(generator()).entries
+    if not _phases_live(chain.ttl, *(m.d1 for m in chain.inputs)):
+        q_assembled = generator()
+        if not kron._is_irreducible(q_assembled):
+            raise NoStationaryDistributionError(
+                "generator is reducible: no unique stationary distribution"
+            )
+        generator = lambda: q_assembled  # noqa: E731
+    x = kron._given_input_solve(q, p_in)
+    return steady_state(generator()).entries if x is None else x
 
 
-def _phases_live(ttl: PhaseTypeDistribution, d1: RateMatrix) -> bool:
+def _phases_live(ttl: PhaseTypeDistribution, *d1s: RateMatrix) -> bool:
     """Whether a cache output chain is irreducible when its input chain is.
 
-    True when every TTL phase is reachable from supp(pi) through S, every
-    phase reaches absorption through S, and no miss rate pi_l d1_ij
-    underflows. Then, from any state, the TTL runs out on its own and
-    reaches the OUT block; the OUT states reach each other along the input
-    chain's edges (a d1 edge through an IN state and back out); and every
-    IN state (l, i) is reached by a miss into some request state w,
-    installing a phase of supp(pi), then the TTL moving to l while the
-    requests move from w to i by hidden transitions. Such a w exists for
-    every i: on a path of the irreducible input chain from the target of a
-    d1 edge to i, take the target of the last d1 edge. Hit resets are not
-    used, so the argument holds for every policy. False does not show the
-    chain reducible: a reset-on-request hit can lead out of a phase that
-    never absorbs.
+    The input's active matrix is the Kronecker sum of `d1s`, one per
+    superposed input. True when every TTL phase is reachable from supp(pi)
+    through S, every phase reaches absorption through S, and no miss rate
+    pi_l d1_ij of the factors underflows. Then, from any state, the TTL
+    runs out on its own and reaches the OUT block; the OUT states reach
+    each other along the input chain's edges (a d1 edge through an IN
+    state and back out); and every IN state (l, i) is reached by a miss
+    into some request state w, installing a phase of supp(pi), then the TTL
+    moving to l while the requests move from w to i by hidden transitions.
+    Such a w exists for every i: on a path of the irreducible input chain
+    from the target of a d1 edge to i, take the target of the last d1
+    edge. Hit resets are not used, so the argument holds for every policy.
+    False does not show the chain reducible: a reset-on-request hit can
+    lead out of a phase that never absorbs.
     """
     pi = ttl.pi.entries
     entered = reachable(*edges(ttl.s), np.flatnonzero(pi))
     absorbed = reachable(*reversed_edges(ttl.s), np.flatnonzero(ttl.exit_rates))
-    return bool(
-        entered.all() and absorbed.all() and d1.nnz and pi[pi > 0].min() * d1.data.min() > 0.0
-    )
+    rates = [d1.data.min() for d1 in d1s if d1.nnz]
+    return bool(entered.all() and absorbed.all() and rates and pi[pi > 0].min() * min(rates) > 0.0)
 
 
 def stationary_interval_moments(m: MarkovArrivalProcess, count: int = 2) -> list[float]:

@@ -24,10 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .cache_ops import output_min, output_r, output_sigma
+from .cache_ops import cache_chain, output_min, output_r, output_sigma
 from .errors import BudgetExceededError, TopologyError, ValidationError
 from .kron import ProbabilityVector, RateMatrix, steady_state
-from .metrics import CacheMetrics, metrics_from_maps
+from .metrics import CacheMetrics, chain_metrics, metrics_from_maps
 from .processes import (
     MarkovArrivalProcess,
     PhaseTypeDistribution,
@@ -490,7 +490,7 @@ class AnalysisResult:
         )
 
 
-_OUTPUT_OPS = {"Sigma": output_sigma, "R": output_r}
+_OUTPUT_OPS = {"Sigma": output_sigma, "R": output_r, "MinSigmaR": output_min}
 
 
 def analyze(
@@ -507,9 +507,14 @@ def analyze(
     own solve: a leaf's is its arrival MAP's stationary vector; a split
     keeps d0 + d1, so a part has its node's output vector; and `superpose`
     models its parts as independent, so a join has the Kronecker product of
-    its children's output vectors. `metrics_from_maps` solves each output
-    chain from it. Refuses, with the offending node and exact dimension,
-    before building anything larger than `budget` states.
+    its children's output vectors. Each output chain is solved from it on
+    its Kronecker factors. A node with parents assembles its miss MAP
+    (`output_sigma`, `output_r`, `output_min`, after `superpose` at a join)
+    for them; a sink (no parents) assembles nothing: its chain's factors
+    are its inputs' own (`cache_ops.cache_chain`), and its metrics come
+    from its stationary vector (`metrics.chain_metrics`). Refuses, with the
+    offending node and exact dimension, before building anything larger
+    than `budget` states.
     """
     if budget <= 0:
         raise ValidationError("budget must be positive")
@@ -526,36 +531,39 @@ def analyze(
 
     contributions: dict[tuple[str, str], MarkovArrivalProcess] = {}
     metrics: dict[str, CacheMetrics] = {}
-    miss_rates: dict[str, float] = {}
     for nid in order:
         node = topo.nodes[nid]
         if not node.children:
-            input_map = topo.arrival_for(obj, nid)
-            p_in = steady_state(input_map.generator).entries
+            parts = [topo.arrival_for(obj, nid)]
+            p_in = steady_state(parts[0].generator).entries
         else:
             parts = [contributions[(child, nid)] for child in node.children]
-            input_map = parts[0] if len(parts) == 1 else superpose(parts)
             p_in = reduce(np.kron, [metrics[child].stationary for child in node.children])
-        if node.policy == "MinSigmaR":
-            out = output_min(input_map, node.ttl.ph, node.ttl_r.ph)
+        ttls = (node.ttl.ph,) if node.ttl_r is None else (node.ttl.ph, node.ttl_r.ph)
+        parents = topo.parents_of(nid)
+        if parents:
+            input_map = parts[0] if len(parts) == 1 else superpose(parts)
+            out = _OUTPUT_OPS[node.policy](input_map, *ttls)
+            realized = input_map.order, out.order
         else:
-            out = _OUTPUT_OPS[node.policy](input_map, node.ttl.ph)
-        if out.order != dims[nid]["output"] or input_map.order != dims[nid]["input"]:
+            chain = cache_chain(node.policy, parts, *ttls)
+            realized = chain.generator.size // chain.dims[0], chain.generator.size
+        if realized != (dims[nid]["input"], dims[nid]["output"]):
             raise RuntimeError(
                 f"dimension accounting mismatch at node {nid!r}: realized"
-                f" {input_map.order}->{out.order}, predicted {dims[nid]}"
+                f" {realized[0]}->{realized[1]}, predicted {dims[nid]}"
             )
-        node_metrics = metrics_from_maps(input_map, out, p_in)
-        metrics[nid] = node_metrics
-        miss_rates[nid] = node_metrics.miss_rate
-        parents = topo.parents_of(nid)
+        if not parents:
+            metrics[nid] = chain_metrics(chain, p_in)
+            continue
+        metrics[nid] = metrics_from_maps(input_map, out, p_in)
         if len(parents) == 1 and node.split is None:
             contributions[(nid, parents[0])] = out.map
-        elif parents:
+        else:
             parts = split_map(out.map, node.split)
             for pid, part in zip(parents, parts):
                 contributions[(nid, pid)] = part
-    origin_rate = sum(miss_rates[nid] for nid in topo.sinks)
+    origin_rate = sum(metrics[nid].miss_rate for nid in topo.sinks)
     return AnalysisResult(
         object_id=obj.id,
         metrics={nid: metrics[nid] for nid in topo.node_order},

@@ -10,7 +10,6 @@ state first (row 0), which lets the cache input-output constructions
 transcribe as plain block templates.
 """
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -22,7 +21,8 @@ from .kron import (
     RateMatrix,
     _dot,
     kron_sum,
-    kron_sum_terms,
+    kron_sum_operator,
+    kron_sum_vector,
     reachable,
     reversed_edges,
     steady_state,
@@ -174,30 +174,40 @@ class ValidationReport:
         return self.ok
 
 
-def validate_map(m: MarkovArrivalProcess) -> ValidationReport:
+def validate_map(m: MarkovArrivalProcess, *more: MarkovArrivalProcess) -> ValidationReport:
     """Check all MAP invariants; returns a report rather than raising.
 
     The sign and row-sum checks come first. Once they pass, -d0 is a
     Z-matrix whose row sums equal those of d1, and d0 is singular exactly
     when some state cannot reach an event-emitting state (a nonzero row
     of d1) through hidden transitions; see :func:`_d0_is_singular`.
+
+    With `more`, the MAP checked is the superposition of m and `more`, read
+    from the parts without assembling it: its sign checks are the parts',
+    its diagonal and row sums are Kronecker sums of theirs, and its d0, the
+    Kronecker sum of the parts' d0, is singular exactly when every part's
+    is. (An eigenvalue of a Kronecker sum is a sum of one eigenvalue of
+    each part, and those of a d0 that passes the sign and row-sum checks
+    have negative real parts, but for 0.) Sign violations name a part's own
+    coordinates.
     """
+    parts = (m,) + more
     problems: list[str] = []
-    d0, d1 = m.d0, m.d1
-    neg_active = d1.data < 0
-    for r, c in zip(d1.row_idx[neg_active], d1.col_idx[neg_active]):
-        problems.append(f"negative active rate at ({r}, {c})")
-    off = d0.row_idx != d0.col_idx
-    neg_hidden = off & (d0.data < 0)
-    for r, c in zip(d0.row_idx[neg_hidden], d0.col_idx[neg_hidden]):
-        problems.append(f"negative hidden off-diagonal rate at ({r}, {c})")
-    diag = d0.diagonal()
+    for d0, d1 in ((p.d0, p.d1) for p in parts):
+        neg_active = d1.data < 0
+        for r, c in zip(d1.row_idx[neg_active], d1.col_idx[neg_active]):
+            problems.append(f"negative active rate at ({r}, {c})")
+        off = d0.row_idx != d0.col_idx
+        neg_hidden = off & (d0.data < 0)
+        for r, c in zip(d0.row_idx[neg_hidden], d0.col_idx[neg_hidden]):
+            problems.append(f"negative hidden off-diagonal rate at ({r}, {c})")
+    diag = kron_sum_vector([p.d0.diagonal() for p in parts])
     for i in np.nonzero(diag >= 0)[0]:
         problems.append(f"nonnegative d0 diagonal at state {i}")
-    sums = d0.row_sums() + d1.row_sums()
+    sums = kron_sum_vector([p.d0.row_sums() + p.d1.row_sums() for p in parts])
     for i in np.nonzero(np.abs(sums) > _ROWSUM_TOL)[0]:
         problems.append(f"row {i} of d0+d1 sums to {sums[i]:g}, not 0")
-    if not problems and _d0_is_singular(d0, d1):
+    if not problems and all(_d0_is_singular(p.d0, p.d1) for p in parts):
         problems.append("d0 is singular")
     return ValidationReport(ok=not problems, violations=tuple(problems))
 
@@ -215,11 +225,13 @@ def _d0_is_singular(d0: RateMatrix, d1: RateMatrix) -> bool:
     from every leaking state at once, decides it in O(nnz) with no roundoff
     (the diagonal's self-loops reach nothing new).
     """
-    return not reachable(*reversed_edges(d0), np.unique(d1.row_idx)).all()
+    leaking = np.flatnonzero(np.bincount(d1.row_idx, minlength=d1.rows))
+    return not reachable(*reversed_edges(d0), leaking).all()
 
 
-def require_valid(m: MarkovArrivalProcess) -> MarkovArrivalProcess:
-    report = validate_map(m)
+def require_valid(m: MarkovArrivalProcess, *more: MarkovArrivalProcess) -> MarkovArrivalProcess:
+    """m, if it (with `more`: the superposition of m and `more`) is a valid MAP."""
+    report = validate_map(m, *more)
     if not report:
         raise ValidationError("invalid MAP: " + "; ".join(report.violations))
     return m
@@ -241,9 +253,8 @@ def superpose(maps) -> MarkovArrivalProcess:
     maps = list(maps)
     if not maps:
         raise ValidationError("superpose requires at least one MAP")
-    n = math.prod(m.order for m in maps)
-    d0 = RateMatrix.from_terms(n, n, kron_sum_terms([m.d0 for m in maps]))
-    d1 = RateMatrix.from_terms(n, n, kron_sum_terms([m.d1 for m in maps]))
+    d0 = kron_sum_operator([m.d0 for m in maps]).assemble()
+    d1 = kron_sum_operator([m.d1 for m in maps]).assemble()
     return MarkovArrivalProcess(d0, d1)
 
 

@@ -1,5 +1,7 @@
 """Input-output operators: printed fixtures, structure, and invariants."""
 
+import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import random_map, random_ph
+from ttlnet import kron
 from ttlnet import (
     MarkovArrivalProcess,
     PhaseTypeDistribution,
@@ -23,11 +26,13 @@ from ttlnet import (
     output_sigma,
     ph_mean,
     poisson_map,
+    split,
     stationary_interval_moments,
     steady_state,
     superpose,
     validate_map,
 )
+from ttlnet.cache_ops import cache_chain
 from ttlnet.kron import kron_terms
 
 
@@ -370,3 +375,84 @@ class TestOneSortAssembly:
         a = RateMatrix.from_dense(rng.choice(values, (m, m)))
         b = RateMatrix.from_dense(rng.choice(values, (n, n)))
         assert kron_sum(a, b) == _chained_sum(a, b)
+
+
+def _policy_chain(r, policy: str, parts):
+    """A random-TTL chain of `policy` over `parts`, and the assembled output
+    of the same cache fed by their superposition."""
+    ttl, ttl_r = random_ph(r, 4), random_ph(r, 2)
+    ttls = (ttl, ttl_r) if policy == "MinSigmaR" else (ttl,)
+    input_map = parts[0] if len(parts) == 1 else superpose(parts)
+    out = {"Sigma": output_sigma, "R": output_r, "MinSigmaR": output_min}[policy](input_map, *ttls)
+    return cache_chain(policy, parts, *ttls), input_map, out
+
+
+def _assert_close(got, want, scale, what):
+    """|got - want| <= 1e-13 scale, entry by entry."""
+    excess = np.abs(got - want) - 1e-13 * scale
+    assert np.all(excess <= 0.0), f"{what}: worst excess {excess.max():g}"
+
+
+class TestFactoredChain:
+    """The factored generator of a cache chain (`CacheChain.generator`) and
+    the given-input system built on it (`kron._in_system`) against the
+    assembled `output_*` and `superpose` matrices, for joins of one to
+    three inputs, one of them possibly a part of a split MAP. Each product
+    runs by every rule of `KronOperator`: one bincount over all terms, one
+    numpy product per factor (dense or over the term's triplets), and
+    scipy's product per factor."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        policy=st.sampled_from(["Sigma", "R", "MinSigmaR"]),
+        children=st.integers(1, 3),
+        split_child=st.integers(-1, 2),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_matches_assembled_matrices(self, seed, policy, children, split_child):
+        r = np.random.default_rng(seed)
+        parts = [random_map(r, 5) for _ in range(children)]
+        if 0 <= split_child < children:
+            weights = r.dirichlet(np.ones(3))
+            parts[split_child] = split(parts[split_child], ProbabilityVector(weights))[
+                int(r.integers(3))
+            ]
+        chain, input_map, out = _policy_chain(r, policy, parts)
+        q = out.map.generator.to_dense()
+        op = chain.generator
+        assert op.size == q.shape[0]
+        x = r.uniform(0.1, 1.0, op.size)
+        _assert_close(op.diagonal(), np.diag(q), np.abs(np.diag(q)), "diagonal")
+        # the fallback's assembly of the chain itself
+        d0, d1 = chain.output().map.d0.to_dense(), chain.output().map.d1.to_dense()
+        _assert_close(d0, out.map.d0.to_dense(), np.abs(out.map.d0.to_dense()), "d0'")
+        _assert_close(d1, out.map.d1.to_dense(), np.abs(out.map.d1.to_dense()), "d1'")
+
+        # x_T (-M) = p_in (pi (x) d1), M = Q'_TT - (1 pi) (x) d1
+        n, k = input_map.order, chain.ttl.order
+        pi, input_d1 = chain.ttl.pi.entries, input_map.d1.to_dense()
+        neg_m = -(q[n:, n:] - np.kron(np.outer(np.ones(k), pi), input_d1))
+        p_in = steady_state(input_map.generator).entries
+        system, rhs = kron._in_system(op, p_in)
+        _assert_close(system.diagonal(), np.diag(neg_m), np.abs(np.diag(neg_m)), "diagonal of -M")
+        want = np.kron(pi, p_in @ input_d1)
+        _assert_close(rhs, want, want, "p_in (pi (x) d1)")
+
+        off, x_t = q - np.diag(np.diag(q)), x[n:]
+        largest = max(
+            math.prod(dims[:axis]) * f.nnz * math.prod(dims[axis + 1:])
+            for dims, terms in [(op.dims, op.terms), (system.dims, system.terms)]
+            for t in terms
+            for axis, f in enumerate(t)
+            if f is not None
+        )
+        for bound in (sys.maxsize, largest, 0):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(kron, "_NUMPY_PRODUCT_MAX", bound)
+                fresh = kron.KronOperator(op.dims, op.terms)
+                _assert_close(fresh.product(x), x @ q, np.abs(x) @ np.abs(q), f"x Q' ({bound})")
+                inflow = fresh.off_diagonal().product(x)
+                _assert_close(inflow, x @ off, x @ off, f"inflow ({bound})")
+                scale = np.abs(x_t) @ np.abs(neg_m)
+                got = kron._in_system(fresh, p_in)[0].product(x_t)
+                _assert_close(got, x_t @ neg_m, scale, f"x_T (-M) ({bound})")

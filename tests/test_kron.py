@@ -383,7 +383,7 @@ class TestBicgstab:
         b[-1] = 1.0
         inv_diag = 1.0 / a.diagonal()
         csc = (a.data, a.indices, a.indptr)
-        got, info = kron._bicgstab(csc, inv_diag, b, np.full(n, 1.0 / n))
+        got, info = kron._bicgstab(kron._product(csc, n), inv_diag, b, np.full(n, 1.0 / n))
         want, want_info = spla.bicgstab(
             a, b, x0=np.full(n, 1.0 / n), rtol=1e-14, atol=0.0,
             maxiter=kron._KRYLOV_MAXITER, M=sp.diags(inv_diag),

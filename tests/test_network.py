@@ -41,6 +41,12 @@ TREE3 = {
 }
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# analyze's metrics for each document, computed by the assembled analysis
+# (every output MAP and superposition built, the given-input system sorted
+# from Q''s triplets) before sinks were solved on their Kronecker factors
+REFERENCE = json.loads(
+    (Path(__file__).resolve().parent / "fixtures" / "analyze_reference.json").read_text()
+)
 
 
 class TestParsing:
@@ -514,6 +520,39 @@ class TestGivenInputSolve:
         _forbid_lu(monkeypatch)
         res = analyze(parse_topology(erlang_tree(12)), budget=250_000)
         assert res.dimensions["T"]["output"] == 228_488
+
+
+class TestFactoredSinks:
+    """Each chain is solved on its Kronecker factors, and a sink assembles
+    nothing: neither its output MAP nor, at a join, its input superposition."""
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE))
+    def test_values_match_assembled_analysis(self, name):
+        case = REFERENCE[name]
+        res = analyze(parse_topology(case["document"]))
+        for nid, values in case["nodes"].items():
+            got = res.metrics[nid].to_dict()
+            for metric, value in values.items():
+                assert_allclose(got[metric], value, rtol=1e-12, err_msg=f"{nid}.{metric}")
+        assert_allclose(res.origin_miss_rate, case["origin_miss_rate"], rtol=1e-12)
+
+    def test_every_config_has_reference_values(self):
+        documents = [case["document"] for case in REFERENCE.values()]
+        for path in sorted(CONFIGS.glob("*.json")):
+            assert json.loads(path.read_text()) in documents, path.name
+
+    def test_sink_join_assembles_nothing_of_its_size(self, monkeypatch):
+        rows = []
+        init = ttlnet.RateMatrix.__init__
+
+        def spy(self, *args, **kwargs):
+            rows.append(args[0] if args else kwargs["rows"])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ttlnet.RateMatrix, "__init__", spy)
+        res = analyze(parse_topology(erlang_tree(5)))
+        assert res.dimensions["T"] == {"input": 5184, "output": 10368}
+        assert rows and max(rows) < 5184
 
 
 class TestSplitMergeRoundTrip:
