@@ -111,18 +111,18 @@ class CacheOutput:
 
     The OUT group is the first n states, n the request MAP's order, and the
     IN group the rest. `chain` is the factored chain the MAP was assembled
-    from, when known, and `ttl` its phase-type TTL (the joint minimum for a
-    min(Sigma, R) cache).
+    from (`CacheChain.output`), and `ttl` its phase-type TTL (the joint
+    minimum for a min(Sigma, R) cache).
     """
 
     map: MarkovArrivalProcess
     in_states: range
     out_states: range
-    chain: CacheChain | None = None
+    chain: CacheChain
 
     @property
-    def ttl(self) -> PhaseTypeDistribution | None:
-        return None if self.chain is None else self.chain.ttl
+    def ttl(self) -> PhaseTypeDistribution:
+        return self.chain.ttl
 
     @property
     def order(self) -> int:

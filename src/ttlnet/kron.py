@@ -8,10 +8,13 @@ A sum of Kronecker products of small factors need not be assembled:
 `KronOperator` keeps the factors and gives what the stationary solve
 reads, the product x A, the diagonal, the row sums and the off-diagonal
 part, term by term. A cache's output chain is such a sum (see
-`cache_ops.CacheChain`), and `_given_input_solve` solves it on its
-factors, with the generator checks and both gates of `steady_state`
-evaluated on them too. `steady_state` takes an assembled matrix, as an
-operator of one factor.
+`cache_ops.CacheChain`).
+
+A stationary vector takes one of two routes. `steady_state` solves an
+assembled generator alone: GTH up to `_GTH_MAX` states, sparse LU above
+that and where GTH fails its gates. `_given_input_solve` solves a cache
+output chain on its factors from its input vector, by BiCGSTAB, with the
+generator checks and both gates evaluated on the factors too.
 """
 
 import functools
@@ -288,9 +291,9 @@ class KronOperator:
     2012, "Analyzing Markov Chains using Kronecker Products"), each factor
     by the rule of `_axis_product`. Below that scale one product costs
     more in numpy calls than in arithmetic, so an operator whose terms
-    have at most `_NUMPY_PRODUCT_MAX` nonzeros in all, assembled, takes the
-    rule of `_product` instead: one `np.bincount` over the terms' unsorted
-    triplets, kept for later products.
+    have at most `_NUMPY_PRODUCT_MAX` nonzeros in all, assembled, takes one
+    `np.bincount` over the terms' unsorted triplets instead
+    (`_triplet_product`), kept for later products.
     """
 
     def __init__(self, dims, terms):
@@ -462,23 +465,21 @@ def _is_irreducible(q: RateMatrix) -> bool:
     return reachable(indptr, indices, [0, n]).all()
 
 
-# BiCGSTAB iterations before the LU fallback. Converging solves need far
-# fewer: 33-34 for the given-input systems of the map-large benchmark's
-# 5,000-state tree and 2,916-state line (the tree's bordered system, which
-# only the fallback builds now, took 75). Where BiCGSTAB stalls (a
-# 2,550-state Sigma cache with Erlang-50 laws), every 1,000 iterations
-# cost about 0.1 s and LU takes milliseconds.
+# BiCGSTAB iterations of a given-input solve before the chain goes to
+# steady_state's LU. Converging solves need far fewer: 33-34 for the
+# given-input systems of the map-large benchmark's 5,000-state tree and
+# 2,916-state line. A stalled solve ends sooner, by the test below.
 _KRYLOV_MAXITER = 1_000
 # BiCGSTAB iterations without a new lowest residual norm before it gives up.
-# Converging solves of the test suite and the benchmark went at most 24 in a
-# row; on a 10,100-state Sigma cache with Erlang-100 laws no iterate ever
-# beats the starting vector.
+# Converging given-input solves of the tests' Erlang trees and MMPP line
+# went at most 3 in a row; on Sigma caches with Erlang-50 and Erlang-100
+# laws (2,550 and 10,100 states) none after the second iterate beats it.
 _STAGNATION_ITERS = 100
 # Largest componentwise backward error accepted from the iterative solve.
 _BACKWARD_ERROR_MAX = 1e-10
-# Jacobi sweeps allowed to bring the Krylov iterate under that bound. Trees
-# with fast TTLs, whose rarest states have probability ~1e-11, needed up to
-# 24; a sweep costs one sparse product, a BiCGSTAB iteration two.
+# Jacobi sweeps allowed to bring a GTH vector or a BiCGSTAB iterate under
+# that bound. Trees with fast TTLs, whose rarest states have probability
+# ~1e-11, needed up to 24; a sweep costs one product, an iteration two.
 _MAX_SWEEPS = 50
 
 
@@ -545,10 +546,10 @@ def _dot(u: np.ndarray, w: np.ndarray) -> float:
     return u.dot(w) if u.size <= 10_000 else np.einsum("i,i", u, w)
 
 
-# Most nonzeros of a system that `_bicgstab` multiplies by with numpy
-# (`_product`), set under the break-even with importing scipy.sparse. A
-# `KronOperator` applies it to its terms' nonzeros in all, then to each
-# factor's assembled term (`_axis_product`).
+# Most nonzeros that a `KronOperator` product multiplies by with numpy, set
+# under the break-even with importing scipy.sparse. It bounds the
+# operator's terms' nonzeros in all, assembled (one `np.bincount`,
+# `_triplet_product`), then each factor's assembled term (`_axis_product`).
 # Per product on the given-input systems of a 5,000-state tree, a
 # 2,916-state line and a 10,368-state tree (Erlang-5 leaves), in us, best
 # of 15 on a 2-vCPU host, two runs:
@@ -573,22 +574,6 @@ def _dot(u: np.ndarray, w: np.ndarray) -> float:
 _NUMPY_PRODUCT_MAX = 20_480
 
 
-def _product(a: tuple, n: int):
-    """The map x -> a x for the n x n matrix with CSC arrays a = (data, indices, indptr).
-
-    At most `_NUMPY_PRODUCT_MAX` nonzeros: one `np.bincount`, which adds the
-    terms in the order scipy's `csc_matvec` does. Above it: a scipy matrix,
-    built once per call.
-    """
-    data, indices, indptr = a
-    if data.size > _NUMPY_PRODUCT_MAX:
-        import scipy.sparse as sp  # deferred: small systems never load it
-
-        return sp.csc_matrix(a, shape=(n, n)).__matmul__
-    counts = np.diff(indptr)
-    return lambda x: np.bincount(indices, weights=data * x.repeat(counts), minlength=n)
-
-
 def _triplet_product(size: int, triplets: list):
     """The map y -> y A for the matrix A that is the sum of the unsorted
     triplet terms (r, c, v): one `np.bincount` over all of them."""
@@ -599,8 +584,8 @@ def _triplet_product(size: int, triplets: list):
 def _axis_product(dims: tuple, axis: int, f: RateMatrix):
     """The map y -> y (I (x) f (x) I) for f on axis `axis` of an operator over `dims`.
 
-    The rule of `_product`, applied to the assembled term I (x) f (x) I: at
-    most `_NUMPY_PRODUCT_MAX` nonzeros, numpy; above it, scipy's product of
+    For the assembled term I (x) f (x) I: at most `_NUMPY_PRODUCT_MAX`
+    nonzeros, numpy; above it, scipy's product of
     f^T with y's axis as rows, which leaves the term unassembled. numpy
     holds whichever form of the term has fewer entries: f dense, applied
     by BLAS to y's blocks, or the term's triplets, for one `np.bincount`.
@@ -636,16 +621,16 @@ def _axis_product(dims: tuple, axis: int, f: RateMatrix):
 def _bicgstab(product, inv_diag: np.ndarray, b: np.ndarray, x: np.ndarray):
     """Solve a x = b by BiCGSTAB preconditioned by inv_diag, updating x in place.
 
-    `product` is the map x -> a x (`_product`, or a `KronOperator`'s
-    product for a system that is never assembled). The recurrence,
-    breakdown tests and stopping test (||r|| < 1e-14 ||b||) are those of
-    `scipy.sparse.linalg.bicgstab`, so the iterates are its own up to the
-    rounding of the inner products; without its operator wrappers an
-    iteration costs two products and some vector work. One more exit: the
-    iteration gives up once the residual norm has not fallen below its
-    best for `_STAGNATION_ITERS` iterations. Returns (x, info): info 0 on
-    convergence, positive when out of iterations or stagnating, negative on
-    a breakdown.
+    `product` is the map x -> a x: `_given_input_solve` passes the
+    `KronOperator` product x -> x (-M), so a = (-M)^T is never assembled.
+    The recurrence, breakdown tests and stopping test (||r|| < 1e-14 ||b||)
+    are those of `scipy.sparse.linalg.bicgstab`, so the iterates are its
+    own up to the rounding of the inner products; without its operator
+    wrappers an iteration costs two products and some vector work. One
+    more exit: the iteration gives up once the residual norm has not
+    fallen below its best for `_STAGNATION_ITERS` iterations. Returns (x,
+    info): info 0 on convergence, positive when out of iterations or
+    stagnating, negative on a breakdown.
     """
     atol = 1e-14 * math.sqrt(_dot(b, b))
     rhotol = np.finfo(np.float64).eps ** 2
@@ -690,20 +675,6 @@ def _bicgstab(product, inv_diag: np.ndarray, b: np.ndarray, x: np.ndarray):
         r -= omega * t
         rho_prev = rho
     return x, _KRYLOV_MAXITER
-
-
-def _krylov_solve(q: KronOperator, a: tuple, b: np.ndarray) -> np.ndarray | None:
-    """Jacobi-preconditioned BiCGSTAB solution of `steady_state`'s bordered
-    system with CSC arrays a, or None if any acceptance test fails."""
-    n = q.size
-    # a's diagonal is q's, but for the 1 of the normalization row
-    inv_diag = 1.0 / q.diagonal()
-    inv_diag[-1] = 1.0
-    x, info = _bicgstab(_product(a, n), inv_diag, b, np.full(n, 1.0 / n))
-    if info != 0 or not np.all(np.isfinite(x)):
-        return None
-    x = _as_probabilities(x)
-    return None if x is None else _gate(q, x)
 
 
 def _gate(q: KronOperator, x: np.ndarray) -> np.ndarray | None:
@@ -776,9 +747,9 @@ def _given_input_solve(q: KronOperator, p_in: np.ndarray) -> np.ndarray | None:
     BiCGSTAB with Jacobi preconditioning (see `_bicgstab`) solves it on the
     factors, started from p_in spread evenly over the k + 1 blocks (from
     zero, a right-hand side with few nonzeros broke down on a 108-state
-    chain). The full vector must then pass the sign test and both gates of
-    the Krylov route of `steady_state`, on q's factors. None when any of
-    these fails.
+    chain). The full vector must then pass the sign test and both gates
+    that `steady_state` holds a GTH vector to (`_gate`), on q's factors.
+    None when any of these fails.
     """
     k, n = q.dims[0] - 1, p_in.size
     neg_m, rhs = _in_system(q, p_in)
@@ -792,12 +763,12 @@ def _given_input_solve(q: KronOperator, p_in: np.ndarray) -> np.ndarray | None:
     return None if x is None else _gate(q, x)
 
 
-# Largest chain solved by GTH state reduction. Dense GTH costs O(n^3), the
-# Krylov route (reachability search, BiCGSTAB) O(nnz) per level and
-# iteration. A whole steady_state of a random ring-plus-edges chain on a
-# 2-vCPU host took 0.12 ms by GTH and 0.70 ms by Krylov at 5 states, 0.9
-# and 2.5 ms at 50; the two tie between 108 and 150 states, and GTH takes
-# 37 ms at 324, against 3.6 ms.
+# Largest chain solved by GTH state reduction, which costs O(n^3). Set
+# against steady_state's former bordered BiCGSTAB route, and not re-measured
+# against the given-input solve and sparse LU that replace it: a whole
+# steady_state of a random ring-plus-edges chain on a 2-vCPU host took 0.12
+# ms by GTH and 0.70 ms by that route at 5 states, 0.9 and 2.5 ms at 50;
+# they tied between 108 and 150 states, and at 324 it was 37 ms to 3.6 ms.
 _GTH_MAX = 64
 
 
@@ -861,36 +832,25 @@ def steady_state(q: RateMatrix) -> ProbabilityVector:
     """Stationary distribution p of a conservative irreducible generator.
 
     This solves a chain knowing nothing but q. `metrics.metrics_from_maps`
-    and `metrics.chain_metrics` solve a cache output chain on its Kronecker
-    factors, by GTH or from its known input vector (see
+    and `metrics.chain_metrics` solve a cache output chain of more than
+    `_GTH_MAX` states on its Kronecker factors from its input vector (see
     `_given_input_solve`), and assemble it for this function only when that
     solve fails its gates.
 
-    Chains of at most `_GTH_MAX` states are solved first by dense GTH state
-    reduction (see `_gth`), whose positive pivots and entries also show the
-    chain irreducible; when one is zero, a graph search decides. Larger
-    chains are checked by the graph search (see `_is_irreducible`). A GTH
-    vector that fails the gates below, or one that could not be formed,
-    takes the route of a large chain: p q = 0, p 1 = 1 as the bordered
-    system q^T with its last equation replaced by the normalization
-    constraint, solved in this order:
-
-    1. BiCGSTAB preconditioned by the system's diagonal (Jacobi), started
-       from the uniform vector, to a relative residual of 1e-14 within
-       `_KRYLOV_MAXITER` iterations. It is the package's own loop with
-       scipy's recurrence (see `_bicgstab`), and it gives up early once the
-       residual has stopped falling for `_STAGNATION_ITERS` iterations.
-    2. If it converged and no entry is below -1e-9 times the largest, the
-       iterate must have a componentwise backward error
+    1. A chain of at most `_GTH_MAX` states is solved by dense GTH state
+       reduction (see `_gth`), whose positive pivots and entries also show
+       it irreducible. The vector must have a componentwise backward error
        max_i |(p q)_i| / (|p| |q|)_i of at most 1e-10; while it does not,
-       up to 50 Jacobi sweeps polish its small entries (see `_relax`). The
-       result must then pass the residual gate below. On stiff chains
-       (rates spread over many orders of magnitude) the iterate can pass
-       the residual gate with small entries wrong in the third digit; the
-       backward-error test is what rejects it. A GTH vector is held to the
-       same two gates.
-    3. Otherwise, a sparse LU factorization with one round of iterative
-       refinement, held to the same sign test and residual gate.
+       up to 50 Jacobi sweeps polish its small entries (see `_relax`). It
+       must then pass the residual gate below.
+    2. Otherwise (a larger chain, a GTH pivot or entry that is zero, or a
+       GTH vector that fails the gates), a graph search decides whether the
+       chain is irreducible (see `_is_irreducible`), unless GTH has shown
+       it. Then p q = 0, p 1 = 1, as the bordered system q^T with its last
+       equation replaced by the normalization constraint, is solved by a
+       sparse LU factorization with one round of iterative refinement, held
+       to the sign test (no entry below -1e-9 times the largest) and the
+       residual gate.
 
     The residual gate is max |p q| <= max(1e-10, 1e-13 * max |q_ii|), the
     largest exit rate being the largest rate of a generator. A one-state
@@ -932,10 +892,6 @@ def steady_state(q: RateMatrix) -> ProbabilityVector:
     slots = np.arange(np.count_nonzero(keep)) + q.row_idx[keep]
     indices[slots] = q.col_idx[keep]
     vals[slots] = q.data[keep]
-    a = (vals, indices, indptr)
     b = np.zeros(n)
     b[n - 1] = 1.0
-    x = _krylov_solve(op, a, b)
-    if x is None:
-        x = _lu_solve(op, a, b)
-    return ProbabilityVector(x)
+    return ProbabilityVector(_lu_solve(op, (vals, indices, indptr), b))

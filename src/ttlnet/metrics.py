@@ -1,6 +1,8 @@
 """Cache metrics computed from MAP descriptions of the request and miss processes."""
 
+import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -58,9 +60,9 @@ def metrics_from_maps(
     The miss probability is the ratio of the stationary miss rate
     p' d1' 1 to the stationary request rate p d1 1, the hit probability
     that of the request rate over the IN states, p'_IN (1 (x) d1 1); the
-    occupancy is the stationary mass of the IN states of the miss process. Requires the
-    background chain of the miss process to be ergodic; the returned
-    metrics carry its stationary vector p' as `stationary`.
+    occupancy is the stationary mass of the IN states of the miss process.
+    Requires the background chain of the miss process to be ergodic; the
+    returned metrics carry its stationary vector p' as `stationary`.
 
     The request coordinate of the output chain is strongly lumpable: every
     cache operator's hit-reset and miss templates together have unit row
@@ -68,10 +70,11 @@ def metrics_from_maps(
     The input vector p is therefore the marginal of p' over the TTL-phase
     blocks, and a reducible input chain makes the output chain reducible.
 
-    Without `p_in`, the output chain is solved alone (`steady_state`).
     `p_in` is the stationary vector of the input MAP's background chain,
-    which must be irreducible. Given it, an output chain of `cache_ops` is
-    solved on its Kronecker factors (`output.chain`; see `chain_metrics`).
+    which must be irreducible; without it, the Kronecker product of the
+    stationary vectors of `output.chain`'s inputs. An output chain of more
+    than `kron._GTH_MAX` states is solved from it on its Kronecker factors
+    (see `chain_metrics`), a smaller one alone (`steady_state`).
 
     Raises
     ------
@@ -88,22 +91,21 @@ def metrics_from_maps(
         )
     if p_in is not None and p_in.size != n:
         raise DimensionError(f"input vector has {p_in.size} entries, not {n}")
-    chain = None if p_in is None else output.chain
-    return _cache_metrics(
-        chain, p_in, lambda: output.map.generator, input_map.d1.row_sums(), output.map.d1.row_sums()
-    )
+    requests, misses = input_map.d1.row_sums(), output.map.d1.row_sums()
+    return _cache_metrics(output.chain, p_in, lambda: output.map.generator, requests, misses)
 
 
-def chain_metrics(chain: CacheChain, p_in: np.ndarray) -> CacheMetrics:
+def chain_metrics(chain: CacheChain, p_in: np.ndarray | None = None) -> CacheMetrics:
     """`metrics_from_maps` of a cache given as its output chain's factors.
 
     The stationary vector p' comes from the factors by the given-input
-    solve (`kron._given_input_solve`), and so do the request rates d1 1
-    and the miss rates d1' 1 that the metrics read, so no matrix of Q''s
-    size is built. Q' is assembled only where the factors do not decide:
-    for a chain of at most `kron._GTH_MAX` states, whose GTH solve reads it
-    dense, when a solve fails its gates, or when the chain's
-    irreducibility needs the graph search.
+    solve (`kron._given_input_solve`; `p_in` as in `metrics_from_maps`),
+    and so do the request rates d1 1 and the miss rates d1' 1 that the
+    metrics read, so no matrix of Q''s size is built. Q' is assembled only
+    where the factors do not decide: for a chain of at most
+    `kron._GTH_MAX` states, whose GTH solve reads it dense, when a solve
+    fails its gates, or when the chain's irreducibility needs the graph
+    search.
     """
     requests = kron_sum_vector([m.d1.row_sums() for m in chain.inputs])
     misses = KronOperator(chain.dims, chain.active).row_sums()
@@ -111,7 +113,7 @@ def chain_metrics(chain: CacheChain, p_in: np.ndarray) -> CacheMetrics:
 
 
 def _cache_metrics(
-    chain: CacheChain | None, p_in, generator, requests: np.ndarray, misses: np.ndarray
+    chain: CacheChain, p_in, generator, requests: np.ndarray, misses: np.ndarray
 ) -> CacheMetrics:
     """The metrics of the output vector (`_output_vector`) from the request
     rates d1 1 of the input states and the miss rates d1' 1 of the output
@@ -141,18 +143,18 @@ def _cache_metrics(
     )
 
 
-def _output_vector(chain: CacheChain | None, p_in, generator) -> np.ndarray:
-    """The output chain's stationary vector, from `p_in` on the chain's factors.
+def _output_vector(chain: CacheChain, p_in, generator) -> np.ndarray:
+    """The output chain's stationary vector, above `kron._GTH_MAX` states
+    from the input vector (`p_in`, or its inputs' own) on its factors.
 
     The generator checks and the gates read the factors (see
     `kron._check_generator` and `kron._gate`). `generator()` assembles Q'
     for what the factors cannot do: the graph search for irreducibility
     where `_phases_live` cannot show it, and `steady_state`, which solves
-    the chain alone (no chain or no `p_in`), by GTH (at most
-    `kron._GTH_MAX` states), and whenever the given-input route declines
-    or fails a gate.
+    a chain within the GTH bound and any chain that the given-input route
+    declines or whose vector fails a gate.
     """
-    if chain is None or chain.generator.size <= kron._GTH_MAX:
+    if math.prod(chain.dims) <= kron._GTH_MAX:
         return steady_state(generator()).entries
     q = chain.generator
     try:
@@ -166,6 +168,8 @@ def _output_vector(chain: CacheChain | None, p_in, generator) -> np.ndarray:
                 "generator is reducible: no unique stationary distribution"
             )
         generator = lambda: q_assembled  # noqa: E731
+    if p_in is None:
+        p_in = reduce(np.kron, [steady_state(m.generator).entries for m in chain.inputs])
     x = kron._given_input_solve(q, p_in)
     return steady_state(generator()).entries if x is None else x
 

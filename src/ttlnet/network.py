@@ -26,7 +26,7 @@ import numpy as np
 
 from .cache_ops import cache_chain, output_min, output_r, output_sigma
 from .errors import BudgetExceededError, TopologyError, ValidationError
-from .kron import ProbabilityVector, RateMatrix, steady_state
+from .kron import ProbabilityVector, RateMatrix
 from .metrics import CacheMetrics, chain_metrics, metrics_from_maps
 from .processes import (
     MarkovArrivalProcess,
@@ -504,11 +504,12 @@ def analyze(
     input-output operator at each node; a node feeding several parents is
     split by its declared vector; a node with several children superposes
     their (split) miss MAPs. Each node's input vector is known before its
-    own solve: a leaf's is its arrival MAP's stationary vector; a split
-    keeps d0 + d1, so a part has its node's output vector; and `superpose`
-    models its parts as independent, so a join has the Kronecker product of
-    its children's output vectors. Each output chain is solved from it on
-    its Kronecker factors. A node with parents assembles its miss MAP
+    own solve: a leaf's is its arrival MAP's stationary vector, which the
+    metrics find themselves; a split keeps d0 + d1, so a part has its node's
+    output vector; and `superpose` models its parts as independent, so a
+    join has the Kronecker product of its children's output vectors. Each
+    output chain above `kron._GTH_MAX` states is solved from it on its
+    Kronecker factors. A node with parents assembles its miss MAP
     (`output_sigma`, `output_r`, `output_min`, after `superpose` at a join)
     for them; a sink (no parents) assembles nothing: its chain's factors
     are its inputs' own (`cache_ops.cache_chain`), and its metrics come
@@ -534,8 +535,7 @@ def analyze(
     for nid in order:
         node = topo.nodes[nid]
         if not node.children:
-            parts = [topo.arrival_for(obj, nid)]
-            p_in = steady_state(parts[0].generator).entries
+            parts, p_in = [topo.arrival_for(obj, nid)], None
         else:
             parts = [contributions[(child, nid)] for child in node.children]
             p_in = reduce(np.kron, [metrics[child].stationary for child in node.children])

@@ -576,7 +576,6 @@ class MonteCarloValue(NamedTuple):
 class RenewalHitMiss:
     hit: float
     miss: float
-    stderr: float | None = None
 
 
 class _Cycle(NamedTuple):

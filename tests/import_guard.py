@@ -1,14 +1,16 @@
-"""Import guard: `import ttlnet`, parse, analyze and simulate load no scipy
-module, no jsonschema and no numpy.ma.
+"""Import guard: `import ttlnet`, parse, analyze, `metrics_from_maps` and
+simulate load no scipy module, no jsonschema and no numpy.ma.
 
     python tests/import_guard.py configs/tree3.json
 
 Imports ttlnet, parses and analyzes the topology, simulates 2e4 leaf
 events, and analyzes `LARGE`, whose root chain is above the GTH bound, with
-the bordered solve refused, so that its given-input solve must succeed. Then
-it analyzes the two map-large shapes of `topologies.py`, the 5,000-state
-tree and the 2,916-state line, whose given-input systems over 2,500 and
-1,944 IN states are solved on their Kronecker factors, and runs
+the sparse LU refused, so that its given-input solve must succeed; then it
+runs `metrics_from_maps` without an input vector on a cache output chain
+above that bound, which must find the vector itself and take the same
+route. Then it analyzes the two map-large shapes of `topologies.py`, the
+5,000-state tree and the 2,916-state line, whose given-input systems over
+2,500 and 1,944 IN states are solved on their Kronecker factors, and runs
 `expected_tau`, `occupancy_renewal` and the
 transform of one renewal query per route of the `renewal` module's route
 table and of R caches over Exponential, Erlang and Deterministic laws.
@@ -121,14 +123,19 @@ def main(config: str) -> None:
     _require_unloaded("simulate")
 
     def refuse(*args):
-        sys.exit("the given-input solve failed: the bordered solve ran")
+        sys.exit("the given-input solve failed: the sparse LU ran")
 
-    bordered = kron._krylov_solve, kron._lu_solve
-    kron._krylov_solve = kron._lu_solve = refuse
+    lu_solve, kron._lu_solve = kron._lu_solve, refuse
     large = ttlnet.analyze(ttlnet.parse_topology(LARGE))
     if large.dimensions["T"]["output"] <= kron._GTH_MAX:
         sys.exit("the large topology has no chain above the GTH bound")
-    kron._krylov_solve, kron._lu_solve = bordered
+    # a Sigma cache with an Erlang-40 TTL fed by a two-state MMPP: 82 states
+    requests = ttlnet.mmpp_map([[-0.5, 0.5], [1.0, -1.0]], [4.0, 0.5])
+    out = ttlnet.output_sigma(requests, ttlnet.PhaseTypeDistribution.erlang(40, 8.0))
+    if out.order <= kron._GTH_MAX:
+        sys.exit("the cache output chain is within the GTH bound")
+    ttlnet.metrics_from_maps(requests, out)
+    kron._lu_solve = lu_solve
     _require_unloaded("the given-input solve")
 
     systems = []
@@ -182,7 +189,7 @@ def main(config: str) -> None:
         sys.exit("the scipy product did not run")
     kron._NUMPY_PRODUCT_MAX = bound
 
-    # LU fallback: GTH declines and BiCGSTAB stalls on every node
+    # LU fallback: GTH declines on every node, BiCGSTAB stalls on any larger one
     kron._gth = lambda q: None
     kron._bicgstab = lambda a, inv_diag, b, x: (x, 1)
     for nid, metrics in ttlnet.analyze(topo).metrics.items():

@@ -433,18 +433,19 @@ class TestSolverPaths:
         with monkeypatch.context() as patch:
             _forbid_lu(patch)
             krylov = analyze(topo)
-        stalls = []
+        factorizations = []
+        real = ttlnet.kron._lu_solve
 
-        def stall(a, inv_diag, b, x):
-            stalls.append(b.size)
-            return x, 1  # positive info: no convergence
+        def spy(q, a, b):
+            factorizations.append(q.size)
+            return real(q, a, b)
 
-        # every node takes the bordered route: small nodes and large ones too
+        # every node takes the LU route: small nodes and large ones too
         monkeypatch.setattr(ttlnet.kron, "_gth", lambda q: None)
         monkeypatch.setattr(ttlnet.kron, "_given_input_solve", lambda *args: None)
-        monkeypatch.setattr(ttlnet.kron, "_bicgstab", stall)
+        monkeypatch.setattr(ttlnet.kron, "_lu_solve", spy)
         lu = analyze(topo)
-        assert len(stalls) == len(topo.nodes)
+        assert len(factorizations) == len(topo.nodes)
         for nid, metrics in krylov.metrics.items():
             want = lu.metrics[nid].to_dict()
             for name, value in metrics.to_dict().items():
@@ -464,9 +465,8 @@ class TestGivenInputSolve:
     )
     def test_no_bordered_solve(self, monkeypatch, doc):
         def refuse(*args):
-            raise AssertionError("bordered solve called")
+            raise AssertionError("sparse LU called")
 
-        monkeypatch.setattr(ttlnet.kron, "_krylov_solve", refuse)
         monkeypatch.setattr(ttlnet.kron, "_lu_solve", refuse)
         res = analyze(parse_topology(doc))
         assert max(d["output"] for d in res.dimensions.values()) > ttlnet.kron._GTH_MAX
@@ -494,19 +494,8 @@ class TestGivenInputSolve:
     def test_rare_hits_keep_relative_accuracy(self, monkeypatch):
         # Slow leaf TTLs make the M1 and M2 hits rare (3.5e-5 and 1.6e-5). The
         # reference is the hit flow of each output chain's GTH vector, which is
-        # accurate entry by entry; 1 - miss is 4e-12 and 1.1e-11 off it, and the
-        # bordered solve's hit flow 1.6e-13 and 5.9e-12.
-        calls = []
-        real = ttlnet.network.metrics_from_maps
-
-        def spy(input_map, out, p_in=None):
-            calls.append((input_map, out))
-            return real(input_map, out, p_in)
-
-        monkeypatch.setattr(ttlnet.network, "metrics_from_maps", spy)
-        topo = parse_topology(erlang_tree(6, ttl_speed=0.01))
-        res = analyze(topo)
-        chains = dict(zip(topo.topological_order(), calls))  # analyze's node order
+        # accurate entry by entry; 1 - miss is 4e-12 and 1.1e-11 off it.
+        res, chains = _analyze_recording_maps(monkeypatch, erlang_tree(6, ttl_speed=0.01))
         for nid in ("M1", "M2"):
             got = res.metrics[nid]
             input_map, out = chains[nid]
@@ -516,10 +505,54 @@ class TestGivenInputSolve:
             assert want < 1e-4
             assert_allclose(got.hit_probability, want, rtol=1e-12, err_msg=nid)
 
+    def test_without_input_vector(self, monkeypatch):
+        # metrics_from_maps finds the input vector of the 98-state M1 and M2
+        # chains itself, and solves them from it as analyze does
+        res, chains = _analyze_recording_maps(monkeypatch, erlang_tree(6, ttl_speed=0.01))
+        solved = []
+        real = ttlnet.kron._given_input_solve
+
+        def spy(*args):
+            solved.append(real(*args))
+            return solved[-1]
+
+        def refuse(*args):
+            raise AssertionError("sparse LU called")
+
+        monkeypatch.setattr(ttlnet.kron, "_given_input_solve", spy)
+        monkeypatch.setattr(ttlnet.kron, "_lu_solve", refuse)
+        for nid in ("M1", "M2"):
+            input_map, out = chains[nid]
+            assert out.order == 98 > ttlnet.kron._GTH_MAX
+            solved.clear()
+            got = ttlnet.metrics_from_maps(input_map, out)
+            assert len(solved) == 1 and solved[0] is not None
+            want = res.metrics[nid].to_dict()
+            for name, value in got.to_dict().items():
+                assert_allclose(value, want[name], rtol=1e-12, err_msg=f"{nid}.{name}")
+
     def test_k12_tree_without_lu(self, monkeypatch):
         _forbid_lu(monkeypatch)
         res = analyze(parse_topology(erlang_tree(12)), budget=250_000)
         assert res.dimensions["T"]["output"] == 228_488
+
+
+def _analyze_recording_maps(monkeypatch, doc) -> tuple:
+    """analyze's result and, by node, the (input MAP, cache output) that it
+    passed to metrics_from_maps: every node that has parents."""
+    calls = []
+    real = ttlnet.network.metrics_from_maps
+
+    def spy(input_map, out, p_in=None):
+        calls.append((input_map, out))
+        return real(input_map, out, p_in)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ttlnet.network, "metrics_from_maps", spy)
+        topo = parse_topology(doc)
+        res = analyze(topo)
+    order = [nid for nid in topo.topological_order() if topo.parents_of(nid)]
+    return res, dict(zip(order, calls))
 
 
 class TestFactoredSinks:
