@@ -309,7 +309,7 @@ class KronOperator:
                 math.prod(self.dims[i] if f is None else f.nnz for i, f in enumerate(t))
                 for t in self.terms
             )
-            if nonzeros <= _NUMPY_PRODUCT_MAX:
+            if nonzeros <= _NUMPY_PRODUCT_MAX and self.terms:
                 triplets = [kron_triplets(self.dims, t) for t in self.terms]
                 self._steps = [[_triplet_product(self.size, triplets)]]
             else:

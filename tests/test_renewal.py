@@ -905,12 +905,43 @@ def _sub_generator(rng, n, norm, leak):
     return a - np.diag(rng.random(n) * min(leak, norm))
 
 
-def _assert_expm_close(a, want=None, rtol=1e-12):
-    """`_expm(a)` within rtol of scipy's (and of `want`), relative to the result's 1-norm."""
+def _assert_expm_close(a, want=None, rtol=1e-12, against_scipy=True):
+    """`_expm(a)` within rtol of scipy's (unless `against_scipy` is False)
+    and of `want`, relative to the result's 1-norm."""
     got = ttlnet.renewal._expm(a)
-    for ref in [scipy.linalg.expm(a)] + ([] if want is None else [want]):
+    refs = ([scipy.linalg.expm(a)] if against_scipy else []) + ([] if want is None else [want])
+    assert refs
+    for ref in refs:
         scale = np.abs(ref).sum(axis=0).max()
         assert np.abs(got - ref).sum(axis=0).max() <= rtol * scale
+
+
+def _decimal_expm(a, digits=40):
+    """e^a in decimal arithmetic of `digits` digits and more: the Taylor
+    series of a / 2^s, whose 1-norm s brings to at most 1/2, summed until a
+    term drops below 10^-digits, then squared s times. The squarings cancel
+    nothing where e^(a / 2^s) is nonnegative, as for a Metzler matrix."""
+    n = a.shape[0]
+    norm = float(np.abs(a).sum(axis=0).max())
+    s = max(0, math.ceil(math.log2(2.0 * norm))) if norm > 0.0 else 0
+
+    def times(x, y):
+        return [[sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+    with localcontext() as ctx:
+        ctx.prec = digits + 10
+        scale = Decimal(2) ** -s
+        m = [[Decimal(float(v)) * scale for v in row] for row in a]
+        total = [[Decimal(int(i == j)) for j in range(n)] for i in range(n)]
+        term, k = total, 0
+        tiny = Decimal(10) ** -digits
+        while k == 0 or max(abs(v) for row in term for v in row) >= tiny:
+            k += 1
+            term = [[v / k for v in row] for row in times(term, m)]
+            total = [[t + v for t, v in zip(trow, vrow)] for trow, vrow in zip(total, term)]
+        for _ in range(s):
+            total = times(total, total)
+        return np.array([[float(v) for v in row] for row in total])
 
 
 # 1-norms of the matrices: 1e-8 up to 1e3, so that every Padé degree and up
@@ -918,7 +949,11 @@ def _assert_expm_close(a, want=None, rtol=1e-12):
 # keeps a norm above e^-40: past that scipy's expm, the reference, loses
 # relative accuracy (5e-12 at e^-287, against 5e-14 for `_expm`, both against
 # a 40-digit exponential); the Erlang generators cover that range against
-# their closed form.
+# their closed form. A Van Loan block [[A, W], [0, 0]] has a larger 1-norm:
+# A's up to 1e3 and a column of W up to n x 1e3, 6e3. There scipy's extra
+# squarings lose accuracy in the columns of W (1.2e-12 relative at 3.1e3,
+# against 1.1e-13 for `_expm`), so those blocks are checked against the
+# 40-digit exponential alone.
 LOG_NORMS = st.floats(-8.0, 3.0)
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -936,7 +971,8 @@ class TestExpm:
         rng = np.random.default_rng(seed)
         norm = 10.0**log_norm
         a = _sub_generator(rng, n, norm, 40.0)
-        _assert_expm_close(ttlnet.renewal._van_loan(a, rng.random((n, k)) * norm))
+        block = ttlnet.renewal._van_loan(a, rng.random((n, k)) * norm)
+        _assert_expm_close(block, _decimal_expm(block), against_scipy=False)
 
     @given(stages=st.integers(2, 12), log_norm=st.floats(-8.0, math.log10(500.0)))
     @settings(max_examples=80, deadline=None)
