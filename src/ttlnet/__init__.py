@@ -9,7 +9,7 @@ composes superposition, splitting, and input-output over feedforward
 networks. A discrete-event simulator cross-validates both.
 """
 
-from .cache_ops import CacheOutput, output_min, output_r, output_sigma
+from .cache_ops import CacheChain, output_min, output_r, output_sigma
 from .errors import (
     BudgetExceededError,
     ConvergenceError,

@@ -27,12 +27,13 @@ The template is written once, as a list of Kronecker terms of small
 factors (`CacheChain`): P (x) I and I (x) d0 and H (x) d1 in d0', A (x) d1 in
 d1'. A cache whose requests are the superposition of independent MAPs
 (d0_i, d1_i) has d0 = (+)_i d0_i and d1 = (+)_i d1_i, so each input term
-expands into one term per input, with the factors of that input alone. The
-assembled MAP (`CacheChain.output`, behind `output_sigma`, `output_r` and
-`output_min`) and the factored generator (`CacheChain.generator`, a
-`kron.KronOperator` that is never assembled) both read that list.
+expands into one term per input, with the factors of that input alone.
+Every reader of a cache goes through its `CacheChain`, which the operators
+return: the miss MAP (`map`) is assembled on first read, the generator
+(`generator`) and given-input system (`in_system`) never are.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -46,12 +47,12 @@ from .processes import (
     require_valid,
 )
 
-__all__ = ["CacheOutput", "CacheChain", "cache_chain", "output_sigma", "output_r", "output_min"]
+__all__ = ["CacheChain", "cache_chain", "output_sigma", "output_r", "output_min"]
 
 
 @dataclass(frozen=True)
 class CacheChain:
-    """A cache's output chain on its Kronecker factors.
+    """A cache's output chain on its Kronecker factors, and its miss MAP.
 
     `inputs` are the independent request MAPs the cache sees superposed:
     one for a leaf, or for a superposition assembled as one MAP. `ttl` is
@@ -60,7 +61,10 @@ class CacheChain:
     whose rows sum to one. Axis 0 of every term is the TTL phase, with the
     absorbing phase (the OUT state) first; the other axes are the inputs'
     states, first input outermost. `hidden` and `active` are the terms of
-    d0' and d1', and `generator` is Q' = d0' + d1' on the factors.
+    d0' and d1', `generator` is Q' = d0' + d1' on the factors, and `map`
+    the miss MAP (d0', d1'), assembled on first read. The OUT group
+    (`out_states`) is the first n states, n the input's order, and the IN
+    group (`in_states`) the rest.
     """
 
     ttl: PhaseTypeDistribution
@@ -88,45 +92,59 @@ class CacheChain:
         object.__setattr__(self, "hidden", hidden)
         object.__setattr__(self, "active", active)
 
+    @property
+    def order(self) -> int:
+        return math.prod(self.dims)
+
+    @property
+    def out_states(self) -> range:
+        return range(math.prod(self.dims[1:]))
+
+    @property
+    def in_states(self) -> range:
+        return range(len(self.out_states), self.order)
+
     @cached_property
     def generator(self) -> KronOperator:
         return KronOperator(self.dims, self.hidden + self.active)
 
-    def output(self) -> "CacheOutput":
+    @cached_property
+    def map(self) -> MarkovArrivalProcess:
         """The assembled miss MAP: d0' and d1' each from its terms' triplets
         in one sort, bit for bit the sums built term by term (see
         `RateMatrix.from_terms`)."""
         d0p = KronOperator(self.dims, self.hidden).assemble()
         d1p = KronOperator(self.dims, self.active).assemble()
-        n = d0p.rows // self.dims[0]
-        return CacheOutput(
-            MarkovArrivalProcess(d0p, d1p), in_states=range(n, d0p.rows), out_states=range(n),
-            chain=self,
-        )
+        return MarkovArrivalProcess(d0p, d1p)
 
+    def in_system(self, p_in: np.ndarray) -> tuple[KronOperator, np.ndarray]:
+        """(-M, rhs): the given-input system x_T (-M) = rhs over the IN
+        states T, on the chain's factors, for the input vector `p_in`.
 
-@dataclass(frozen=True)
-class CacheOutput:
-    """Miss-process MAP of a cache plus its IN/OUT state partition.
+        The input's background chain evolves on its own with stationary
+        vector p_in, so the blocks x_0 (OUT) and x_j (TTL phase j) of the
+        stationary vector x of Q' sum to p_in. Putting x_0 = p_in - sum_j x_j
+        into the balance equations of the IN columns leaves
 
-    The OUT group is the first n states, n the request MAP's order, and the
-    IN group the rest. `chain` is the factored chain the MAP was assembled
-    from (`CacheChain.output`), and `ttl` its phase-type TTL (the joint
-    minimum for a min(Sigma, R) cache).
-    """
+            x_T (-M) = p_in Q'_OT,   M = Q'_TT - (1 (x) I) Q'_OT,
 
-    map: MarkovArrivalProcess
-    in_states: range
-    out_states: range
-    chain: CacheChain
+        a nonsingular system over the IN states alone. Of the template
+        (P (+) d0) + H (x) d1 + A (x) d1 only A has an OUT row, (0, pi), and
+        P restricted to the IN phases is S, so
 
-    @property
-    def ttl(self) -> PhaseTypeDistribution:
-        return self.chain.ttl
+            -M = -(S (+) d0) + (1 pi - H_IN) (x) d1,   rhs = pi (x) p_in d1,
 
-    @property
-    def order(self) -> int:
-        return self.map.order
+        one term per factor of d0 = (+)_i d0_i and d1 = (+)_i d1_i. For an
+        R cache H_IN is exactly 1 pi, so its d1 terms drop.
+        """
+        k, pi = self.ttl.order, self.ttl.pi.entries
+        spread = _pi_rows(pi, k) + self.hit_reset.scale(-1.0)  # 1 pi - H_IN
+        neg_d0 = kron_sum_operator([m.d0.scale(-1.0) for m in self.inputs]).terms
+        d1 = [t[1:] for t in self.active]
+        terms = [(self.ttl.s.scale(-1.0),) + (None,) * len(self.inputs)]
+        terms += [(None,) + t for t in neg_d0] + [(spread,) + t for t in d1]
+        flow = KronOperator(self.dims[1:], d1).product(p_in)
+        return KronOperator((k,) + self.dims[1:], terms), np.outer(pi, flow).ravel()
 
 
 def _pi_rows(pi: np.ndarray, rows: int) -> RateMatrix:
@@ -168,7 +186,7 @@ def cache_chain(
     )
 
 
-def output_sigma(m: MarkovArrivalProcess, t: PhaseTypeDistribution) -> CacheOutput:
+def output_sigma(m: MarkovArrivalProcess, t: PhaseTypeDistribution) -> CacheChain:
     """Miss process of a reset-on-miss (Sigma) cache.
 
     Parameters
@@ -180,30 +198,30 @@ def output_sigma(m: MarkovArrivalProcess, t: PhaseTypeDistribution) -> CacheOutp
 
     Returns
     -------
-    CacheOutput
-        MAP of dimension n(m+1). Hidden matrix: (P (+) d0) plus a copy of d1
-        on every IN diagonal block (in-cache requests are hits that leave the
-        TTL phase untouched). Active matrix: top block row (0, pi_1 d1, ...,
-        pi_m d1).
+    CacheChain
+        Its `map` has dimension n(m+1). Hidden matrix: (P (+) d0) plus a
+        copy of d1 on every IN diagonal block (in-cache requests are hits
+        that leave the TTL phase untouched). Active matrix: top block row
+        (0, pi_1 d1, ..., pi_m d1).
     """
-    return cache_chain("Sigma", [m], t).output()
+    return cache_chain("Sigma", [m], t)
 
 
-def output_r(m: MarkovArrivalProcess, t: PhaseTypeDistribution) -> CacheOutput:
+def output_r(m: MarkovArrivalProcess, t: PhaseTypeDistribution) -> CacheChain:
     """Miss process of a reset-on-request (R) cache.
 
     Same layout as :func:`output_sigma`, but a hit also restarts the TTL:
     every IN block row of the hidden correction carries (pi_1 d1, ...,
     pi_m d1) instead of keeping the phase fixed.
     """
-    return cache_chain("R", [m], t).output()
+    return cache_chain("R", [m], t)
 
 
 def output_min(
     m: MarkovArrivalProcess,
     t_sigma: PhaseTypeDistribution,
     t_r: PhaseTypeDistribution,
-) -> CacheOutput:
+) -> CacheChain:
     """Miss process of a min(Sigma, R) cache holding two parallel TTLs.
 
     The joint TTL is min(t_sigma, t_r) with the Sigma phases outermost; that
@@ -212,4 +230,4 @@ def output_min(
     diagonal over Sigma phases, each q*q block repeating the row
     (pi^R_1 d1, ..., pi^R_q d1). Dimension n(m*q + 1).
     """
-    return cache_chain("MinSigmaR", [m], t_sigma, t_r).output()
+    return cache_chain("MinSigmaR", [m], t_sigma, t_r)

@@ -7,14 +7,15 @@ literal rates compare equal entry-by-entry.
 A sum of Kronecker products of small factors need not be assembled:
 `KronOperator` keeps the factors and gives what the stationary solve
 reads, the product x A, the diagonal, the row sums and the off-diagonal
-part, term by term. A cache's output chain is such a sum (see
-`cache_ops.CacheChain`).
+part, term by term. A cache's output chain and its given-input system are
+such sums, built by `cache_ops.CacheChain`.
 
 A stationary vector takes one of two routes. `steady_state` solves an
 assembled generator alone: GTH up to `_GTH_MAX` states, sparse LU above
 that and where GTH fails its gates. `_given_input_solve` solves a cache
-output chain on its factors from its input vector, by BiCGSTAB, with the
-generator checks and both gates evaluated on the factors too.
+output chain from its input vector and the system its `CacheChain` builds,
+by BiCGSTAB on the factors, with the generator checks and both gates
+evaluated on the factors too.
 """
 
 import functools
@@ -293,7 +294,9 @@ class KronOperator:
     more in numpy calls than in arithmetic, so an operator whose terms
     have at most `_NUMPY_PRODUCT_MAX` nonzeros in all, assembled, takes one
     `np.bincount` over the terms' unsorted triplets instead
-    (`_triplet_product`), kept for later products.
+    (`_triplet_product`), kept for later products. A cache's generator Q'
+    and its given-input system -M are such operators
+    (`cache_ops.CacheChain`).
     """
 
     def __init__(self, dims, terms):
@@ -686,73 +689,25 @@ def _gate(q: KronOperator, x: np.ndarray) -> np.ndarray | None:
     return x if residual <= bound else None
 
 
-def _in_system(q: KronOperator, p_in: np.ndarray) -> tuple[KronOperator, np.ndarray]:
-    """(-M, p_in Q'_OT) of `_given_input_solve`'s system, on q's factors.
-
-    Term by term, a TTL factor F of q becomes F_TT - 1 F_OT in M, and the
-    right-hand side is sum_t F_OT (x) (p_in R_t) for the request factors R_t
-    of term t. Terms with the same request factors merge into one, with
-    the sum of their TTL factors; an identity TTL factor (I (x) R) keeps
-    the identity and negates R.
-    """
-    k = q.dims[0] - 1
-    groups: dict = {}  # request factors, by identity -> (factors, triplets of -M's TTL factor)
-    rhs = np.zeros((k, p_in.size))
-    for ttl, *rest in q.terms:
-        rest = tuple(rest)
-        parts = groups.setdefault(tuple(map(id, rest)), (rest, []))[1]
-        if ttl is None:
-            parts.append(None)
-            continue
-        # -F_TT, and 1 F_OT added to every IN row
-        r, c, v = ttl.row_idx, ttl.col_idx, ttl.data
-        inner, top = (r > 0) & (c > 0), (r == 0) & (c > 0)
-        parts.append((r[inner] - 1, c[inner] - 1, -v[inner]))
-        if top.any():
-            cols, vals = c[top] - 1, v[top]
-            parts.append((np.repeat(np.arange(k), cols.size), np.tile(cols, k), np.tile(vals, k)))
-            row = np.zeros(k)
-            row[cols] = vals
-            rhs += np.outer(row, KronOperator(q.dims[1:], [rest]).product(p_in))
-    terms = []
-    for rest, parts in groups.values():
-        if len(parts) == 1 and parts[0] is None:
-            j = next(i for i, f in enumerate(rest) if f is not None)
-            terms.append((None,) + rest[:j] + (rest[j].scale(-1.0),) + rest[j + 1:])
-            continue
-        identity = (np.arange(k), np.arange(k), np.full(k, -1.0))
-        ttl = RateMatrix.from_terms(k, k, [identity if p is None else p for p in parts])
-        terms.append((ttl,) + rest)
-    return KronOperator((k,) + q.dims[1:], terms), rhs.ravel()
-
-
-def _given_input_solve(q: KronOperator, p_in: np.ndarray) -> np.ndarray | None:
+def _given_input_solve(
+    q: KronOperator, neg_m: KronOperator, rhs: np.ndarray, p_in: np.ndarray
+) -> np.ndarray | None:
     """Stationary vector of a cache's output chain from its input vector, or None.
 
     q is the irreducible generator Q' of a `cache_ops` output chain on its
     factors: axis 0 is the TTL phase, the OUT state 0 first, then the k
     transient phases (the IN blocks); the other axes are the request
     states, whose background chain has the stationary vector p_in and
-    evolves on its own. So the blocks x_0 (OUT) and x_j (TTL phase j) of
-    Q''s stationary vector sum to p_in. Putting x_0 = p_in - sum_j x_j into
-    the balance equations of the IN columns leaves the nonsingular system
-
-        x_T (-M) = p_in Q'_OT,   M = Q'_TT - (1 (x) I) Q'_OT,
-
-    over the IN states T alone, built on q's factors by `_in_system`. For
-    the cache template (P (+) d0) + H (x) d1 + A (x) d1 only A has an OUT
-    row, (0, pi), so M = S (+) d0 + (H_IN - 1 pi) (x) d1 and the right-hand
-    side is pi (x) p_in d1; the H and A terms share their d1 factor, so
-    they merge, and for an R cache, whose H_IN is 1 pi, they cancel.
-    BiCGSTAB with Jacobi preconditioning (see `_bicgstab`) solves it on the
-    factors, started from p_in spread evenly over the k + 1 blocks (from
-    zero, a right-hand side with few nonzeros broke down on a 108-state
-    chain). The full vector must then pass the sign test and both gates
-    that `steady_state` holds a GTH vector to (`_gate`), on q's factors.
-    None when any of these fails.
+    evolves on its own. x_T (-M) = rhs is the chain's system over its IN
+    states T (`cache_ops.CacheChain.in_system`), and x_0 = p_in - sum_j x_j
+    the OUT block. BiCGSTAB with Jacobi preconditioning (see `_bicgstab`)
+    solves it on the factors, started from p_in spread evenly over the
+    k + 1 blocks (from zero, a right-hand side with few nonzeros broke down
+    on a 108-state chain). The full vector must then pass the sign test and
+    both gates that `steady_state` holds a GTH vector to (`_gate`), on q's
+    factors. None when any of these fails.
     """
     k, n = q.dims[0] - 1, p_in.size
-    neg_m, rhs = _in_system(q, p_in)
     diagonal = neg_m.diagonal()
     if np.any(diagonal <= 0.0):
         return None
@@ -831,11 +786,10 @@ def _lu_solve(q: KronOperator, a: tuple, b: np.ndarray) -> np.ndarray:
 def steady_state(q: RateMatrix) -> ProbabilityVector:
     """Stationary distribution p of a conservative irreducible generator.
 
-    This solves a chain knowing nothing but q. `metrics.metrics_from_maps`
-    and `metrics.chain_metrics` solve a cache output chain of more than
-    `_GTH_MAX` states on its Kronecker factors from its input vector (see
-    `_given_input_solve`), and assemble it for this function only when that
-    solve fails its gates.
+    This solves a chain knowing nothing but q. `metrics.chain_metrics`
+    solves a cache output chain of more than `_GTH_MAX` states on its
+    Kronecker factors from its input vector (see `_given_input_solve`), and
+    assembles it for this function only when that solve fails its gates.
 
     1. A chain of at most `_GTH_MAX` states is solved by dense GTH state
        reduction (see `_gth`), whose positive pivots and entries also show

@@ -1,13 +1,12 @@
 """Cache metrics computed from MAP descriptions of the request and miss processes."""
 
-import math
 from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
 
 from . import kron
-from .cache_ops import CacheChain, CacheOutput
+from .cache_ops import CacheChain
 from .errors import DimensionError, NoStationaryDistributionError, ValidationError
 from .kron import (
     KronOperator,
@@ -53,9 +52,30 @@ class CacheMetrics:
 
 
 def metrics_from_maps(
-    input_map: MarkovArrivalProcess, output: CacheOutput, p_in: np.ndarray | None = None
+    input_map: MarkovArrivalProcess, output: CacheChain, p_in: np.ndarray | None = None
 ) -> CacheMetrics:
-    """Hit/miss probabilities, occupancy, and rates of a MAP cache.
+    """Hit/miss probabilities, occupancy, and rates of a MAP cache:
+    `chain_metrics` of `output`, once it is checked to have been built
+    from `input_map`.
+
+    Raises
+    ------
+    DimensionError
+        If `output` has a different number of OUT states than `input_map`
+        has states, or `p_in` has another length.
+    """
+    n = input_map.order
+    if len(output.out_states) != n:
+        raise DimensionError(
+            f"cache output has {len(output.out_states)} OUT states but the"
+            f" input MAP has {n} states"
+        )
+    return chain_metrics(output, p_in)
+
+
+def chain_metrics(chain: CacheChain, p_in: np.ndarray | None = None) -> CacheMetrics:
+    """Hit/miss probabilities, occupancy, and rates of a cache, from its
+    output chain's factors.
 
     The miss probability is the ratio of the stationary miss rate
     p' d1' 1 to the stationary request rate p d1 1, the hit probability
@@ -70,62 +90,30 @@ def metrics_from_maps(
     The input vector p is therefore the marginal of p' over the TTL-phase
     blocks, and a reducible input chain makes the output chain reducible.
 
-    `p_in` is the stationary vector of the input MAP's background chain,
-    which must be irreducible; without it, the Kronecker product of the
-    stationary vectors of `output.chain`'s inputs. An output chain of more
-    than `kron._GTH_MAX` states is solved from it on its Kronecker factors
-    (see `chain_metrics`), a smaller one alone (`steady_state`).
+    `p_in` is the stationary vector of the input's background chain, which
+    must be irreducible; without it, the Kronecker product of the
+    stationary vectors of the chain's inputs. p' comes from it
+    (`_output_vector`) and the rates d1 1 and d1' 1 from the factors: the
+    miss MAP (`CacheChain.map`) is never assembled.
 
     Raises
     ------
     DimensionError
-        If `output` has a different number of OUT states than `input_map`
-        has states, that is, was not built from `input_map`, or `p_in`
-        has another length.
+        If `p_in` has another length than the chain's OUT group.
     """
-    n = input_map.order
-    if len(output.out_states) != n:
-        raise DimensionError(
-            f"cache output has {len(output.out_states)} OUT states but the"
-            f" input MAP has {n} states"
-        )
+    n = len(chain.out_states)
     if p_in is not None and p_in.size != n:
         raise DimensionError(f"input vector has {p_in.size} entries, not {n}")
-    requests, misses = input_map.d1.row_sums(), output.map.d1.row_sums()
-    return _cache_metrics(output.chain, p_in, lambda: output.map.generator, requests, misses)
-
-
-def chain_metrics(chain: CacheChain, p_in: np.ndarray | None = None) -> CacheMetrics:
-    """`metrics_from_maps` of a cache given as its output chain's factors.
-
-    The stationary vector p' comes from the factors by the given-input
-    solve (`kron._given_input_solve`; `p_in` as in `metrics_from_maps`),
-    and so do the request rates d1 1 and the miss rates d1' 1 that the
-    metrics read, so no matrix of Q''s size is built. Q' is assembled only
-    where the factors do not decide: for a chain of at most
-    `kron._GTH_MAX` states, whose GTH solve reads it dense, when a solve
-    fails its gates, or when the chain's irreducibility needs the graph
-    search.
-    """
-    requests = kron_sum_vector([m.d1.row_sums() for m in chain.inputs])
-    misses = KronOperator(chain.dims, chain.active).row_sums()
-    return _cache_metrics(chain, p_in, chain.generator.assemble, requests, misses)
-
-
-def _cache_metrics(
-    chain: CacheChain, p_in, generator, requests: np.ndarray, misses: np.ndarray
-) -> CacheMetrics:
-    """The metrics of the output vector (`_output_vector`) from the request
-    rates d1 1 of the input states and the miss rates d1' 1 of the output
-    states."""
     try:
-        p_out = _output_vector(chain, p_in, generator)
+        p_out = _output_vector(chain, p_in)
     except NoStationaryDistributionError as exc:
         raise NoStationaryDistributionError(
             f"cache metrics need ergodic background chains: {exc}"
         ) from exc
+    requests = kron_sum_vector([m.d1.row_sums() for m in chain.inputs])
+    misses = KronOperator(chain.dims, chain.active).row_sums()
     # the OUT block, then one block of request states per TTL phase (IN)
-    blocks = p_out.reshape(-1, requests.size)
+    blocks = p_out.reshape(-1, n)
     cached = blocks[1:].sum(axis=0)
     input_rate = float(_dot(blocks.sum(axis=0), requests))
     miss_rate = float(_dot(p_out, misses))
@@ -143,35 +131,35 @@ def _cache_metrics(
     )
 
 
-def _output_vector(chain: CacheChain, p_in, generator) -> np.ndarray:
+def _output_vector(chain: CacheChain, p_in) -> np.ndarray:
     """The output chain's stationary vector, above `kron._GTH_MAX` states
-    from the input vector (`p_in`, or its inputs' own) on its factors.
+    from the input vector (`p_in`, or its inputs' own) and the chain's
+    given-input system (`CacheChain.in_system`).
 
     The generator checks and the gates read the factors (see
-    `kron._check_generator` and `kron._gate`). `generator()` assembles Q'
-    for what the factors cannot do: the graph search for irreducibility
-    where `_phases_live` cannot show it, and `steady_state`, which solves
-    a chain within the GTH bound and any chain that the given-input route
-    declines or whose vector fails a gate.
+    `kron._check_generator` and `kron._gate`). Q' is assembled
+    (`chain.generator.assemble()`) only for what the factors cannot do:
+    the graph search for irreducibility where `_phases_live` cannot show
+    it, and `steady_state`, which solves a chain within the GTH bound and
+    any chain that the given-input route declines or whose vector fails a
+    gate.
     """
-    if math.prod(chain.dims) <= kron._GTH_MAX:
-        return steady_state(generator()).entries
     q = chain.generator
+    if chain.order <= kron._GTH_MAX:
+        return steady_state(q.assemble()).entries
     try:
         kron._check_generator(q)
     except ValidationError:  # the factor test is only sufficient: steady_state's decides
-        return steady_state(generator()).entries
-    if not _phases_live(chain.ttl, *(m.d1 for m in chain.inputs)):
-        q_assembled = generator()
-        if not kron._is_irreducible(q_assembled):
-            raise NoStationaryDistributionError(
-                "generator is reducible: no unique stationary distribution"
-            )
-        generator = lambda: q_assembled  # noqa: E731
+        return steady_state(q.assemble()).entries
+    live = _phases_live(chain.ttl, *(m.d1 for m in chain.inputs))
+    if not live and not kron._is_irreducible(q.assemble()):
+        raise NoStationaryDistributionError(
+            "generator is reducible: no unique stationary distribution"
+        )
     if p_in is None:
         p_in = reduce(np.kron, [steady_state(m.generator).entries for m in chain.inputs])
-    x = kron._given_input_solve(q, p_in)
-    return steady_state(generator()).entries if x is None else x
+    x = kron._given_input_solve(q, *chain.in_system(p_in), p_in)
+    return steady_state(q.assemble()).entries if x is None else x
 
 
 def _phases_live(ttl: PhaseTypeDistribution, *d1s: RateMatrix) -> bool:

@@ -509,13 +509,14 @@ def analyze(
     output vector; and `superpose` models its parts as independent, so a
     join has the Kronecker product of its children's output vectors. Each
     output chain above `kron._GTH_MAX` states is solved from it on its
-    Kronecker factors. A node with parents assembles its miss MAP
-    (`output_sigma`, `output_r`, `output_min`, after `superpose` at a join)
-    for them; a sink (no parents) assembles nothing: its chain's factors
-    are its inputs' own (`cache_ops.cache_chain`), and its metrics come
-    from its stationary vector (`metrics.chain_metrics`). Refuses, with the
-    offending node and exact dimension, before building anything larger
-    than `budget` states.
+    Kronecker factors. Every node's operator returns its
+    `cache_ops.CacheChain`. A node with parents takes `output_sigma`,
+    `output_r` or `output_min` (after `superpose` at a join), and its
+    parents' reads assemble its miss MAP; a sink (no parents) assembles
+    nothing: its chain's factors are its inputs' own (`cache_chain`), and
+    its metrics come from its stationary vector (`chain_metrics`). Refuses,
+    with the offending node and exact dimension, before building anything
+    larger than `budget` states.
     """
     if budget <= 0:
         raise ValidationError("budget must be positive")
@@ -544,17 +545,16 @@ def analyze(
         if parents:
             input_map = parts[0] if len(parts) == 1 else superpose(parts)
             out = _OUTPUT_OPS[node.policy](input_map, *ttls)
-            realized = input_map.order, out.order
         else:
-            chain = cache_chain(node.policy, parts, *ttls)
-            realized = chain.generator.size // chain.dims[0], chain.generator.size
+            out = cache_chain(node.policy, parts, *ttls)
+        realized = len(out.out_states), out.order
         if realized != (dims[nid]["input"], dims[nid]["output"]):
             raise RuntimeError(
                 f"dimension accounting mismatch at node {nid!r}: realized"
                 f" {realized[0]}->{realized[1]}, predicted {dims[nid]}"
             )
         if not parents:
-            metrics[nid] = chain_metrics(chain, p_in)
+            metrics[nid] = chain_metrics(out, p_in)
             continue
         metrics[nid] = metrics_from_maps(input_map, out, p_in)
         if len(parents) == 1 and node.split is None:

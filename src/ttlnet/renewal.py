@@ -73,8 +73,8 @@ import numpy as np
 # numpy alone runs every route while the miss chain has at most `_DENSE_MAX`
 # states: matrix exponentials are `_expm`'s and Erlang-law tails finite sums.
 # A larger miss chain loads `scipy.sparse` and `scipy.sparse.linalg` (with
-# `scipy.linalg`) for its sparse LU in `_ph_cycle`; `scipy.special` loads only
-# in `Erlang.truncation_point`, which no route calls.
+# `scipy.linalg`) for its sparse LU in `_ph_cycle`; no route loads
+# `scipy.special`.
 
 from .cache_ops import output_min, output_sigma
 from .errors import BudgetExceededError, DivergentStoppingTimeError, ValidationError
@@ -127,10 +127,6 @@ class RenewalSpec:
     def sample(self, rng, size=None):
         raise NotImplementedError
 
-    def truncation_point(self, eps: float) -> float:
-        """Smallest x with P(X > x) <= eps."""
-        raise NotImplementedError
-
     def integral_survival(self, x):
         """Integral of P(X > u) over u in [0, x], E[min(X, x)]; accepts
         scalars or arrays."""
@@ -167,9 +163,6 @@ class Exponential(RenewalSpec):
 
     def sample(self, rng, size=None):
         return rng.exponential(1.0 / self.rate, size)
-
-    def truncation_point(self, eps):
-        return -math.log(eps) / self.rate
 
     def integral_survival(self, x):
         return -np.expm1(-self.rate * np.asarray(x, dtype=float)) / self.rate
@@ -211,9 +204,6 @@ class Deterministic(RenewalSpec):
         if size is None:
             return self.value
         return np.full(size, self.value)
-
-    def truncation_point(self, eps):
-        return self.value
 
     def integral_survival(self, x):
         return np.minimum(x, self.value)
@@ -260,11 +250,6 @@ class Erlang(RenewalSpec):
 
     def sample(self, rng, size=None):
         return rng.gamma(self.stages, 1.0 / self.rate, size)
-
-    def truncation_point(self, eps):
-        from scipy.special import gammainccinv
-
-        return float(gammainccinv(self.stages, eps)) / self.rate
 
     def integral_survival(self, x):
         # x P(X > x) + E[X; X <= x], and E[X; X <= x] is the mean times the
@@ -470,12 +455,6 @@ class Tabulated(RenewalSpec):
         # numpy's own `Generator.choice(points, size, p=masses)` algorithm,
         # so the draws are the same, with the cumulative masses formed once
         return self.points[self._cdf.searchsorted(rng.random(size), side="right")]
-
-    def truncation_point(self, eps):
-        tail = 1.0 - np.cumsum(self.masses)
-        idx = int(np.searchsorted(-tail, -eps))
-        idx = min(idx, self.density.size - 1)
-        return float(self.points[idx])
 
     def integral_survival(self, x):
         # the survival is tail[j] between atom j - 1 and atom j (edges[j])

@@ -395,7 +395,7 @@ def _assert_close(got, want, scale, what):
 
 class TestFactoredChain:
     """The factored generator of a cache chain (`CacheChain.generator`) and
-    the given-input system built on it (`kron._in_system`) against the
+    the given-input system it builds (`CacheChain.in_system`) against the
     assembled `output_*` and `superpose` matrices, for joins of one to
     three inputs, one of them possibly a part of a split MAP. Each product
     runs by every rule of `KronOperator`: one bincount over all terms, one
@@ -424,7 +424,7 @@ class TestFactoredChain:
         x = r.uniform(0.1, 1.0, op.size)
         _assert_close(op.diagonal(), np.diag(q), np.abs(np.diag(q)), "diagonal")
         # the fallback's assembly of the chain itself
-        d0, d1 = chain.output().map.d0.to_dense(), chain.output().map.d1.to_dense()
+        d0, d1 = chain.map.d0.to_dense(), chain.map.d1.to_dense()
         _assert_close(d0, out.map.d0.to_dense(), np.abs(out.map.d0.to_dense()), "d0'")
         _assert_close(d1, out.map.d1.to_dense(), np.abs(out.map.d1.to_dense()), "d1'")
 
@@ -433,7 +433,7 @@ class TestFactoredChain:
         pi, input_d1 = chain.ttl.pi.entries, input_map.d1.to_dense()
         neg_m = -(q[n:, n:] - np.kron(np.outer(np.ones(k), pi), input_d1))
         p_in = steady_state(input_map.generator).entries
-        system, rhs = kron._in_system(op, p_in)
+        system, rhs = chain.in_system(p_in)
         _assert_close(system.diagonal(), np.diag(neg_m), np.abs(np.diag(neg_m)), "diagonal of -M")
         want = np.kron(pi, p_in @ input_d1)
         _assert_close(rhs, want, want, "p_in (pi (x) d1)")
@@ -454,5 +454,5 @@ class TestFactoredChain:
                 inflow = fresh.off_diagonal().product(x)
                 _assert_close(inflow, x @ off, x @ off, f"inflow ({bound})")
                 scale = np.abs(x_t) @ np.abs(neg_m)
-                got = kron._in_system(fresh, p_in)[0].product(x_t)
+                got = kron.KronOperator(system.dims, system.terms).product(x_t)
                 _assert_close(got, x_t @ neg_m, scale, f"x_T (-M) ({bound})")

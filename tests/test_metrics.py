@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 
 from conftest import random_map, random_ph
 from ttlnet import kron, metrics
+from ttlnet.cache_ops import cache_chain
 from ttlnet import (
     DimensionError,
     Exponential,
@@ -269,3 +270,38 @@ class TestGivenInputSolve:
         assert irreducible or not live
         if policy == "Sigma":  # a hit moves no phase: the test is exact
             assert live == irreducible
+
+
+class TestCacheChainMetrics:
+    """A cache's metrics read its `CacheChain`: they assemble no miss MAP,
+    and they check the length of the input vector they are given."""
+
+    LAM, MU = 1.25, 0.75
+
+    def test_metrics_assemble_no_miss_map(self):
+        m = poisson_map(self.LAM)
+        out = output_r(m, PhaseTypeDistribution.exponential(self.MU))
+        assert out.order <= kron._GTH_MAX
+        metrics_from_maps(m, out)
+        assert "map" not in vars(out)
+        # the printed fixture, read afterwards
+        assert out.map.d0 == RateMatrix.from_dense([[-self.LAM, 0.0], [self.MU, -self.MU]])
+        assert out.map.d1 == RateMatrix.from_dense([[0.0, self.LAM], [0.0, 0.0]])
+
+    def test_factored_metrics_assemble_no_miss_map(self):
+        m, ttl = _ring_mmpp(20), PhaseTypeDistribution.erlang(4, 4.0)
+        out = cache_chain("Sigma", [m], ttl)
+        assert out.order > kron._GTH_MAX
+        metrics.chain_metrics(out)
+        assert "map" not in vars(out)
+        want = output_sigma(m, ttl).map
+        assert out.map.d0 == want.d0 and out.map.d1 == want.d1
+
+    @pytest.mark.parametrize("stages, inputs, states", [(3, 1, 8), (40, 2, 164)])
+    def test_input_vector_length_checked(self, stages, inputs, states):
+        # refused on both sides of the GTH bound, before any solve reads it
+        parts = [mmpp_map([[-0.4, 0.4], [0.9, -0.9]], [1.1, 2.3 + i]) for i in range(inputs)]
+        out = cache_chain("Sigma", parts, PhaseTypeDistribution.erlang(stages, 2.0))
+        assert out.order == states
+        with pytest.raises(DimensionError, match="5 entries"):
+            metrics.chain_metrics(out, np.full(5, 0.2))
