@@ -42,6 +42,8 @@ routes:
   requests form a renewal MAP, `cache_ops` builds the cache's miss process
   exactly, and one solve over one inter-miss interval of that process gives
   the cycle (`_ph_cycle`; dense up to `_DENSE_MAX` states, sparse LU above).
+  A query builds its miss chain once (`_miss_chain`): its cycle at omega =
+  0 and its transform read the same one.
 * matrix-geometric: with a PH(alpha, S) Sigma TTL, P(tau > k) = alpha K^k 1
   for one matrix K = E[e^{S X} 1{X <= T_R}], a sum over the atoms of X, or
   over those of T_R for PH requests (`_ph_sigma`).
@@ -76,9 +78,9 @@ import numpy as np
 # `scipy.linalg`) for its sparse LU in `_ph_cycle`; no route loads
 # `scipy.special`.
 
-from .cache_ops import output_min, output_sigma
+from .cache_ops import CacheChain, output_min, output_sigma
 from .errors import BudgetExceededError, DivergentStoppingTimeError, ValidationError
-from .kron import RateMatrix, _dot
+from .kron import KronOperator, RateMatrix, _dot, dense_kron
 from .network import DEFAULT_BUDGET
 from .processes import MarkovArrivalProcess, PhaseTypeDistribution
 
@@ -622,8 +624,33 @@ def _cycle(x: RenewalSpec, policy: StoppingPolicy, omega: float) -> _Cycle:
 def _rest_cycle(x: RenewalSpec, policy: StoppingPolicy) -> _Cycle:
     """`_cycle` at omega = 0, kept for the last few queries: `expected_tau`
     and `occupancy_renewal` of one query read the same cycle, and on the
-    phase-type route building it builds and factors the miss chain."""
+    phase-type route building it solves the miss chain."""
     return _cycle(x, policy, 0.0)
+
+
+@functools.lru_cache(maxsize=8)
+def _miss_chain(x: RenewalSpec, policy: StoppingPolicy) -> CacheChain:
+    """The exact miss chain of phase-type laws, kept for the last few
+    queries: the cycle at omega = 0 and the transform of one query read the
+    same chain. Raises `BudgetExceededError`, building nothing, when it
+    would exceed `DEFAULT_BUDGET` states."""
+    ttls = (policy.ttl,) if policy.ttl is not None else (policy.ttl_sigma, policy.ttl_r)
+    ph_x, *ph_ttls = [_as_ph(law) for law in (x, *ttls)]
+    n = ph_x.order
+    size = n * (math.prod(t.order for t in ph_ttls) + 1)
+    if size > DEFAULT_BUDGET:
+        raise BudgetExceededError("renewal", size, DEFAULT_BUDGET, "miss chain")
+    exits = np.flatnonzero(ph_x.exit_rates)
+    starts = np.flatnonzero(ph_x.pi.entries)
+    d1 = RateMatrix.from_arrays(
+        n,
+        n,
+        np.repeat(exits, starts.size),
+        np.tile(starts, exits.size),
+        np.outer(ph_x.exit_rates[exits], ph_x.pi.entries[starts]).ravel(),
+    )
+    m = MarkovArrivalProcess(ph_x.s, d1)
+    return (output_sigma if policy.tag == "Sigma" else output_min)(m, *ph_ttls)
 
 
 def _as_ph(law: RenewalSpec) -> PhaseTypeDistribution:
@@ -642,34 +669,31 @@ def _ph_cycle(x: RenewalSpec, policy: StoppingPolicy, omega: float) -> _Cycle:
     TTL, so misses are regeneration points: every row of D1' is a multiple
     of one vector, the initial vector phi of the next inter-miss interval,
     and phi is proportional to p' D1' whatever the stationary vector p' is.
-    One solve gives z = phi (omega I - D0')^{-1}: dense up to `_DENSE_MAX`
-    states, sparse LU above. Entry i of z is the
+    One solve gives z = phi (omega I - D0')^{-1}. Entry i of z is the
     expected time spent in state i during one inter-miss interval S,
     discounted by exp(-omega t); so at omega = 0, z 1 = E[S] = E[tau] E[X]
     (Wald) and the sum of z over the IN states is the in-cache time, and
     z D1' 1 = E[exp(-omega S)].
 
-    Every law must be phase-type. Raises `BudgetExceededError`, building
-    nothing, when the miss chain would exceed `DEFAULT_BUDGET` states.
+    A query builds its chain once (`_miss_chain`). Up to `_DENSE_MAX`
+    states, a bound read at each solve, D0' and D1' are formed dense from
+    the chain's terms (`KronOperator.to_dense`) for one LAPACK solve; above
+    it they are assembled sparse for a sparse LU. Every law must be
+    phase-type.
     """
-    ttls = (policy.ttl,) if policy.ttl is not None else (policy.ttl_sigma, policy.ttl_r)
-    ph_x, *ph_ttls = [_as_ph(law) for law in (x, *ttls)]
-    n = ph_x.order
-    size = n * (math.prod(t.order for t in ph_ttls) + 1)
-    if size > DEFAULT_BUDGET:
-        raise BudgetExceededError("renewal", size, DEFAULT_BUDGET, "miss chain")
-    exits = np.flatnonzero(ph_x.exit_rates)
-    starts = np.flatnonzero(ph_x.pi.entries)
-    d1 = RateMatrix.from_arrays(
-        n,
-        n,
-        np.repeat(exits, starts.size),
-        np.tile(starts, exits.size),
-        np.outer(ph_x.exit_rates[exits], ph_x.pi.entries[starts]).ravel(),
-    )
-    m = MarkovArrivalProcess(ph_x.s, d1)
-    out = (output_sigma if policy.tag == "Sigma" else output_min)(m, *ph_ttls)
-    d0, d1, size = out.map.d0, out.map.d1, out.order
+    chain = _miss_chain(x, policy)
+    size, n = chain.order, len(chain.out_states)
+    if size <= _DENSE_MAX:
+        d0 = KronOperator(chain.dims, chain.hidden).to_dense()
+        d1 = KronOperator(chain.dims, chain.active).to_dense()
+        a = -d0
+        a.flat[:: size + 1] += omega  # omega I - D0'
+        phi = d1.sum(axis=0)
+        z = np.linalg.solve(a.T, phi / phi.sum())
+        return _Cycle(float(z.sum()) / x.mean, float(z[n:].sum()), float(_dot(z, d1.sum(axis=1))))
+    from scipy.sparse.linalg import splu
+
+    d0, d1 = chain.map.d0, chain.map.d1
     phi = np.bincount(d1.col_idx, weights=d1.data, minlength=size)
     # In the cache_ops state order (OUT block, then Sigma phase, R phase and
     # request phase, outermost first) Erlang phases only move forward; the
@@ -679,7 +703,6 @@ def _ph_cycle(x: RenewalSpec, policy: StoppingPolicy, omega: float) -> _Cycle:
     # state, and a^T is column diagonally dominant, so SuperLU keeps that
     # order without pivoting (a fill-reducing ordering such as COLAMD does not
     # see the structure and filled up to 1 GB near the budget).
-    n = len(out.out_states)
     order = np.concatenate([np.arange(n)[::-1], np.arange(n, size)[::-1]])
     # order reverses each block, so it is its own inverse: entry (i, j) of
     # a = omega I - D0' is entry (order[i], order[j]) of the permuted system,
@@ -693,16 +716,9 @@ def _ph_cycle(x: RenewalSpec, policy: StoppingPolicy, omega: float) -> _Cycle:
         order[np.concatenate([diag, d0.col_idx])],
         np.concatenate([np.full(size, omega), -d0.data]),
     )
-    rhs = phi[order] / phi.sum()
     z = np.empty(size)
-    if size <= _DENSE_MAX:
-        z[order] = np.linalg.solve(permuted.to_dense().T, rhs)
-    else:
-        from scipy.sparse.linalg import splu
-
-        z[order] = splu(permuted.to_csr().T, permc_spec="NATURAL").solve(rhs)
-    transform = _dot(z, d1.row_sums())
-    return _Cycle(float(z.sum()) / x.mean, float(z[n:].sum()), float(transform))
+    z[order] = splu(permuted.to_csr().T, permc_spec="NATURAL").solve(phi[order] / phi.sum())
+    return _Cycle(float(z.sum()) / x.mean, float(z[n:].sum()), float(_dot(z, d1.row_sums())))
 
 
 # Largest dense matrix the routes exponentiate or factor, the miss chain's
@@ -837,10 +853,10 @@ def _censored(m: np.ndarray, v: RenewalSpec, w: RenewalSpec, ties: bool) -> np.n
         beta, t = _ph_arrays(v)
         eye = np.eye(m.shape[0])
         _dense(beta.size * m.shape[0])
-        c = np.kron(t, eye) + np.kron(np.eye(beta.size), m)
+        c = dense_kron(t, eye) + dense_kron(np.eye(beta.size), m)
         reach = _expm_mix(c, w, w.masses) if w is not _NEVER else np.zeros_like(c)
-        exits = np.kron(-t.sum(axis=1)[:, None], eye)
-        return np.kron(beta, eye) @ np.linalg.solve(c, (reach - np.eye(c.shape[0])) @ exits)
+        exits = dense_kron(-t.sum(axis=1)[:, None], eye)
+        return dense_kron(beta, eye) @ np.linalg.solve(c, (reach - np.eye(c.shape[0])) @ exits)
     beyond = w.survival_geq(v.points) if ties else 1.0 - w.cdf(v.points)
     return _expm_mix(m, v, v.masses * beyond)
 
@@ -960,15 +976,17 @@ def _alive_chain(x: RenewalSpec, t_sigma: RenewalSpec, t_r: RenewalSpec, omega: 
     ones_r = np.ones(alpha_r.size)
     dim = beta.size * alpha_r.size
     _dense(dim + 3)
-    start = np.kron(beta, alpha_r)
-    hit = np.kron(exits, ones_r)
-    a = np.kron(t, np.eye(alpha_r.size)) + np.kron(np.eye(beta.size), s_r) + np.outer(hit, start)
+    start = dense_kron(beta, alpha_r)
+    hit = dense_kron(exits, ones_r)
+    a = dense_kron(t, np.eye(alpha_r.size)) + dense_kron(np.eye(beta.size), s_r)
+    a += np.outer(hit, start)
     phi = np.linalg.solve(omega * np.eye(beta.size) - t, exits)
-    rates = np.column_stack([hit, np.ones(dim), np.kron(phi, exits_r)])
+    rates = np.column_stack([hit, np.ones(dim), dense_kron(phi, exits_r)])
     block = _van_loan(a - omega * np.eye(dim), rates)
     end = np.concatenate([start, np.zeros(3)]) @ _expm_mix(block, t_sigma, t_sigma.masses)
     hits, held, evicted = end[dim:]
-    return _Cycle(1.0 + float(hits), float(held), float(end[:dim] @ np.kron(phi, ones_r) + evicted))
+    transform = end[:dim] @ dense_kron(phi, ones_r) + evicted
+    return _Cycle(1.0 + float(hits), float(held), float(transform))
 
 
 def _deterministic_ttls(x: RenewalSpec, c_sigma: float, c_r: float, omega: float) -> _Cycle:
@@ -1002,19 +1020,19 @@ def _deterministic_ttls(x: RenewalSpec, c_sigma: float, c_r: float, omega: float
             if needed < steps:
                 steps, rest = needed, 0.0
     _dense(n * (steps + 1))
-    y_end, (hits, in_cache) = _delay_steps(alpha, q, s, beta, c_r, steps, rest, 0.0)
+    # at omega > 0, the same equation for e^{-omega u} y(u): hits and held discounted
+    y_end, (hits, held) = _delay_steps(alpha, q, s, beta, c_r, steps, rest, omega)
     transform = 1.0
     if omega > 0.0:
-        # The same equation for e^{-omega u} y(u). S_tau - E is PH(., S) from
-        # the phase at E, with transform phi; an R eviction leaves the phase
-        # law beta / (beta 1), and by the mass balance of the discounted
-        # equation the discounted mass R evicts is 1 - y(end) 1 - omega int y 1.
-        y_end, (_, held) = _delay_steps(alpha, q, s, beta, c_r, steps, rest, omega)
+        # S_tau - E is PH(., S) from the phase at E, with transform phi; an R
+        # eviction leaves the phase law beta / (beta 1), and by the mass
+        # balance of the discounted equation the discounted mass R evicts is
+        # 1 - y(end) 1 - omega int y 1.
         phi = np.linalg.solve(omega * np.eye(n) - s_mat, s)
         transform = float(y_end @ phi)
         if steps and beta.sum() > 0.0:
             transform += float(beta @ phi / beta.sum()) * (1.0 - y_end.sum() - omega * held)
-    return _Cycle(1.0 + float(hits), float(in_cache), float(transform))
+    return _Cycle(1.0 + float(hits), float(held), float(transform))
 
 
 def _delay_steps(alpha, q, s, beta, c_r, steps, rest, omega):
@@ -1030,9 +1048,9 @@ def _delay_steps(alpha, q, s, beta, c_r, steps, rest, omega):
     """
     n = alpha.size
     blocks = steps + 1
-    g = np.kron(np.eye(blocks), q - omega * np.eye(n))
+    g = dense_kron(np.eye(blocks), q - omega * np.eye(n))
     if steps:
-        g -= np.kron(np.eye(blocks, k=1), math.exp(-omega * c_r) * np.outer(s, beta))
+        g -= dense_kron(np.eye(blocks, k=1), math.exp(-omega * c_r) * np.outer(s, beta))
     w = np.column_stack([np.tile(s, blocks), np.ones(n * blocks)])
     e_rest, held_rest = _expm_integral(g, w, rest)
     y0 = np.zeros(n * blocks)

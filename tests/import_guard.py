@@ -17,7 +17,8 @@ table and of R caches over Exponential, Erlang and Deterministic laws.
 After each step it checks that none of `LAZY` is in `sys.modules`. Then,
 in the same process, it runs each route that imports one of them on first
 use against the values of the routes that do not or against independent
-values: a miss chain above `renewal._DENSE_MAX` (sparse LU), `LARGE` again
+values: a miss chain above `renewal._DENSE_MAX` (sparse LU, then the same
+chain by the dense solve under a raised bound), `LARGE` again
 with scipy's sparse product (`kron._NUMPY_PRODUCT_MAX` patched to 0), the
 LU fallback of the stationary solve, `ph_mean` and
 `stationary_interval_moments`. Exits 0 when all checks pass, else with a
@@ -174,10 +175,17 @@ def main(config: str) -> None:
     sparse = renewal._cycle(x, policy, 0.5)
     if "scipy.sparse.linalg" not in sys.modules:
         sys.exit("the miss chain above the dense bound did not take the sparse LU")
+    # the same chain, remembered, takes the dense solve once the bound admits it
+    import scipy.sparse.linalg as spla
+
+    def refuse_lu(*args, **kwargs):
+        sys.exit("the miss chain within the raised dense bound took the sparse LU")
+
     bound, renewal._DENSE_MAX = renewal._DENSE_MAX, 205
+    splu, spla.splu = spla.splu, refuse_lu
     for name, got, want in zip(sparse._fields, sparse, renewal._cycle(x, policy, 0.5)):
         _require_close(f"sparse miss chain {name}", got, want, rtol=1e-12)
-    renewal._DENSE_MAX = bound
+    renewal._DENSE_MAX, spla.splu = bound, splu
 
     # above the product bound, BiCGSTAB multiplies with scipy.sparse
     bound, kron._NUMPY_PRODUCT_MAX = kron._NUMPY_PRODUCT_MAX, 0

@@ -1,12 +1,14 @@
 """Kronecker algebra and steady-state solving."""
 
+import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -228,6 +230,41 @@ class TestSteadyState:
         with pytest.raises(NoStationaryDistributionError, match="reducible"):
             steady_state(RateMatrix.from_dense(q))
 
+    @pytest.mark.parametrize(
+        "q,error,message",
+        [
+            ([[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 1.0, -1.0]],
+             NoStationaryDistributionError, "generator is reducible"),
+            ([[1.0, -1.0], [1.0, -1.0]], ValidationError, "negative off-diagonal"),
+            ([[-1.0, 1.0], [1.0, -1.5]], ValidationError, r"rows do not sum to 0 \(max \|sum\| = 0.5\)"),
+            ([[0.5]], ValidationError, "rows do not sum to 0"),
+        ],
+        ids=["reducible", "negative-rate", "row-sum", "one-state-row-sum"],
+    )
+    def test_dense_route_refusals(self, q, error, message):
+        # chains within the GTH bound are checked on their dense array
+        with pytest.raises(error, match=message):
+            steady_state(RateMatrix.from_dense(q))
+
+    def test_dense_route_sweeps_a_rough_vector(self, monkeypatch):
+        # state 4 is rare (probability ~1e-10); a GTH vector 1e-6 off there
+        # passes the residual gate but not the backward-error gate, so Jacobi
+        # sweeps on the dense array must mend it, with no LU
+        rng = np.random.default_rng(5)
+        q = rng.uniform(0.5, 2.0, (5, 5))
+        q[:, 4], q[0, 4], q[4, 1:] = 0.0, 1e-8, 0.0
+        q[4, 0] = 10.0
+        np.fill_diagonal(q, 0.0)
+        q -= np.diag(q.sum(axis=1))
+        exact = _exact_stationary(q)
+        rough = exact.copy()
+        rough[4] *= 1.0 + 1e-6
+        monkeypatch.setattr(kron, "_gth", lambda a: rough)
+        monkeypatch.setattr(kron, "_lu_solve", _never_called)
+        p = steady_state(RateMatrix.from_dense(q)).entries
+        assert exact[4] < 1e-9
+        assert_allclose(p, exact, rtol=1e-12, atol=0)
+
 
 def _stiff_ring(n: int) -> np.ndarray:
     """A ring plus one random edge per state, rates 10^U(-6, 6)."""
@@ -265,7 +302,7 @@ def _spy_on_lu(monkeypatch) -> list:
 
 
 def _never_called(*args):
-    raise AssertionError("BiCGSTAB called")
+    raise AssertionError("BiCGSTAB or LU called")
 
 
 def _random_generator(rng, n: int) -> np.ndarray:
@@ -278,11 +315,52 @@ def _random_generator(rng, n: int) -> np.ndarray:
     return q - np.diag(q.sum(axis=1))
 
 
+def _exact_stationary(q: np.ndarray) -> np.ndarray:
+    """The stationary vector of the generator with q's off-diagonal rates,
+    each read exactly, and each diagonal the exact negative row sum,
+    rounded once from rationals.
+
+    GTH in exact arithmetic: each row is held as integer numerators over one
+    denominator, so a reduction step multiplies and adds integers and one
+    gcd per row keeps them small. The diagonal is never read.
+    """
+    n = q.shape[0]
+    num, den = [], []
+    for i, row in enumerate(q.tolist()):
+        rates = [Fraction(0) if j == i else Fraction(v) for j, v in enumerate(row)]
+        d = math.lcm(*(f.denominator for f in rates))
+        num.append([f.numerator * (d // f.denominator) for f in rates])
+        den.append(d)
+    weights = [[]]  # weights[k][i] = (rate i -> k) / pivot_k, both in the chain on 0..k
+    for k in range(n - 1, 0, -1):
+        into = [(j, v) for j, v in enumerate(num[k][:k]) if v]
+        pivot = sum(v for _, v in into)
+        assert pivot > 0
+        weights.insert(1, [Fraction(num[i][k] * den[k], den[i] * pivot) for i in range(k)])
+        for i in range(k):
+            c, row = num[i][k], num[i]
+            if c:
+                row[:k] = [v * pivot for v in row[:k]]
+                for j, v in into:
+                    if j != i:
+                        row[j] += c * v
+                g = math.gcd(den[i] * pivot, *row[:k])
+                row[:k] = [v // g for v in row[:k]]
+                den[i] = den[i] * pivot // g
+    x = [Fraction(1)]
+    for k in range(1, n):
+        x.append(sum(x[i] * w for i, w in enumerate(weights[k]) if w))
+    total = sum(x)
+    return np.array([float(v / total) for v in x])
+
+
 class TestGth:
-    """GTH state reduction against independent dense references."""
+    """GTH state reduction against independent references."""
 
     @given(n=st.integers(2, kron._GTH_MAX), seed=st.integers(0, 2**31),
            spread=st.sampled_from([0.0, 2.0, 4.0]))
+    # a draw on which LAPACK's bordered solve is 2.5e-7 off an entry 5.7e-6 of the largest
+    @example(n=5, seed=430, spread=4.0)
     @settings(max_examples=60, deadline=None)
     def test_matches_dense_reference(self, n, seed, spread):
         # random irreducible generators, off-diagonal rates scaled by 10^U(-spread, spread)
@@ -290,17 +368,47 @@ class TestGth:
         q = _random_generator(r, n) * 10.0 ** r.uniform(-spread, spread, (n, n))
         np.fill_diagonal(q, 0.0)
         q -= np.diag(q.sum(axis=1))
-        p = kron._gth(RateMatrix.from_dense(q))
+        p = kron._gth(q)
         assert p is not None and np.all(p > 0)
-        want = _bordered_lapack(q)
-        # LAPACK cancels digits in the entries far below the largest
-        big = want > 1e-6 * want.max()
-        assert_allclose(p[big], want[big], rtol=1e-8 if spread else 1e-11, atol=0)
+        assert_allclose(p, _exact_stationary(q), rtol=1e-8 if spread else 1e-11, atol=0)
         assert_allclose(steady_state(RateMatrix.from_dense(q)).entries, p, rtol=1e-9, atol=0)
 
     def test_zero_pivot_on_reducible_chain(self):
         q = RateMatrix.from_dense([[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
-        assert kron._gth(q) is None
+        assert kron._gth(q.to_dense()) is None
+
+
+class TestDense:
+    """Dense forms of the Kronecker algebra, bit for bit those of numpy and
+    of the sparse assembly."""
+
+    @pytest.mark.parametrize(
+        "a_shape,b_shape", [((2, 2), (3, 3)), ((3,), (2,)), ((3,), (4, 4)), ((4, 1), (3,)), ((2, 3), (1, 5))]
+    )
+    def test_dense_kron_is_numpys(self, a_shape, b_shape, rng):
+        a = rng.normal(size=a_shape) * (rng.random(a_shape) < 0.7)
+        b = rng.normal(size=b_shape) * (rng.random(b_shape) < 0.7)
+        got, want = kron.dense_kron(a, b), np.kron(a, b)
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+    @given(seed=st.integers(0, 2**31))
+    @settings(max_examples=40, deadline=None)
+    def test_operator_to_dense_is_assemble(self, seed):
+        # up to three axes, each factor a random matrix or the identity, so
+        # terms repeat coordinates and partly cancel
+        r = np.random.default_rng(seed)
+        dims = tuple(int(d) for d in r.integers(1, 4, int(r.integers(1, 4))))
+        terms = []
+        for _ in range(int(r.integers(0, 5))):
+            terms.append(tuple(
+                None if r.random() < 0.4
+                else RateMatrix.from_dense(r.choice([-1.5, -0.5, 0.0, 0.5, 1.0], (n, n)))
+                for n in dims
+            ))
+        op = kron.KronOperator(dims, terms)
+        got = op.to_dense()
+        assert np.array_equal(got, op.assemble().to_dense())
+        assert not np.any(np.signbit(got) & (got == 0.0))
 
 
 class TestReachable:

@@ -499,7 +499,7 @@ class TestGivenInputSolve:
         for nid in ("M1", "M2"):
             got = res.metrics[nid]
             input_map, out = chains[nid]
-            p = ttlnet.kron._gth(out.map.generator).reshape(-1, input_map.order)
+            p = ttlnet.kron._gth(out.map.generator.to_dense()).reshape(-1, input_map.order)
             rates = input_map.d1.row_sums()
             want = p[1:].sum(axis=0) @ rates / (p.sum(axis=0) @ rates)
             assert want < 1e-4

@@ -610,20 +610,38 @@ class TestPhaseTypeRoute:
         _assert_matches_oracle(x, policy, 0.5, rng)
 
     def test_one_miss_chain_per_query(self, monkeypatch):
-        # expected_tau and occupancy_renewal of one query share its cycle
-        calls = []
+        # expected_tau and occupancy_renewal of one query share its cycle,
+        # and the transform reads the chain that cycle built
+        calls, builds = [], []
         real = ttlnet.renewal._ph_cycle
 
         def spy(*args):
             calls.append(args)
             return real(*args)
 
+        def count_builds(name):
+            build = getattr(ttlnet.renewal, name)
+
+            def spy_build(*args):
+                builds.append(name)
+                return build(*args)
+
+            monkeypatch.setattr(ttlnet.renewal, name, spy_build)
+
         monkeypatch.setattr(ttlnet.renewal, "_ph_cycle", spy)
+        count_builds("output_sigma")
+        count_builds("output_min")
         cases = [case for name, case in PH_ROUTE_CASES.items() if name != "sigma-erlang-exp"]
         for x, policy in cases:
+            builds.clear()
             expected_tau(x, policy)
             occupancy_renewal(x, policy)
-        assert calls == [(x, policy, 0.0) for x, policy in cases]
+            if policy.tag == "Sigma":
+                transform_sigma(x, policy.ttl, 0.5)
+            else:
+                transform_min(x, policy.ttl_sigma, policy.ttl_r, 0.5)
+            assert builds == ["output_sigma" if policy.tag == "Sigma" else "output_min"]
+        assert calls == [(x, policy, omega) for x, policy in cases for omega in (0.0, 0.5)]
 
     @pytest.mark.parametrize("case", PH_ROUTE_CASES.values(), ids=PH_ROUTE_CASES.keys())
     def test_agrees_with_stationary_map_metrics(self, case):
@@ -682,8 +700,19 @@ class TestPhaseTypeRoute:
             cases += [(x, StoppingPolicy.reset_on_miss(t)), (x, StoppingPolicy.min_of(t, t_r))]
         dense = [ttlnet.renewal._ph_cycle(x, policy, omega) for x, policy in cases]
         monkeypatch.setattr(ttlnet.renewal, "_DENSE_MAX", 0)
+        factorizations = []
+        splu = scipy.sparse.linalg.splu
+
+        def spy(a, **kwargs):
+            factorizations.append(a.shape)
+            return splu(a, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
         for (x, policy), want in zip(cases, dense):
+            factorizations.clear()
             got = ttlnet.renewal._ph_cycle(x, policy, omega)
+            # the remembered chain takes the sparse route once the bound is lowered
+            assert len(factorizations) == 1
             assert_allclose(got, want, rtol=1e-12)
 
     def test_chain_over_budget_refused(self, monkeypatch):
