@@ -1,7 +1,7 @@
 """Exact analysis of TTL cache networks.
 
 Two engines with a shared vocabulary: a renewal-line engine built on
-exponential tilting of stopped sums (hit/miss probabilities, occupancies,
+stopped sums of request intervals (hit/miss probabilities, occupancies,
 and Laplace transforms of inter-miss times for reset-on-request,
 reset-on-miss, and min-of-both policies), and a MAP/PH engine that builds
 the miss process of each cache as an explicit Markov arrival process and
@@ -52,13 +52,11 @@ from .renewal import (
     RenewalSpec,
     StoppingPolicy,
     Tabulated,
-    TiltedDistribution,
     expected_stopped_sum,
     expected_tau,
     hit_miss_renewal,
     occupancy_renewal,
     table1_reference,
-    tilt,
     transform_min,
     transform_r,
     transform_sigma,

@@ -47,7 +47,11 @@ from .processes import (
     require_valid,
 )
 
-__all__ = ["CacheChain", "cache_chain", "output_sigma", "output_r", "output_min"]
+__all__ = ["CacheChain", "cache_chain", "output_sigma", "output_r", "output_min", "DEFAULT_BUDGET"]
+
+# Most states of one chain that `network.analyze` and the renewal engine's
+# miss chain build unless told otherwise.
+DEFAULT_BUDGET = 100_000
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ budget exceeded. Errors are written to stderr as one JSON object.
 """
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -122,7 +123,7 @@ def cmd_analyze(args) -> int:
     for nid in order:
         node = topo.nodes[nid]
         approximated = [
-            f"{name} by Erlang-{ttl.stages}"
+            f"{name} by Erlang-{ttl.ph.order}"
             for name, ttl in (("ttl", node.ttl), ("ttl_r", node.ttl_r))
             if ttl is not None and not ttl.exact_on_map_path
         ]
@@ -200,68 +201,39 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _transform(x, policy: StoppingPolicy, omega: float) -> float:
+    """The engine's inter-miss transform at omega for one policy."""
+    if policy.tag == "R":
+        return transform_r(x, policy.ttl, omega)
+    if policy.tag == "Sigma":
+        return transform_sigma(x, policy.ttl, omega)
+    return transform_min(x, policy.ttl_sigma, policy.ttl_r, omega).value
+
+
 def _table1_rows(lams, mus, nus, omegas):
     rows = []
-    for lam in lams:
-        for mu in mus:
-            for nu in nus:
-                for omega in omegas:
-                    closed = table1_reference(lam, mu, nu, omega)
-                    x = Exponential(lam)
-                    exp_ttl = Exponential(mu)
-                    det_ttl = Deterministic(1.0 / mu)
-                    engine = {
-                        "M-M-R": (
-                            transform_r(x, exp_ttl, omega),
-                            expected_stopped_sum(x, StoppingPolicy.reset_on_request(exp_ttl)),
-                            occupancy_renewal(x, StoppingPolicy.reset_on_request(exp_ttl)),
-                        ),
-                        "M-D-R": (
-                            transform_r(x, det_ttl, omega),
-                            expected_stopped_sum(x, StoppingPolicy.reset_on_request(det_ttl)),
-                            occupancy_renewal(x, StoppingPolicy.reset_on_request(det_ttl)),
-                        ),
-                        "M-D-Sigma": (
-                            transform_sigma(x, det_ttl, omega),
-                            expected_stopped_sum(x, StoppingPolicy.reset_on_miss(det_ttl)),
-                            occupancy_renewal(x, StoppingPolicy.reset_on_miss(det_ttl)),
-                        ),
-                        "M-M-min": (
-                            transform_min(x, exp_ttl, Exponential(nu), omega).value,
-                            expected_stopped_sum(
-                                x, StoppingPolicy.min_of(exp_ttl, Exponential(nu))
-                            ),
-                            occupancy_renewal(
-                                x, StoppingPolicy.min_of(exp_ttl, Exponential(nu))
-                            ),
-                        ),
-                    }
-                    for model, anchors in closed.items():
-                        t_eng, s_eng, o_eng = engine[model]
-                        pairs = [
-                            (anchors["transform"], t_eng),
-                            (anchors["expected_stopped_sum"], s_eng),
-                            (anchors["occupancy"], o_eng),
-                        ]
-                        max_rel = max(
-                            abs(a - b) / max(abs(a), abs(b)) for a, b in pairs
-                        )
-                        rows.append(
-                            {
-                                "model": model,
-                                "lambda": lam,
-                                "mu": mu,
-                                "nu": nu,
-                                "omega": omega,
-                                "transform_closed": anchors["transform"],
-                                "transform_engine": t_eng,
-                                "expected_stopped_sum_closed": anchors["expected_stopped_sum"],
-                                "expected_stopped_sum_engine": s_eng,
-                                "occupancy_closed": anchors["occupancy"],
-                                "occupancy_engine": o_eng,
-                                "max_rel_err": max_rel,
-                            }
-                        )
+    for lam, mu, nu, omega in itertools.product(lams, mus, nus, omegas):
+        x, exp_ttl, det_ttl = Exponential(lam), Exponential(mu), Deterministic(1.0 / mu)
+        policies = {
+            "M-M-R": StoppingPolicy.reset_on_request(exp_ttl),
+            "M-D-R": StoppingPolicy.reset_on_request(det_ttl),
+            "M-D-Sigma": StoppingPolicy.reset_on_miss(det_ttl),
+            "M-M-min": StoppingPolicy.min_of(exp_ttl, Exponential(nu)),
+        }
+        for model, closed in table1_reference(lam, mu, nu, omega).items():
+            policy = policies[model]
+            engine = {
+                "transform": _transform(x, policy, omega),
+                "expected_stopped_sum": expected_stopped_sum(x, policy),
+                "occupancy": occupancy_renewal(x, policy),
+            }
+            row = {"model": model, "lambda": lam, "mu": mu, "nu": nu, "omega": omega}
+            for name, a in closed.items():
+                row[f"{name}_closed"], row[f"{name}_engine"] = a, engine[name]
+            row["max_rel_err"] = max(
+                abs(a - engine[name]) / max(abs(a), abs(engine[name])) for name, a in closed.items()
+            )
+            rows.append(row)
     return rows
 
 

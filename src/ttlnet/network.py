@@ -12,8 +12,8 @@ the result when the node feeds several parents.
 engine objects. It checks the document against `topology.schema.json`,
 which ships with the package, with the package's own walker
 (`_schema_error`, no jsonschema), and builds each leaf's arrival MAP and
-each TTL's phase-type form once, validated. `analyze`, `state_space_size` and
-the simulator use those objects as they are.
+each TTL's renewal law and phase-type form once, validated. `analyze`,
+`state_space_size` and the simulator use those objects as they are.
 """
 
 import json
@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cache_ops import cache_chain, output_min, output_r, output_sigma
+from .cache_ops import DEFAULT_BUDGET, cache_chain, output_min, output_r, output_sigma
 from .errors import BudgetExceededError, TopologyError, ValidationError
 from .kron import ProbabilityVector, RateMatrix
 from .metrics import CacheMetrics, chain_metrics, metrics_from_maps
@@ -36,6 +36,7 @@ from .processes import (
     poisson_map,
     require_valid,
 )
+from .renewal import Deterministic, Erlang, Exponential, RenewalSpec
 
 __all__ = [
     "TtlSpec",
@@ -50,53 +51,50 @@ __all__ = [
     "DEFAULT_BUDGET",
 ]
 
-DEFAULT_BUDGET = 100_000
 DEFAULT_DET_STAGES = 20
 
 
 @dataclass(frozen=True)
 class TtlSpec:
-    """TTL distribution of one cache node.
+    """TTL distribution of one cache node, built once when the document is
+    parsed.
 
-    Kinds: "exp" (rate), "erlang" (stages, rate), "det" (value; represented
-    exactly by the simulator and the renewal engine, approximated by an
-    Erlang with `stages` phases on the MAP path, 20 unless given), "ph"
-    (explicit subintensity + initial vector). `ph` is the phase-type form
-    the MAP path uses, built once when the document is parsed.
+    `law` is the renewal law of an "exp", "erlang" or "det" spec
+    (`Exponential`, `Erlang`, `Deterministic`), which the simulator draws
+    from, and None for an explicit "ph" spec (subintensity and initial
+    vector). `ph` is the phase-type form the MAP path uses: the law itself,
+    or for "det" an Erlang with the spec's `stages` phases (20 unless
+    given), so a det TTL is the one that is not exact there.
     """
 
-    kind: str
+    law: RenewalSpec | None
     ph: PhaseTypeDistribution
-    rate: float | None = None
-    value: float | None = None
-    stages: int | None = None
 
     @property
     def exact_on_map_path(self) -> bool:
-        return self.kind != "det"
+        return not isinstance(self.law, Deterministic)
 
     @classmethod
     def from_payload(cls, payload, where: str) -> "TtlSpec":
         try:
             if "exp" in payload:
                 rate = float(payload["exp"])
-                return cls("exp", PhaseTypeDistribution.exponential(rate), rate=rate)
+                return cls(Exponential(rate), PhaseTypeDistribution.exponential(rate))
             if "erlang" in payload:
                 spec = payload["erlang"]
                 stages, rate = int(spec["stages"]), float(spec["rate"])
-                ph = PhaseTypeDistribution.erlang(stages, rate)
-                return cls("erlang", ph, rate=rate, stages=stages)
+                return cls(Erlang(stages, rate), PhaseTypeDistribution.erlang(stages, rate))
             if "det" in payload:
                 spec = payload["det"]
                 if not isinstance(spec, dict):
                     spec = {"value": spec}
                 value = float(spec["value"])
                 stages = int(spec.get("stages", DEFAULT_DET_STAGES))
-                return cls("det", erlang_approximation(value, stages), value=value, stages=stages)
+                return cls(Deterministic(value), erlang_approximation(value, stages))
             if "ph" in payload:
                 spec = payload["ph"]
                 s = RateMatrix.from_dense(spec["s"])
-                return cls("ph", PhaseTypeDistribution(s, ProbabilityVector(spec["pi"])))
+                return cls(None, PhaseTypeDistribution(s, ProbabilityVector(spec["pi"])))
         except ValidationError as exc:
             raise TopologyError(f"{where}: {exc}") from exc
         raise TopologyError(f"{where}: unknown TTL spec {payload!r}")

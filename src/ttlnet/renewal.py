@@ -1,4 +1,4 @@
-"""Renewal-line cache analysis via exponential tilting of stopped sums.
+"""Renewal-line cache analysis through stopped sums of request intervals.
 
 A cache fed by a renewal request process X and an independent TTL process T
 has inter-miss times distributed as the stopped sum S_tau = X_1 + ... +
@@ -8,13 +8,17 @@ X_tau, where the stopping rule depends on the policy:
 * Sigma (reset on miss): stop at the first t with X_1 + ... + X_t > T_1.
 * min(Sigma, R): the earlier of the two rules, with independent TTLs.
 
-The Laplace transform of S_tau equals the expectation of L_omega(X)^tau
-under the fractionally tilted measure that reweights only the law of X by
-exp(-omega x) / L_omega(X) and leaves the TTL law untouched; X and T stay
-independent under the tilt.
+The engine reads a law by its family. Laws on atoms (`Deterministic`, and
+`Tabulated` with one atom per cell midpoint) share `points` and `masses`;
+phase-type laws (`Exponential`, `Erlang`) share `rate`, and tilting one by
+exp(-omega x) gives the same law at rate + omega. A law known only by its
+`laplace` and `mean` plugs into the closed forms with an Exponential TTL.
 
 E[tau], the mean in-cache time and E[exp(-omega S_tau)] are three readings
-of one cycle. R has closed forms for every law pair. For Sigma and
+of one cycle. R reads every law pair through two weights of one request
+interval, E[e^{-omega X} 1{X <= T}] and E[e^{-omega X} 1{X > T}] (`_weights`),
+and the drop L_omega(X) - L_{omega + mu}(X) (`_gap`), each summed without
+cancellation, so rare misses keep their relative accuracy. For Sigma and
 min(Sigma, R), `_cycle` is the one place that picks the route. A Sigma
 cache is a min(Sigma, R) cache whose R TTL never fires ("none" below). After
 the closed forms (Sigma with Exponential requests or an Exponential TTL, min
@@ -32,11 +36,9 @@ Exp., Erlang   Det., Tab.          Exp., Erlang, none      alive chain
 =============  ==================  ======================  ==================
 
 Every value is exact (E[tau] and the transform come back as
-`MonteCarloValue`s with stderr 0). Deterministic and Tabulated laws are
-atoms: one at the value, or one at each cell midpoint (i + 1/2) step. A
-Tabulated Sigma TTL is drawn once per cycle, so each reading is the
-mass-weighted mixture over its atoms of the Deterministic-TTL reading. The
-routes:
+`MonteCarloValue`s with stderr 0). A Tabulated Sigma TTL is drawn once per
+cycle, so each reading is the mass-weighted mixture over its atoms of the
+Deterministic-TTL reading. The routes:
 
 * miss chain: Exponential and Erlang laws are phase-type (PH), so the
   requests form a renewal MAP, `cache_ops` builds the cache's miss process
@@ -61,13 +63,13 @@ routes:
 PH requests with a Deterministic or Tabulated Sigma TTL and a Tabulated R
 TTL would need a delay equation with one delay per atom; they raise
 `ValidationError`. A route that would exceed its size limit raises
-`BudgetExceededError`: a miss chain over `network.DEFAULT_BUDGET` states, a
+`BudgetExceededError`: a miss chain over `DEFAULT_BUDGET` states, a
 dense matrix over `_DENSE_MAX` or more than `_MAX_STEPS` partial sums.
 """
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -78,10 +80,9 @@ import numpy as np
 # `scipy.linalg`) for its sparse LU in `_ph_cycle`; no route loads
 # `scipy.special`.
 
-from .cache_ops import CacheChain, output_min, output_sigma
+from .cache_ops import DEFAULT_BUDGET, CacheChain, output_min, output_sigma
 from .errors import BudgetExceededError, DivergentStoppingTimeError, ValidationError
 from .kron import KronOperator, RateMatrix, _dot, dense_kron
-from .network import DEFAULT_BUDGET
 from .processes import MarkovArrivalProcess, PhaseTypeDistribution
 
 __all__ = [
@@ -90,11 +91,9 @@ __all__ = [
     "Deterministic",
     "Erlang",
     "Tabulated",
-    "TiltedDistribution",
     "StoppingPolicy",
     "MonteCarloValue",
     "RenewalHitMiss",
-    "tilt",
     "transform_r",
     "transform_sigma",
     "transform_min",
@@ -150,10 +149,6 @@ class Exponential(RenewalSpec):
 
     def laplace(self, omega):
         return self.rate / (self.rate + omega)
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x >= 0, self.rate * np.exp(-self.rate * x), 0.0)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -229,16 +224,6 @@ class Erlang(RenewalSpec):
 
     def laplace(self, omega):
         return (self.rate / (self.rate + omega)) ** self.stages
-
-    def pdf(self, x):
-        # in log space: rate**stages and x**(stages-1) overflow for many stages;
-        # one stage has no power term, so its density at 0 is the rate
-        y = self.rate * np.asarray(x, dtype=float)
-        k = self.stages
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_power = (k - 1) * np.log(y) if k > 1 else 0.0
-            out = self.rate * np.exp(log_power - y - math.lgamma(k))
-        return np.where(y >= 0, out, 0.0)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -476,41 +461,9 @@ class Tabulated(RenewalSpec):
         return hash((self.step, self.density.tobytes()))
 
 
-@dataclass(frozen=True)
-class TiltedDistribution:
-    """Exponentially tilted inter-request law.
-
-    `law` carries the tilted distribution itself (density proportional to
-    exp(-omega x) times the base density), `lx` the normalizer
-    L_omega(base). Tilting at omega = 0 returns the base law unchanged, and
-    TTL laws are never tilted.
-    """
-
-    base: RenewalSpec
-    omega: float
-    lx: float
-    law: RenewalSpec
-
-
-def tilt(x: RenewalSpec, omega: float) -> TiltedDistribution:
-    """Tilt the law of X by exp(-omega x); the normalizer is L_omega(X)."""
-    if omega < 0:
-        raise ValidationError("tilting requires omega >= 0")
-    if isinstance(x, Exponential):
-        return TiltedDistribution(x, omega, x.laplace(omega), Exponential(x.rate + omega))
-    if isinstance(x, Deterministic):
-        return TiltedDistribution(x, omega, x.laplace(omega), x)
-    if isinstance(x, Erlang):
-        return TiltedDistribution(
-            x, omega, x.laplace(omega), Erlang(x.stages, x.rate + omega)
-        )
-    if isinstance(x, Tabulated):
-        weights = np.exp(-omega * x.points) * x.density
-        lx = float(weights.sum() * x.step)
-        if lx <= 0:
-            raise ValidationError("tilted density has no mass")
-        return TiltedDistribution(x, omega, x.laplace(omega), Tabulated(x.step, weights / lx))
-    raise ValidationError(f"unsupported distribution kind: {x!r}")
+# The two families the engine reads laws by.
+_ATOMS = (Deterministic, Tabulated)
+_PH_LAWS = (Exponential, Erlang)
 
 
 @dataclass(frozen=True)
@@ -575,8 +528,6 @@ class _Cycle(NamedTuple):
 
 # A TTL that never fires: Sigma is min(Sigma, R) with it as R.
 _NEVER = Deterministic(math.inf)
-# The phase-type laws: the miss chain and the alive chain take them as PH.
-_PH_LAWS = (Exponential, Erlang)
 
 
 def _cycle(x: RenewalSpec, policy: StoppingPolicy, omega: float) -> _Cycle:
@@ -590,11 +541,9 @@ def _cycle(x: RenewalSpec, policy: StoppingPolicy, omega: float) -> _Cycle:
                 1.0 + lam * t_sigma.mean, t_sigma.mean, t_sigma.laplace(omega) * lam / (lam + omega)
             )
         if isinstance(t_sigma, Exponential):
-            psi = x.laplace(omega + t_sigma.rate)
+            mu = t_sigma.rate
             return _Cycle(
-                1.0 / (1.0 - x.laplace(t_sigma.rate)),
-                t_sigma.mean,
-                (x.laplace(omega) - psi) / (1.0 - psi),
+                1.0 / _gap(x, 0.0, mu), 1.0 / mu, _gap(x, omega, mu) / _gap(x, 0.0, omega + mu)
             )
     else:
         t_sigma, t_r = policy.ttl_sigma, policy.ttl_r
@@ -812,20 +761,20 @@ def _expm_integral(a: np.ndarray, b: np.ndarray, h: float) -> tuple[np.ndarray, 
 
 
 def _expm_mix(a: np.ndarray, law: RenewalSpec, weights: np.ndarray) -> np.ndarray:
-    """The sum of weights[i] e^{a x_i} over the atoms x_i of a Deterministic
-    or Tabulated law. On a Tabulated grid the exponentials come from
-    e^{a step / 2} by repeated products with e^{a step}."""
+    """The sum of weights[i] e^{a x_i} over the atoms x_i of a law on atoms.
+    The exponential at the first atom is formed once; a later atom, on a
+    Tabulated grid, takes repeated products with e^{a step}."""
     _dense(a.shape[0])
     (used,) = np.nonzero(weights)
     if used.size == 0:
         return np.zeros_like(a)
-    if isinstance(law, Deterministic):
-        return weights[0] * _expm(a * law.value)
-    power, step = _expm(a * (law.step / 2)), _expm(a * law.step)
+    power = _expm(a * law.points[0])
     total = weights[0] * power
-    for w in weights[1 : used[-1] + 1]:
-        power = power @ step
-        total += w * power
+    if used[-1] > 0:
+        step = _expm(a * law.step)
+        for w in weights[1 : used[-1] + 1]:
+            power = power @ step
+            total += w * power
     return total
 
 
@@ -849,7 +798,7 @@ def _censored(m: np.ndarray, v: RenewalSpec, w: RenewalSpec, ties: bool) -> np.n
     """
     if v is _NEVER:
         return np.zeros_like(m)
-    if not isinstance(v, (Tabulated, Deterministic)):
+    if not isinstance(v, _ATOMS):
         beta, t = _ph_arrays(v)
         eye = np.eye(m.shape[0])
         _dense(beta.size * m.shape[0])
@@ -1070,49 +1019,76 @@ def _delay_steps(alpha, q, s, beta, c_r, steps, rest, omega):
     return y_rest[-n:], held
 
 
-def _psi(x: RenewalSpec, t: RenewalSpec, omega: float) -> float:
-    """E[exp(-omega X) 1{X <= T}], the weight of in-cache requests."""
-    if isinstance(x, Deterministic):
-        return math.exp(-omega * x.value) * float(t.survival_geq(x.value))
-    if isinstance(t, Exponential):
-        return x.laplace(omega + t.rate)
-    if isinstance(t, Deterministic):
-        tilted = tilt(x, omega)
-        return tilted.lx * float(tilted.law.cdf(t.value))
-    if isinstance(t, Tabulated):
-        tilted = tilt(x, omega)
-        return tilted.lx * float(np.dot(t.masses, tilted.law.cdf(t.points)))
+def _gap(x: RenewalSpec, omega: float, mu: float) -> float:
+    """L_omega(X) - L_{omega + mu}(X) = E[e^{-omega X} (1 - e^{-mu X})],
+    without cancellation for the laws of both families; any other law is
+    read through its `laplace`."""
     if isinstance(x, Exponential):
-        # lam * integral of e^{-(lam+omega) u} P(T >= u) du over u >= 0
+        lam = x.rate
+        return lam * mu / ((lam + omega) * (lam + omega + mu))
+    if isinstance(x, Erlang):
+        return x.laplace(omega) * -math.expm1(x.stages * math.log1p(-mu / (x.rate + omega + mu)))
+    if isinstance(x, _ATOMS):
+        return float(x.masses @ (np.exp(-omega * x.points) * -np.expm1(-mu * x.points)))
+    return x.laplace(omega) - x.laplace(omega + mu)
+
+
+def _atom_tails(law: RenewalSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P(V < u) and P(V >= u) for V on atoms, each a sum of masses."""
+    j = np.searchsorted(law.points, u)
+    below = np.concatenate([[0.0], np.cumsum(law.masses)])
+    above = np.concatenate([np.cumsum(law.masses[::-1])[::-1], [0.0]])
+    return below[j], above[j]
+
+
+def _weights(x: RenewalSpec, t: RenewalSpec, omega: float) -> tuple[float, float]:
+    """E[e^{-omega X} 1{X <= T}] and E[e^{-omega X} 1{X > T}]: the weights of
+    a request that hits and of one that misses, each summed directly."""
+    if isinstance(t, Exponential):
+        return x.laplace(omega + t.rate), _gap(x, omega, t.rate)
+    if isinstance(x, _ATOMS):
+        w = x.masses * np.exp(-omega * x.points)
+        if isinstance(t, _ATOMS):
+            below, above = _atom_tails(t, x.points)
+        else:
+            below, above = t.cdf(x.points), t.survival_geq(x.points)
+        return float(w @ above), float(w @ below)
+    if not isinstance(x, _PH_LAWS):
+        raise ValidationError(f"requests known by their transform need an Exponential TTL: {x!r}")
+    if isinstance(t, _ATOMS):
+        # the tilted X is the same phase-type law at rate + omega
+        tilted, lx = replace(x, rate=x.rate + omega), x.laplace(omega)
+        below, above = tilted.cdf(t.points), tilted.survival_geq(t.points)
+        return lx * float(t.masses @ below), lx * float(t.masses @ above)
+    if isinstance(x, Exponential):
+        # lam / (lam + omega) times P(T >= X') and P(T < X'), X' ~ Exp(lam + omega)
         rate = x.rate + omega
-        return x.rate * (1.0 - t.laplace(rate)) / rate
-    if isinstance(x, Tabulated):
-        return float(
-            np.dot(np.exp(-omega * x.points) * x.masses, t.survival_geq(x.points))
-        )
+        return x.laplace(omega) * _gap(t, 0.0, rate), x.laplace(omega) * t.laplace(rate)
     # Erlang(k, a) under Erlang(m, b): the tilted X is Erlang(k, a + omega) and
     # ends first iff k of its events come before m of T's in the merged Poisson
     # streams, that is iff at least k of the first k + m - 1 merged events are X's
     rate = x.rate + omega
     total = rate + t.rate
-    first, _ = _binomial_tails(x.stages + t.stages - 1, x.stages, rate / total, t.rate / total)
-    return x.laplace(omega) * first
+    first, second = _binomial_tails(x.stages + t.stages - 1, x.stages, rate / total, t.rate / total)
+    return x.laplace(omega) * first, x.laplace(omega) * second
 
 
 def transform_r(x: RenewalSpec, t: RenewalSpec, omega: float) -> float:
     """Laplace transform of the inter-miss time of a reset-on-request cache.
 
     Evaluates (L_omega(X) - psi) / (1 - psi) with psi = E[e^{-omega X}
-    1{X <= T}]; requires psi < 1.
+    1{X <= T}], as miss / (L_0(X) - L_omega(X) + miss) with miss =
+    L_omega(X) - psi (`_weights`); requires psi < 1.
     """
     if omega < 0:
         raise ValidationError("omega must be nonnegative")
-    psi = _psi(x, t, omega)
-    if psi >= 1.0:
+    _, miss = _weights(x, t, omega)
+    below_one = _gap(x, 0.0, omega) + miss  # 1 - psi
+    if below_one <= 0.0:
         raise DivergentStoppingTimeError(
             "psi(omega) >= 1: requests never outlast the TTL, the cache never misses"
         )
-    return (x.laplace(omega) - psi) / (1.0 - psi)
+    return miss / below_one
 
 
 def transform_sigma(x: RenewalSpec, t: RenewalSpec, omega: float) -> float:
@@ -1154,7 +1130,7 @@ def expected_tau(
     accepted for compatibility and change no result.
     """
     if policy.tag == "R":
-        p_miss = 1.0 - _psi(x, policy.ttl, 0.0)
+        _, p_miss = _weights(x, policy.ttl, 0.0)
         if p_miss <= 0.0:
             raise DivergentStoppingTimeError(
                 "P(X > T) = 0: the TTL structurally never expires before a request"
@@ -1190,17 +1166,13 @@ def _expected_min(x: RenewalSpec, t: RenewalSpec) -> float:
     """E[min(X, T)] for independent X and T."""
     if isinstance(x, Exponential) and isinstance(t, Exponential):
         return 1.0 / (x.rate + t.rate)
-    if isinstance(x, Deterministic):
-        return t.integral_survival(x.value)
-    if isinstance(t, Deterministic):
-        return x.integral_survival(t.value)
-    if isinstance(x, Tabulated):
+    if isinstance(x, _ATOMS):
         return float(x.masses @ t.integral_survival(x.points))
-    if isinstance(t, Tabulated):
+    if isinstance(t, _ATOMS):
         return float(t.masses @ x.integral_survival(t.points))
     if isinstance(x, Exponential):
         # E[integral of e^{-lam u} over [0, T]]
-        return (1.0 - t.laplace(x.rate)) / x.rate
+        return _gap(t, 0.0, x.rate) / x.rate
     # Erlang(k, a) against Erlang(m, b), m = 1 for an Exponential TTL:
     # min(X, T) is the time of merged event N of the two Poisson streams (rate
     # a + b), N the event that brings X's k-th or T's m-th. X's share of the

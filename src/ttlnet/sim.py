@@ -98,17 +98,14 @@ class SimEstimate:
         }
 
 
-def _draw_ttls(law, rng, n: int) -> np.ndarray:
-    """`n` i.i.d. draws of one TTL law; no law is a timer that never fires."""
-    if law is None:
+def _draw_ttls(ttl, rng, n: int) -> np.ndarray:
+    """`n` i.i.d. draws of one node TTL: from its renewal law, or its
+    phase-type form for a "ph" spec; no TTL is a timer that never fires."""
+    if ttl is None:
         return np.full(n, np.inf)
-    if law.kind == "ph":
-        return sample_ph(law.ph, rng, n)
-    if law.kind == "exp":
-        return rng.exponential(1.0 / law.rate, n)
-    if law.kind == "erlang":
-        return rng.gamma(law.stages, 1.0 / law.rate, n)
-    return np.full(n, law.value)
+    if ttl.law is None:
+        return sample_ph(ttl.ph, rng, n)
+    return ttl.law.sample(rng, n)
 
 
 class _Node:

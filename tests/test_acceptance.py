@@ -4,6 +4,7 @@ Run with `pytest -s tests/test_acceptance.py` to see one PASS line per
 criterion. Every tolerance below is final; none is calibrated at runtime.
 """
 
+import dataclasses
 import itertools
 import math
 import time
@@ -37,12 +38,12 @@ from ttlnet import (
     stationary_interval_moments,
     superpose,
     table1_reference,
-    tilt,
     transform_min,
     transform_r,
     transform_sigma,
     validate_map,
 )
+from ttlnet.renewal import _weights
 from ttlnet.sim import SimConfig, compare, simulate
 
 
@@ -356,29 +357,26 @@ def test_criterion_7_dimension_laws():
 
 def test_criterion_8_change_of_measure():
     rng = np.random.default_rng(808)
-    # analytic tilt of the exponential family
+    # a phase-type law tilted by e^{-omega x} is the same law at rate + omega:
+    # its transform at s is L_{omega + s}(X) / L_omega(X)
     for lam in (0.5, 1.0, 2.5):
-        for omega in (0.0, 0.7, 2.0):
-            tilted = tilt(Exponential(lam), omega)
-            assert tilted.law == Exponential(lam + omega)
-            assert rel_err(tilted.lx, lam / (lam + omega)) <= 1e-15
+        for law in (Exponential(lam), Erlang(3, lam)):
+            for omega in (0.0, 0.7, 2.0):
+                tilted = dataclasses.replace(law, rate=law.rate + omega)
+                for s in (0.0, 0.4, 3.0):
+                    want = law.laplace(omega + s) / law.laplace(omega)
+                    assert rel_err(tilted.laplace(s), want) <= 1e-14
 
-    # tilted densities integrate to one within 1e-6
+    # the tilted measure's mass L_omega(X) splits into the hit and miss
+    # weights of a request against any TTL
     edges = np.arange(4001) * 0.005
     base_masses = np.diff(Exponential(1.2).cdf(edges))
     tab = Tabulated(0.005, base_masses / base_masses.sum() / 0.005)
-    for spec in (Exponential(0.8), Erlang(3, 2.2), Deterministic(1.1), tab):
-        tilted = tilt(spec, 0.9)
-        law = tilted.law
-        if isinstance(law, Tabulated):
-            total = float(law.masses.sum())
-        elif isinstance(law, Deterministic):
-            total = 1.0
-        else:
-            far = 40 * law.mean
-            grid = np.linspace(0.0, far * 1.2, 20001)
-            total = float(np.trapezoid(law.pdf(grid), grid))
-        assert abs(total - 1.0) <= 1e-6
+    laws = (Exponential(0.8), Erlang(3, 2.2), Deterministic(1.1), tab)
+    for spec in laws:
+        for ttl in (*laws, Erlang(2, 1.3)):
+            hit, miss = _weights(spec, ttl, 0.9)
+            assert rel_err(hit + miss, spec.laplace(0.9)) <= 1e-12
 
     # fixed-horizon identity: E[e^{-w S_t}] equals L^t for t <= 3
     lam, omega, n = 1.4, 0.6, 1_000_000

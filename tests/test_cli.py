@@ -1,11 +1,15 @@
 """Command-line surface: exit codes, formats, determinism."""
 
+import csv
 import json
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from ttlnet.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 LINE2 = {
     "nodes": [
@@ -234,15 +238,28 @@ class TestTable1Command:
         assert code == 0
         assert "np.float" not in out and "(" not in out.splitlines()[1]
 
+    def test_rare_miss_grid_agrees(self, capsys):
+        # cells where misses are rare (P(X > T) down to 3e-15) or the transform
+        # small; every engine value within 1e-12 of Table 1
+        code, out, err = run(
+            ["table1", "--lambda", "0.5", "2", "10", "--mu", "0.3", "0.3333333333333333", "4",
+             "--nu", "1", "3", "--omega", "0", "1e-6", "1.5", "--format", "csv"],
+            capsys,
+        )
+        assert code == 0, err
+        rows = list(csv.DictReader(out.splitlines()))
+        assert len(rows) == 4 * 3 * 3 * 2 * 3
+        assert max(float(r["max_rel_err"]) for r in rows) <= 1e-12
+
 
 class TestOutputSchemas:
     def test_analyze_json_validates_against_shipped_schema(self, line_config, capsys):
-        schema = json.loads(open("docs/analyze-output.schema.json").read())
+        schema = json.loads((ROOT / "docs/analyze-output.schema.json").read_text())
         _, out, _ = run(["analyze", "--config", line_config], capsys)
         jsonschema.validate(json.loads(out), schema)
 
     def test_simulate_json_validates_against_shipped_schema(self, line_config, capsys):
-        schema = json.loads(open("docs/simulate-output.schema.json").read())
+        schema = json.loads((ROOT / "docs/simulate-output.schema.json").read_text())
         _, out, _ = run(
             ["simulate", "--config", line_config, "--events", "2000", "--seed", "3"],
             capsys,
@@ -258,7 +275,7 @@ class TestOutputSchemas:
     def test_shipped_topology_schema_is_valid(self):
         from ttlnet.network import TOPOLOGY_SCHEMA
 
-        shipped = json.loads(open("src/ttlnet/topology.schema.json").read())
+        shipped = json.loads((ROOT / "src/ttlnet/topology.schema.json").read_text())
         jsonschema.validators.validator_for(shipped).check_schema(shipped)
         assert shipped == TOPOLOGY_SCHEMA
 

@@ -1,5 +1,6 @@
-"""Tilting, stopped-sum transforms, and renewal-level cache metrics."""
+"""Stopped-sum transforms and renewal-level cache metrics."""
 
+import dataclasses
 import itertools
 import math
 import os
@@ -23,6 +24,7 @@ from numpy.testing import assert_allclose
 from conftest import dense_stationary, mc_mean_se, random_ph, stopped_sum_oracle
 import ttlnet
 import ttlnet.renewal
+from ttlnet.cli import _table1_rows
 from ttlnet import (
     BudgetExceededError,
     Deterministic,
@@ -46,7 +48,6 @@ from ttlnet import (
     output_sigma,
     poisson_map,
     table1_reference,
-    tilt,
     transform_min,
     transform_r,
     transform_sigma,
@@ -59,44 +60,6 @@ def tabulated_from(spec, step, n):
     masses = np.diff(spec.cdf(edges))
     masses = masses / masses.sum()
     return Tabulated(step, masses / step)
-
-
-class TestTilt:
-    def test_exponential_shifts_rate(self):
-        t = tilt(Exponential(1.5), 0.7)
-        assert t.law == Exponential(2.2)
-        assert_allclose(t.lx, 1.5 / 2.2, rtol=1e-15)
-
-    def test_zero_omega_is_identity(self):
-        for spec in (Exponential(2.0), Deterministic(1.3), Erlang(3, 2.0)):
-            t = tilt(spec, 0.0)
-            assert t.law == spec
-            assert t.lx == 1.0
-
-    def test_deterministic_shape_invariant(self):
-        t = tilt(Deterministic(2.0), 0.5)
-        assert t.law == Deterministic(2.0)
-        assert_allclose(t.lx, math.exp(-1.0), rtol=1e-15)
-
-    @pytest.mark.parametrize(
-        "spec", [Exponential(0.8), Erlang(2, 1.5), Deterministic(0.9)]
-    )
-    def test_tilted_density_normalized(self, spec):
-        t = tilt(spec, 0.6)
-        # numeric check of unit mass through the tilted law's own cdf
-        far = 40 * t.law.mean
-        assert abs(float(t.law.cdf(far * 1.5)) - 1.0) < 1e-6
-
-    def test_tabulated_tilt_normalized(self, rng):
-        base = tabulated_from(Exponential(1.0), 0.01, 3000)
-        t = tilt(base, 0.8)
-        assert abs(t.law.masses.sum() - 1.0) < 1e-12
-        # matches the analytic normalizer of the underlying exponential
-        assert abs(t.lx - 1.0 / 1.8) < 1e-3
-
-    def test_negative_omega_rejected(self):
-        with pytest.raises(ValidationError):
-            tilt(Exponential(1.0), -0.1)
 
 
 class TestTransformR:
@@ -121,6 +84,18 @@ class TestTransformR:
 
     def test_value_one_at_zero(self):
         assert transform_r(Erlang(2, 1.0), Exponential(0.5), 0.0) == 1.0
+
+    def test_requests_known_by_their_transform(self):
+        # R and Sigma under an Exponential TTL read the request law only through
+        # its transform; under any other TTL such a law is refused
+        x, twin, t = _LaplaceOnlyTtl(PhaseTypeDistribution.erlang(2, 3.0)), Erlang(2, 3.0), Exponential(0.8)
+        for policy in (StoppingPolicy.reset_on_request(t), StoppingPolicy.reset_on_miss(t)):
+            assert_allclose(expected_tau(x, policy).value, expected_tau(twin, policy).value, rtol=1e-12)
+        assert_allclose(transform_r(x, t, 0.5), transform_r(twin, t, 0.5), rtol=1e-12)
+        assert_allclose(transform_sigma(x, t, 0.5), transform_sigma(twin, t, 0.5), rtol=1e-12)
+        for ttl in (Deterministic(1.0), Erlang(2, 1.0)):
+            with pytest.raises(ValidationError):
+                transform_r(x, ttl, 0.5)
 
     def test_hypothesis_violation(self):
         with pytest.raises(DivergentStoppingTimeError):
@@ -415,6 +390,142 @@ class TestTableReference:
             table1_reference(0.0, 1.0, 1.0, 1.0)
 
 
+def _decimal_r_erlang_det(k, a, c, omega):
+    """E[tau] and the transform at omega of an R cache with Erlang(k, a)
+    requests and a Deterministic(c) TTL, in 50-digit decimal arithmetic: the
+    miss weight is L_omega(X) Q(k, (a + omega) c), Q the Poisson sum below k."""
+
+    def miss(w):
+        y = (Decimal(a) + Decimal(w)) * Decimal(c)
+        term, below = (-y).exp(), Decimal(0)
+        for j in range(k):
+            below += term
+            term *= y / (j + 1)
+        return (Decimal(a) / (Decimal(a) + Decimal(w))) ** k * below
+
+    with localcontext() as ctx:
+        ctx.prec = 50
+        lx = (Decimal(a) / (Decimal(a) + Decimal(omega))) ** k
+        return float(1 / miss(0.0)), float(miss(omega) / (1 - lx + miss(omega)))
+
+
+def _decimal_sigma_det_exp(d, mu, omega):
+    """E[tau] and the transform at omega of a Sigma cache with Deterministic(d)
+    requests and an Exponential(mu) TTL, in 50-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        d, mu, omega = Decimal(d), Decimal(mu), Decimal(omega)
+        tau = 1 / (1 - (-mu * d).exp())
+        transform = ((-omega * d).exp() - (-(omega + mu) * d).exp()) / (1 - (-(omega + mu) * d).exp())
+        return float(tau), float(transform)
+
+
+class TestRareMisses:
+    """R and Sigma closed forms keep their relative accuracy when misses are
+    rare: the miss weight and L_0 - L_omega are each summed on their own."""
+
+    # lam / mu up to 30, where P(X > T) = e^{-lam / mu} falls to 9e-14, and
+    # a cell where the miss weight taken as L_omega - psi is 1e-11 off
+    @pytest.mark.parametrize(
+        "lam,mu,omega",
+        [(ratio * mu, mu, omega) for ratio in (0.1, 1.0, 3.0, 10.0, 20.0, 30.0)
+         for mu in (0.3, 1.0 / 3.0, 4.0) for omega in (0.0, 1e-6, 1.5)] + [(2.0, 0.3, 1.5)],
+    )
+    def test_table1_grid(self, lam, mu, omega):
+        for row in _table1_rows([lam], [mu], [1.0], [omega]):
+            assert row["max_rel_err"] <= 1e-12, row
+
+    @pytest.mark.parametrize("k,a,c", [(3, 6.0, 4.0), (1, 2.0, 9.0), (40, 5.0, 20.0)])
+    def test_erlang_requests_deterministic_ttl(self, k, a, c):
+        x, t = Erlang(k, a), Deterministic(c)
+        tau, transform = _decimal_r_erlang_det(k, a, c, 0.5)
+        assert_allclose(expected_tau(x, StoppingPolicy.reset_on_request(t)).value, tau, rtol=1e-12)
+        assert_allclose(transform_r(x, t, 0.5), transform, rtol=1e-12)
+
+    @pytest.mark.parametrize("mu", [1e-9, 1e-4, 2.0])
+    def test_sigma_deterministic_requests_exponential_ttl(self, mu):
+        x, policy = Deterministic(1.0), StoppingPolicy.reset_on_miss(Exponential(mu))
+        tau, transform = _decimal_sigma_det_exp(1.0, mu, 0.5)
+        assert_allclose(expected_tau(x, policy).value, tau, rtol=1e-12)
+        assert_allclose(transform_sigma(x, policy.ttl, 0.5), transform, rtol=1e-12)
+        # the object stays for the whole TTL: occupancy (1 / mu) / E[S]
+        assert_allclose(occupancy_renewal(x, policy), 1.0 / mu / tau, rtol=1e-12)
+
+
+def _mixture_r(parts, omega):
+    """E[tau], the transform at omega and the occupancy of an R cache whose
+    request law (or TTL law) is the mixture of Deterministic laws with
+    weights w: `parts` lists (w, x_i, t_i, mean of x_i).
+
+    The hit and miss weights and E[min(X, T)] are linear in each law, so
+    they are the w-mixtures of the parts'. For Deterministic requests d the
+    miss weight at omega is e^{-omega d} P(T < d), read off the TTL law. For
+    a Deterministic TTL the part's transform is r = m / (g + m), m its miss
+    weight and g = 1 - L_omega(X) the same for every part, so the mixture's
+    is odds / (1 + odds) with odds the w-mixture of r / (1 - r). Every
+    transform at omega = 0 is 1."""
+    miss0 = below = odds = held = mean = 0.0
+    for w, x, t, x_mean in parts:
+        policy = StoppingPolicy.reset_on_request(t)
+        if isinstance(x, Deterministic):
+            on_atoms = isinstance(t, (Deterministic, Tabulated))
+            p = float(t.masses[t.points < x.value].sum()) if on_atoms else float(t.cdf(x.value))
+        else:
+            p = 1.0 / expected_tau(x, policy).value
+        miss0 += w * p
+        held += w * occupancy_renewal(x, policy) * x_mean
+        mean += w * x_mean
+        if isinstance(x, Deterministic):
+            miss = math.exp(-omega * x.value) * p
+            below += w * (-math.expm1(-omega * x.value) + miss)
+            odds += w * miss
+        elif omega:
+            r = transform_r(x, t, omega)
+            odds += w * r / (1.0 - r)
+    transform = odds / below if below else odds / (1.0 + odds)
+    return 1.0 / miss0, transform if omega else 1.0, held / mean
+
+
+class TestTabulatedR:
+    """R caches with Tabulated laws against exact mixtures of Deterministic
+    ones: a one-cell law is the Deterministic law at its midpoint."""
+
+    # the Tabulated TTL's atoms sit on the request atoms below: ties are hits
+    TTLS = [Exponential(0.7), Erlang(3, 2.0), Deterministic(0.3), Tabulated(0.25, [0.8, 1.2, 1.2, 0.8])]
+    REQUESTS = [Exponential(1.3), Erlang(2, 2.5)]
+
+    @staticmethod
+    def _readings(x, t, omega):
+        policy = StoppingPolicy.reset_on_request(t)
+        return expected_tau(x, policy).value, transform_r(x, t, omega), occupancy_renewal(x, policy)
+
+    @pytest.mark.parametrize("t", TTLS)
+    @pytest.mark.parametrize("omega", [0.0, 0.6])
+    def test_one_cell_requests(self, t, omega):
+        got = self._readings(Tabulated(0.8, [1.25]), t, omega)
+        assert_allclose(got, self._readings(Deterministic(0.4), t, omega), rtol=1e-12)
+
+    @pytest.mark.parametrize("x", REQUESTS + [Deterministic(1.9)])
+    @pytest.mark.parametrize("omega", [0.0, 0.6])
+    def test_one_cell_ttl(self, x, omega):
+        got = self._readings(x, Tabulated(3.0, [1.0 / 3.0]), omega)
+        assert_allclose(got, self._readings(x, Deterministic(1.5), omega), rtol=1e-12)
+
+    @pytest.mark.parametrize("t", TTLS)
+    @pytest.mark.parametrize("omega", [0.0, 0.6])
+    def test_multi_cell_requests(self, t, omega):
+        x = Tabulated(0.25, [0.2, 0.0, 1.4, 0.9, 1.5])
+        parts = [(w, Deterministic(p), t, p) for w, p in zip(x.masses, x.points)]
+        assert_allclose(self._readings(x, t, omega), _mixture_r(parts, omega), rtol=1e-12)
+
+    @pytest.mark.parametrize("x", REQUESTS)
+    @pytest.mark.parametrize("omega", [0.0, 0.6])
+    def test_multi_cell_ttl(self, x, omega):
+        t = Tabulated(0.4, [0.5, 0.75, 0.0, 1.25])
+        parts = [(w, x, Deterministic(c), x.mean) for w, c in zip(t.masses, t.points)]
+        assert_allclose(self._readings(x, t, omega), _mixture_r(parts, omega), rtol=1e-12)
+
+
 class TestTabulatedSpec:
     def test_lattice_helpers(self):
         tab = Tabulated(0.1, np.full(10, 1.0))  # uniform mass on ten cells
@@ -473,15 +584,16 @@ class TestDeterministicHorizonIdentity:
         sums = rng.exponential(1.0 / lam, size=(200_000, t)).sum(axis=1)
         mc, se = mc_mean_se(np.exp(-omega * sums))
         assert abs(lx**t - mc) < 3.0 * se
-        # under the tilted law the same value is reproduced termwise
-        tilted = tilt(x, omega)
-        tilted_sums = tilted.law.sample(rng, (200_000, t)).sum(axis=1)
+        # under the tilted law, the same law at rate lam + omega, the same
+        # value is reproduced termwise
+        tilted = dataclasses.replace(x, rate=x.rate + omega)
+        tilted_sums = tilted.sample(rng, (200_000, t)).sum(axis=1)
         weights = np.full(tilted_sums.shape[0], lx**t)
         assert_allclose(weights.mean(), lx**t, rtol=1e-15)
 
 
 class _LaplaceOnlyTtl(RenewalSpec):
-    """A PH TTL law that the renewal engine sees only through its Laplace transform."""
+    """A PH law that the renewal engine sees only through its Laplace transform."""
 
     def __init__(self, ph: PhaseTypeDistribution):
         self.ph = ph
@@ -902,26 +1014,6 @@ class TestErlangPairs:
         assert_allclose(occupancy_renewal(x, policy), np.trapezoid(both, u) / x.mean, rtol=1e-9)
 
 
-class TestErlangPdf:
-    @pytest.mark.parametrize("k,rate", [(1, 2.0), (3, 0.7), (40, 6.0), (500, 100.0)])
-    def test_matches_scipy_gamma(self, k, rate):
-        import scipy.stats
-
-        x = k / rate * np.array([0.5, 0.8, 1.0, 1.2, 1.5])
-        ref = scipy.stats.gamma.pdf(x, k, scale=1.0 / rate)
-        assert_allclose(Erlang(k, rate).pdf(x), ref, rtol=1e-12)
-
-    def test_many_stages_do_not_overflow(self):
-        import scipy.stats
-
-        assert_allclose(Erlang(500, 100.0).pdf(5.0), scipy.stats.gamma.pdf(5.0, 500, scale=0.01), rtol=1e-12)
-
-    def test_origin_and_negative_arguments(self):
-        assert Erlang(1, 2.0).pdf(0.0) == 2.0
-        assert Erlang(3, 2.0).pdf(0.0) == 0.0
-        assert Erlang(3, 2.0).pdf(-1.0) == 0.0
-
-
 def _sub_generator(rng, n, norm, leak):
     """A random n-state generator of 1-norm `norm` less a random leak of at
     most min(norm, leak) from each row."""
@@ -1121,13 +1213,18 @@ class TestErlangSums:
     @pytest.mark.parametrize("k", ERLANG_SHAPES)
     def test_psi_and_expected_min_against_scipy(self, k):
         # Erlang(k, a) requests under an Erlang(m, 1) TTL: P(X <= T) is
-        # nbdtr(m - 1, k, p), p = a / (a + 1)
+        # nbdtr(m - 1, k, p), p = a / (a + 1); P(X > T), summed on its own, is
+        # checked against the decimal sums (scipy's nbdtrc is 2e-12 off at
+        # 2,000 stages)
         for m in sorted({1, 2, k, 3 * k}):
             for p in np.geomspace(1e-4, 1.0 - 1e-4, 15):
                 x, t = Erlang(k, p / (1.0 - p)), Erlang(m, 1.0)
+                hit, miss = ttlnet.renewal._weights(x, t, 0.0)
                 want = scipy.special.nbdtr(m - 1, k, p)
                 if want >= _scipy_floor(k):
-                    assert_allclose(ttlnet.renewal._psi(x, t, 0.0), want, rtol=1e-12)
+                    assert_allclose(hit, want, rtol=1e-12)
+                _, want = _decimal_binomial_tails(k + m - 1, k, p, 1.0 - p)
+                assert_allclose(miss, want, rtol=1e-12)
                 # E[min(X, T)] by the binomial sum the closed form replaced: the
                 # chance that min(X, T) outlasts merged event n, summed over n
                 n = np.arange(k + m - 1)
