@@ -12,6 +12,7 @@ from .kron import (
     KronOperator,
     RateMatrix,
     _dot,
+    dense_kron,
     edges,
     kron_sum_vector,
     reachable,
@@ -157,7 +158,7 @@ def _output_vector(chain: CacheChain, p_in) -> np.ndarray:
             "generator is reducible: no unique stationary distribution"
         )
     if p_in is None:
-        p_in = reduce(np.kron, [steady_state(m.generator).entries for m in chain.inputs])
+        p_in = reduce(dense_kron, [steady_state(m.generator).entries for m in chain.inputs])
     x = kron._given_input_solve(q, *chain.in_system(p_in), p_in)
     return steady_state(q.assemble()).entries if x is None else x
 

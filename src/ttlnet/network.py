@@ -26,7 +26,7 @@ import numpy as np
 
 from .cache_ops import DEFAULT_BUDGET, cache_chain, output_min, output_r, output_sigma
 from .errors import BudgetExceededError, TopologyError, ValidationError
-from .kron import ProbabilityVector, RateMatrix
+from .kron import ProbabilityVector, RateMatrix, dense_kron
 from .metrics import CacheMetrics, chain_metrics, metrics_from_maps
 from .processes import (
     MarkovArrivalProcess,
@@ -537,7 +537,7 @@ def analyze(
             parts, p_in = [topo.arrival_for(obj, nid)], None
         else:
             parts = [contributions[(child, nid)] for child in node.children]
-            p_in = reduce(np.kron, [metrics[child].stationary for child in node.children])
+            p_in = reduce(dense_kron, [metrics[child].stationary for child in node.children])
         ttls = (node.ttl.ph,) if node.ttl_r is None else (node.ttl.ph, node.ttl_r.ph)
         parents = topo.parents_of(nid)
         if parents:

@@ -20,6 +20,7 @@ from .kron import (
     ProbabilityVector,
     RateMatrix,
     _dot,
+    dense_kron,
     kron_sum,
     kron_sum_operator,
     kron_sum_vector,
@@ -280,7 +281,7 @@ def ph_min(t1: PhaseTypeDistribution, t2: PhaseTypeDistribution) -> PhaseTypeDis
     outermost) and is load-bearing for the min-policy cache construction.
     """
     s = kron_sum(t1.s, t2.s)
-    pi = ProbabilityVector(np.kron(t1.pi.entries, t2.pi.entries))
+    pi = ProbabilityVector(dense_kron(t1.pi.entries, t2.pi.entries))
     return PhaseTypeDistribution(s, pi)
 
 

@@ -21,19 +21,20 @@ and the drop L_omega(X) - L_{omega + mu}(X) (`_gap`), each summed without
 cancellation, so rare misses keep their relative accuracy. For Sigma and
 min(Sigma, R), `_cycle` is the one place that picks the route. A Sigma
 cache is a min(Sigma, R) cache whose R TTL never fires ("none" below). After
-the closed forms (Sigma with Exponential requests or an Exponential TTL, min
-with all three laws Exponential) the first row that matches wins:
+the closed forms (Sigma with Exponential requests, Sigma or min with an
+Exponential Sigma TTL: `_exponential_sigma` for min) the first row that
+matches wins:
 
-=============  ==================  ======================  ==================
-requests X     Sigma TTL           R TTL                   route
-=============  ==================  ======================  ==================
-Exp., Erlang   Exp., Erlang        Exp., Erlang, none      miss chain
-any            Exp., Erlang        any                     matrix-geometric
-Det., Tab.     Det., Tab.          any                     partial sums
-Exp., Erlang   Det., Tab.          Tabulated               refused
-Exp., Erlang   Det., Tab.          Deterministic           delay equation
-Exp., Erlang   Det., Tab.          Exp., Erlang, none      alive chain
-=============  ==================  ======================  ==================
+=============  ============================  ====================  ================
+requests X     Sigma TTL                     R TTL                 route
+=============  ============================  ====================  ================
+Exp., Erlang   Erlang over `_DENSE_MAX` ph.  Exp., Erlang, none    miss chain
+any            Erlang                        any                   matrix-geometric
+Det., Tab.     Det., Tab.                    any                   partial sums
+Exp., Erlang   Det., Tab.                    Tabulated             refused
+Exp., Erlang   Det., Tab.                    Deterministic         delay equation
+Exp., Erlang   Det., Tab.                    Exp., Erlang, none    alive chain
+=============  ============================  ====================  ================
 
 Every value is exact (E[tau] and the transform come back as
 `MonteCarloValue`s with stderr 0). A Tabulated Sigma TTL is drawn once per
@@ -42,13 +43,15 @@ Deterministic-TTL reading. The routes:
 
 * miss chain: Exponential and Erlang laws are phase-type (PH), so the
   requests form a renewal MAP, `cache_ops` builds the cache's miss process
-  exactly, and one solve over one inter-miss interval of that process gives
-  the cycle (`_ph_cycle`; dense up to `_DENSE_MAX` states, sparse LU above).
-  A query builds its miss chain once (`_miss_chain`): its cycle at omega =
-  0 and its transform read the same one.
+  exactly, and one sparse LU over one inter-miss interval of that process
+  gives the cycle (`_ph_cycle`). A query builds its miss chain once
+  (`_miss_chain`): its cycle at omega = 0 and its transform read the same
+  one. Only a Sigma TTL too large for the dense route below takes it.
 * matrix-geometric: with a PH(alpha, S) Sigma TTL, P(tau > k) = alpha K^k 1
-  for one matrix K = E[e^{S X} 1{X <= T_R}], a sum over the atoms of X, or
-  over those of T_R for PH requests (`_ph_sigma`).
+  for one n x n matrix K = E[e^{S X} 1{X <= T_R}] (`_ph_sigma`): a sum over
+  the atoms of X, or over those of T_R for PH requests, and for PH requests
+  and R TTL a closed form in ((a + b) I - S)^{-1}, a and b their rates
+  (`_censored`), so no phase-type query within the bound reads `cache_ops`.
 * partial sums: for requests on atoms, the weight of each partial sum of
   requests that were all hits, by repeated convolution, read against the
   Sigma TTL's atoms in one pass (`_atom_requests`).
@@ -63,8 +66,9 @@ Deterministic-TTL reading. The routes:
 PH requests with a Deterministic or Tabulated Sigma TTL and a Tabulated R
 TTL would need a delay equation with one delay per atom; they raise
 `ValidationError`. A route that would exceed its size limit raises
-`BudgetExceededError`: a miss chain over `DEFAULT_BUDGET` states, a
-dense matrix over `_DENSE_MAX` or more than `_MAX_STEPS` partial sums.
+`BudgetExceededError`: phase-type requests, Sigma TTL and R TTL whose miss
+chain would have over `DEFAULT_BUDGET` states (on either route), a dense
+matrix over `_DENSE_MAX` or more than `_MAX_STEPS` partial sums.
 """
 
 import functools
@@ -74,15 +78,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-# numpy alone runs every route while the miss chain has at most `_DENSE_MAX`
-# states: matrix exponentials are `_expm`'s and Erlang-law tails finite sums.
-# A larger miss chain loads `scipy.sparse` and `scipy.sparse.linalg` (with
-# `scipy.linalg`) for its sparse LU in `_ph_cycle`; no route loads
-# `scipy.special`.
+# numpy alone runs every route while the Sigma TTL has at most `_DENSE_MAX`
+# phases: matrix exponentials are `_expm`'s and Erlang-law tails finite sums.
+# A larger one with phase-type requests and R TTL loads `scipy.sparse` and
+# `scipy.sparse.linalg` (with `scipy.linalg`) for the miss chain's sparse LU
+# in `_ph_cycle`; no route loads `scipy.special`.
 
 from .cache_ops import DEFAULT_BUDGET, CacheChain, output_min, output_sigma
 from .errors import BudgetExceededError, DivergentStoppingTimeError, ValidationError
-from .kron import KronOperator, RateMatrix, _dot, dense_kron
+from .kron import RateMatrix, _dot, dense_kron
 from .processes import MarkovArrivalProcess, PhaseTypeDistribution
 
 __all__ = [
@@ -547,13 +551,19 @@ def _cycle(x: RenewalSpec, policy: StoppingPolicy, omega: float) -> _Cycle:
             )
     else:
         t_sigma, t_r = policy.ttl_sigma, policy.ttl_r
-        if all(isinstance(law, Exponential) for law in (x, t_sigma, t_r)):
-            lam, rate = x.rate, t_sigma.rate + t_r.rate
-            return _Cycle(1.0 + lam / rate, 1.0 / rate, lam / (lam + omega) * rate / (rate + omega))
+        if isinstance(t_sigma, Exponential):
+            return _exponential_sigma(x, t_sigma.rate, t_r, omega)
     ph_requests = isinstance(x, _PH_LAWS)
     if isinstance(t_sigma, _PH_LAWS):
         if ph_requests and (t_r is _NEVER or isinstance(t_r, _PH_LAWS)):
-            return _ph_cycle(x, policy, omega)
+            # The miss chain's p (n q + 1) states, for p request, n Sigma and
+            # q R phases (q = 1 for none), bound both routes: within them no
+            # term of `_censored`'s closed form that matters underflows.
+            size = _stages(x) * (t_sigma.stages * (1 if t_r is _NEVER else _stages(t_r)) + 1)
+            if size > DEFAULT_BUDGET:
+                raise BudgetExceededError("renewal", size, DEFAULT_BUDGET, "miss chain")
+            if t_sigma.stages > _DENSE_MAX:
+                return _ph_cycle(x, policy, omega)
         return _ph_sigma(x, t_sigma, t_r, omega)
     if not ph_requests:
         return _atom_requests(x, t_sigma, t_r, omega)
@@ -572,8 +582,7 @@ def _cycle(x: RenewalSpec, policy: StoppingPolicy, omega: float) -> _Cycle:
 @functools.lru_cache(maxsize=8)
 def _rest_cycle(x: RenewalSpec, policy: StoppingPolicy) -> _Cycle:
     """`_cycle` at omega = 0, kept for the last few queries: `expected_tau`
-    and `occupancy_renewal` of one query read the same cycle, and on the
-    phase-type route building it solves the miss chain."""
+    and `occupancy_renewal` of one query read the same cycle."""
     return _cycle(x, policy, 0.0)
 
 
@@ -581,14 +590,10 @@ def _rest_cycle(x: RenewalSpec, policy: StoppingPolicy) -> _Cycle:
 def _miss_chain(x: RenewalSpec, policy: StoppingPolicy) -> CacheChain:
     """The exact miss chain of phase-type laws, kept for the last few
     queries: the cycle at omega = 0 and the transform of one query read the
-    same chain. Raises `BudgetExceededError`, building nothing, when it
-    would exceed `DEFAULT_BUDGET` states."""
+    same chain. `_cycle` checks its size against `DEFAULT_BUDGET` first."""
     ttls = (policy.ttl,) if policy.ttl is not None else (policy.ttl_sigma, policy.ttl_r)
     ph_x, *ph_ttls = [_as_ph(law) for law in (x, *ttls)]
     n = ph_x.order
-    size = n * (math.prod(t.order for t in ph_ttls) + 1)
-    if size > DEFAULT_BUDGET:
-        raise BudgetExceededError("renewal", size, DEFAULT_BUDGET, "miss chain")
     exits = np.flatnonzero(ph_x.exit_rates)
     starts = np.flatnonzero(ph_x.pi.entries)
     d1 = RateMatrix.from_arrays(
@@ -624,22 +629,13 @@ def _ph_cycle(x: RenewalSpec, policy: StoppingPolicy, omega: float) -> _Cycle:
     (Wald) and the sum of z over the IN states is the in-cache time, and
     z D1' 1 = E[exp(-omega S)].
 
-    A query builds its chain once (`_miss_chain`). Up to `_DENSE_MAX`
-    states, a bound read at each solve, D0' and D1' are formed dense from
-    the chain's terms (`KronOperator.to_dense`) for one LAPACK solve; above
-    it they are assembled sparse for a sparse LU. Every law must be
-    phase-type.
+    A query builds its chain once (`_miss_chain`), assembled sparse for a
+    sparse LU. `_cycle` takes this route only for a Sigma TTL of more than
+    `_DENSE_MAX` phases, so the chain has more than `_DENSE_MAX` states.
+    Every law must be phase-type.
     """
     chain = _miss_chain(x, policy)
     size, n = chain.order, len(chain.out_states)
-    if size <= _DENSE_MAX:
-        d0 = KronOperator(chain.dims, chain.hidden).to_dense()
-        d1 = KronOperator(chain.dims, chain.active).to_dense()
-        a = -d0
-        a.flat[:: size + 1] += omega  # omega I - D0'
-        phi = d1.sum(axis=0)
-        z = np.linalg.solve(a.T, phi / phi.sum())
-        return _Cycle(float(z.sum()) / x.mean, float(z[n:].sum()), float(_dot(z, d1.sum(axis=1))))
     from scipy.sparse.linalg import splu
 
     d0, d1 = chain.map.d0, chain.map.d1
@@ -670,9 +666,10 @@ def _ph_cycle(x: RenewalSpec, policy: StoppingPolicy, omega: float) -> _Cycle:
     return _Cycle(float(z.sum()) / x.mean, float(z[n:].sum()), float(_dot(z, d1.row_sums())))
 
 
-# Largest dense matrix the routes exponentiate or factor, the miss chain's
-# included: at this size an `_expm` takes 1.3-2.8 ms (1-norms 0.1 to 1e3)
-# and a dense solve 0.16 ms (2-vCPU host).
+# Largest dense matrix the routes exponentiate or factor, and the most
+# phases of a Sigma TTL off the miss chain route: at this size an `_expm`
+# takes 1.3-2.8 ms (1-norms 0.1 to 1e3) and a dense solve 0.16 ms (2-vCPU
+# host).
 _DENSE_MAX = 200
 # Most partial sums the atom routes enumerate.
 _MAX_STEPS = 1_000_000
@@ -778,40 +775,84 @@ def _expm_mix(a: np.ndarray, law: RenewalSpec, weights: np.ndarray) -> np.ndarra
     return total
 
 
+def _stages(law: RenewalSpec) -> int:
+    """The phases of an Exponential or Erlang law."""
+    return law.stages if isinstance(law, Erlang) else 1
+
+
 def _ph_arrays(law: RenewalSpec) -> tuple[np.ndarray, np.ndarray]:
     """(alpha, S) of an Exponential or Erlang law, stage 1 first; `_NEVER` is
     one phase that never leaves."""
     if law is _NEVER:
         return np.ones(1), np.zeros((1, 1))
-    stages = law.stages if isinstance(law, Erlang) else 1
+    stages = _stages(law)
     return np.eye(stages)[0], law.rate * (np.eye(stages, k=1) - np.eye(stages))
 
 
 def _censored(m: np.ndarray, v: RenewalSpec, w: RenewalSpec, ties: bool) -> np.ndarray:
     """E[e^{m V} 1{V <= W}] for independent V and W (1{V < W} without ties).
 
-    V on atoms sums over them. A PH(beta, T) V, t = -T 1, against W on
-    atoms is (beta (x) I) C^{-1} (E[e^{C W}] - I) (t (x) I) with C = T (+) m,
-    the integral of its density times e^{m v} up to W; W = `_NEVER` makes
-    E[e^{C W}] = 0. The case of two phase-type laws belongs to the miss
-    chain route.
+    V on atoms sums over them. For V ~ Erlang(p, a) and W ~ Erlang(q, b), an
+    Exponential law being one stage and W = `_NEVER` one that never fires
+    (b = 0, q = 1), integrating the density of V against P(W >= v) e^{m v}
+    gives (a R)^p times the sum over j < q of C(p - 1 + j, j) (b R)^j with
+    R = ((a + b) I - m)^{-1}: n x n work for an n x n m. Every m here is a
+    sub-generator of an Erlang law less omega I, so R is the inverse of an
+    upper-bidiagonal M-matrix and every term is nonnegative. A PH(beta, T) V,
+    t = -T 1, against W on atoms is (beta (x) I) C^{-1} (E[e^{C W}] - I)
+    (t (x) I) with C = T (+) m, the integral of its density times e^{m v} up
+    to W.
     """
     if v is _NEVER:
         return np.zeros_like(m)
-    if not isinstance(v, _ATOMS):
-        beta, t = _ph_arrays(v)
-        eye = np.eye(m.shape[0])
-        _dense(beta.size * m.shape[0])
-        c = dense_kron(t, eye) + dense_kron(np.eye(beta.size), m)
-        reach = _expm_mix(c, w, w.masses) if w is not _NEVER else np.zeros_like(c)
-        exits = dense_kron(-t.sum(axis=1)[:, None], eye)
-        return dense_kron(beta, eye) @ np.linalg.solve(c, (reach - np.eye(c.shape[0])) @ exits)
-    beyond = w.survival_geq(v.points) if ties else 1.0 - w.cdf(v.points)
-    return _expm_mix(m, v, v.masses * beyond)
+    if isinstance(v, _ATOMS):
+        beyond = w.survival_geq(v.points) if ties else 1.0 - w.cdf(v.points)
+        return _expm_mix(m, v, v.masses * beyond)
+    eye = np.eye(m.shape[0])
+    if w is _NEVER or isinstance(w, _PH_LAWS):
+        p, b, q = _stages(v), 0.0, 1
+        if w is not _NEVER:
+            b, q = w.rate, _stages(w)
+        r = np.linalg.inv((v.rate + b) * eye - m)
+        term = np.linalg.matrix_power(v.rate * r, p)
+        total = term
+        for j in range(1, q):
+            term = term @ r * (b * (p - 1 + j) / j)
+            total = total + term
+        return total
+    beta, t = _ph_arrays(v)
+    _dense(beta.size * m.shape[0])
+    c = dense_kron(t, eye) + dense_kron(np.eye(beta.size), m)
+    exits = dense_kron(-t.sum(axis=1)[:, None], eye)
+    reach = _expm_mix(c, w, w.masses)
+    return dense_kron(beta, eye) @ np.linalg.solve(c, (reach - np.eye(c.shape[0])) @ exits)
+
+
+def _exponential_sigma(x: RenewalSpec, mu: float, t_r: RenewalSpec, omega: float) -> _Cycle:
+    """min(Sigma, R) with an Exponential(mu) Sigma TTL.
+
+    The Sigma TTL outlasts a request interval X with chance e^{-mu X}
+    whatever its age, so P(tau > k) = K^k with K_omega the hit weight
+    E[e^{-(omega + mu) X} 1{X <= T_R}]. Then 1 - K_omega is the drop
+    L_0(X) - L_{omega + mu}(X) plus the miss weight at omega + mu
+    (`_weights`), and L_omega(X) - K_omega is L_omega(X) - L_{omega + mu}(X)
+    plus the same miss weight, each a sum without cancellation (`_gap`):
+    E[tau] = 1 / (1 - K_0) and the transform is their ratio. Each interval
+    holds the object for min(X, T_R, T_Sigma), so the in-cache time is E[tau]
+    times `_discounted_held`.
+    """
+    miss = _weights(x, t_r, omega + mu)[1]
+    transform = (_gap(x, omega, mu) + miss) / (_gap(x, 0.0, omega + mu) + miss)
+    if omega > 0.0:
+        miss = _weights(x, t_r, mu)[1]
+    tau = 1.0 / (_gap(x, 0.0, mu) + miss)
+    in_cache = tau * _discounted_held(x, t_r, mu) if omega == 0.0 else math.nan
+    return _Cycle(tau, in_cache, transform)
 
 
 def _ph_sigma(x: RenewalSpec, t_sigma: RenewalSpec, t_r: RenewalSpec, omega: float) -> _Cycle:
-    """A PH(alpha, S) Sigma TTL with requests or R TTL off the phase-type route.
+    """An Erlang Sigma TTL PH(alpha, S) of at most `_DENSE_MAX` phases, with
+    requests and R TTL of any law (`_NEVER` for a Sigma cache).
 
     Step k ends with the object still cached iff S_k <= T_Sigma and every
     request so far was a hit (X <= T_R), so P(tau > k) = alpha K^k 1 with
@@ -1039,6 +1080,57 @@ def _atom_tails(law: RenewalSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarray
     below = np.concatenate([[0.0], np.cumsum(law.masses)])
     above = np.concatenate([np.cumsum(law.masses[::-1])[::-1], [0.0]])
     return below[j], above[j]
+
+
+def _discounted_survival(w: RenewalSpec, mu: float, c: np.ndarray) -> np.ndarray:
+    """The integral of e^{-mu u} P(W > u) over u in [0, c], elementwise in c.
+
+    With phi(u) = (1 - e^{-mu u}) / mu: for W on atoms, the sum of m phi(p)
+    over the atoms p < c plus phi(c) P(W >= c). For W ~ Erlang(q, b), with
+    lam = b + mu, e^{-mu u} P(W > u) is the sum over j < q of (b / lam)^j
+    times the Poisson(lam u) probability of j, whose integral up to c is
+    P(j + 1, lam c) / lam.
+    """
+    if isinstance(w, _ATOMS):
+        phi = -np.expm1(-mu * w.points) / mu
+        j = np.searchsorted(w.points, c)
+        below = np.concatenate([[0.0], np.cumsum(w.masses * phi)])
+        return below[j] + -np.expm1(-mu * c) / mu * _atom_tails(w, c)[1]
+    lam = w.rate + mu
+    return sum((w.rate / lam) ** j * _gamma_tails(j + 1, lam * c)[0] for j in range(_stages(w))) / lam
+
+
+def _discounted_held(x: RenewalSpec, t: RenewalSpec, mu: float) -> float:
+    """E[min(X, T, E)] for E ~ Exponential(mu) independent of X and T, the
+    integral of e^{-mu u} P(X > u) P(T > u) over u >= 0, as a sum of
+    nonnegative terms.
+
+    Against an Exponential(rate) law it is `_gap` at mu + rate over mu +
+    rate; against a law on atoms, the mass-weighted sum over its atoms of
+    `_discounted_survival` of the other law. For Erlang(p, a) and Erlang(q,
+    b) it is the mean count of events of the merged Poisson streams of
+    rates a, b and mu up to the p-th of the first, the q-th of the second or
+    the first of the third, over lam = a + b + mu: the sum over n of the
+    chance that the first n events end nothing, the sum of C(n, i) x^i
+    y^(n - i) over the i < p events of the first with n - i < q (x = a /
+    lam, y = b / lam), built level by level by Pascal's rule.
+    """
+    for v, w in ((x, t), (t, x)):
+        if isinstance(w, Exponential):
+            return _gap(v, 0.0, mu + w.rate) / (mu + w.rate)
+    for v, w in ((x, t), (t, x)):
+        if isinstance(v, _ATOMS):
+            return float(v.masses @ _discounted_survival(w, mu, v.points))
+    lam = x.rate + t.rate + mu
+    level = np.zeros(x.stages)  # entry i: i events of the first stream
+    level[0] = 1.0
+    total = 0.0
+    for n in range(x.stages + t.stages - 1):
+        total += level.sum()
+        level[1:] = level[1:] * (t.rate / lam) + level[:-1] * (x.rate / lam)
+        level[0] *= t.rate / lam
+        level[: max(n + 2 - t.stages, 0)] = 0.0  # the second stream's q-th event
+    return total / lam
 
 
 def _weights(x: RenewalSpec, t: RenewalSpec, omega: float) -> tuple[float, float]:

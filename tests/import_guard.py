@@ -17,8 +17,9 @@ table and of R caches over Exponential, Erlang and Deterministic laws.
 After each step it checks that none of `LAZY` is in `sys.modules`. Then,
 in the same process, it runs each route that imports one of them on first
 use against the values of the routes that do not or against independent
-values: a miss chain above `renewal._DENSE_MAX` (sparse LU, then the same
-chain by the dense solve under a raised bound), `LARGE` again
+values: a Sigma TTL of more than `renewal._DENSE_MAX` phases (the miss
+chain's sparse LU, then the same query by the matrix-geometric route under
+a raised bound), `LARGE` again
 with scipy's sparse product (`kron._NUMPY_PRODUCT_MAX` patched to 0), the
 LU fallback of the stationary solve, `ph_mean` and
 `stationary_interval_moments`. Exits 0 when all checks pass, else with a
@@ -53,9 +54,11 @@ def _renewal_queries():
     queries = [
         (Exponential(1.0), sigma(erlang)),  # closed form, Exponential requests
         (Erlang(2, 2.0), sigma(exp)),  # closed form, Exponential TTL
-        (Exponential(1.0), min_of(exp, Exponential(1.5))),  # closed form, all Exponential
-        (Erlang(2, 2.0), sigma(erlang)),  # miss chain
-        (Exponential(1.0), min_of(erlang, Erlang(2, 3.0))),  # miss chain
+        (Exponential(1.0), min_of(exp, Exponential(1.5))),  # closed form, Exponential Sigma TTL
+        (Erlang(2, 2.0), min_of(exp, Erlang(2, 3.0))),  # closed form, Exponential Sigma TTL
+        (Erlang(2, 2.0), min_of(exp, tab)),  # closed form, Exponential Sigma TTL
+        (Erlang(2, 2.0), sigma(erlang)),  # matrix-geometric, phase-type laws
+        (Exponential(1.0), min_of(erlang, Erlang(2, 3.0))),  # matrix-geometric, phase-type laws
         (Deterministic(0.9), sigma(erlang)),  # matrix-geometric
         (tab, min_of(erlang, det)),  # matrix-geometric
         (Deterministic(0.4), sigma(det)),  # partial sums
@@ -169,21 +172,24 @@ def main(config: str) -> None:
     _require_close("Deterministic Sigma expected_tau", tau.value, 1.5 + math.exp(-3.0) / 4)
     _require_unloaded("renewal routes")
 
-    # a miss chain above the dense bound: Erlang(5) requests under a Sigma
-    # Erlang(40) TTL, 205 states, take the sparse LU
-    x, policy = Erlang(5, 3.0), StoppingPolicy.reset_on_miss(Erlang(40, 8.0))
-    sparse = renewal._cycle(x, policy, 0.5)
+    # a Sigma TTL above the dense bound: Erlang(2) requests under a Sigma
+    # Erlang(250) TTL take the miss chain, 502 states, by the sparse LU
+    x, policy = Erlang(2, 2.0), StoppingPolicy.reset_on_miss(Erlang(250, 100.0))
+    sparse = [renewal._cycle(x, policy, omega) for omega in (0.0, 0.5)]
     if "scipy.sparse.linalg" not in sys.modules:
         sys.exit("the miss chain above the dense bound did not take the sparse LU")
-    # the same chain, remembered, takes the dense solve once the bound admits it
+    # the same query takes the matrix-geometric route once the bound admits it
     import scipy.sparse.linalg as spla
 
     def refuse_lu(*args, **kwargs):
-        sys.exit("the miss chain within the raised dense bound took the sparse LU")
+        sys.exit("the query within the raised dense bound took the sparse LU")
 
-    bound, renewal._DENSE_MAX = renewal._DENSE_MAX, 205
+    bound, renewal._DENSE_MAX = renewal._DENSE_MAX, 250
     splu, spla.splu = spla.splu, refuse_lu
-    for name, got, want in zip(sparse._fields, sparse, renewal._cycle(x, policy, 0.5)):
+    geometric = [renewal._cycle(x, policy, omega) for omega in (0.0, 0.5)]
+    # at omega > 0 only the transform is a reading of the cycle
+    for name, got, want in [*zip(sparse[0]._fields, sparse[0], geometric[0]),
+                            ("transform at 0.5", sparse[1].transform, geometric[1].transform)]:
         _require_close(f"sparse miss chain {name}", got, want, rtol=1e-12)
     renewal._DENSE_MAX, spla.splu = bound, splu
 

@@ -264,7 +264,7 @@ class TestHitMiss:
             )
 
     def test_monte_carlo_branch_against_oracle(self, rng):
-        # the query of the former Monte Carlo branch, now on the miss chain route
+        # the query of the former Monte Carlo branch, now on the matrix-geometric route
         x, t = Erlang(2, 2.0), Erlang(2, 1.0)
         got = expected_tau(x, StoppingPolicy.reset_on_miss(t), samples=60_000, rng=rng)
         taus, _, _ = stopped_sum_oracle(rng, x.sample, "Sigma", t.sample, n=60_000)
@@ -420,6 +420,27 @@ def _decimal_sigma_det_exp(d, mu, omega):
         return float(tau), float(transform)
 
 
+def _decimal_min_det_exp_tab(e, mu, omega):
+    """E[tau], occupancy and the transform at omega of a min(Sigma, R) cache
+    with Deterministic(1) requests, an Exponential(mu) Sigma TTL and an R TTL
+    at 0.5 with mass e and at 1.5 with mass 1 - e, in 50-digit decimal
+    arithmetic: a request is a hit iff both TTLs outlast it, with chance
+    K = (1 - e) e^{-mu}, and each interval holds the object for the integral
+    of e^{-mu u} over [0, min(1, T_R)]."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        e, mu, omega = Decimal(e), Decimal(mu), Decimal(omega)
+
+        def held(c):
+            return (1 - (-mu * c).exp()) / mu
+
+        tau = 1 / (1 - (1 - e) * (-mu).exp())
+        occupancy = e * held(Decimal("0.5")) + (1 - e) * held(Decimal(1))
+        hit = (1 - e) * (-(omega + mu)).exp()
+        transform = ((-omega).exp() - hit) / (1 - hit)
+        return float(tau), float(occupancy), float(transform)
+
+
 class TestRareMisses:
     """R and Sigma closed forms keep their relative accuracy when misses are
     rare: the miss weight and L_0 - L_omega are each summed on their own."""
@@ -450,6 +471,16 @@ class TestRareMisses:
         assert_allclose(transform_sigma(x, policy.ttl, 0.5), transform, rtol=1e-12)
         # the object stays for the whole TTL: occupancy (1 / mu) / E[S]
         assert_allclose(occupancy_renewal(x, policy), 1.0 / mu / tau, rtol=1e-12)
+
+    def test_min_exponential_sigma_ttl(self):
+        # misses one request in about 1e13, nearly all of them R evictions:
+        # 1 - K formed by cancellation was 3.0e-4 off in E[tau]
+        x, omega = Deterministic(1.0), 0.5
+        policy = StoppingPolicy.min_of(Exponential(1e-15), Tabulated(1.0, [1e-13, 1.0 - 1e-13]))
+        got = _route_values(x, policy, omega)
+        want = _decimal_min_det_exp_tab("1e-13", 1e-15, omega)
+        assert_allclose(got, want, rtol=1e-12)
+        assert_allclose(want, [9.900990099009901e12, 0.9999999999999495, 1.5569090233619223e-13], rtol=1e-15)
 
 
 def _mixture_r(parts, omega):
@@ -702,6 +733,20 @@ PH_ROUTE_CASES = {
     "min-exp-erlang": (Exponential(1.0), StoppingPolicy.min_of(Erlang(2, 1.6), Erlang(2, 3.0))),
     "min-erlang-exp": (Erlang(2, 2.0), StoppingPolicy.min_of(Exponential(0.8), Exponential(1.5))),
     "min-erlang-erlang": (Erlang(3, 3.0), StoppingPolicy.min_of(Erlang(2, 1.6), Erlang(3, 4.0))),
+    "min-erlang-exp-erlang": (
+        Erlang(3, 3.0), StoppingPolicy.min_of(Exponential(0.8), Erlang(3, 4.0))
+    ),
+}
+# Large queries within the dense bound: their miss chains have 4,505 and
+# 20,000 states
+LARGE_PH_CASES = {
+    "min-5x30x30": (Erlang(5, 5.0), StoppingPolicy.min_of(Erlang(30, 20.0), Erlang(30, 40.0))),
+    "sigma-2000x9": (Erlang(2000, 2000.0), StoppingPolicy.reset_on_miss(Erlang(9, 6.0))),
+}
+# Queries whose Sigma TTL has more phases than the dense bound: the miss chain
+ABOVE_DENSE_CASES = {
+    "sigma-2x250": (Erlang(2, 2.0), StoppingPolicy.reset_on_miss(Erlang(250, 100.0))),
+    "min-2x250x1": (Erlang(2, 2.0), StoppingPolicy.min_of(Erlang(250, 100.0), Exponential(1.0))),
 }
 
 
@@ -715,13 +760,77 @@ def _miss_process(x, policy):
     return m, output_min(m, _ph_of(policy.ttl_sigma), _ph_of(policy.ttl_r))
 
 
+def _decimal_solve(a, b):
+    """x with x a = b for a square list-of-lists a of Decimals, by Gaussian
+    elimination with partial pivoting on the transpose."""
+    n = len(b)
+    rows = [[a[j][i] for j in range(n)] + [b[i]] for i in range(n)]
+    for k in range(n):
+        pivot = max(range(k, n), key=lambda i: abs(rows[i][k]))
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        for i in range(k + 1, n):
+            f = rows[i][k] / rows[k][k]
+            rows[i] = [u - f * v for u, v in zip(rows[i], rows[k])]
+    x = [Decimal(0)] * n
+    for k in reversed(range(n)):
+        x[k] = (rows[k][n] - sum(rows[k][j] * x[j] for j in range(k + 1, n))) / rows[k][k]
+    return x
+
+
+def _decimal_erlang_min(x, t_sigma, t_r, omega):
+    """E[tau], occupancy and the transform at omega of a min(Sigma, R) cache
+    with Erlang requests and Erlang TTLs, in 50-digit decimal arithmetic.
+
+    Until eviction (request phase, Sigma phase, R phase) is a Markov chain
+    with sub-generator A that starts in phase (0, 0, 0); a request ending is
+    a hit that restarts the request and R phases. With y = e (cI - A)^{-1},
+    E[tau] is 1 plus y at c = 0 times the hit rates, the in-cache time is y
+    at c = 0 summed, and the transform is y at c = omega times the eviction
+    rates, each times the transform of what is left of the request."""
+    (p, a), (n, mu), (q, b) = [(law.stages, Decimal(law.rate)) for law in (x, t_sigma, t_r)]
+    states = list(itertools.product(range(p), range(n), range(q)))
+    index = {state: k for k, state in enumerate(states)}
+    with localcontext() as ctx:
+        ctx.prec = 50
+        omega = Decimal(omega)
+        gen = [[Decimal(0)] * len(states) for _ in states]
+        hits, evictions = [], []
+        for (i, s, r), k in index.items():
+            gen[k][k] = -(a + mu + b)
+            gen[k][index[(i + 1, s, r) if i + 1 < p else (0, s, 0)]] += a
+            if s + 1 < n:
+                gen[k][index[(i, s + 1, r)]] += mu
+            if r + 1 < q:
+                gen[k][index[(i, s, r + 1)]] += b
+            hits.append(a if i + 1 == p else Decimal(0))
+            left = (a / (a + omega)) ** (p - i)
+            evictions.append(((mu if s + 1 == n else 0) + (b if r + 1 == q else 0)) * left)
+        start = [Decimal(int(k == 0)) for k in range(len(states))]
+
+        def interval(c):
+            shifted = [[c * int(i == j) - g for j, g in enumerate(row)] for i, row in enumerate(gen)]
+            return _decimal_solve(shifted, start)
+
+        y = interval(Decimal(0))
+        tau = 1 + sum(u * h for u, h in zip(y, hits))
+        occupancy = sum(y) / (tau * p / a)
+        transform = sum(u * e for u, e in zip(interval(omega), evictions))
+        return float(tau), float(occupancy), float(transform)
+
+
 class TestPhaseTypeRoute:
     @pytest.mark.parametrize("case", PH_ROUTE_CASES.values(), ids=PH_ROUTE_CASES.keys())
     def test_exact_against_stopping_rule_oracle(self, case, rng):
         x, policy = case
         _assert_matches_oracle(x, policy, 0.5, rng)
 
+    def test_erlang_min_against_decimal_alive_chain(self):
+        x, policy = PH_ROUTE_CASES["min-erlang-erlang"]
+        want = _decimal_erlang_min(x, policy.ttl_sigma, policy.ttl_r, 0.5)
+        assert_allclose(_route_values(x, policy, 0.5), want, rtol=1e-13)
+
     def test_one_miss_chain_per_query(self, monkeypatch):
+        # within the dense bound no query builds a miss chain; above it
         # expected_tau and occupancy_renewal of one query share its cycle,
         # and the transform reads the chain that cycle built
         calls, builds = [], []
@@ -740,19 +849,25 @@ class TestPhaseTypeRoute:
 
             monkeypatch.setattr(ttlnet.renewal, name, spy_build)
 
-        monkeypatch.setattr(ttlnet.renewal, "_ph_cycle", spy)
-        count_builds("output_sigma")
-        count_builds("output_min")
-        cases = [case for name, case in PH_ROUTE_CASES.items() if name != "sigma-erlang-exp"]
-        for x, policy in cases:
-            builds.clear()
+        def query(x, policy):
             expected_tau(x, policy)
             occupancy_renewal(x, policy)
             if policy.tag == "Sigma":
                 transform_sigma(x, policy.ttl, 0.5)
             else:
                 transform_min(x, policy.ttl_sigma, policy.ttl_r, 0.5)
+
+        monkeypatch.setattr(ttlnet.renewal, "_ph_cycle", spy)
+        count_builds("output_sigma")
+        count_builds("output_min")
+        for x, policy in [*PH_ROUTE_CASES.values(), *LARGE_PH_CASES.values()]:
+            query(x, policy)
+        assert builds == [] and calls == []
+        for x, policy in ABOVE_DENSE_CASES.values():
+            builds.clear()
+            query(x, policy)
             assert builds == ["output_sigma" if policy.tag == "Sigma" else "output_min"]
+        cases = ABOVE_DENSE_CASES.values()
         assert calls == [(x, policy, omega) for x, policy in cases for omega in (0.0, 0.5)]
 
     @pytest.mark.parametrize("case", PH_ROUTE_CASES.values(), ids=PH_ROUTE_CASES.keys())
@@ -771,15 +886,13 @@ class TestPhaseTypeRoute:
 
     @pytest.mark.parametrize(
         "x,policy",
-        [
-            (Erlang(5, 5.0), StoppingPolicy.min_of(Erlang(30, 20.0), Erlang(30, 40.0))),
-            (Erlang(2000, 2000.0), StoppingPolicy.reset_on_miss(Erlang(9, 6.0))),
-        ],
-        ids=["min-5x30x30", "sigma-2000x9"],
+        [*LARGE_PH_CASES.values(), *ABOVE_DENSE_CASES.values()],
+        ids=[*LARGE_PH_CASES, *ABOVE_DENSE_CASES],
     )
     def test_interval_solve_keeps_factors_sparse(self, x, policy, monkeypatch):
         # the route's elimination order keeps the LU factors within a small
-        # multiple of the chain's nonzeros (COLAMD: about 15x and 3x here)
+        # multiple of the chain's nonzeros (COLAMD: about 15x and 3x on the
+        # first two); queries within the dense bound reach it only directly
         factors = []
         splu = scipy.sparse.linalg.splu
 
@@ -789,29 +902,28 @@ class TestPhaseTypeRoute:
             return lu
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
-        tau = expected_tau(x, policy)
-        assert tau.stderr == 0.0
+        tau = ttlnet.renewal._ph_cycle(x, policy, 0.0).tau
         ((a_nnz, lu_nnz),) = factors
         assert lu_nnz <= 2.5 * a_nnz
         # the same interval system in the default (COLAMD) order
         _, out = _miss_process(x, policy)
         phi = np.asarray(out.map.d1.to_csr().sum(axis=0)).ravel()
         z = scipy.sparse.linalg.spsolve((-out.map.d0.to_csr()).T.tocsc(), phi / phi.sum())
-        assert_allclose(tau.value, z.sum() / x.mean, rtol=1e-10)
+        assert_allclose(tau, z.sum() / x.mean, rtol=1e-10)
 
     @pytest.mark.parametrize("omega", [0.0, 0.5])
-    def test_dense_solve_matches_sparse_lu(self, omega, monkeypatch):
+    def test_matrix_geometric_matches_sparse_lu(self, omega, monkeypatch):
         # every phase-type combination of the single-cache benchmark sweep
-        # (laws of mean 1 / rate, rates 1, 0.8 and 1.5), whatever its own route
+        # (laws of mean 1 / rate, rates 1, 0.8 and 1.5) and two large queries:
+        # the closed forms and the matrix-geometric route factor nothing, and
+        # agree with the miss chain's sparse LU
         def law(kind, rate):
             return Exponential(rate) if kind == "exp" else Erlang(2, 2.0 * rate)
 
-        cases = []
+        cases = [*LARGE_PH_CASES.values()]
         for xk, tk in itertools.product(["exp", "erlang"], repeat=2):
             x, t, t_r = law(xk, 1.0), law(tk, 0.8), law(tk, 1.5)
             cases += [(x, StoppingPolicy.reset_on_miss(t)), (x, StoppingPolicy.min_of(t, t_r))]
-        dense = [ttlnet.renewal._ph_cycle(x, policy, omega) for x, policy in cases]
-        monkeypatch.setattr(ttlnet.renewal, "_DENSE_MAX", 0)
         factorizations = []
         splu = scipy.sparse.linalg.splu
 
@@ -820,12 +932,15 @@ class TestPhaseTypeRoute:
             return splu(a, **kwargs)
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
-        for (x, policy), want in zip(cases, dense):
+        for x, policy in cases:
             factorizations.clear()
-            got = ttlnet.renewal._ph_cycle(x, policy, omega)
-            # the remembered chain takes the sparse route once the bound is lowered
+            got = ttlnet.renewal._cycle(x, policy, omega)
+            assert factorizations == []
+            want = ttlnet.renewal._ph_cycle(x, policy, omega)
             assert len(factorizations) == 1
-            assert_allclose(got, want, rtol=1e-12)
+            # at omega > 0 only the transform is a reading of the cycle
+            fields = slice(None) if omega == 0.0 else slice(2, 3)
+            assert_allclose(got[fields], want[fields], rtol=1e-12)
 
     def test_chain_over_budget_refused(self, monkeypatch):
         # 400 request phases x 301 TTL phases exceed DEFAULT_BUDGET states
@@ -836,6 +951,12 @@ class TestPhaseTypeRoute:
         policy = StoppingPolicy.reset_on_miss(Erlang(300, 300.0))
         with pytest.raises(BudgetExceededError):
             expected_tau(Erlang(400, 400.0), policy)
+        # the matrix-geometric route keeps the same bound: 1,500 x (3 x 1,500
+        # + 1) states, where its first term would underflow to 0 (E[tau]
+        # about 2 read as 1)
+        policy = StoppingPolicy.min_of(Erlang(3, 0.003), Erlang(1500, 1500.0))
+        with pytest.raises(BudgetExceededError):
+            expected_tau(Erlang(1500, 1500.0), policy)
 
 
 DETERMINISTIC_ROUTE_CASES = {
@@ -1360,3 +1481,20 @@ class TestRouteTable:
                 transform_min(x, ts, tr, 0.5)
         else:
             _assert_matches_oracle(x, policy, 0.5, rng, n=20_000)
+
+
+class TestExponentialSigmaTtl:
+    @pytest.mark.parametrize("tk", ROUTE_TTLS)
+    @pytest.mark.parametrize("xk", ROUTE_REQUESTS)
+    def test_closed_form_matches_matrix_geometric(self, xk, tk):
+        # min(Sigma, R) with an Exponential Sigma TTL: the closed form against
+        # the one-phase matrix-geometric route, whose 1 - K and held time
+        # cancel nothing much while misses are this frequent
+        x, t_sigma, t_r = ROUTE_REQUESTS[xk], Exponential(0.8), ROUTE_TTLS[tk][1]
+        policy = StoppingPolicy.min_of(t_sigma, t_r)
+        for omega in (0.0, 0.5):
+            got = ttlnet.renewal._cycle(x, policy, omega)
+            want = ttlnet.renewal._ph_sigma(x, t_sigma, t_r, omega)
+            # at omega > 0 only the transform is a reading of the cycle
+            fields = slice(None) if omega == 0.0 else slice(2, 3)
+            assert_allclose(got[fields], want[fields], rtol=1e-12)
