@@ -39,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .kron import KronOperator, RateMatrix, kron_product, kron_sum_operator
+from .kron import KronOperator, RateMatrix, kron_sum_operator
 from .processes import (
     MarkovArrivalProcess,
     PhaseTypeDistribution,
@@ -151,16 +151,15 @@ class CacheChain:
         return KronOperator((k,) + self.dims[1:], terms), np.outer(pi, flow).ravel()
 
 
-def _pi_rows(pi: np.ndarray, rows: int) -> RateMatrix:
-    """Sparse (rows x len(pi)) matrix with every row equal to pi."""
+def _pi_rows(pi: np.ndarray, rows: int, blocks: int = 1) -> RateMatrix:
+    """Sparse block-diagonal matrix of `blocks` copies of the (rows x len(pi))
+    matrix with every row equal to pi: I_blocks (x) 1 pi."""
     nz = np.flatnonzero(pi)
+    n = blocks * rows
     # canonical as built: rows ascending, pi's nonzeros ascending in each
+    cols = np.repeat(np.arange(blocks) * pi.size, rows)[:, None] + nz
     return RateMatrix(
-        rows,
-        pi.size,
-        np.repeat(np.arange(rows), nz.size),
-        np.tile(nz, rows),
-        np.tile(pi[nz], rows),
+        n, blocks * pi.size, np.repeat(np.arange(n), nz.size), cols.ravel(), np.tile(pi[nz], n)
     )
 
 
@@ -184,10 +183,8 @@ def cache_chain(
         return CacheChain(ttl, RateMatrix.identity(ttl.order), inputs)
     if policy == "R":
         return CacheChain(ttl, _pi_rows(ttl.pi.entries, ttl.order), inputs)
-    r_reset = _pi_rows(ttl_r.pi.entries, ttl_r.order)
-    return CacheChain(
-        ph_min(ttl, ttl_r), kron_product(RateMatrix.identity(ttl.order), r_reset), inputs
-    )
+    reset = _pi_rows(ttl_r.pi.entries, ttl_r.order, ttl.order)
+    return CacheChain(ph_min(ttl, ttl_r), reset, inputs)
 
 
 def output_sigma(m: MarkovArrivalProcess, t: PhaseTypeDistribution) -> CacheChain:

@@ -8,8 +8,9 @@ A sum of Kronecker products of small factors need not be assembled:
 `KronOperator` keeps the factors and gives what the stationary solve
 reads, the product x A, the diagonal, the row sums and the off-diagonal
 part, term by term. A cache's output chain and its given-input system are
-such sums, built by `cache_ops.CacheChain`. A small one is formed dense
-(`KronOperator.to_dense`, by `dense_kron`), entry for entry its assembly.
+such sums, built by `cache_ops.CacheChain`. One of at most `_GTH_MAX`
+states is assembled dense (`KronOperator.to_dense`, by `dense_kron`), with
+no sort, and a larger one in one sort: both sum the terms in order.
 
 A stationary vector takes one of two routes. `steady_state` solves an
 assembled generator alone: up to `_GTH_MAX` states on one dense array
@@ -100,8 +101,7 @@ class RateMatrix:
 
     @classmethod
     def from_arrays(cls, rows: int, cols: int, r, c, v) -> "RateMatrix":
-        r, c, v = _canonicalize(rows, cols, r, c, v)
-        return cls(rows, cols, r, c, v)
+        return cls(rows, cols, *_canonicalize(rows, cols, r, c, v))
 
     @classmethod
     def from_terms(cls, rows: int, cols: int, terms) -> "RateMatrix":
@@ -123,8 +123,8 @@ class RateMatrix:
             raise DimensionError("dense input must be a rectangular array of numbers") from exc
         if a.ndim != 2:
             raise DimensionError("dense input must be two-dimensional")
-        r, c = np.nonzero(a)
-        return cls.from_arrays(a.shape[0], a.shape[1], r, c, a[r, c])
+        r, c = np.nonzero(a)  # row-major and nonzero: canonical as found
+        return cls(a.shape[0], a.shape[1], r, c, a[r, c])
 
     @classmethod
     def identity(cls, n: int) -> "RateMatrix":
@@ -166,9 +166,10 @@ class RateMatrix:
         return out
 
     def scale(self, factor: float) -> "RateMatrix":
-        return RateMatrix.from_arrays(
-            self.rows, self.cols, self.row_idx, self.col_idx, self.data * factor
-        )
+        """factor times the matrix: the same coordinates, less any product now zero."""
+        v = self.data * factor
+        keep = v != 0.0
+        return RateMatrix(self.rows, self.cols, self.row_idx[keep], self.col_idx[keep], v[keep])
 
     def __add__(self, other: "RateMatrix") -> "RateMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -214,12 +215,10 @@ class ProbabilityVector:
             raise ValidationError("probability vector must be one-dimensional")
         if values.size == 0:
             raise ValidationError("probability vector must be nonempty")
-        if np.any(values < 0):
+        if (values < 0).any():
             raise ValidationError("probability vector has negative entries")
         if abs(values.sum() - 1.0) > self._SUM_TOL:
-            raise ValidationError(
-                f"probability vector sums to {values.sum()!r}, not 1"
-            )
+            raise ValidationError(f"probability vector sums to {values.sum()!r}, not 1")
         object.__setattr__(self, "entries", values)
 
     def __len__(self) -> int:
@@ -368,8 +367,9 @@ class KronOperator:
     def row_sums(self) -> np.ndarray:
         return self._sum_of_kron(RateMatrix.row_sums)
 
+    @functools.cached_property
     def off_diagonal(self) -> "KronOperator":
-        """The off-diagonal part, term by term: that of F_1 (x) ... (x) F_c is
+        """The off-diagonal part, built once: that of F_1 (x) ... (x) F_c is
         the sum over j of diag(F_1) (x) ... (x) diag(F_j-1) (x) off(F_j) (x)
         F_j+1 (x) ... (x) F_c, so that no entry is found by a subtraction."""
         terms = []
@@ -381,16 +381,20 @@ class KronOperator:
         return KronOperator(self.dims, terms)
 
     def assemble(self) -> RateMatrix:
-        """The operator as one canonical matrix: its terms' triplets in one
-        sort (`RateMatrix.from_terms`), summed in term order."""
+        """The operator as one canonical matrix, its terms summed in order:
+        up to `_GTH_MAX` states the nonzeros of `to_dense()`, row-major as
+        found, else the terms' triplets in one sort (`RateMatrix.from_terms`).
+        Both routes give the same bits."""
+        if self.size <= _GTH_MAX:
+            return RateMatrix.from_dense(self.to_dense())
         if not self.terms:
             return RateMatrix.zeros(self.size, self.size)
         triplets = [kron_triplets(self.dims, t) for t in self.terms]
         return RateMatrix.from_terms(self.size, self.size, triplets)
 
     def to_dense(self) -> np.ndarray:
-        """The operator as one dense array, bit for bit `assemble()`'s: each
-        term forms the same products, and the terms add in order from zero."""
+        """The operator as one dense array, bit for bit its sorted assembly:
+        each term forms the same products, and the terms add in order from zero."""
         total = np.zeros((self.size, self.size))
         for t in self.terms:
             dense = [np.eye(n) if f is None else f.to_dense() for n, f in zip(self.dims, t)]
@@ -426,7 +430,7 @@ def _check_generator(q: KronOperator) -> None:
     (`KronOperator.off_diagonal`) to be nonnegative: enough for an operator
     of several factors, and exact for one of an assembled matrix.
     """
-    factors = [f for t in q.off_diagonal().terms for f in t if f is not None]
+    factors = [f for t in q.off_diagonal.terms for f in t if f is not None]
     _require_generator(any(np.any(f.data < 0) for f in factors), q.row_sums())
 
 
@@ -434,7 +438,7 @@ def _require_generator(negative: bool, sums: np.ndarray, tol: float = 1e-9) -> N
     """Refuse a generator with a negative off-diagonal rate or a row sum off zero."""
     if negative:
         raise ValidationError("generator has negative off-diagonal entries")
-    worst = np.max(np.abs(sums)) if sums.size else 0.0
+    worst = np.abs(sums).max(initial=0.0)
     if worst > tol:
         raise ValidationError(f"generator rows do not sum to 0 (max |sum| = {worst:g})")
 
@@ -453,7 +457,7 @@ def reachable(indptr: np.ndarray, indices: np.ndarray, start) -> np.ndarray:
     seen = np.zeros(n, dtype=bool)
     frontier = np.asarray(start, dtype=np.int64)
     seen[frontier] = True
-    while frontier.size:
+    while frontier.size and not seen.all():
         count = counts[frontier]
         ends = np.cumsum(count)
         # edge slots indptr[i] .. indptr[i] + count[i] - 1 of every frontier state i
@@ -529,8 +533,8 @@ def _residual(product, diagonal: np.ndarray, x: np.ndarray) -> tuple[float, floa
     largest rate of a generator: every off-diagonal rate of row i is at
     most |q_ii|.
     """
-    residual = np.max(np.abs(product(x)))
-    return residual, max(1e-10, 1e-13 * np.max(np.abs(diagonal)))
+    residual = np.abs(product(x)).max()
+    return residual, max(1e-10, 1e-13 * np.abs(diagonal).max())
 
 
 def _relax(off_product, exit_rate: np.ndarray, x: np.ndarray) -> np.ndarray | None:
@@ -553,10 +557,8 @@ def _relax(off_product, exit_rate: np.ndarray, x: np.ndarray) -> np.ndarray | No
         inflow = off_product(x)
         outflow = exit_rate * x
         total = inflow + outflow
-        ratio = np.divide(
-            np.abs(inflow - outflow), total, out=np.zeros(x.size), where=total > 0
-        )
-        if np.max(ratio) <= _BACKWARD_ERROR_MAX:
+        ratio = np.divide(np.abs(inflow - outflow), total, out=np.zeros(x.size), where=total > 0)
+        if ratio.max() <= _BACKWARD_ERROR_MAX:
             return x
         x = inflow / exit_rate
         x /= x.sum()
@@ -744,15 +746,19 @@ def _given_input_solve(
     if info != 0 or not np.all(np.isfinite(x_t)):
         return None
     x = _as_probabilities(np.concatenate([p_in - x_t.reshape(k, n).sum(axis=0), x_t]))
-    return None if x is None else _gate(q.product, q.off_diagonal().product, q.diagonal(), x)
+    return None if x is None else _gate(q.product, q.off_diagonal.product, q.diagonal(), x)
 
 
-# Largest chain solved by GTH state reduction, which costs O(n^3). Set
+# Largest chain solved by GTH state reduction, which costs O(n^3), and
+# largest operator assembled dense (`KronOperator.assemble`). GTH was set
 # against steady_state's former bordered BiCGSTAB route, and not re-measured
 # against the given-input solve and sparse LU that replace it: a whole
 # steady_state of a random ring-plus-edges chain on a 2-vCPU host took 0.12
 # ms by GTH and 0.70 ms by that route at 5 states, 0.9 and 2.5 ms at 50;
 # they tied between 108 and 150 states, and at 324 it was 37 ms to 3.6 ms.
+# Assembling a Sigma cache's Q' (best of 7, same host) took 16 us dense and
+# 29 us sorted at 10 states, 34 and 32 at 50, 52 and 33 at 64 (GTH: 320 us),
+# 99 and 38 at 108, 820 and 49 at 300.
 _GTH_MAX = 64
 
 
@@ -856,7 +862,7 @@ def steady_state(q: RateMatrix) -> ProbabilityVector:
     if n <= _GTH_MAX:
         a = q.to_dense()
         off = a - np.diag(np.diag(a))
-        _require_generator(np.any(off < 0.0), a.sum(axis=1))
+        _require_generator((off < 0.0).any(), a.sum(axis=1))
         if n == 1:
             return ProbabilityVector([1.0])
         x = _gth(a)

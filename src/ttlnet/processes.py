@@ -97,17 +97,15 @@ class PhaseTypeDistribution:
             raise DimensionError("subintensity must be square")
         if self.s.rows != len(self.pi):
             raise DimensionError("initial vector length must match the subintensity order")
-        diag = self.s.diagonal()
-        if np.any(diag >= 0):
+        if (self.s.diagonal() >= 0).any():
             raise ValidationError("subintensity diagonal must be strictly negative")
-        off = self.s.row_idx != self.s.col_idx
-        if np.any(self.s.data[off] < 0):
+        if ((self.s.data < 0) & (self.s.row_idx != self.s.col_idx)).any():
             raise ValidationError("subintensity off-diagonal entries must be nonnegative")
         exits = -self.s.row_sums()
-        if np.any(exits < -_ROWSUM_TOL):
+        if (exits < -_ROWSUM_TOL).any():
             raise ValidationError("subintensity row sums must be nonpositive")
-        exits = np.clip(exits, 0.0, None)
-        if not np.any(exits > 0):
+        exits = exits.clip(0.0)
+        if not (exits > 0).any():
             raise ValidationError("absorption unreachable: all exit rates are zero")
         exits.flags.writeable = False
         object.__setattr__(self, "exit_rates", exits)
@@ -120,13 +118,12 @@ class PhaseTypeDistribution:
         """(m+1)-state generator with the absorbing state first."""
         m = self.order
         exits = np.flatnonzero(self.exit_rates)
-        return RateMatrix.from_arrays(
-            m + 1,
-            m + 1,
-            np.concatenate([exits + 1, self.s.row_idx + 1]),
-            np.concatenate([np.zeros_like(exits), self.s.col_idx + 1]),
-            np.concatenate([self.exit_rates[exits], self.s.data]),
-        )
+        r = np.concatenate([exits + 1, self.s.row_idx + 1])
+        # canonical once merged by row: a row's exit (column 0) before its s entries
+        order = np.argsort(r, kind="stable")
+        c = np.concatenate([np.zeros_like(exits), self.s.col_idx + 1])
+        v = np.concatenate([self.exit_rates[exits], self.s.data])
+        return RateMatrix(m + 1, m + 1, r[order], c[order], v[order])
 
     @classmethod
     def exponential(cls, rate: float) -> "PhaseTypeDistribution":
@@ -224,10 +221,10 @@ def _d0_is_singular(d0: RateMatrix, d1: RateMatrix) -> bool:
     with no leaking state has row sums zero, so its indicator vector is in
     the null space. One breadth-first search over the reversed hidden edges,
     from every leaking state at once, decides it in O(nnz) with no roundoff
-    (the diagonal's self-loops reach nothing new).
+    (the diagonal's self-loops reach nothing new), unless every state leaks.
     """
     leaking = np.flatnonzero(np.bincount(d1.row_idx, minlength=d1.rows))
-    return not reachable(*reversed_edges(d0), leaking).all()
+    return leaking.size < d1.rows and not reachable(*reversed_edges(d0), leaking).all()
 
 
 def require_valid(m: MarkovArrivalProcess, *more: MarkovArrivalProcess) -> MarkovArrivalProcess:

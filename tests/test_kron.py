@@ -407,8 +407,58 @@ class TestDense:
             ))
         op = kron.KronOperator(dims, terms)
         got = op.to_dense()
-        assert np.array_equal(got, op.assemble().to_dense())
+        assert np.array_equal(got, _sorted_assembly(op).to_dense())
         assert not np.any(np.signbit(got) & (got == 0.0))
+
+    @given(
+        seed=st.integers(0, 2**31),
+        dims=st.sampled_from([
+            (64,), (8, 8), (2, 32), (4, 4, 4), (2, 4, 8),
+            (65,), (5, 13), (13, 5), (1, 5, 13), (5, 13, 1),
+        ]),
+        count=st.integers(0, 4),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_assemble_is_sorted_assembly(self, seed, dims, count):
+        # _GTH_MAX states and one more: the dense route and the sorted one.
+        # Entries from a small set, so that sums cancel to exactly 0.0, with
+        # 1e-200, whose products underflow, and normal draws, whose sums
+        # round by their order; a term may have an empty factor
+        assert math.prod(dims) in (kron._GTH_MAX, kron._GTH_MAX + 1)
+        r = np.random.default_rng(seed)
+        values = [-1.5, -0.5, 0.0, 0.0, 0.5, 1.0, 1e-200, *r.normal(size=3)]
+        terms = [
+            tuple(
+                None if r.random() < 0.3
+                else RateMatrix.from_dense(r.choice(values, (n, n)) * (r.random((n, n)) < 0.3))
+                for n in dims
+            )
+            for _ in range(count)
+        ]
+        if count and r.random() < 0.2:
+            terms[0] = terms[0][:-1] + (RateMatrix.zeros(dims[-1], dims[-1]),)
+        op = kron.KronOperator(dims, terms)
+        got, want = op.assemble(), _sorted_assembly(op)
+        assert got == want and got.data.tobytes() == want.data.tobytes()
+        assert got.row_idx.dtype == got.col_idx.dtype == np.int64
+
+    def test_assemble_drops_underflow_and_cancellation(self):
+        # of a (x) a's nine products, 1e-200 * 1e-200 underflows at (0, 0)
+        # and 1 * 1 at (3, 3) cancels against the second term
+        a = RateMatrix.from_dense([[1e-200, 1.0], [0.0, 1.0]])
+        corner = RateMatrix.from_dense([[0.0, 0.0], [0.0, 1.0]])
+        op = kron.KronOperator((2, 2), [(a, a), (corner, corner.scale(-1.0))])
+        got = op.assemble()
+        assert got == _sorted_assembly(op)
+        assert got.nnz == 7 and got.to_dense()[0, 0] == got.to_dense()[3, 3] == 0.0
+
+
+def _sorted_assembly(op):
+    """op assembled from its terms' triplets in one sort, whatever its size."""
+    if not op.terms:
+        return RateMatrix.zeros(op.size, op.size)
+    triplets = [kron.kron_triplets(op.dims, t) for t in op.terms]
+    return RateMatrix.from_terms(op.size, op.size, triplets)
 
 
 class TestReachable:

@@ -26,6 +26,7 @@ from ttlnet import (
     superpose,
     validate_map,
 )
+from ttlnet import processes
 from ttlnet.processes import erlang_approximation
 
 
@@ -98,6 +99,61 @@ class TestValidation:
         report = validate_map(m)
         assert not report.ok
         assert report.violations == ("d0 is singular",)
+
+    @pytest.mark.parametrize(
+        "d0,d1,violations",
+        [
+            ([[-1.0, 0.5], [0.5, -1.0]], [[0.5, 0.0], [-0.5, 1.0]], ("negative active rate at (1, 0)",)),
+            (
+                [[-1.0, -0.5], [0.5, -1.0]],
+                [[1.0, 0.5], [0.5, 0.0]],
+                ("negative hidden off-diagonal rate at (0, 1)",),
+            ),
+            ([[-1.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]], ("nonnegative d0 diagonal at state 1",)),
+            ([[-2.0, 0.5], [0.5, -1.0]], [[1.0, 0.0], [0.0, 0.5]], ("row 0 of d0+d1 sums to -0.5, not 0",)),
+            ([[-1.0, 1.0], [0.0, -0.5]], [[0.0, 0.0], [0.0, 0.0]], ("row 1 of d0+d1 sums to -0.5, not 0",)),
+            ([[-1.0, 1.0], [1.0, -1.0]], [[0.0, 0.0], [0.0, 0.0]], ("d0 is singular",)),
+        ],
+    )
+    def test_each_violation_alone(self, d0, d1, violations):
+        m = MarkovArrivalProcess(RateMatrix.from_dense(d0), RateMatrix.from_dense(d1))
+        report = validate_map(m)
+        assert not report.ok and report.violations == violations
+
+    def test_violation_text_and_order(self):
+        # every sign and row-sum violation at once, in each part's own
+        # coordinates, then the superposition's states; no singular verdict
+        d0 = [[-1.0, -0.5, 0.5], [0.25, 0.0, 0.5], [0.5, 0.0, -2.0]]
+        d1 = [[1.0, 0.0, -0.25], [0.0, 0.0, -0.75], [0.0, 1.0, 0.5]]
+        m = MarkovArrivalProcess(RateMatrix.from_dense(d0), RateMatrix.from_dense(d1))
+        b = MarkovArrivalProcess(
+            RateMatrix.from_dense([[0.0, -1.0], [1.0, -2.0]]), RateMatrix.identity(2)
+        )
+        own = (
+            "negative active rate at (0, 2)",
+            "negative active rate at (1, 2)",
+            "negative hidden off-diagonal rate at (0, 1)",
+        )
+        sums = ("row 0 of d0+d1 sums to -0.25, not 0",)
+        assert validate_map(m).violations == own + ("nonnegative d0 diagonal at state 1",) + sums
+        assert validate_map(m, b).violations == own + (
+            "negative hidden off-diagonal rate at (0, 1)",
+            "nonnegative d0 diagonal at state 2",
+            "row 0 of d0+d1 sums to -0.25, not 0",
+            "row 1 of d0+d1 sums to -0.25, not 0",
+        )
+
+    @pytest.mark.parametrize("parts", [1, 2])
+    def test_all_leaking_skips_search(self, parts, monkeypatch):
+        # every state emits, so d0 is strictly diagonally dominant and
+        # nonsingular without a graph search; a silent state needs the search
+        searches = []
+        real = processes.reachable
+        monkeypatch.setattr(processes, "reachable", lambda *a: searches.append(a) or real(*a))
+        leaking = [poisson_map(1.5), mmpp_fig()][:parts]
+        assert validate_map(*leaking).ok and not searches
+        assert all(np.linalg.matrix_rank(m.d0.to_dense()) == m.order for m in leaking)
+        assert validate_map(mmpp_fig(l1=0.0), *leaking).ok and len(searches) == 1
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=300, deadline=None)
