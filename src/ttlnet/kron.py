@@ -381,10 +381,9 @@ class KronOperator:
         return KronOperator(self.dims, terms)
 
     def assemble(self) -> RateMatrix:
-        """The operator as one canonical matrix, its terms summed in order:
-        up to `_GTH_MAX` states the nonzeros of `to_dense()`, row-major as
-        found, else the terms' triplets in one sort (`RateMatrix.from_terms`).
-        Both routes give the same bits."""
+        """The operator as one canonical matrix, its terms summed in order: up
+        to `_GTH_MAX` states from `to_dense()`, else from their triplets in one
+        sort (`RateMatrix.from_terms`); the two give the same bits."""
         if self.size <= _GTH_MAX:
             return RateMatrix.from_dense(self.to_dense())
         if not self.terms:
@@ -756,9 +755,8 @@ def _given_input_solve(
 # steady_state of a random ring-plus-edges chain on a 2-vCPU host took 0.12
 # ms by GTH and 0.70 ms by that route at 5 states, 0.9 and 2.5 ms at 50;
 # they tied between 108 and 150 states, and at 324 it was 37 ms to 3.6 ms.
-# Assembling a Sigma cache's Q' (best of 7, same host) took 16 us dense and
-# 29 us sorted at 10 states, 34 and 32 at 50, 52 and 33 at 64 (GTH: 320 us),
-# 99 and 38 at 108, 820 and 49 at 300.
+# A Sigma cache's Q' took 16 us dense and 29 us sorted at 10 states, 34 and
+# 32 at 50, 52 and 33 at 64 (GTH: 320 us), 820 and 49 at 300 (best of 7).
 _GTH_MAX = 64
 
 

@@ -221,10 +221,12 @@ def _d0_is_singular(d0: RateMatrix, d1: RateMatrix) -> bool:
     with no leaking state has row sums zero, so its indicator vector is in
     the null space. One breadth-first search over the reversed hidden edges,
     from every leaking state at once, decides it in O(nnz) with no roundoff
-    (the diagonal's self-loops reach nothing new), unless every state leaks.
+    (the diagonal's self-loops reach nothing new). Its first level is taken
+    here: no search when every state leaks or has a hidden edge to one that does.
     """
-    leaking = np.flatnonzero(np.bincount(d1.row_idx, minlength=d1.rows))
-    return leaking.size < d1.rows and not reachable(*reversed_edges(d0), leaking).all()
+    near = np.bincount(d1.row_idx, minlength=d1.rows) > 0
+    near[d0.row_idx[near[d0.col_idx]]] = True
+    return not near.all() and not reachable(*reversed_edges(d0), np.flatnonzero(near)).all()
 
 
 def require_valid(m: MarkovArrivalProcess, *more: MarkovArrivalProcess) -> MarkovArrivalProcess:

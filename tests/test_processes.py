@@ -144,16 +144,20 @@ class TestValidation:
         )
 
     @pytest.mark.parametrize("parts", [1, 2])
-    def test_all_leaking_skips_search(self, parts, monkeypatch):
-        # every state emits, so d0 is strictly diagonally dominant and
-        # nonsingular without a graph search; a silent state needs the search
+    def test_search_skipped_one_step_from_leaking(self, parts, monkeypatch):
+        # every state emits, or moves by one hidden transition to one that
+        # does: d0 is nonsingular without a graph search. A silent state two
+        # steps away, or a silent closed class, needs the search
         searches = []
         real = processes.reachable
         monkeypatch.setattr(processes, "reachable", lambda *a: searches.append(a) or real(*a))
-        leaking = [poisson_map(1.5), mmpp_fig()][:parts]
-        assert validate_map(*leaking).ok and not searches
-        assert all(np.linalg.matrix_rank(m.d0.to_dense()) == m.order for m in leaking)
-        assert validate_map(mmpp_fig(l1=0.0), *leaking).ok and len(searches) == 1
+        near = [poisson_map(1.5), mmpp_fig(), mmpp_fig(l1=0.0)][:parts + 1]
+        assert validate_map(*near).ok and not searches
+        assert all(np.linalg.matrix_rank(m.d0.to_dense()) == m.order for m in near)
+        ring = mmpp_map([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [1.0, 0.0, -1.0]], [0.0, 0.0, 1.0])
+        assert validate_map(ring, *near).ok and len(searches) == 1
+        closed = mmpp_map([[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 1.0, -1.0]], [0.0, 0.0, 1.0])
+        assert validate_map(closed).violations == ("d0 is singular",) and len(searches) == 2
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=300, deadline=None)
