@@ -167,7 +167,7 @@ def cmd_simulate(args) -> int:
     cfg = SimConfig(
         topology=topo,
         event_cap=int(args.events),
-        warmup=int(args.warmup) if args.warmup is not None else -1,
+        warmup=None if args.warmup is None else int(args.warmup),
         seed=args.seed,
         object_id=args.object,
     )

@@ -12,6 +12,7 @@ transcribe as plain block templates.
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -71,6 +72,11 @@ class MarkovArrivalProcess:
     def generator(self) -> RateMatrix:
         """Background-chain generator d0 + d1."""
         return self.d0 + self.d1
+
+    @cached_property
+    def stationary(self) -> ProbabilityVector:
+        """Stationary vector of the background chain, solved on first read."""
+        return steady_state(self.generator)
 
     def __eq__(self, other):
         if not isinstance(other, MarkovArrivalProcess):
@@ -239,8 +245,7 @@ def require_valid(m: MarkovArrivalProcess, *more: MarkovArrivalProcess) -> Marko
 
 def fundamental_rate(m: MarkovArrivalProcess) -> float:
     """Long-run event rate p d1 1 for the stationary background vector p."""
-    p = steady_state(m.generator)
-    return float(_dot(p.entries, m.d1.row_sums()))
+    return float(_dot(m.stationary.entries, m.d1.row_sums()))
 
 
 def superpose(maps) -> MarkovArrivalProcess:
@@ -336,8 +341,7 @@ class MapSampler:
         self._rng = rng
         self.time = 0.0
         if initial_state is None:
-            p = steady_state(m.generator)
-            initial_state = int(rng.choice(n, p=p.entries))
+            initial_state = int(rng.choice(n, p=m.stationary.entries))
         self.state = initial_state
 
     def sample(self, n: int) -> np.ndarray:

@@ -17,7 +17,9 @@ that reach it, decides hit or miss for all of them at once, and hands its
 misses to its parents. Leaf events go through in blocks of about `_BLOCK`,
 each node carrying its cache cycle from one block to the next. A block
 holds a few dozen arrays of at most that length (16 KB each at 8 bytes
-an entry), so memory does not grow with `event_cap`.
+an entry), so memory does not grow with `event_cap`. A node's pass runs
+only the timers its policy holds, so an R node finds its misses by one
+comparison, with no walk. Leaf samplers reuse their MAP's `stationary`.
 """
 
 import math
@@ -47,13 +49,13 @@ _BLOCK = 3072  # leaf events per block: bounds memory; a run's law does not depe
 class SimConfig:
     topology: Topology
     event_cap: int
-    warmup: int = -1  # negative: default to 10% of event_cap
+    warmup: int | None = None  # None: 10% of event_cap
     seed: int = 0
     object_id: str | None = None
 
     @property
     def effective_warmup(self) -> int:
-        return self.event_cap // 10 if self.warmup < 0 else self.warmup
+        return self.event_cap // 10 if self.warmup is None else self.warmup
 
 
 @dataclass(frozen=True)
@@ -100,9 +102,7 @@ class SimEstimate:
 
 def _draw_ttls(ttl, rng, n: int) -> np.ndarray:
     """`n` i.i.d. draws of one node TTL: from its renewal law, or its
-    phase-type form for a "ph" spec; no TTL is a timer that never fires."""
-    if ttl is None:
-        return np.full(n, np.inf)
+    phase-type form for a "ph" spec."""
     if ttl.law is None:
         return sample_ph(ttl.ph, rng, n)
     return ttl.law.sample(rng, n)
@@ -111,10 +111,10 @@ def _draw_ttls(ttl, rng, n: int) -> np.ndarray:
 class _Node:
     """One cache's state between blocks: its last cache cycle and its batch tallies.
 
-    Every policy is min(Sigma, R): R has a Sigma timer that never fires, and
-    Sigma an R timer that never fires. A cycle starts at a miss, which draws
-    both timers; each later request redraws the R timer; the copy is evicted
-    at the earlier expiry.
+    Every policy is min(Sigma, R), with the Sigma timer absent (None) at R
+    nodes and the R timer at Sigma nodes; `serve` runs only the timers held.
+    A cycle starts at a miss, which draws both timers; each later request
+    redraws the R timer; the copy is evicted at the earlier expiry.
     """
 
     def __init__(self, node, n_batches: int):
@@ -139,36 +139,46 @@ class _Node:
         the batch-edge times that fall in this block, at `at_edge`.
         """
         n = t.size
-        pos = np.arange(n)
-        sigma_end = t + _draw_ttls(self.sigma_ttl, rng, n)
-        r_end = np.concatenate(([self.r_end], t + _draw_ttls(self.r_ttl, rng, n)))
-        # every request redraws the R timer, so a request after the previous
-        # one's R expiry misses whatever the Sigma timer says
-        breaks = np.where(t >= r_end[:-1], pos, n)
-        next_break = np.concatenate((np.minimum.accumulate(breaks[::-1])[::-1], [n]))
-        # after a miss at i the next miss is the first R break past i or the
-        # first request at or past i's Sigma expiry
-        nxt = np.minimum(next_break[1:], np.searchsorted(t, sigma_end))
-        nxt = np.maximum(nxt, pos + 1).tolist()
-        misses = []
-        i = min(int(next_break[0]), int(np.searchsorted(t, self.sigma_end)))
-        while i < n:
-            misses.append(i)
-            i = nxt[i]
-        miss = np.array(misses, dtype=np.intp)
+        sigma, r = self.sigma_ttl is not None, self.r_ttl is not None
+        if sigma:
+            sigma_end = t + _draw_ttls(self.sigma_ttl, rng, n)
+        if r:
+            r_end = np.concatenate(([self.r_end], t + _draw_ttls(self.r_ttl, rng, n)))
+        if not sigma:
+            # every request redraws the R timer, so a request misses exactly
+            # when it comes at or after the previous one's R expiry
+            miss = np.flatnonzero(t >= r_end[:-1])
+        else:
+            # after a miss at i the next miss is the first request at or past
+            # i's Sigma expiry or, under min, the first R break past i
+            pos = np.arange(n)
+            nxt, i = np.searchsorted(t, sigma_end), int(np.searchsorted(t, self.sigma_end))
+            if r:
+                breaks = np.where(t >= r_end[:-1], pos, n)
+                next_break = np.concatenate((np.minimum.accumulate(breaks[::-1])[::-1], [n]))
+                nxt, i = np.minimum(next_break[1:], nxt), min(int(next_break[0]), i)
+            nxt = np.maximum(nxt, pos + 1).tolist()
+            misses = []
+            while i < n:
+                misses.append(i)
+                i = nxt[i]
+            miss = np.array(misses, dtype=np.intp)
 
         # in-cache intervals: the carried cycle, then one per miss, each ending
         # at its Sigma expiry or at the R expiry of its last request. The last
         # end is provisional, but a later hit can only move it past this block.
         starts = np.concatenate(([self.start], t[miss]))
-        sigma_ends = np.concatenate(([self.sigma_end], sigma_end[miss]))
-        r_last = r_end[np.concatenate((miss, [n]))]
-        ends = np.minimum(sigma_ends, r_last)
+        if sigma:
+            ends = np.concatenate(([self.sigma_end], sigma_end[miss]))
+            self.sigma_end = ends[-1]
+        if r:
+            r_last = r_end[np.concatenate((miss, [n]))]
+            ends = np.minimum(ends, r_last) if sigma else r_last
+            self.r_end = r_last[-1]
         before = self.cum + np.concatenate(([0.0], np.cumsum(ends - starts)))
         j = np.searchsorted(starts, edge_t, side="right") - 1
         self.in_cache[at_edge] = before[j] + np.minimum(edge_t, ends[j]) - starts[j]
-        self.start, self.sigma_end, self.r_end = starts[-1], sigma_ends[-1], r_last[-1]
-        self.cum = before[-2]
+        self.start, self.cum = starts[-1], before[-2]
 
         n_batches = self.tally.shape[1]
         self.tally[0] += np.bincount(batch[batch >= 0], minlength=n_batches)
@@ -210,12 +220,14 @@ def _leaf_blocks(samplers, count: int):
         yield times[order], slots[order]
 
 
-def _batch_se(values) -> float:
-    values = np.asarray(values, dtype=float)
+def _batch_se(values: np.ndarray) -> float:
+    """Standard error of the finite batch means: numpy's std(ddof=1) step by step."""
     values = values[np.isfinite(values)]
-    if values.size < 2:
+    n = values.size
+    if n < 2:
         return math.nan
-    return float(values.std(ddof=1) / math.sqrt(values.size))
+    dev = values - values.sum() / n
+    return math.sqrt(float((dev * dev).sum()) / (n - 1)) / math.sqrt(n)
 
 
 def _ratio(num: float, den: float) -> float:

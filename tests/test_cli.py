@@ -185,6 +185,22 @@ class TestSimulateCommand:
         assert code == 2
         assert "event_cap must exceed warmup" in json.loads(err)["error"]["message"]
 
+    def test_negative_warmup_exit_two(self, line_config, capsys):
+        code, out, err = run(
+            ["simulate", "--config", line_config, "--events", "2000", "--warmup", "-5"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "warmup must be nonnegative" in json.loads(err)["error"]["message"]
+
+    @pytest.mark.parametrize("extra,counted", [([], 1800), (["--warmup", "0"], 2000)])
+    def test_warmup_default_and_zero(self, line_config, capsys, extra, counted):
+        code, out, _ = run(
+            ["simulate", "--config", line_config, "--events", "2000", *extra], capsys
+        )
+        assert code == 0
+        assert json.loads(out)["estimate"]["counted_events"] == counted
+
     def test_compare_flag(self, line_config, tmp_path, capsys):
         analysis = tmp_path / "analysis.json"
         code, _, _ = run(

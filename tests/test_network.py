@@ -643,7 +643,7 @@ class TestReconvergentJoins:
         doc["arrivals"]["leaf"] = {"poisson": 1.0}
         assert parse_topology(doc).reconvergent == {"top": ("root",)}
 
-    @pytest.mark.parametrize("name", ["line2.json", "tree3.json"])
+    @pytest.mark.parametrize("name", ["line2.json", "mixed.json", "tree3.json"])
     def test_configs_not_flagged(self, name):
         assert parse_topology((CONFIGS / name).read_text()).reconvergent == {}
 

@@ -1,12 +1,14 @@
 """Discrete-event simulator: statistical acceptance and comparison plumbing."""
 
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ttlnet import ValidationError, analyze, parse_topology
+from ttlnet import ValidationError, analyze, parse_topology, sim
 from ttlnet.sim import SimConfig, compare, simulate
 
 
@@ -17,15 +19,14 @@ def single_node(policy="R", ttl=None, ttl_r=None, lam=1.0):
     return parse_topology({"nodes": [node], "arrivals": {"c": {"poisson": lam}}})
 
 
-LINE2 = parse_topology(
-    {
-        "nodes": [
-            {"id": "C1", "policy": "Sigma", "ttl": {"exp": 1.0}},
-            {"id": "C2", "policy": "Sigma", "ttl": {"exp": 1.0}, "children": ["C1"]},
-        ],
-        "arrivals": {"C1": {"poisson": 1.0}},
-    }
-)
+LINE2_DOC = {
+    "nodes": [
+        {"id": "C1", "policy": "Sigma", "ttl": {"exp": 1.0}},
+        {"id": "C2", "policy": "Sigma", "ttl": {"exp": 1.0}, "children": ["C1"]},
+    ],
+    "arrivals": {"C1": {"poisson": 1.0}},
+}
+LINE2 = parse_topology(LINE2_DOC)
 
 
 class TestDeterminism:
@@ -103,39 +104,126 @@ def _scalar_serve(t, sigma, r):
     return misses, cycles
 
 
+PH_TTL = {"ph": {"s": [[-2.0, 1.0], [0.5, -1.5]], "pi": [0.6, 0.4]}}
+# Sigma (or R) TTL and, for MinSigmaR, the R TTL, by law: Exponential,
+# Deterministic (`Deterministic.sample`) and "ph" (`sample_ph`, no renewal law)
+NODE_TTLS = {
+    "exp": ({"exp": 0.7}, {"exp": 1.5}),
+    "det": ({"det": 1.4}, {"det": 0.6}),
+    "ph": (PH_TTL, {"ph": {"s": [[-3.0, 0.0], [0.0, -0.8]], "pi": [0.5, 0.5]}}),
+}
+
+
+def _timers(node, draws, n):
+    """The draws `serve` makes for `n` requests, Sigma before R; an absent timer never fires."""
+    return [
+        np.full(n, np.inf) if ttl is None else sim._draw_ttls(ttl, draws, n)
+        for ttl in (node.sigma_ttl, node.r_ttl)
+    ]
+
+
+def _check_pass(policy, ttls, t, cuts, batch, edges, n_batches):
+    """Serve `t` in the blocks `cuts` delimits and check misses, draws and tallies
+    against the scalar rule; returns the positions that miss."""
+    ttl, ttl_r = ttls
+    spec = single_node(policy, ttl=ttl, ttl_r=ttl_r if policy == "MinSigmaR" else None)
+    node = sim._Node(spec.nodes["c"], n_batches=n_batches)
+    # batch edges between two requests, where an evicted copy shows
+    edge_t = (t[edges] + t[edges + 1]) / 2
+    draws = np.random.default_rng(2)
+    sigma, r, misses = [], [], []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        at_edge = (edges >= lo) & (edges < hi)
+        rng_state = draws.bit_generator.state
+        block_sigma, block_r = _timers(node, draws, hi - lo)
+        sigma.append(block_sigma)
+        r.append(block_r)
+        drawn = draws.bit_generator.state
+        draws.bit_generator.state = rng_state
+        served = node.serve(t[lo:hi], batch[lo:hi], edge_t[at_edge], at_edge, draws)
+        # the pass consumes exactly the draws of the timers the node holds
+        assert draws.bit_generator.state == drawn
+        misses.extend((lo + served).tolist())
+    want, cycles = _scalar_serve(t, np.concatenate(sigma), np.concatenate(r))
+    assert misses == want
+    for x, got in zip(edge_t, node.in_cache):
+        want_in = sum(max(0.0, min(x, end) - start) for start, end in cycles)
+        assert got == pytest.approx(want_in, rel=1e-12)
+    # tallies: requests and misses by batch, then each inter-miss gap by the
+    # batch of the miss that closes it; warm-up rows (batch -1) count nowhere
+    miss_b = batch[want]
+    gaps = np.diff(t[want])
+    gap_b = miss_b[1:]
+    counted = gap_b >= 0
+    want_tally = [
+        np.bincount(batch[batch >= 0], minlength=n_batches),
+        np.bincount(miss_b[miss_b >= 0], minlength=n_batches),
+        np.bincount(gap_b[counted], minlength=n_batches),
+        np.bincount(gap_b[counted], gaps[counted], minlength=n_batches),
+        np.bincount(gap_b[counted], gaps[counted] ** 2, minlength=n_batches),
+    ]
+    for row, (got, expect) in enumerate(zip(node.tally, want_tally)):
+        np.testing.assert_allclose(got, expect, rtol=1e-12, err_msg=f"tally row {row}")
+    return want
+
+
+POLICIES = ["R", "Sigma", "MinSigmaR"]
+
+
 class TestNodePass:
-    """The vectorized per-node pass against the scalar rule, across a block boundary."""
+    """The vectorized per-node pass against the scalar rule, across block boundaries."""
 
     @pytest.mark.parametrize(
         "policy,ttl_r", [("R", None), ("Sigma", None), ("MinSigmaR", {"exp": 1.5})]
     )
     def test_matches_scalar_rule(self, policy, ttl_r):
-        from ttlnet import sim
-
-        spec = single_node(policy, ttl={"exp": 0.7}, ttl_r=ttl_r).nodes["c"]
         t = np.cumsum(np.random.default_rng(1).exponential(1.0, 3000))
-        cut = 1700
-        # batch edges between two requests, where an evicted copy shows
         edges = np.array([10, 900, 2000, 2998])
-        edge_t = (t[edges] + t[edges + 1]) / 2
-        node = sim._Node(spec, n_batches=3)
-        draws = np.random.default_rng(2)
-        sigma, r, misses = [], [], []
-        for lo, hi in ((0, cut), (cut, t.size)):
-            at_edge = (edges >= lo) & (edges < hi)
-            rng_state = draws.bit_generator.state
-            sigma.append(sim._draw_ttls(node.sigma_ttl, draws, hi - lo))
-            r.append(sim._draw_ttls(node.r_ttl, draws, hi - lo))
-            draws.bit_generator.state = rng_state
-            block = t[lo:hi]
-            batch = np.zeros(hi - lo, dtype=np.intp)
-            misses.extend(lo + node.serve(block, batch, edge_t[at_edge], at_edge, draws))
-        want_misses, cycles = _scalar_serve(t, np.concatenate(sigma), np.concatenate(r))
-        assert misses == want_misses
-        assert node.tally[1].sum() == len(want_misses)
-        for x, got in zip(edge_t, node.in_cache):
-            want = sum(max(0.0, min(x, end) - start) for start, end in cycles)
-            assert got == pytest.approx(want, rel=1e-12)
+        batch = np.zeros(t.size, dtype=np.intp)
+        _check_pass(policy, ({"exp": 0.7}, ttl_r), t, (0, 1700, t.size), batch, edges, 3)
+
+    @pytest.mark.parametrize("law", sorted(NODE_TTLS))
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_every_ttl_law(self, policy, law):
+        t = np.cumsum(np.random.default_rng(3).exponential(1.0, 2000))
+        edges = np.array([5, 700, 1500, 1998])
+        batch = np.minimum(np.arange(t.size) // 700, 2)
+        _check_pass(policy, NODE_TTLS[law], t, (0, 900, t.size), batch, edges, 3)
+
+    @pytest.mark.parametrize("law", sorted(NODE_TTLS))
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_empty_blocks_and_warmup_rows(self, policy, law):
+        # empty blocks (n = 0) before the first request, between two blocks
+        # and at the end; the first 300 requests are warm-up (batch -1)
+        t = np.cumsum(np.random.default_rng(4).exponential(0.8, 1200))
+        edges = np.array([299, 650, 1198])
+        batch = np.where(np.arange(t.size) < 300, -1, (np.arange(t.size) - 300) // 450)
+        cuts = (0, 0, 0, 500, 500, 830, t.size, t.size)
+        _check_pass(policy, NODE_TTLS[law], t, cuts, batch, edges, 2)
+
+    @pytest.mark.parametrize("law", sorted(NODE_TTLS))
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_block_of_hits_on_the_carried_copy(self, policy, law):
+        # the second block is a burst within 1e-9 of the first block's last
+        # request, so every request of it finds the copy that block left
+        gaps = np.random.default_rng(5).exponential(1.0, 1000)
+        gaps[600:640] = 2.5e-11
+        t = np.cumsum(gaps)
+        edges = np.array([100, 620, 800, 998])
+        batch = np.minimum(np.arange(t.size) // 400, 2)
+        misses = _check_pass(policy, NODE_TTLS[law], t, (0, 600, 640, t.size), batch, edges, 3)
+        assert not [i for i in misses if 600 <= i < 640]
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_request_at_an_expiry_misses(self, policy):
+        # integer times and det TTLs: many requests come exactly at an expiry
+        t = np.cumsum(np.random.default_rng(6).integers(1, 4, 900)).astype(float)
+        edges = np.array([10, 450, 898])
+        batch = np.minimum(np.arange(t.size) // 450, 1)
+        ttls = ({"det": 3.0}, {"det": 2.0})
+        misses = _check_pass(policy, ttls, t, (0, 333, t.size), batch, edges, 2)
+        earlier = t - 1e-9 * np.arange(t.size)  # each tie becomes a hit
+        assert misses != _check_pass(policy, ttls, earlier, (0, t.size), batch, edges, 2)
 
 
 class TestAccounting:
@@ -160,37 +248,50 @@ class TestAccounting:
         cfg = SimConfig(topology=LINE2, event_cap=1000)
         assert cfg.effective_warmup == 100
 
+    def test_default_warmup_is_explicit(self):
+        assert SimConfig(topology=LINE2, event_cap=1000).warmup is None
+        assert simulate(SimConfig(topology=LINE2, event_cap=2000)).counted_events == 1800
 
-MIXED = parse_topology(
-    {
-        "nodes": [
-            {
-                "id": "L1",
-                "policy": "Sigma",
-                "ttl": {"ph": {"s": [[-2.0, 1.0], [0.5, -1.5]], "pi": [0.6, 0.4]}},
-                "split": [0.4, 0.6],
-            },
-            {
-                "id": "L2",
-                "policy": "MinSigmaR",
-                "ttl": {"exp": 0.8},
-                "ttl_r": {"erlang": {"stages": 2, "rate": 3.0}},
-            },
-            {"id": "P1", "policy": "R", "ttl": {"exp": 1.5}, "children": ["L1"]},
-            {
-                "id": "P2",
-                "policy": "Sigma",
-                "ttl": {"erlang": {"stages": 2, "rate": 2.5}},
-                "children": ["L1", "L2"],
-            },
-            {"id": "T", "policy": "R", "ttl": {"exp": 0.7}, "children": ["P2"]},
-        ],
-        "arrivals": {
-            "L1": {"mmpp": {"q": [[-0.4, 0.4], [0.9, -0.9]], "rates": [2.5, 0.5]}},
-            "L2": {"poisson": 1.3},
+    @pytest.mark.parametrize("warmup", [-1, -5])
+    def test_negative_warmup_rejected(self, warmup):
+        cfg = SimConfig(topology=LINE2, event_cap=2000, warmup=warmup)
+        with pytest.raises(ValidationError, match="warmup must be nonnegative"):
+            simulate(cfg)
+
+    def test_zero_warmup_counts_every_event(self):
+        est = simulate(SimConfig(topology=LINE2, event_cap=2000, warmup=0))
+        assert est.counted_events == 2000
+
+
+MIXED_DOC = {
+    "nodes": [
+        {
+            "id": "L1",
+            "policy": "Sigma",
+            "ttl": {"ph": {"s": [[-2.0, 1.0], [0.5, -1.5]], "pi": [0.6, 0.4]}},
+            "split": [0.4, 0.6],
         },
-    }
-)
+        {
+            "id": "L2",
+            "policy": "MinSigmaR",
+            "ttl": {"exp": 0.8},
+            "ttl_r": {"erlang": {"stages": 2, "rate": 3.0}},
+        },
+        {"id": "P1", "policy": "R", "ttl": {"exp": 1.5}, "children": ["L1"]},
+        {
+            "id": "P2",
+            "policy": "Sigma",
+            "ttl": {"erlang": {"stages": 2, "rate": 2.5}},
+            "children": ["L1", "L2"],
+        },
+        {"id": "T", "policy": "R", "ttl": {"exp": 0.7}, "children": ["P2"]},
+    ],
+    "arrivals": {
+        "L1": {"mmpp": {"q": [[-0.4, 0.4], [0.9, -0.9]], "rates": [2.5, 0.5]}},
+        "L2": {"poisson": 1.3},
+    },
+}
+MIXED = parse_topology(MIXED_DOC)
 
 
 class TestMixedNetwork:
@@ -361,3 +462,29 @@ class TestStoppingRuleAgreement:
             rng=np.random.default_rng(17),
         )
         assert abs(sim_tau - mc.value) < 3.0 * math.hypot(sim_se, mc.stderr)
+
+
+# simulate(...).to_dict() for 20,000 events of the sim-network document at
+# three seeds, LINE2, MIXED and a network with a general MAP leaf and "ph"
+# and "det" TTLs, recorded before each node's pass ran only the timers its
+# policy holds. A run is reproducible bit for bit, so these stay exact.
+GOLDEN = json.loads(
+    (Path(__file__).resolve().parent / "fixtures" / "simulate_reference.json").read_text()
+)
+
+
+class TestGoldenRuns:
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_estimate_is_bit_identical(self, name):
+        case = GOLDEN[name]
+        cfg = SimConfig(
+            topology=parse_topology(case["document"]), event_cap=case["events"], seed=case["seed"]
+        )
+        # JSON text is exact for floats (shortest round-trip repr) and NaN-aware
+        assert json.dumps(simulate(cfg).to_dict()) == json.dumps(case["estimate"])
+
+    def test_cases_are_this_suites_networks(self):
+        assert GOLDEN["LINE2"]["document"] == LINE2_DOC
+        assert GOLDEN["MIXED"]["document"] == MIXED_DOC
+        nodes = [node for case in GOLDEN.values() for node in case["document"]["nodes"]]
+        assert {node["policy"] for node in nodes} == {"R", "Sigma", "MinSigmaR"}
