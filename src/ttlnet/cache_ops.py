@@ -43,6 +43,7 @@ from .kron import KronOperator, RateMatrix, kron_sum_operator
 from .processes import (
     MarkovArrivalProcess,
     PhaseTypeDistribution,
+    _certify,
     ph_min,
     require_valid,
 )
@@ -116,10 +117,24 @@ class CacheChain:
     def map(self) -> MarkovArrivalProcess:
         """The assembled miss MAP: d0' and d1' each from its terms' triplets
         in one sort, bit for bit the sums built term by term (see
-        `RateMatrix.from_terms`)."""
+        `RateMatrix.from_terms`).
+
+        Its singular-d0 verdict (`validate_map`) follows from the closure of
+        MAPs under the operator, for inputs that `cache_chain` validated. The
+        OUT group's hidden transitions are the input's d0 alone, and an OUT
+        state emits where its request state does, so d0' is singular when
+        the input's d0 is. Otherwise every IN state reaches the OUT group
+        when every TTL phase reaches absorption, and then d0' is nonsingular
+        unless a miss rate underflows (`_misses_kept`).
+        """
         d0p = KronOperator(self.dims, self.hidden).assemble()
         d1p = KronOperator(self.dims, self.active).assemble()
-        return MarkovArrivalProcess(d0p, d1p)
+        out = MarkovArrivalProcess(d0p, d1p)
+        singular = all(m.d0_singular for m in self.inputs)
+        d1s = [m.d1 for m in self.inputs]
+        if singular or (self.ttl.always_absorbs and _misses_kept(self.ttl.pi.entries, d1s)):
+            _certify(out, singular)
+        return out
 
     def in_system(self, p_in: np.ndarray) -> tuple[KronOperator, np.ndarray]:
         """(-M, rhs): the given-input system x_T (-M) = rhs over the IN
@@ -149,6 +164,14 @@ class CacheChain:
         terms += [(None,) + t for t in neg_d0] + [(spread,) + t for t in d1]
         flow = KronOperator(self.dims[1:], d1).product(p_in)
         return KronOperator((k,) + self.dims[1:], terms), np.outer(pi, flow).ravel()
+
+
+def _misses_kept(pi: np.ndarray, d1s) -> bool:
+    """Whether no miss rate pi_l d1_ij of the factors underflows, so that
+    the OUT state of request state i emits whenever i does; the input's
+    active matrix is the Kronecker sum of `d1s`."""
+    rates = [d1.data.min() for d1 in d1s if d1.nnz]
+    return bool(rates) and pi[pi > 0].min() * min(rates) > 0.0
 
 
 def _pi_rows(pi: np.ndarray, rows: int, blocks: int = 1) -> RateMatrix:

@@ -166,8 +166,8 @@ def cmd_simulate(args) -> int:
     topo = _read_config(args.config)
     cfg = SimConfig(
         topology=topo,
-        event_cap=int(args.events),
-        warmup=None if args.warmup is None else int(args.warmup),
+        event_cap=args.events,
+        warmup=args.warmup,
         seed=args.seed,
         object_id=args.object,
     )

@@ -6,7 +6,7 @@ from functools import reduce
 import numpy as np
 
 from . import kron
-from .cache_ops import CacheChain
+from .cache_ops import CacheChain, _misses_kept
 from .errors import DimensionError, NoStationaryDistributionError, ValidationError
 from .kron import (
     KronOperator,
@@ -16,7 +16,6 @@ from .kron import (
     edges,
     kron_sum_vector,
     reachable,
-    reversed_edges,
     steady_state,
 )
 from .processes import MarkovArrivalProcess, PhaseTypeDistribution
@@ -158,7 +157,7 @@ def _output_vector(chain: CacheChain, p_in) -> np.ndarray:
             "generator is reducible: no unique stationary distribution"
         )
     if p_in is None:
-        p_in = reduce(dense_kron, [steady_state(m.generator).entries for m in chain.inputs])
+        p_in = reduce(dense_kron, [m.stationary.entries for m in chain.inputs])
     x = kron._given_input_solve(q, *chain.in_system(p_in), p_in)
     return steady_state(q.assemble()).entries if x is None else x
 
@@ -182,10 +181,8 @@ def _phases_live(ttl: PhaseTypeDistribution, *d1s: RateMatrix) -> bool:
     lead out of a phase that never absorbs.
     """
     pi = ttl.pi.entries
-    entered = reachable(*edges(ttl.s), np.flatnonzero(pi))
-    absorbed = reachable(*reversed_edges(ttl.s), np.flatnonzero(ttl.exit_rates))
-    rates = [d1.data.min() for d1 in d1s if d1.nnz]
-    return bool(entered.all() and absorbed.all() and rates and pi[pi > 0].min() * min(rates) > 0.0)
+    entered = reachable(*edges(ttl.s), np.flatnonzero(pi)).all()
+    return bool(entered and ttl.always_absorbs and _misses_kept(pi, d1s))
 
 
 def stationary_interval_moments(m: MarkovArrivalProcess, count: int = 2) -> list[float]:

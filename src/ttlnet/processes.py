@@ -78,6 +78,15 @@ class MarkovArrivalProcess:
         """Stationary vector of the background chain, solved on first read."""
         return steady_state(self.generator)
 
+    @cached_property
+    def d0_singular(self) -> bool:
+        """Whether d0 is singular, as `validate_map` reads it once the sign
+        and row-sum checks pass: by the graph search (`_d0_is_singular`) on
+        first read, unless the MAP's producer set it from its parts
+        (`superpose`, `split` and `cache_ops.CacheChain.map`; see `_certify`).
+        """
+        return _d0_is_singular(self.d0, self.d1)
+
     def __eq__(self, other):
         if not isinstance(other, MarkovArrivalProcess):
             return NotImplemented
@@ -119,6 +128,11 @@ class PhaseTypeDistribution:
     @property
     def order(self) -> int:
         return self.s.rows
+
+    @cached_property
+    def always_absorbs(self) -> bool:
+        """Whether every phase reaches absorption through s."""
+        return bool(reachable(*reversed_edges(self.s), np.flatnonzero(self.exit_rates)).all())
 
     def full_generator(self) -> RateMatrix:
         """(m+1)-state generator with the absorbing state first."""
@@ -184,7 +198,10 @@ def validate_map(m: MarkovArrivalProcess, *more: MarkovArrivalProcess) -> Valida
     The sign and row-sum checks come first. Once they pass, -d0 is a
     Z-matrix whose row sums equal those of d1, and d0 is singular exactly
     when some state cannot reach an event-emitting state (a nonzero row
-    of d1) through hidden transitions; see :func:`_d0_is_singular`.
+    of d1) through hidden transitions; see :func:`_d0_is_singular`. The
+    verdict is the MAP's `d0_singular`: the MAPs that `superpose`, `split`
+    and a cache operator build carry it from their parts, so only other
+    MAPs are searched.
 
     With `more`, the MAP checked is the superposition of m and `more`, read
     from the parts without assembling it: its sign checks are the parts',
@@ -211,7 +228,7 @@ def validate_map(m: MarkovArrivalProcess, *more: MarkovArrivalProcess) -> Valida
     sums = kron_sum_vector([p.d0.row_sums() + p.d1.row_sums() for p in parts])
     for i in np.nonzero(np.abs(sums) > _ROWSUM_TOL)[0]:
         problems.append(f"row {i} of d0+d1 sums to {sums[i]:g}, not 0")
-    if not problems and all(_d0_is_singular(p.d0, p.d1) for p in parts):
+    if not problems and all(p.d0_singular for p in parts):
         problems.append("d0 is singular")
     return ValidationReport(ok=not problems, violations=tuple(problems))
 
@@ -235,6 +252,21 @@ def _d0_is_singular(d0: RateMatrix, d1: RateMatrix) -> bool:
     return not near.all() and not reachable(*reversed_edges(d0), np.flatnonzero(near)).all()
 
 
+def _signed(m: MarkovArrivalProcess) -> bool:
+    """No negative active rate and no negative hidden rate off the diagonal:
+    then the sums of rates that `superpose` and `split` form cancel nowhere,
+    which the verdicts they pass on need."""
+    off = m.d0.row_idx != m.d0.col_idx
+    return not (m.d1.data < 0).any() and not (m.d0.data[off] < 0).any()
+
+
+def _certify(m: MarkovArrivalProcess, singular: bool) -> MarkovArrivalProcess:
+    """m, its singular-d0 verdict set to `singular`, which its producer
+    derived from its parts: `validate_map` then runs no graph search on it."""
+    m.__dict__["d0_singular"] = singular
+    return m
+
+
 def require_valid(m: MarkovArrivalProcess, *more: MarkovArrivalProcess) -> MarkovArrivalProcess:
     """m, if it (with `more`: the superposition of m and `more`) is a valid MAP."""
     report = validate_map(m, *more)
@@ -254,13 +286,20 @@ def superpose(maps) -> MarkovArrivalProcess:
     State order is the Cartesian product of the input state spaces in
     lexicographic order (first argument outermost). Each matrix takes one
     sort of its Kronecker terms, bit for bit the chained `kron_sum`s.
+
+    The result's d0 is singular exactly when every part's is (see
+    `validate_map`), so its verdict comes from the parts' when their rates
+    have a MAP's signs.
     """
     maps = list(maps)
     if not maps:
         raise ValidationError("superpose requires at least one MAP")
     d0 = kron_sum_operator([m.d0 for m in maps]).assemble()
     d1 = kron_sum_operator([m.d1 for m in maps]).assemble()
-    return MarkovArrivalProcess(d0, d1)
+    out = MarkovArrivalProcess(d0, d1)
+    if all(_signed(m) for m in maps):
+        _certify(out, all(m.d0_singular for m in maps))
+    return out
 
 
 def split(m: MarkovArrivalProcess, p: ProbabilityVector) -> list[MarkovArrivalProcess]:
@@ -268,12 +307,22 @@ def split(m: MarkovArrivalProcess, p: ProbabilityVector) -> list[MarkovArrivalPr
 
     Component i keeps fraction p[i] of the active transitions; the rest
     become hidden, so every component shares the original background chain.
+
+    A component whose d1 keeps every entry of m's (a positive weight, no
+    product underflowed) keeps m's singular-d0 verdict when m's rates have
+    a MAP's signs: its states that emit are m's, and its hidden edges are
+    m's and those of the moved active rates, which leave emitting states
+    only.
     """
     out = []
+    signed = _signed(m)
     for weight in p:
         d0 = m.d0 + m.d1.scale(1.0 - weight)
         d1 = m.d1.scale(weight)
-        out.append(MarkovArrivalProcess(d0, d1))
+        part = MarkovArrivalProcess(d0, d1)
+        if signed and d1.nnz == m.d1.nnz:
+            _certify(part, m.d0_singular)
+        out.append(part)
     return out
 
 

@@ -53,6 +53,16 @@ class SimConfig:
     seed: int = 0
     object_id: str | None = None
 
+    def __post_init__(self):
+        # event counts: an integral float, as the CLI parses `--events 2e5`, becomes an int
+        for name in ("event_cap", "warmup"):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if not float(value).is_integer():
+                raise ValidationError(f"{name} must be a whole number of events, not {value!r}")
+            object.__setattr__(self, name, int(value))
+
     @property
     def effective_warmup(self) -> int:
         return self.event_cap // 10 if self.warmup is None else self.warmup

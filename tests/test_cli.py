@@ -193,6 +193,21 @@ class TestSimulateCommand:
         assert out == ""
         assert "warmup must be nonnegative" in json.loads(err)["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--events", "nan"], "event_cap must be a whole number of events, not nan"),
+            (["--events", "2000", "--warmup", "nan"], "warmup must be a whole number of events, not nan"),
+            (["--events", "2000", "--warmup", "0.9"], "warmup must be a whole number of events, not 0.9"),
+        ],
+    )
+    def test_non_integral_counts_exit_two(self, line_config, capsys, flags, message):
+        # nan used to end in a ValueError traceback, and 0.9 to become 0
+        code, out, err = run(["simulate", "--config", line_config, *flags], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == {"type": "ValidationError", "message": message}
+
     @pytest.mark.parametrize("extra,counted", [([], 1800), (["--warmup", "0"], 2000)])
     def test_warmup_default_and_zero(self, line_config, capsys, extra, counted):
         code, out, _ = run(

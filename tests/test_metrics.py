@@ -248,6 +248,22 @@ class TestGivenInputSolve:
         for name, value in got.to_dict().items():
             assert_allclose(value, assembled.to_dict()[name], rtol=1e-12, err_msg=name)
 
+    def test_derived_input_vector_is_the_inputs_cached_one(self, monkeypatch):
+        # without p_in, the given-input solve starts from the Kronecker
+        # product of the inputs' `stationary` vectors, solved once per MAP
+        parts = [_ring_mmpp(5), _ring_mmpp(4)]
+        chain = cache_chain("Sigma", parts, PhaseTypeDistribution.erlang(4, 2.0))
+        assert chain.order > kron._GTH_MAX
+        solved = []
+        monkeypatch.setattr(metrics, "steady_state", lambda q: solved.append(q.rows))
+        inputs = []
+        real = kron._given_input_solve
+        monkeypatch.setattr(kron, "_given_input_solve", lambda *a: inputs.append(a[-1]) or real(*a))
+        metrics.chain_metrics(chain)
+        assert solved == [] and all("stationary" in m.__dict__ for m in parts)
+        want = np.kron(parts[0].stationary.entries, parts[1].stationary.entries)
+        assert len(inputs) == 1 and np.array_equal(inputs[0], want)
+
     def test_input_vector_length_checked(self):
         m = _ring_mmpp(20)
         with pytest.raises(DimensionError):

@@ -26,7 +26,7 @@ from ttlnet import (
     superpose,
     validate_map,
 )
-from ttlnet import processes
+from ttlnet import cache_ops, processes
 from ttlnet.processes import erlang_approximation
 
 
@@ -162,21 +162,9 @@ class TestValidation:
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=300, deadline=None)
     def test_singular_verdict_matches_rank(self, seed):
-        # sparse hidden edges and whole silent rows of d1 make about a
-        # quarter of these MAPs have a singular d0
         r = np.random.default_rng(seed)
         n = int(r.integers(1, 9))
-        d0 = r.uniform(0.05, 2.0, (n, n)) * (r.random((n, n)) < 0.3)
-        np.fill_diagonal(d0, 0.0)
-        d1 = r.uniform(0.05, 2.0, (n, n)) * (r.random((n, 1)) < 0.3)
-        for i in range(n):
-            if d0[i].sum() + d1[i].sum() == 0.0:  # every state needs an exit
-                if n == 1:
-                    d1[i, i] = 1.0
-                else:
-                    d0[i, (i + 1 + int(r.integers(0, n - 1))) % n] = 1.0
-        d0 -= np.diag(d0.sum(axis=1) + d1.sum(axis=1))
-        m = MarkovArrivalProcess(RateMatrix.from_dense(d0), RateMatrix.from_dense(d1))
+        m = _sparse_map(r, n)
         singular = np.linalg.matrix_rank(m.d0.to_dense()) < n
         report = validate_map(m)
         assert report.violations == (("d0 is singular",) if singular else ())
@@ -187,6 +175,141 @@ class TestValidation:
                 RateMatrix.from_dense([[-1.0, 1.0], [1.0, -1.0]]),
                 ProbabilityVector([0.5, 0.5]),
             )
+
+
+def _sparse_map(r, n: int) -> MarkovArrivalProcess:
+    """A MAP with a MAP's signs and zero row sums whose sparse hidden edges
+    and silent rows leave about a quarter of them with a singular d0, and
+    many with a reducible background chain."""
+    d0 = r.uniform(0.05, 2.0, (n, n)) * (r.random((n, n)) < 0.3)
+    np.fill_diagonal(d0, 0.0)
+    d1 = r.uniform(0.05, 2.0, (n, n)) * (r.random((n, 1)) < 0.3)
+    for i in range(n):
+        if d0[i].sum() + d1[i].sum() == 0.0:  # every state needs an exit
+            if n == 1:
+                d1[i, i] = 1.0
+            else:
+                d0[i, (i + 1 + int(r.integers(0, n - 1))) % n] = 1.0
+    d0 -= np.diag(d0.sum(axis=1) + d1.sum(axis=1))
+    return MarkovArrivalProcess(RateMatrix.from_dense(d0), RateMatrix.from_dense(d1))
+
+
+def _sparse_ph(r, k: int, trapped: bool = False) -> PhaseTypeDistribution:
+    """A PH law with sparse exits. With `trapped` (k >= 3), phases k - 2
+    and k - 1 pass the clock between them and never absorb."""
+    free = k - 2 if trapped else k
+    s = r.uniform(0.1, 1.5, (k, k)) * (r.random((k, k)) < 0.4)
+    np.fill_diagonal(s, 0.0)
+    exits = r.uniform(0.2, 1.5, k) * (r.random(k) < 0.4)
+    exits[int(r.integers(free))] += 0.5
+    for i in range(k):
+        if s[i].sum() + exits[i] == 0.0:
+            s[i, (i + 1) % k] = 1.0 if k > 1 else 0.0
+            exits[i] += 1.0 if k == 1 else 0.0
+    if trapped:
+        s[free:], exits[free:] = 0.0, 0.0
+        s[free, free + 1], s[free + 1, free] = r.uniform(0.1, 1.5, 2)
+    s -= np.diag(s.sum(axis=1) + exits)
+    pi = r.dirichlet(np.ones(k)) * (r.random(k) < 0.7)
+    pi[int(r.integers(k))] += 1.0
+    return PhaseTypeDistribution(RateMatrix.from_dense(s), ProbabilityVector(pi / pi.sum()))
+
+
+def _certified(m: MarkovArrivalProcess) -> bool:
+    """Whether m's producer set its singular-d0 verdict (no search has run)."""
+    return "d0_singular" in m.__dict__
+
+
+class TestCertifiedVerdict:
+    """The singular-d0 verdicts that `superpose`, `split` and
+    `CacheChain.map` pass on from their parts, against the graph search on
+    the MAP they build, for parts with a singular or nonsingular d0 and a
+    reducible or irreducible background chain."""
+
+    @given(seed=st.integers(0, 2**32 - 1), policy=st.sampled_from(["Sigma", "R", "MinSigmaR"]),
+           children=st.integers(1, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_cache_chain(self, seed, policy, children):
+        # built directly, so that inputs with a singular d0 reach it too
+        r = np.random.default_rng(seed)
+        inputs = tuple(_sparse_map(r, int(r.integers(1, 5))) for _ in range(children))
+        trapped = bool(r.integers(2))
+        ttl = _sparse_ph(r, int(r.integers(3, 5)) if trapped else int(r.integers(1, 4)), trapped)
+        if policy == "Sigma":
+            reset = RateMatrix.identity(ttl.order)
+        elif policy == "R":
+            reset = cache_ops._pi_rows(ttl.pi.entries, ttl.order)
+        else:
+            ttl_r = _sparse_ph(r, int(r.integers(1, 3)))
+            reset = cache_ops._pi_rows(ttl_r.pi.entries, ttl_r.order, ttl.order)
+            ttl = ph_min(ttl, ttl_r)
+        singular = [processes._d0_is_singular(m.d0, m.d1) for m in inputs]
+        out = cache_ops.CacheChain(ttl, reset, inputs).map
+        absorbs = processes.reachable(
+            *processes.reversed_edges(ttl.s), np.flatnonzero(ttl.exit_rates)
+        ).all()
+        assert ttl.always_absorbs == absorbs
+        assert _certified(out) == (all(singular) or absorbs)
+        assert out.d0_singular == processes._d0_is_singular(out.d0, out.d1)
+
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_superpose(self, seed, count):
+        r = np.random.default_rng(seed)
+        out = superpose([_sparse_map(r, int(r.integers(1, 5))) for _ in range(count)])
+        assert _certified(out)
+        assert out.d0_singular == processes._d0_is_singular(out.d0, out.d1)
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_split(self, seed):
+        # weights of 0 and 1 among random ones; a part of weight 0 of a MAP
+        # that emits loses its active rates and is left to the search
+        r = np.random.default_rng(seed)
+        m = _sparse_map(r, int(r.integers(1, 6)))
+        weights = [[1.0], [1.0, 0.0], [0.0, 1.0], list(r.dirichlet(np.ones(3)))][int(r.integers(4))]
+        for weight, part in zip(weights, split(m, ProbabilityVector(weights))):
+            assert _certified(part) == (weight > 0.0 or m.d1.nnz == 0)
+            assert part.d0_singular == processes._d0_is_singular(part.d0, part.d1)
+        assert validate_map(split(m, ProbabilityVector([1.0]))[0]).ok == validate_map(m).ok
+
+    def test_parts_without_a_maps_signs_are_searched(self):
+        # a negative active rate of 1 cancels a Poisson part's 1 in the
+        # superposition, whose states 0 and 1 then form a silent closed
+        # class: the parts' verdicts (both leak) would be wrong
+        a = MarkovArrivalProcess(
+            RateMatrix.from_dense([[-1.0, 2.0], [2.0, -1.0]]),
+            RateMatrix.from_dense([[-1.0, 0.0], [0.0, -1.0]]),
+        )
+        out = superpose([a, poisson_map(1.0)])
+        assert not _certified(out)
+        assert out.d1.nnz == 0 and validate_map(out).violations == ("d0 is singular",)
+        # a negative hidden rate that a split moves an active rate onto
+        b = MarkovArrivalProcess(
+            RateMatrix.from_dense([[-2.0, -0.5], [1.0, -1.0]]),
+            RateMatrix.from_dense([[0.0, 2.5], [0.0, 0.0]]),
+        )
+        assert not any(_certified(part) for part in split(b, ProbabilityVector([0.5, 0.5])))
+
+    def test_underflowing_miss_rates_are_searched(self):
+        # every miss rate pi_l * 5e-324 rounds to zero: the miss MAP never
+        # emits, so its d0 is singular although the input's is not
+        ttl = PhaseTypeDistribution(
+            RateMatrix.from_dense([[-1.0, 0.0], [0.0, -2.0]]), ProbabilityVector([0.5, 0.5])
+        )
+        out = cache_ops.output_sigma(poisson_map(5e-324), ttl).map
+        assert not _certified(out) and out.d1.nnz == 0
+        assert validate_map(out).violations == ("d0 is singular",)
+
+    def test_engine_maps_validate_without_a_search(self, monkeypatch):
+        # the miss MAPs that analyze passes up are checked for signs and
+        # row sums only: the verdict comes from the closure
+        chain = cache_ops.output_r(mmpp_fig(), PhaseTypeDistribution.erlang(3, 2.0))
+        searches = []
+        monkeypatch.setattr(processes, "_d0_is_singular", lambda *a: searches.append(a))
+        parts = split(chain.map, ProbabilityVector([0.25, 0.75]))
+        joined = superpose([parts[0], chain.map])
+        assert all(validate_map(m).ok for m in (chain.map, *parts, joined)) and not searches
 
 
 class TestFundamentalRate:

@@ -262,6 +262,29 @@ class TestAccounting:
         est = simulate(SimConfig(topology=LINE2, event_cap=2000, warmup=0))
         assert est.counted_events == 2000
 
+    @pytest.mark.parametrize(
+        "field,kwargs",
+        [
+            ("warmup", {"event_cap": 2000, "warmup": 2.5}),
+            ("warmup", {"event_cap": 2000, "warmup": 0.9}),
+            ("warmup", {"event_cap": 2000, "warmup": math.nan}),
+            ("event_cap", {"event_cap": math.nan}),
+            ("event_cap", {"event_cap": math.inf}),
+            ("event_cap", {"event_cap": 2000.5, "warmup": 0}),
+        ],
+    )
+    def test_non_integral_counts_rejected(self, field, kwargs):
+        # a fractional warm-up used to end in an IndexError from float batch edges
+        with pytest.raises(ValidationError, match=f"{field} must be a whole number of events"):
+            SimConfig(topology=LINE2, **kwargs)
+
+    def test_integral_float_counts_become_ints(self):
+        cfg = SimConfig(topology=LINE2, event_cap=2e3, warmup=1e2)
+        assert (cfg.event_cap, cfg.warmup) == (2000, 100)
+        assert type(cfg.event_cap) is int and type(cfg.warmup) is int
+        est = simulate(cfg)
+        assert est.counted_events == 1900 and type(est.events) is int
+
 
 MIXED_DOC = {
     "nodes": [
