@@ -28,8 +28,7 @@ matches wins:
 =============  ============================  ====================  ================
 requests X     Sigma TTL                     R TTL                 route
 =============  ============================  ====================  ================
-Exp., Erlang   Erlang over `_DENSE_MAX` ph.  Exp., Erlang, none    miss chain
-any            Erlang                        any                   matrix-geometric
+any            Erlang                        any                   power series
 Det., Tab.     Det., Tab.                    any                   partial sums
 Exp., Erlang   Det., Tab.                    Tabulated             refused
 Exp., Erlang   Det., Tab.                    Deterministic         delay equation
@@ -41,17 +40,15 @@ Every value is exact (E[tau] and the transform come back as
 cycle, so each reading is the mass-weighted mixture over its atoms of the
 Deterministic-TTL reading. The routes:
 
-* miss chain: Exponential and Erlang laws are phase-type (PH), so the
-  requests form a renewal MAP, `cache_ops` builds the cache's miss process
-  exactly, and one sparse LU over one inter-miss interval of that process
-  gives the cycle (`_ph_cycle`). A query builds its miss chain once
-  (`_miss_chain`): its cycle at omega = 0 and its transform read the same
-  one. Only a Sigma TTL too large for the dense route below takes it.
-* matrix-geometric: with a PH(alpha, S) Sigma TTL, P(tau > k) = alpha K^k 1
-  for one n x n matrix K = E[e^{S X} 1{X <= T_R}] (`_ph_sigma`): a sum over
-  the atoms of X, or over those of T_R for PH requests, and for PH requests
-  and R TTL a closed form in ((a + b) I - S)^{-1}, a and b their rates
-  (`_censored`), so no phase-type query within the bound reads `cache_ops`.
+* power series: an Erlang(n, r) Sigma TTL has sub-generator S = r (J - I),
+  J the shift, so P(tau > k) = alpha K^k 1 with K = E[e^{S X} 1{X <= T_R}]
+  the upper-triangular Toeplitz matrix of the series c(J), c_k the chance
+  of a hit that passes k Sigma phases. Every reading is a power series in
+  J truncated after n terms, from coefficients that are sums of
+  nonnegative Poisson and negative binomial terms, each formed in log space
+  (`_erlang_sigma`); alpha (I - K)^{-1} is the reciprocal of 1 - c(z),
+  whose constant term is formed directly, so no step cancels and rare
+  misses keep their relative accuracy.
 * partial sums: for requests on atoms, the weight of each partial sum of
   requests that were all hits, by repeated convolution, read against the
   Sigma TTL's atoms in one pass (`_atom_requests`).
@@ -66,9 +63,11 @@ Deterministic-TTL reading. The routes:
 PH requests with a Deterministic or Tabulated Sigma TTL and a Tabulated R
 TTL would need a delay equation with one delay per atom; they raise
 `ValidationError`. A route that would exceed its size limit raises
-`BudgetExceededError`: phase-type requests, Sigma TTL and R TTL whose miss
-chain would have over `DEFAULT_BUDGET` states (on either route), a dense
-matrix over `_DENSE_MAX` or more than `_MAX_STEPS` partial sums.
+`BudgetExceededError`: a power series whose requests, Sigma TTL and R TTL
+would make a MAP-engine miss chain of over `DEFAULT_BUDGET` states (a law
+on atoms counting one phase) or whose coefficient tables would hold over
+`_MAX_STEPS` phase-atom cells, a dense matrix over `_DENSE_MAX` or more than
+`_MAX_STEPS` partial sums.
 """
 
 import functools
@@ -78,16 +77,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-# numpy alone runs every route while the Sigma TTL has at most `_DENSE_MAX`
-# phases: matrix exponentials are `_expm`'s and Erlang-law tails finite sums.
-# A larger one with phase-type requests and R TTL loads `scipy.sparse` and
-# `scipy.sparse.linalg` (with `scipy.linalg`) for the miss chain's sparse LU
-# in `_ph_cycle`; no route loads `scipy.special`.
+# numpy alone runs every route: matrix exponentials are `_expm`'s and
+# Erlang-law tails finite sums; no route loads scipy.
 
-from .cache_ops import DEFAULT_BUDGET, CacheChain, output_min, output_sigma
+from .cache_ops import DEFAULT_BUDGET
 from .errors import BudgetExceededError, DivergentStoppingTimeError, ValidationError
-from .kron import RateMatrix, _dot, dense_kron
-from .processes import MarkovArrivalProcess, PhaseTypeDistribution
+from .kron import dense_kron
 
 __all__ = [
     "RenewalSpec",
@@ -283,14 +278,15 @@ def _log_norm(c: int) -> float:
     return -_LOG_SQRT_2PI - 0.5 * math.log(c) - stirlerr
 
 
-def _deviance(c: int, mean):
-    """c log(c / mean) + mean - c >= 0, elementwise in mean >= 0.
+def _deviance(c, mean):
+    """c log(c / mean) + mean - c >= 0, elementwise in mean >= 0 and in an
+    integer array c >= 1 or an integer c >= 0.
 
     The log of the Poisson(mean) probability of c is `_log_norm(c)` less
     this. With d = mean / c - 1 it is c (d - log(1 + d)), log1p unless
     mean < c / 2.
     """
-    if c == 0:
+    if not isinstance(c, np.ndarray) and c == 0:
         return mean
     d = (mean - c) / c
     return c * (d - np.where(d < -0.5, np.log(mean / c), np.log1p(d)))
@@ -382,6 +378,35 @@ def _binomial_tails(n: int, s: int, p: float, q: float) -> tuple[float, float]:
     if s >= n * p + 1:
         return upper, 1.0 - upper
     return upper, _binomial_run(n, s - 1, p, q, up=False)
+
+
+def _poisson_tails(mean: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Poisson(mean) probabilities of 0, ..., size - 1 and the chances
+    of at least m, m = 0, ..., size, one row per entry of mean > 0.
+
+    Each probability is `_log_norm` less `_deviance` in log space, the chance
+    of at least size comes from `_gamma_tails`, and the others add the
+    probabilities to it, so every entry is a sum of nonnegative terms.
+    """
+    logs = np.empty((mean.size, size))
+    logs[:, 0] = -mean
+    norms = np.array([_log_norm(c) for c in range(1, size)])
+    logs[:, 1:] = norms - _deviance(np.arange(1, size), mean[:, None])
+    pmf = np.exp(logs)
+    tail = _gamma_tails(size, mean)[0]
+    return pmf, np.cumsum(np.column_stack([tail, pmf[:, ::-1]]), axis=1)[:, ::-1]
+
+
+def _nb_terms(m: np.ndarray, count: int, log_s: float, log_t: float) -> np.ndarray:
+    """C(m - 1 + j, j) s^m t^j for j = 0, ..., count - 1, one row per entry
+    of the integer array m >= 1: for s + t = 1, the chance of j failures
+    before success m. Each is summed in log space, m log s plus the logs of
+    the ratios (m - 1 + i) t / i for i <= j, so none underflows on the way.
+    """
+    m = m[:, None]
+    logs = np.zeros((m.size, count))
+    logs[:, 1:] = np.log1p((m - 1) / np.arange(1.0, count)) + log_t
+    return np.exp(logs.cumsum(axis=1) + m * log_s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -553,19 +578,20 @@ def _cycle(x: RenewalSpec, policy: StoppingPolicy, omega: float) -> _Cycle:
         t_sigma, t_r = policy.ttl_sigma, policy.ttl_r
         if isinstance(t_sigma, Exponential):
             return _exponential_sigma(x, t_sigma.rate, t_r, omega)
-    ph_requests = isinstance(x, _PH_LAWS)
     if isinstance(t_sigma, _PH_LAWS):
-        if ph_requests and (t_r is _NEVER or isinstance(t_r, _PH_LAWS)):
-            # The miss chain's p (n q + 1) states, for p request, n Sigma and
-            # q R phases (q = 1 for none), bound both routes: within them no
-            # term of `_censored`'s closed form that matters underflows.
-            size = _stages(x) * (t_sigma.stages * (1 if t_r is _NEVER else _stages(t_r)) + 1)
-            if size > DEFAULT_BUDGET:
-                raise BudgetExceededError("renewal", size, DEFAULT_BUDGET, "miss chain")
-            if t_sigma.stages > _DENSE_MAX:
-                return _ph_cycle(x, policy, omega)
-        return _ph_sigma(x, t_sigma, t_r, omega)
-    if not ph_requests:
+        # The p (n q + 1) states of the MAP-engine miss chain, for p request,
+        # n Sigma and q R phases (a law on atoms or none counting one), bound
+        # the series solve; (p + n + q) x the atoms of X and T_R, its tables.
+        n, p, q = _stages(t_sigma), _stages(x), _stages(t_r)
+        size = p * (n * q + 1)
+        if size > DEFAULT_BUDGET:
+            raise BudgetExceededError("renewal", size, DEFAULT_BUDGET, "power series")
+        atoms = [law.masses.size for law in (x, t_r) if isinstance(law, _ATOMS) and law is not _NEVER]
+        cells = (p + n + q) * sum(atoms)
+        if cells > _MAX_STEPS:
+            raise BudgetExceededError("renewal", cells, _MAX_STEPS, "power series table")
+        return _erlang_sigma(x, t_sigma, t_r, omega)
+    if not isinstance(x, _PH_LAWS):
         return _atom_requests(x, t_sigma, t_r, omega)
     if isinstance(t_r, Tabulated):
         raise ValidationError(
@@ -586,92 +612,12 @@ def _rest_cycle(x: RenewalSpec, policy: StoppingPolicy) -> _Cycle:
     return _cycle(x, policy, 0.0)
 
 
-@functools.lru_cache(maxsize=8)
-def _miss_chain(x: RenewalSpec, policy: StoppingPolicy) -> CacheChain:
-    """The exact miss chain of phase-type laws, kept for the last few
-    queries: the cycle at omega = 0 and the transform of one query read the
-    same chain. `_cycle` checks its size against `DEFAULT_BUDGET` first."""
-    ttls = (policy.ttl,) if policy.ttl is not None else (policy.ttl_sigma, policy.ttl_r)
-    ph_x, *ph_ttls = [_as_ph(law) for law in (x, *ttls)]
-    n = ph_x.order
-    exits = np.flatnonzero(ph_x.exit_rates)
-    starts = np.flatnonzero(ph_x.pi.entries)
-    d1 = RateMatrix.from_arrays(
-        n,
-        n,
-        np.repeat(exits, starts.size),
-        np.tile(starts, exits.size),
-        np.outer(ph_x.exit_rates[exits], ph_x.pi.entries[starts]).ravel(),
-    )
-    m = MarkovArrivalProcess(ph_x.s, d1)
-    return (output_sigma if policy.tag == "Sigma" else output_min)(m, *ph_ttls)
-
-
-def _as_ph(law: RenewalSpec) -> PhaseTypeDistribution:
-    if isinstance(law, Exponential):
-        return PhaseTypeDistribution.exponential(law.rate)
-    return PhaseTypeDistribution.erlang(law.stages, law.rate)
-
-
-def _ph_cycle(x: RenewalSpec, policy: StoppingPolicy, omega: float) -> _Cycle:
-    """The cycle from the discounted state occupation of the exact miss chain.
-
-    Exponential and Erlang laws are phase-type: requests with a PH(alpha, S)
-    law form the renewal MAP (S, s alpha), s the exit vector, and the MAP
-    engine builds the cache's miss process (D0', D1') exactly (TTL order as
-    in `StoppingPolicy.min_of`). Every miss restarts the request law and the
-    TTL, so misses are regeneration points: every row of D1' is a multiple
-    of one vector, the initial vector phi of the next inter-miss interval,
-    and phi is proportional to p' D1' whatever the stationary vector p' is.
-    One solve gives z = phi (omega I - D0')^{-1}. Entry i of z is the
-    expected time spent in state i during one inter-miss interval S,
-    discounted by exp(-omega t); so at omega = 0, z 1 = E[S] = E[tau] E[X]
-    (Wald) and the sum of z over the IN states is the in-cache time, and
-    z D1' 1 = E[exp(-omega S)].
-
-    A query builds its chain once (`_miss_chain`), assembled sparse for a
-    sparse LU. `_cycle` takes this route only for a Sigma TTL of more than
-    `_DENSE_MAX` phases, so the chain has more than `_DENSE_MAX` states.
-    Every law must be phase-type.
-    """
-    chain = _miss_chain(x, policy)
-    size, n = chain.order, len(chain.out_states)
-    from scipy.sparse.linalg import splu
-
-    d0, d1 = chain.map.d0, chain.map.d1
-    phi = np.bincount(d1.col_idx, weights=d1.data, minlength=size)
-    # In the cache_ops state order (OUT block, then Sigma phase, R phase and
-    # request phase, outermost first) Erlang phases only move forward; the
-    # only moves back are evictions into the OUT block and hits, which return
-    # to the first state of their Sigma phase. Eliminating the OUT block and
-    # then the IN block, each in reverse, adds at most a few fill entries per
-    # state, and a^T is column diagonally dominant, so SuperLU keeps that
-    # order without pivoting (a fill-reducing ordering such as COLAMD does not
-    # see the structure and filled up to 1 GB near the budget).
-    order = np.concatenate([np.arange(n)[::-1], np.arange(n, size)[::-1]])
-    # order reverses each block, so it is its own inverse: entry (i, j) of
-    # a = omega I - D0' is entry (order[i], order[j]) of the permuted system,
-    # built from the triplets with one sort; the transpose of its CSR matrix
-    # is a CSC matrix on the same arrays
-    diag = np.arange(size)
-    permuted = RateMatrix.from_arrays(
-        size,
-        size,
-        order[np.concatenate([diag, d0.row_idx])],
-        order[np.concatenate([diag, d0.col_idx])],
-        np.concatenate([np.full(size, omega), -d0.data]),
-    )
-    z = np.empty(size)
-    z[order] = splu(permuted.to_csr().T, permc_spec="NATURAL").solve(phi[order] / phi.sum())
-    return _Cycle(float(z.sum()) / x.mean, float(z[n:].sum()), float(_dot(z, d1.row_sums())))
-
-
-# Largest dense matrix the routes exponentiate or factor, and the most
-# phases of a Sigma TTL off the miss chain route: at this size an `_expm`
-# takes 1.3-2.8 ms (1-norms 0.1 to 1e3) and a dense solve 0.16 ms (2-vCPU
-# host).
+# Largest dense matrix the routes exponentiate or factor: at this size an
+# `_expm` takes 1.3-2.8 ms (1-norms 0.1 to 1e3) and a dense solve 0.16 ms
+# (2-vCPU host).
 _DENSE_MAX = 200
-# Most partial sums the atom routes enumerate.
+# Most partial sums the atom routes enumerate, and most phase-atom cells of
+# the power series' coefficient tables.
 _MAX_STEPS = 1_000_000
 # Cached mass below which the method of steps and the partial-sum
 # convolutions stop.
@@ -789,45 +735,6 @@ def _ph_arrays(law: RenewalSpec) -> tuple[np.ndarray, np.ndarray]:
     return np.eye(stages)[0], law.rate * (np.eye(stages, k=1) - np.eye(stages))
 
 
-def _censored(m: np.ndarray, v: RenewalSpec, w: RenewalSpec, ties: bool) -> np.ndarray:
-    """E[e^{m V} 1{V <= W}] for independent V and W (1{V < W} without ties).
-
-    V on atoms sums over them. For V ~ Erlang(p, a) and W ~ Erlang(q, b), an
-    Exponential law being one stage and W = `_NEVER` one that never fires
-    (b = 0, q = 1), integrating the density of V against P(W >= v) e^{m v}
-    gives (a R)^p times the sum over j < q of C(p - 1 + j, j) (b R)^j with
-    R = ((a + b) I - m)^{-1}: n x n work for an n x n m. Every m here is a
-    sub-generator of an Erlang law less omega I, so R is the inverse of an
-    upper-bidiagonal M-matrix and every term is nonnegative. A PH(beta, T) V,
-    t = -T 1, against W on atoms is (beta (x) I) C^{-1} (E[e^{C W}] - I)
-    (t (x) I) with C = T (+) m, the integral of its density times e^{m v} up
-    to W.
-    """
-    if v is _NEVER:
-        return np.zeros_like(m)
-    if isinstance(v, _ATOMS):
-        beyond = w.survival_geq(v.points) if ties else 1.0 - w.cdf(v.points)
-        return _expm_mix(m, v, v.masses * beyond)
-    eye = np.eye(m.shape[0])
-    if w is _NEVER or isinstance(w, _PH_LAWS):
-        p, b, q = _stages(v), 0.0, 1
-        if w is not _NEVER:
-            b, q = w.rate, _stages(w)
-        r = np.linalg.inv((v.rate + b) * eye - m)
-        term = np.linalg.matrix_power(v.rate * r, p)
-        total = term
-        for j in range(1, q):
-            term = term @ r * (b * (p - 1 + j) / j)
-            total = total + term
-        return total
-    beta, t = _ph_arrays(v)
-    _dense(beta.size * m.shape[0])
-    c = dense_kron(t, eye) + dense_kron(np.eye(beta.size), m)
-    exits = dense_kron(-t.sum(axis=1)[:, None], eye)
-    reach = _expm_mix(c, w, w.masses)
-    return dense_kron(beta, eye) @ np.linalg.solve(c, (reach - np.eye(c.shape[0])) @ exits)
-
-
 def _exponential_sigma(x: RenewalSpec, mu: float, t_r: RenewalSpec, omega: float) -> _Cycle:
     """min(Sigma, R) with an Exponential(mu) Sigma TTL.
 
@@ -850,29 +757,103 @@ def _exponential_sigma(x: RenewalSpec, mu: float, t_r: RenewalSpec, omega: float
     return _Cycle(tau, in_cache, transform)
 
 
-def _ph_sigma(x: RenewalSpec, t_sigma: RenewalSpec, t_r: RenewalSpec, omega: float) -> _Cycle:
-    """An Erlang Sigma TTL PH(alpha, S) of at most `_DENSE_MAX` phases, with
-    requests and R TTL of any law (`_NEVER` for a Sigma cache).
+def _stage_hits(w: RenewalSpec, lam: float, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """P(W >= Y_m) and P(W < Y_m) for Y_m ~ Erlang(m, lam), m = 1, ...,
+    top, each a sum of nonnegative terms.
+
+    Y_m <= u iff a Poisson(lam u) count reaches m, which `_poisson_tails`
+    reads at the atoms of W. Against W ~ Erlang(q, b), in the merged streams
+    of rates lam and b, Y_m ends first iff fewer than q of W's events come
+    before the m-th of Y's, and last iff the q-th of W's comes after j < m
+    of Y's: with the `_nb_terms` table of rows m and columns j < q, a row sum
+    and, times b / lam, a running sum of the last column.
+    """
+    if w is _NEVER:
+        return np.ones(top), np.zeros(top)
+    if isinstance(w, _ATOMS):
+        pmf, above = _poisson_tails(lam * w.points, top)
+        return w.masses @ above[:, 1:], w.masses @ pmf.cumsum(axis=1)
+    b = w.rate
+    table = _nb_terms(np.arange(1, top + 1), _stages(w), -math.log1p(b / lam), -math.log1p(lam / b))
+    return table.sum(axis=1), b / lam * table[:, -1].cumsum()
+
+
+def _stage_terms(v: RenewalSpec, w: RenewalSpec, r: float, omega: float, n: int):
+    """For V ~ Erlang(p, a) tilted to rate b = a + omega, rows i = 1, ..., p
+    of the chances of k < n Sigma phases before stage i, C(i - 1 + k, k)
+    (b / lam)^i (r / lam)^k with lam = b + r, and `_stage_hits` of W at lam:
+    after k phases stage i ends at Erlang(i + k, lam), one entry per order."""
+    p, b = _stages(v), v.rate + omega
+    table = _nb_terms(np.arange(1, p + 1), n, -math.log1p(r / b), -math.log1p(b / r))
+    return table, *_stage_hits(w, b + r, p + n - 1)
+
+
+def _erlang_sigma(x: RenewalSpec, t_sigma: RenewalSpec, t_r: RenewalSpec, omega: float) -> _Cycle:
+    """An Erlang(n, r) Sigma TTL, with requests and R TTL of any law
+    (`_NEVER` for a Sigma cache), by power series in the shift J.
 
     Step k ends with the object still cached iff S_k <= T_Sigma and every
     request so far was a hit (X <= T_R), so P(tau > k) = alpha K^k 1 with
-    K_omega = E[e^{-omega X} e^{S X} 1{X <= T_R}], K = K_0 (`_censored`).
-    Then E[tau] = alpha (I - K)^{-1} 1, the transform is
-    alpha (I - K_omega)^{-1} (L_omega(X) 1 - K_omega 1), and the in-cache
-    time is alpha (I - K)^{-1} times the integral of P(X > v) P(T_R > v)
-    e^{S v} 1 over v >= 0, which is S^{-1} (E[e^{S min(X, T_R)}] - I) 1 =
-    S^{-1} (K + E[e^{S T_R} 1{T_R < X}] - I) 1.
+    K_omega = E[e^{-omega X} e^{S X} 1{X <= T_R}], S = r (J - I): the sum of
+    c_k J^k, c_k = E[e^{-(r + omega) X} (r X)^k / k! 1{X <= T_R}], and d_k
+    the same over X > T_R. Read by first coefficients:
+
+    * w = alpha (I - K)^{-1} is 1 / (1 - c(z)): with u = 1 - c_0 formed as
+      `_gap` plus d_0, w_k = (c_1 w_{k-1} + ... + c_k w_0) / u; E[tau] = w 1.
+    * The transform is w (L_omega(X) 1 - K_omega 1), entry i, with m = n - i
+      phases left, the discounted chance that a request outlasts T_R or m
+      phases: every d_j, c_j over m <= j < n, and the chance that it
+      outlasts n phases. At omega = 0 it is 1.
+    * The in-cache time is w times the integral of P(X > v) P(T_R > v)
+      e^{S v} 1, entry i the sum over k < m of h_k, the integral of
+      P(X > v) P(T_R > v) e^{-r v} (r v)^k / k!.
+
+    For X ~ Erlang(p, a), c_k + d_k is L_omega(X) times the negative
+    binomial chance of k Sigma phases within the request, and `_stage_terms`
+    splits it; P(X > v) is the sum of the Erlang(i, a) densities over a, i
+    <= p, so h is the sum over i of c at omega = 0 for Erlang(i, a) requests,
+    over a, and likewise with X and T_R swapped. For X on atoms, c and d
+    weight Poisson probabilities by the atoms' hit and miss weights, and with
+    T_R on atoms or none h_k = P(M >= Erlang(k + 1, r)) / r, M = min(X, T_R)
+    on the atoms of both.
     """
-    alpha, s = _ph_arrays(t_sigma)
-    eye, ones = np.eye(alpha.size), np.ones(alpha.size)
-    k = _censored(s - omega * eye, x, t_r, ties=True)
-    w = np.linalg.solve((eye - k).T, alpha)  # alpha (I - K)^{-1}
-    transform = w @ (x.laplace(omega) * ones - k @ ones)
-    in_cache = math.nan
-    if omega == 0.0:
-        held = np.linalg.solve(s, (k + _censored(s, t_r, x, ties=False) - eye) @ ones)
-        in_cache = float(w @ held)
-    return _Cycle(float(w.sum()), in_cache, float(transform))
+    n, r = _stages(t_sigma), t_sigma.rate
+    if isinstance(x, _ATOMS):
+        hit_w, miss_w = _atom_weights(x, t_r, omega)
+        pmf, above = _poisson_tails(r * x.points, n)
+        c, d = hit_w @ pmf, miss_w @ pmf
+    elif isinstance(x, _PH_LAWS):
+        table, hits, misses = _stage_terms(x, t_r, r, omega, n)
+        nb = x.laplace(omega) * table[-1]
+        c, d = nb * hits[-n:], nb * misses[-n:]
+    else:
+        raise ValidationError(f"requests known by their transform need an Exponential TTL: {x!r}")
+    u = _gap(x, 0.0, r + omega) + d[0]
+    w = np.empty(n)
+    w[0] = 1.0 / u
+    for i in range(1, n):
+        w[i] = c[i:0:-1] @ w[:i] / u
+    if omega > 0.0:
+        # the chance that the request outlasts n phases
+        if isinstance(x, _ATOMS):
+            beyond = (hit_w + miss_w) @ above[:, n]
+        else:
+            # n phases before stage i + 1, after i < p stages
+            beyond = x.laplace(omega) * r / (x.rate + omega) * table[:, -1].sum()
+        total = float(w.sum())
+        return _Cycle(total, math.nan, (beyond + d.sum()) * total + float(w[1:] @ c[:0:-1].cumsum()))
+    if isinstance(x, _PH_LAWS) or isinstance(t_r, _PH_LAWS):
+        v = x if isinstance(x, _PH_LAWS) else t_r
+        if v is t_r:  # requests on atoms: the same sum over the R TTL's stages
+            table, hits, _ = _stage_terms(t_r, x, r, 0.0, n)
+        h = (table * hits[np.arange(table.shape[0])[:, None] + np.arange(n)]).sum(axis=0) / v.rate
+    else:
+        # M is X where T_R >= X, with the hit weights, else T_R
+        h = hit_w @ above[:, 1:] / r
+        if t_r is not _NEVER:
+            first = t_r.masses * _atom_tails(x, t_r.points, "right")[1]
+            h += first @ _poisson_tails(r * t_r.points, n)[1][:, 1:] / r
+    return _Cycle(float(w.sum()), float(w @ h.cumsum()[::-1]), 1.0)
 
 
 def _held(x: RenewalSpec, t_r: RenewalSpec, u: np.ndarray) -> np.ndarray:
@@ -1074,9 +1055,10 @@ def _gap(x: RenewalSpec, omega: float, mu: float) -> float:
     return x.laplace(omega) - x.laplace(omega + mu)
 
 
-def _atom_tails(law: RenewalSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P(V < u) and P(V >= u) for V on atoms, each a sum of masses."""
-    j = np.searchsorted(law.points, u)
+def _atom_tails(law: RenewalSpec, u: np.ndarray, side: str = "left") -> tuple[np.ndarray, np.ndarray]:
+    """P(V < u) and P(V >= u) for V on atoms (P(V <= u) and P(V > u) on the
+    "right" side), each a sum of masses."""
+    j = np.searchsorted(law.points, u, side)
     below = np.concatenate([[0.0], np.cumsum(law.masses)])
     above = np.concatenate([np.cumsum(law.masses[::-1])[::-1], [0.0]])
     return below[j], above[j]
@@ -1133,18 +1115,27 @@ def _discounted_held(x: RenewalSpec, t: RenewalSpec, mu: float) -> float:
     return total / lam
 
 
+def _atom_weights(x: RenewalSpec, t: RenewalSpec, omega: float) -> tuple[np.ndarray, np.ndarray]:
+    """e^{-omega x} P(X = x) times P(T >= x) and P(T < x) at each atom x of
+    X: the weights of a request that hits and of one that misses."""
+    w = x.masses * np.exp(-omega * x.points)
+    if isinstance(t, _ATOMS):
+        below, above = _atom_tails(t, x.points)
+    elif isinstance(t, Erlang):
+        below, above = _gamma_tails(t.stages, t.rate * x.points)
+    else:
+        below, above = t.cdf(x.points), t.survival_geq(x.points)
+    return w * above, w * below
+
+
 def _weights(x: RenewalSpec, t: RenewalSpec, omega: float) -> tuple[float, float]:
     """E[e^{-omega X} 1{X <= T}] and E[e^{-omega X} 1{X > T}]: the weights of
     a request that hits and of one that misses, each summed directly."""
     if isinstance(t, Exponential):
         return x.laplace(omega + t.rate), _gap(x, omega, t.rate)
     if isinstance(x, _ATOMS):
-        w = x.masses * np.exp(-omega * x.points)
-        if isinstance(t, _ATOMS):
-            below, above = _atom_tails(t, x.points)
-        else:
-            below, above = t.cdf(x.points), t.survival_geq(x.points)
-        return float(w @ above), float(w @ below)
+        hit, miss = _atom_weights(x, t, omega)
+        return float(hit.sum()), float(miss.sum())
     if not isinstance(x, _PH_LAWS):
         raise ValidationError(f"requests known by their transform need an Exponential TTL: {x!r}")
     if isinstance(t, _ATOMS):

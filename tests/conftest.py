@@ -126,11 +126,10 @@ def mc_mean_se(values: np.ndarray) -> tuple[float, float]:
 
 @pytest.fixture(autouse=True)
 def _fresh_renewal_cycles():
-    """Forget the renewal engine's remembered cycles and miss chains, so
-    that a test which switches a route off (by monkeypatching) does not read
-    a cycle or a chain an earlier test computed."""
+    """Forget the renewal engine's remembered cycles, so that a test which
+    switches a route off (by monkeypatching) does not read a cycle an
+    earlier test computed."""
     ttlnet.renewal._rest_cycle.cache_clear()
-    ttlnet.renewal._miss_chain.cache_clear()
 
 
 @pytest.fixture

@@ -13,13 +13,13 @@ route. Then it analyzes the two map-large shapes of `topologies.py`, the
 2,500 and 1,944 IN states are solved on their Kronecker factors, and runs
 `expected_tau`, `occupancy_renewal` and the
 transform of one renewal query per route of the `renewal` module's route
-table and of R caches over Exponential, Erlang and Deterministic laws.
-After each step it checks that none of `LAZY` is in `sys.modules`. Then,
-in the same process, it runs each route that imports one of them on first
-use against the values of the routes that do not or against independent
-values: a Sigma TTL of more than `renewal._DENSE_MAX` phases (the miss
-chain's sparse LU, then the same query by the matrix-geometric route under
-a raised bound), `LARGE` again
+table and of R caches over Exponential, Erlang and Deterministic laws, and
+E[tau] and the occupancy of Erlang(2) and Deterministic requests under
+Sigma TTLs of 250 and 2,000 Erlang phases, above `renewal._DENSE_MAX`,
+against closed forms and Poisson sums. After each step it checks that none
+of `LAZY` is in `sys.modules`. Then, in the same process, it runs each
+route that imports one of them on first use against the values of the
+routes that do not or against independent values: `LARGE` again
 with scipy's sparse product (`kron._NUMPY_PRODUCT_MAX` patched to 0), the
 LU fallback of the stationary solve, `ph_mean` and
 `stationary_interval_moments`. Exits 0 when all checks pass, else with a
@@ -57,10 +57,10 @@ def _renewal_queries():
         (Exponential(1.0), min_of(exp, Exponential(1.5))),  # closed form, Exponential Sigma TTL
         (Erlang(2, 2.0), min_of(exp, Erlang(2, 3.0))),  # closed form, Exponential Sigma TTL
         (Erlang(2, 2.0), min_of(exp, tab)),  # closed form, Exponential Sigma TTL
-        (Erlang(2, 2.0), sigma(erlang)),  # matrix-geometric, phase-type laws
-        (Exponential(1.0), min_of(erlang, Erlang(2, 3.0))),  # matrix-geometric, phase-type laws
-        (Deterministic(0.9), sigma(erlang)),  # matrix-geometric
-        (tab, min_of(erlang, det)),  # matrix-geometric
+        (Erlang(2, 2.0), sigma(erlang)),  # power series, phase-type laws
+        (Exponential(1.0), min_of(erlang, Erlang(2, 3.0))),  # power series, phase-type laws
+        (Deterministic(0.9), sigma(erlang)),  # power series
+        (tab, min_of(erlang, det)),  # power series
         (Deterministic(0.4), sigma(det)),  # partial sums
         (tab, min_of(tab, Exponential(1.5))),  # partial sums
         (Erlang(2, 2.0), min_of(det, Deterministic(0.67))),  # delay equation
@@ -107,9 +107,16 @@ def _require_close(what: str, got: float, want: float, rtol: float = 1e-9) -> No
         sys.exit(f"{what}: {got!r} != {want!r}")
 
 
+def _poisson_below(mean: float, n: int) -> float:
+    """P(N < n) for N ~ Poisson(mean), each term from its logarithm."""
+    if mean == 0.0:
+        return 1.0
+    return math.fsum(math.exp(j * math.log(mean) - mean - math.lgamma(j + 1)) for j in range(n))
+
+
 def main(config: str) -> None:
     import ttlnet
-    from ttlnet import kron, renewal
+    from ttlnet import kron
     from ttlnet.renewal import (
         Deterministic,
         Erlang,
@@ -170,28 +177,24 @@ def main(config: str) -> None:
     # function c / 2 - 1 / 4 + exp(-2 c) / 4
     tau = expected_tau(Erlang(2, 1.0), StoppingPolicy.reset_on_miss(Deterministic(1.5)))
     _require_close("Deterministic Sigma expected_tau", tau.value, 1.5 + math.exp(-3.0) / 4)
+    # Sigma TTLs of more Erlang phases than the dense bound, by power series
+    for ttl in (Erlang(250, 100.0), Erlang(2000, 800.0)):
+        policy = StoppingPolicy.reset_on_miss(ttl)
+        # Erlang(2, 2) requests: 1 plus the renewal function at the TTL,
+        # 2 t / 2 - 1 / 4 + exp(-4 t) / 4; Deterministic(0.5) requests:
+        # request k is a hit iff the TTL outlasts k / 2, that is iff fewer
+        # than n events of a Poisson(r k / 2) count
+        steps = range(int(4 * ttl.mean) + 60)
+        references = [
+            (Erlang(2, 2.0), 0.75 + ttl.mean + ttl.laplace(4.0) / 4),
+            (Deterministic(0.5), math.fsum(_poisson_below(ttl.rate * k / 2, ttl.stages) for k in steps)),
+        ]
+        for x, want in references:
+            what = f"{x!r} under Sigma {ttl!r}"
+            _require_close(f"{what}: expected_tau", expected_tau(x, policy).value, want)
+            # a Sigma cache holds the object for the whole TTL
+            _require_close(f"{what}: occupancy", occupancy_renewal(x, policy), ttl.mean / (want * x.mean))
     _require_unloaded("renewal routes")
-
-    # a Sigma TTL above the dense bound: Erlang(2) requests under a Sigma
-    # Erlang(250) TTL take the miss chain, 502 states, by the sparse LU
-    x, policy = Erlang(2, 2.0), StoppingPolicy.reset_on_miss(Erlang(250, 100.0))
-    sparse = [renewal._cycle(x, policy, omega) for omega in (0.0, 0.5)]
-    if "scipy.sparse.linalg" not in sys.modules:
-        sys.exit("the miss chain above the dense bound did not take the sparse LU")
-    # the same query takes the matrix-geometric route once the bound admits it
-    import scipy.sparse.linalg as spla
-
-    def refuse_lu(*args, **kwargs):
-        sys.exit("the query within the raised dense bound took the sparse LU")
-
-    bound, renewal._DENSE_MAX = renewal._DENSE_MAX, 250
-    splu, spla.splu = spla.splu, refuse_lu
-    geometric = [renewal._cycle(x, policy, omega) for omega in (0.0, 0.5)]
-    # at omega > 0 only the transform is a reading of the cycle
-    for name, got, want in [*zip(sparse[0]._fields, sparse[0], geometric[0]),
-                            ("transform at 0.5", sparse[1].transform, geometric[1].transform)]:
-        _require_close(f"sparse miss chain {name}", got, want, rtol=1e-12)
-    renewal._DENSE_MAX, spla.splu = bound, splu
 
     # above the product bound, BiCGSTAB multiplies with scipy.sparse
     bound, kron._NUMPY_PRODUCT_MAX = kron._NUMPY_PRODUCT_MAX, 0

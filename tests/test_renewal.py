@@ -96,6 +96,8 @@ class TestTransformR:
         for ttl in (Deterministic(1.0), Erlang(2, 1.0)):
             with pytest.raises(ValidationError):
                 transform_r(x, ttl, 0.5)
+        with pytest.raises(ValidationError):
+            transform_sigma(x, Erlang(2, 1.0), 0.5)
 
     def test_hypothesis_violation(self):
         with pytest.raises(DivergentStoppingTimeError):
@@ -138,11 +140,12 @@ class TestTransformSigma:
     # of the module docstring, which every route now sums exactly; until the
     # Tabulated laws became atoms these cells took a grid approximation of it.
     def test_series_matches_closed_form(self):
-        # an exponential TTL has a closed value; the miss chain must reach it
+        # an exponential TTL has a closed value; the MAP engine's miss chain
+        # must reach it too
         x, t, omega = Erlang(2, 2.0), Exponential(1.0), 0.5
         psi = x.laplace(omega + t.rate)
         closed = (x.laplace(omega) - psi) / (1.0 - psi)
-        chain = ttlnet.renewal._ph_cycle(x, StoppingPolicy.reset_on_miss(t), omega).transform
+        chain = _interval_solve(x, StoppingPolicy.reset_on_miss(t), omega)[2]
         assert_allclose(transform_sigma(x, t, omega), closed, rtol=1e-14)
         assert_allclose(chain, closed, rtol=1e-10)
 
@@ -264,7 +267,7 @@ class TestHitMiss:
             )
 
     def test_monte_carlo_branch_against_oracle(self, rng):
-        # the query of the former Monte Carlo branch, now on the matrix-geometric route
+        # the query of the former Monte Carlo branch, now on the power-series route
         x, t = Erlang(2, 2.0), Erlang(2, 1.0)
         got = expected_tau(x, StoppingPolicy.reset_on_miss(t), samples=60_000, rng=rng)
         taus, _, _ = stopped_sum_oracle(rng, x.sample, "Sigma", t.sample, n=60_000)
@@ -441,6 +444,36 @@ def _decimal_min_det_exp_tab(e, mu, omega):
         return float(tau), float(occupancy), float(transform)
 
 
+def _decimal_min_det_erlang_tab(r, e):
+    """E[tau] and occupancy of a min(Sigma, R) cache with Deterministic(1)
+    requests, an Erlang(2, r) Sigma TTL and an R TTL at 0.5 with mass e and
+    at 1.5 with mass 1 - e, in 50-digit decimal arithmetic.
+
+    A request is a hit with chance h = 1 - e, and the Sigma TTL outlasts t
+    with chance e^{-r t} (1 + r t), so with z = h e^{-r}, P(tau > k) =
+    z^k (1 + r k). The object is held at time k + s of a cycle, s < 1, with
+    chance h^k P(T_R > s) e^{-r (k + s)} (1 + r (k + s)), P(T_R > s) = h on
+    s > 1/2; summed over k, the in-cache time is A / (1 - z) + B z /
+    (1 - z)^2 with A = I1(0, 1/2) + h I1(1/2, 1) and B = r (I0(0, 1/2) +
+    h I0(1/2, 1)), I0 and I1 the integrals of e^{-r s} and e^{-r s} (1 + r s)."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        r, e = Decimal(r), Decimal(e)
+        h, half, one = 1 - e, Decimal("0.5"), Decimal(1)
+        z = h * (-r).exp()
+
+        def i0(a, b):
+            return ((-r * a).exp() - (-r * b).exp()) / r
+
+        def i1(a, b):
+            return (-r * a).exp() * (a + 2 / r) - (-r * b).exp() * (b + 2 / r)
+
+        a = i1(0, half) + h * i1(half, one)
+        b = r * (i0(0, half) + h * i0(half, one))
+        tau = 1 / (1 - z) + r * z / (1 - z) ** 2
+        return float(tau), float((a / (1 - z) + b * z / (1 - z) ** 2) / tau)
+
+
 class TestRareMisses:
     """R and Sigma closed forms keep their relative accuracy when misses are
     rare: the miss weight and L_0 - L_omega are each summed on their own."""
@@ -481,6 +514,17 @@ class TestRareMisses:
         want = _decimal_min_det_exp_tab("1e-13", 1e-15, omega)
         assert_allclose(got, want, rtol=1e-12)
         assert_allclose(want, [9.900990099009901e12, 0.9999999999999495, 1.5569090233619223e-13], rtol=1e-15)
+
+    @pytest.mark.parametrize("r,e", [("2e-15", "1e-13"), ("2e-9", "1e-8")])
+    def test_min_erlang_sigma_ttl(self, r, e):
+        # misses one request in about 1e13 with an Erlang Sigma TTL: 1 - K
+        # and the in-cache time formed by subtraction were 1.9e-3 and 0.22
+        # off in E[tau] and occupancy
+        x = Deterministic(1.0)
+        policy = StoppingPolicy.min_of(Erlang(2, float(r)), Tabulated(1.0, [float(e), 1.0 - float(e)]))
+        tau, occupancy = _decimal_min_det_erlang_tab(r, e)
+        assert_allclose(expected_tau(x, policy).value, tau, rtol=1e-13)
+        assert_allclose(occupancy_renewal(x, policy), occupancy, rtol=1e-13)
 
 
 def _mixture_r(parts, omega):
@@ -737,13 +781,13 @@ PH_ROUTE_CASES = {
         Erlang(3, 3.0), StoppingPolicy.min_of(Exponential(0.8), Erlang(3, 4.0))
     ),
 }
-# Large queries within the dense bound: their miss chains have 4,505 and
-# 20,000 states
+# Large queries: their miss chains have 4,505 and 20,000 states
 LARGE_PH_CASES = {
     "min-5x30x30": (Erlang(5, 5.0), StoppingPolicy.min_of(Erlang(30, 20.0), Erlang(30, 40.0))),
     "sigma-2000x9": (Erlang(2000, 2000.0), StoppingPolicy.reset_on_miss(Erlang(9, 6.0))),
 }
-# Queries whose Sigma TTL has more phases than the dense bound: the miss chain
+# Queries whose Sigma TTL has more phases than `renewal._DENSE_MAX`, which
+# once took the miss chain's sparse LU
 ABOVE_DENSE_CASES = {
     "sigma-2x250": (Erlang(2, 2.0), StoppingPolicy.reset_on_miss(Erlang(250, 100.0))),
     "min-2x250x1": (Erlang(2, 2.0), StoppingPolicy.min_of(Erlang(250, 100.0), Exponential(1.0))),
@@ -758,6 +802,23 @@ def _miss_process(x, policy):
     if policy.tag == "Sigma":
         return m, output_sigma(m, _ph_of(policy.ttl))
     return m, output_min(m, _ph_of(policy.ttl_sigma), _ph_of(policy.ttl_r))
+
+
+def _interval_solve(x, policy, omega):
+    """E[tau], the in-cache time and the transform at omega from the miss
+    process of `_miss_process`, by scipy's sparse LU in its default order.
+
+    Every miss restarts the requests and the TTLs, so the initial vector phi
+    of an inter-miss interval is proportional to the column sums of D1'.
+    With z = phi (omega I - D0')^{-1}, at omega = 0 z 1 = E[tau] E[X] (Wald)
+    and z summed over the IN states is the in-cache time; z D1' 1 is the
+    transform."""
+    _, out = _miss_process(x, policy)
+    d0, d1 = out.map.d0.to_csr(), out.map.d1.to_csr()
+    phi = np.asarray(d1.sum(axis=0)).ravel()
+    a = (omega * scipy.sparse.identity(out.order) - d0).T.tocsc()
+    z = scipy.sparse.linalg.spsolve(a, phi / phi.sum())
+    return float(z.sum()) / x.mean, float(z[len(out.out_states):].sum()), float(z @ (d1 @ np.ones(out.order)))
 
 
 def _decimal_solve(a, b):
@@ -829,46 +890,22 @@ class TestPhaseTypeRoute:
         want = _decimal_erlang_min(x, policy.ttl_sigma, policy.ttl_r, 0.5)
         assert_allclose(_route_values(x, policy, 0.5), want, rtol=1e-13)
 
-    def test_one_miss_chain_per_query(self, monkeypatch):
-        # within the dense bound no query builds a miss chain; above it
-        # expected_tau and occupancy_renewal of one query share its cycle,
-        # and the transform reads the chain that cycle built
-        calls, builds = [], []
-        real = ttlnet.renewal._ph_cycle
+    def test_no_query_reaches_cache_ops(self, monkeypatch):
+        # the renewal and MAP engines share no code: every cache operator
+        # builds a CacheChain, and no renewal query, of any size or route,
+        # builds one
+        def refuse(*args, **kwargs):
+            raise AssertionError("a renewal query reached cache_ops")
 
-        def spy(*args):
-            calls.append(args)
-            return real(*args)
-
-        def count_builds(name):
-            build = getattr(ttlnet.renewal, name)
-
-            def spy_build(*args):
-                builds.append(name)
-                return build(*args)
-
-            monkeypatch.setattr(ttlnet.renewal, name, spy_build)
-
-        def query(x, policy):
-            expected_tau(x, policy)
-            occupancy_renewal(x, policy)
-            if policy.tag == "Sigma":
-                transform_sigma(x, policy.ttl, 0.5)
-            else:
-                transform_min(x, policy.ttl_sigma, policy.ttl_r, 0.5)
-
-        monkeypatch.setattr(ttlnet.renewal, "_ph_cycle", spy)
-        count_builds("output_sigma")
-        count_builds("output_min")
-        for x, policy in [*PH_ROUTE_CASES.values(), *LARGE_PH_CASES.values()]:
-            query(x, policy)
-        assert builds == [] and calls == []
-        for x, policy in ABOVE_DENSE_CASES.values():
-            builds.clear()
-            query(x, policy)
-            assert builds == ["output_sigma" if policy.tag == "Sigma" else "output_min"]
-        cases = ABOVE_DENSE_CASES.values()
-        assert calls == [(x, policy, omega) for x, policy in cases for omega in (0.0, 0.5)]
+        monkeypatch.setattr(ttlnet.cache_ops.CacheChain, "__init__", refuse)
+        cases = [*PH_ROUTE_CASES.values(), *LARGE_PH_CASES.values(), *ABOVE_DENSE_CASES.values()]
+        for xk, tk in itertools.product(ROUTE_REQUESTS, ROUTE_TTLS):
+            x, (ts, tr) = ROUTE_REQUESTS[xk], ROUTE_TTLS[tk]
+            cases.append((x, StoppingPolicy.reset_on_miss(ts)))
+            if ("MinSigmaR", xk, tk) not in ROUTE_REFUSALS:
+                cases.append((x, StoppingPolicy.min_of(ts, tr)))
+        for x, policy in cases:
+            _route_values(x, policy, 0.5)
 
     @pytest.mark.parametrize("case", PH_ROUTE_CASES.values(), ids=PH_ROUTE_CASES.keys())
     def test_agrees_with_stationary_map_metrics(self, case):
@@ -880,8 +917,8 @@ class TestPhaseTypeRoute:
         else:
             transform = transform_min(x, policy.ttl_sigma, policy.ttl_r, 0.5).value
         exact = metrics_from_maps(m, out)
-        assert_allclose(expected_tau(x, policy).value, 1.0 / exact.miss_probability, rtol=1e-10)
-        assert_allclose(occupancy_renewal(x, policy), exact.occupancy, rtol=1e-10)
+        assert_allclose(expected_tau(x, policy).value, 1.0 / exact.miss_probability, rtol=1e-12)
+        assert_allclose(occupancy_renewal(x, policy), exact.occupancy, rtol=1e-12)
         assert_allclose(transform, _dense_miss_transform(out, 0.5), rtol=1e-10)
 
     @pytest.mark.parametrize(
@@ -889,74 +926,130 @@ class TestPhaseTypeRoute:
         [*LARGE_PH_CASES.values(), *ABOVE_DENSE_CASES.values()],
         ids=[*LARGE_PH_CASES, *ABOVE_DENSE_CASES],
     )
-    def test_interval_solve_keeps_factors_sparse(self, x, policy, monkeypatch):
-        # the route's elimination order keeps the LU factors within a small
-        # multiple of the chain's nonzeros (COLAMD: about 15x and 3x on the
-        # first two); queries within the dense bound reach it only directly
-        factors = []
-        splu = scipy.sparse.linalg.splu
-
-        def spy(a, **kwargs):
-            lu = splu(a, **kwargs)
-            factors.append((a.nnz, lu.L.nnz + lu.U.nnz))
-            return lu
-
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
-        tau = ttlnet.renewal._ph_cycle(x, policy, 0.0).tau
-        ((a_nnz, lu_nnz),) = factors
-        assert lu_nnz <= 2.5 * a_nnz
-        # the same interval system in the default (COLAMD) order
-        _, out = _miss_process(x, policy)
-        phi = np.asarray(out.map.d1.to_csr().sum(axis=0)).ravel()
-        z = scipy.sparse.linalg.spsolve((-out.map.d0.to_csr()).T.tocsc(), phi / phi.sum())
-        assert_allclose(tau, z.sum() / x.mean, rtol=1e-10)
+    def test_interval_solve_keeps_factors_sparse(self, x, policy):
+        # the power series against the miss chain's interval system (up to
+        # 20,000 states), solved by the sparse LU in its default (COLAMD) order
+        tau, in_cache, _ = _interval_solve(x, policy, 0.0)
+        assert_allclose(expected_tau(x, policy).value, tau, rtol=1e-12)
+        assert_allclose(occupancy_renewal(x, policy), in_cache / (tau * x.mean), rtol=1e-12)
 
     @pytest.mark.parametrize("omega", [0.0, 0.5])
-    def test_matrix_geometric_matches_sparse_lu(self, omega, monkeypatch):
+    def test_matrix_geometric_matches_sparse_lu(self, omega):
         # every phase-type combination of the single-cache benchmark sweep
-        # (laws of mean 1 / rate, rates 1, 0.8 and 1.5) and two large queries:
-        # the closed forms and the matrix-geometric route factor nothing, and
-        # agree with the miss chain's sparse LU
+        # (laws of mean 1 / rate, rates 1, 0.8 and 1.5) and the large queries:
+        # the power series and the closed forms against the miss chain's
+        # sparse LU
         def law(kind, rate):
             return Exponential(rate) if kind == "exp" else Erlang(2, 2.0 * rate)
 
-        cases = [*LARGE_PH_CASES.values()]
+        cases = [*LARGE_PH_CASES.values(), *ABOVE_DENSE_CASES.values()]
         for xk, tk in itertools.product(["exp", "erlang"], repeat=2):
             x, t, t_r = law(xk, 1.0), law(tk, 0.8), law(tk, 1.5)
             cases += [(x, StoppingPolicy.reset_on_miss(t)), (x, StoppingPolicy.min_of(t, t_r))]
-        factorizations = []
-        splu = scipy.sparse.linalg.splu
-
-        def spy(a, **kwargs):
-            factorizations.append(a.shape)
-            return splu(a, **kwargs)
-
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
         for x, policy in cases:
-            factorizations.clear()
             got = ttlnet.renewal._cycle(x, policy, omega)
-            assert factorizations == []
-            want = ttlnet.renewal._ph_cycle(x, policy, omega)
-            assert len(factorizations) == 1
+            want = _interval_solve(x, policy, omega)
             # at omega > 0 only the transform is a reading of the cycle
             fields = slice(None) if omega == 0.0 else slice(2, 3)
             assert_allclose(got[fields], want[fields], rtol=1e-12)
 
-    def test_chain_over_budget_refused(self, monkeypatch):
-        # 400 request phases x 301 TTL phases exceed DEFAULT_BUDGET states
-        def refuse(*args):
-            raise AssertionError("miss chain built over the budget")
-
-        monkeypatch.setattr(ttlnet.renewal, "output_sigma", refuse)
+    def test_chain_over_budget_refused(self):
+        # 400 request phases x 301 TTL phases exceed DEFAULT_BUDGET states of
+        # the miss chain, which bounds the power series
         policy = StoppingPolicy.reset_on_miss(Erlang(300, 300.0))
         with pytest.raises(BudgetExceededError):
             expected_tau(Erlang(400, 400.0), policy)
-        # the matrix-geometric route keeps the same bound: 1,500 x (3 x 1,500
-        # + 1) states, where its first term would underflow to 0 (E[tau]
+        # 1,500 x (3 x 1,500 + 1) states, where the closed form the dense
+        # route once took had a first term that underflowed to 0 (E[tau]
         # about 2 read as 1)
         policy = StoppingPolicy.min_of(Erlang(3, 0.003), Erlang(1500, 1500.0))
         with pytest.raises(BudgetExceededError):
             expected_tau(Erlang(1500, 1500.0), policy)
+
+
+def _decimal_sigma_det_erlang_tau(d, n, r):
+    """E[tau] of a Sigma cache with Deterministic(d) requests and an
+    Erlang(n, r) TTL in 50-digit decimal arithmetic: the object is still
+    cached after request k iff the TTL outlasts k d, that is iff fewer than n
+    events of a Poisson(r k d) count, so E[tau] sums that chance over k >= 0."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        total, k = Decimal(0), 0
+        while True:
+            mean = Decimal(r) * Decimal(d) * k
+            term, below = (-mean).exp(), Decimal(0)
+            for j in range(n):
+                below += term
+                term *= mean / (j + 1)
+            total += below
+            if below < Decimal("1e-40"):
+                return float(total)
+            k += 1
+
+
+class TestPowerSeriesReach:
+    """Erlang Sigma TTLs of more than `renewal._DENSE_MAX` phases: requests
+    on atoms, which the dense route refused, and Erlang requests, which took
+    the MAP engine's miss chain."""
+
+    def test_deterministic_requests(self, rng):
+        x, t = Deterministic(0.5), Erlang(201, 201.0)
+        policy = StoppingPolicy.reset_on_miss(t)
+        assert_allclose(expected_tau(x, policy).value, _decimal_sigma_det_erlang_tau(0.5, 201, 201.0), rtol=1e-12)
+        _, sums, _ = stopped_sum_oracle(rng, x.sample, "Sigma", t.sample, n=20_000)
+        mean, se = mc_mean_se(np.exp(-0.5 * sums))
+        assert abs(transform_sigma(x, t, 0.5) - mean) <= 4.0 * se
+
+    def test_erlang_requests_closed_form(self):
+        # Erlang(2, a) requests: the request phase at the TTL's end T is 1
+        # with chance (1 + e^{-2 a T}) / 2, so E[tau] = 3/4 + a E[T] / 2 +
+        # L_{2a}(T) / 4 (1 plus the renewal function at T) and the transform is
+        # (L_w(T) + L_{w+2a}(T)) / 2 (a / (a + w))^2 + (L_w(T) - L_{w+2a}(T)) / 2
+        # a / (a + w); the sparse LU of the miss chain was 1.2e-13 off it
+        a, n, r, omega = 2.0, 2000, 100.0, 0.5
+        x, t = Erlang(2, a), Erlang(n, r)
+        with localcontext() as ctx:
+            ctx.prec = 50
+
+            def laplace(w):
+                return (Decimal(r) / (Decimal(r) + Decimal(w))) ** n
+
+            tau = Decimal(3) / 4 + Decimal(a) * n / Decimal(r) / 2 + laplace(2 * a) / 4
+            one = Decimal(a) / (Decimal(a) + Decimal(omega))
+            low, high = laplace(omega), laplace(omega + 2 * a)
+            transform = (low + high) / 2 * one * one + (low - high) / 2 * one
+        policy = StoppingPolicy.reset_on_miss(t)
+        assert_allclose(expected_tau(x, policy).value, float(tau), rtol=1e-13)
+        assert_allclose(transform_sigma(x, t, omega), float(transform), rtol=1e-13)
+        assert_allclose(occupancy_renewal(x, policy), t.mean / (float(tau) * x.mean), rtol=1e-13)
+
+    def test_tabulated_requests(self, rng):
+        # 2,000 phases x 100 atoms
+        x = tabulated_from(Erlang(2, 4.0), 0.01, 100)
+        _assert_matches_oracle(x, StoppingPolicy.reset_on_miss(Erlang(2000, 2000.0)), 0.5, rng, n=20_000)
+
+    def test_table_over_the_limit_refused(self):
+        # (1 + 2,000 + 1) phases x 1,000 atoms exceed _MAX_STEPS cells
+        x = tabulated_from(Erlang(2, 4.0), 0.001, 1000)
+        with pytest.raises(BudgetExceededError) as refused:
+            expected_tau(x, StoppingPolicy.reset_on_miss(Erlang(2000, 2000.0)))
+        assert refused.value.dimension == 2002 * 1000
+
+    def test_no_scipy_loaded(self):
+        # no renewal route loads scipy, at any size
+        src = str(Path(ttlnet.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        code = (
+            "import sys, ttlnet; from ttlnet import Deterministic, Erlang, StoppingPolicy, expected_tau; "
+            "expected_tau(Erlang(2, 2.0), StoppingPolicy.reset_on_miss(Erlang(2000, 100.0))); "
+            "expected_tau(Deterministic(0.5), StoppingPolicy.reset_on_miss(Erlang(250, 100.0))); "
+            "print(any(name.startswith('scipy') for name in sys.modules))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
 
 DETERMINISTIC_ROUTE_CASES = {
@@ -1465,13 +1558,7 @@ class TestRouteTable:
     @pytest.mark.parametrize("tk", ROUTE_TTLS)
     @pytest.mark.parametrize("xk", ROUTE_REQUESTS)
     @pytest.mark.parametrize("tag", ["Sigma", "MinSigmaR"])
-    def test_route(self, tag, xk, tk, rng, monkeypatch):
-        if tag == "Sigma" and tk == "exp":
-            # memorylessness: R's closed forms, no miss chain
-            def refuse(*args):
-                raise AssertionError("miss chain built for an Exponential TTL")
-
-            monkeypatch.setattr(ttlnet.renewal, "output_sigma", refuse)
+    def test_route(self, tag, xk, tk, rng):
         x, (ts, tr) = ROUTE_REQUESTS[xk], ROUTE_TTLS[tk]
         policy = StoppingPolicy.reset_on_miss(ts) if tag == "Sigma" else StoppingPolicy.min_of(ts, tr)
         if (tag, xk, tk) in ROUTE_REFUSALS:
@@ -1488,13 +1575,13 @@ class TestExponentialSigmaTtl:
     @pytest.mark.parametrize("xk", ROUTE_REQUESTS)
     def test_closed_form_matches_matrix_geometric(self, xk, tk):
         # min(Sigma, R) with an Exponential Sigma TTL: the closed form against
-        # the one-phase matrix-geometric route, whose 1 - K and held time
-        # cancel nothing much while misses are this frequent
+        # the power series of one phase
         x, t_sigma, t_r = ROUTE_REQUESTS[xk], Exponential(0.8), ROUTE_TTLS[tk][1]
         policy = StoppingPolicy.min_of(t_sigma, t_r)
         for omega in (0.0, 0.5):
             got = ttlnet.renewal._cycle(x, policy, omega)
-            want = ttlnet.renewal._ph_sigma(x, t_sigma, t_r, omega)
-            # at omega > 0 only the transform is a reading of the cycle
-            fields = slice(None) if omega == 0.0 else slice(2, 3)
+            want = ttlnet.renewal._erlang_sigma(x, t_sigma, t_r, omega)
+            # at omega > 0 only the transform is a reading of the cycle, and at
+            # omega = 0 the transform is 1
+            fields = slice(0, 2) if omega == 0.0 else slice(2, 3)
             assert_allclose(got[fields], want[fields], rtol=1e-12)
