@@ -85,6 +85,9 @@ class RateMatrix:
     row_idx: np.ndarray = field(repr=False)
     col_idx: np.ndarray = field(repr=False)
     data: np.ndarray = field(repr=False)
+    # The read-only dense array `KronOperator.assemble` built the matrix
+    # from, which `steady_state` reads instead of `to_dense()`.
+    _dense = None
 
     @classmethod
     def from_triplets(cls, rows: int, cols: int, triplets) -> "RateMatrix":
@@ -220,6 +223,16 @@ class ProbabilityVector:
         if abs(values.sum() - 1.0) > self._SUM_TOL:
             raise ValidationError(f"probability vector sums to {values.sum()!r}, not 1")
         object.__setattr__(self, "entries", values)
+
+    @classmethod
+    def _solved(cls, x: np.ndarray) -> "ProbabilityVector":
+        """x, fresh from a stationary solve that has clipped and normalized
+        it (`_gate`, `_as_probabilities`): made read-only in place, without
+        the copy and the checks of `__init__`."""
+        x.flags.writeable = False
+        p = object.__new__(cls)
+        object.__setattr__(p, "entries", x)
+        return p
 
     def __len__(self) -> int:
         return self.entries.size
@@ -397,7 +410,11 @@ class KronOperator:
         to `_GTH_MAX` states from `to_dense()`, else from their triplets in one
         sort (`RateMatrix.from_terms`); the two give the same bits."""
         if self.size <= _GTH_MAX:
-            return RateMatrix.from_dense(self.to_dense())
+            dense = self.to_dense()
+            m = RateMatrix.from_dense(dense)
+            dense.flags.writeable = False
+            object.__setattr__(m, "_dense", dense)
+            return m
         if not self.terms:
             return RateMatrix.zeros(self.size, self.size)
         triplets = [kron_triplets(self.dims, t) for t in self.terms]
@@ -919,7 +936,7 @@ def steady_state(q: RateMatrix) -> ProbabilityVector:
         raise ValidationError("generator must be square")
     n, x = q.rows, None
     if n <= _GTH_MAX:
-        a = q.to_dense()
+        a = q.to_dense() if q._dense is None else q._dense
         off = a - np.diag(np.diag(a))
         _require_generator((off < 0.0).any(), a.sum(axis=1))
         if n == 1:
@@ -928,7 +945,7 @@ def steady_state(q: RateMatrix) -> ProbabilityVector:
         if x is not None:  # q is irreducible
             p = _gate(lambda y: y @ off, np.diag(a), x)
             if p is not None:
-                return ProbabilityVector(p)
+                return ProbabilityVector._solved(p)
     op = KronOperator((n,), [(q,)])
     if n > _GTH_MAX:
         _check_generator(op)
@@ -950,4 +967,4 @@ def steady_state(q: RateMatrix) -> ProbabilityVector:
     vals[slots] = q.data[keep]
     b = np.zeros(n)
     b[n - 1] = 1.0
-    return ProbabilityVector(_lu_solve(op, (vals, indices, indptr), b))
+    return ProbabilityVector._solved(_lu_solve(op, (vals, indices, indptr), b))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import random_map, random_ph
+from conftest import dense_stationary, random_map, random_ph
 from ttlnet import kron, metrics
 from ttlnet.cache_ops import cache_chain
 from ttlnet import (
@@ -321,3 +321,56 @@ class TestCacheChainMetrics:
         assert out.order == states
         with pytest.raises(DimensionError, match="5 entries"):
             metrics.chain_metrics(out, np.full(5, 0.2))
+
+
+def _small_chain(seed: int):
+    """A random cache chain of at most `kron._GTH_MAX` states: MAP inputs of
+    up to 4 states, a PH TTL of up to 3 phases (two for min(Sigma, R)), or
+    an Erlang(15) TTL on a 4-state ring, 64 states."""
+    r = np.random.default_rng(seed)
+    policy = ["Sigma", "R", "MinSigmaR"][seed % 3]
+    if seed % 7 == 0:
+        return cache_chain(policy, [_ring_mmpp(4)], PhaseTypeDistribution.erlang(15, 3.0),
+                           PhaseTypeDistribution.exponential(0.5))
+    inputs = [random_map(r, 4)]
+    return cache_chain(policy, inputs, random_ph(r, 3), random_ph(r, 2))
+
+
+class TestDenseHandOff:
+    """A chain of at most `kron._GTH_MAX` states reaches the generator
+    checks, GTH and the gates as the array `KronOperator.to_dense` built,
+    with the bits of a matrix rebuilt from its triplets."""
+
+    @staticmethod
+    def _rebuilt(q: RateMatrix) -> RateMatrix:
+        return RateMatrix.from_arrays(q.rows, q.cols, q.row_idx, q.col_idx, q.data)
+
+    @given(seed=st.integers(0, 2**31))
+    @settings(max_examples=40, deadline=None)
+    def test_same_bits_as_the_rebuilt_matrix(self, seed):
+        chain = _small_chain(seed)
+        assert chain.order <= kron._GTH_MAX
+        q = chain.generator.assemble()
+        rebuilt = self._rebuilt(q)
+        assert q._dense is not None and rebuilt._dense is None
+        seen = []
+        real = kron._gth
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kron, "_gth", lambda a: seen.append(a.copy()) or real(a))
+            handed = metrics._output_vector(chain, None)
+            want = steady_state(rebuilt).entries
+        assert len(seen) == 2 and seen[0].tobytes() == seen[1].tobytes()
+        assert seen[1].tobytes() == rebuilt.to_dense().tobytes()
+        assert handed.tobytes() == want.tobytes()
+        assert not handed.flags.writeable
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 7])
+    def test_lu_fallback_same_bits(self, monkeypatch, seed):
+        # GTH declines: both matrices take the sparse LU route on the same triplets
+        chain = _small_chain(seed)
+        q = chain.generator.assemble()
+        monkeypatch.setattr(kron, "_gth", lambda a: None)
+        handed = metrics._output_vector(chain, None)
+        want = steady_state(self._rebuilt(q)).entries
+        assert handed.tobytes() == want.tobytes()
+        assert_allclose(handed, dense_stationary(q.to_dense()), rtol=1e-9)

@@ -17,7 +17,7 @@ import scipy.integrate
 import scipy.linalg
 import scipy.sparse.linalg
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -1403,26 +1403,134 @@ def _scipy_floor(k):
     return 1e-30 if k > 500 else 1e-300
 
 
+def _numpy_binomial_tails(n, s, p, q):
+    """`_binomial_tails` as numpy sums: the first term's deviances on
+    one-entry arrays and the others by `np.cumprod` of the ratio arrays."""
+
+    def run(c, up):
+        def deviance(c, mean):
+            return mean if c == 0 else float(ttlnet.renewal._deviance(np.array([c]), np.array([mean]))[0])
+
+        norm = ttlnet.renewal._log_norm
+        log_first = norm(c) + norm(n - c) - norm(n) - deviance(c, n * p) - deviance(n - c, n * q)
+        if up:
+            j = np.arange(c, n)
+            ratios = (n - j) / (j + 1) * (p / q)
+        else:
+            j = np.arange(c, 0, -1)
+            ratios = j / (n - j + 1) * (q / p)
+        return math.exp(log_first) * (1.0 + float(np.cumprod(ratios).sum()))
+
+    if s <= 0:
+        return 1.0, 0.0
+    if s > n:
+        return 0.0, 1.0
+    if s <= n * p:
+        lower = run(s - 1, up=False)
+        return 1.0 - lower, lower
+    upper = run(s, up=True)
+    if s >= n * p + 1:
+        return upper, 1.0 - upper
+    return upper, run(s - 1, up=False)
+
+
+def _assert_routes_agree(alone, table, rtol):
+    """Relative agreement; below 1e-300, where the last digits of a
+    subnormal number are few, agreement to rtol * 1e-300."""
+    for a, t in zip(alone, table):
+        if math.isnan(t):
+            assert math.isnan(a)
+        else:
+            assert abs(a - t) <= rtol * max(abs(t), 1e-300), (a, t)
+
+
+# (kind, value): y with P(k, y) or Q(k, y) = 10^value, y = value, or an edge
+_GAMMA_POINTS = st.one_of(
+    st.tuples(st.sampled_from(["P", "Q"]), st.floats(-300.0, math.log10(0.5))),
+    st.tuples(st.just("y"), st.floats(0.0, 1e4)),
+    st.tuples(st.sampled_from(["0", "inf", "below k", "above k", "negative"]), st.just(0.0)),
+)
+
+
+def _gamma_point(k, kind, value):
+    if kind == "P":
+        return float(scipy.special.gammaincinv(k, 10.0**value))
+    if kind == "Q":
+        return float(scipy.special.gammainccinv(k, 10.0**value))
+    edges = {"0": 0.0, "inf": math.inf, "below k": k * (1.0 - 1e-12), "above k": k * (1.0 + 1e-12)}
+    return value if kind == "y" else edges.get(kind, -1.0)
+
+
 class TestErlangSums:
     """Erlang-law tails from finite sums, against scipy.special and against
-    the defining sums in decimal arithmetic, both tails down to 1e-300."""
+    the defining sums in decimal arithmetic, both tails down to 1e-300; each
+    through the array route and through the scalar route that one point
+    takes."""
 
     @pytest.mark.parametrize("k", ERLANG_SHAPES)
     def test_gamma_tails_against_scipy(self, k):
         y = _tail_points(k, _scipy_floor(k))
         law = Erlang(k, 2.0)
-        assert_allclose(law.cdf(y / 2.0), scipy.special.gammainc(k, y), rtol=1e-12)
-        assert_allclose(law.survival_geq(y / 2.0), scipy.special.gammaincc(k, y), rtol=1e-12)
         want = [scipy.special.gammainc(np.arange(1, k + 1), v).sum() / 2.0 for v in y]
-        assert_allclose(law.integral_survival(y / 2.0), want, rtol=1e-12)
+        # one array call, then each point alone as a number and as a one-entry array
+        for read in (
+            lambda f: f(y / 2.0),
+            lambda f: np.array([f(v / 2.0) for v in y]),
+            lambda f: np.array([f(np.array([v / 2.0]))[0] for v in y]),
+        ):
+            assert_allclose(read(law.cdf), scipy.special.gammainc(k, y), rtol=1e-12)
+            assert_allclose(read(law.survival_geq), scipy.special.gammaincc(k, y), rtol=1e-12)
+            assert_allclose(read(law.integral_survival), want, rtol=1e-12)
 
     @pytest.mark.parametrize("k", ERLANG_SHAPES)
     def test_gamma_tails_against_decimal_sums(self, k):
         y = _tail_points(k, 1e-300)
-        p, q = ttlnet.renewal._gamma_tails(k, y)
         want = np.array([_decimal_gamma_tails(k, v) for v in y])
-        assert_allclose(p, want[:, 0], rtol=1e-12)
-        assert_allclose(q, want[:, 1], rtol=1e-12)
+        tails = ttlnet.renewal._gamma_tails
+        for p, q in (
+            tails(k, y),
+            np.array([tails(k, v) for v in y]).T,
+            np.array([tails(k, np.array([v])) for v in y])[:, :, 0].T,
+        ):
+            assert_allclose(p, want[:, 0], rtol=1e-12)
+            assert_allclose(q, want[:, 1], rtol=1e-12)
+
+    @given(k=st.integers(1, 2000), point=_GAMMA_POINTS)
+    @example(k=1, point=("0", 0.0))
+    @example(k=3, point=("inf", 0.0))
+    @example(k=10, point=("below k", 0.0))
+    @example(k=2000, point=("above k", 0.0))
+    @example(k=2, point=("negative", 0.0))
+    @settings(max_examples=300, deadline=None)
+    def test_scalar_route_matches_array_route(self, k, point):
+        # one point takes the scalar route, two the array route
+        y = _gamma_point(k, *point)
+        alone = ttlnet.renewal._gamma_tails(k, np.array([y]))
+        table = ttlnet.renewal._gamma_tails(k, np.array([y, y]))
+        assert all(a.shape == (1,) for a in alone)
+        _assert_routes_agree([a[0] for a in alone], [t[0] for t in table], 4e-15 if k <= 10 else 1e-13)
+
+    @given(
+        n=st.integers(1, 50),
+        s=st.integers(0, 51),
+        p=st.one_of(st.floats(1e-12, 1.0 - 1e-12), st.floats(-12.0, -0.3).map(lambda e: 10.0**e)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_binomial_tails_match_numpy_sums(self, n, s, p):
+        got = ttlnet.renewal._binomial_tails(n, s, p, 1.0 - p)
+        want = _numpy_binomial_tails(n, s, p, 1.0 - p)
+        _assert_routes_agree(got, want, 4e-15 if n <= 10 else 1e-13)
+
+    def test_deviance_of_one_number_has_the_array_bits(self):
+        deviance = ttlnet.renewal._deviance
+        for c, mean in itertools.product([1, 2, 7, 40, 2000], [1e-300, 0.3, 0.51, 1.0, 6.5, 2000.0, 1e5]):
+            one = deviance(c, mean)
+            assert isinstance(one, float)
+            with np.errstate(divide="ignore"):  # the array route forms both logs
+                assert one == deviance(np.array([c]), np.array([mean]))[0]
+        assert deviance(0, 0.25) == 0.25
+        assert deviance(3, 0.0) == math.inf
+        assert math.isnan(deviance(3, -1.0))
 
     @pytest.mark.parametrize("k", ERLANG_SHAPES)
     def test_psi_and_expected_min_against_scipy(self, k):
@@ -1459,6 +1567,21 @@ class TestErlangSums:
                 for g, w in zip(got, want):
                     if w >= 1e-300:
                         assert_allclose(g, w, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "law", [Deterministic(0.7), Tabulated(0.5, [0.2, 0.0, 1.4, 0.4])], ids=["det", "tab"]
+    )
+    def test_atom_arrays_formed_once(self, law):
+        assert law.points is law.points and law.masses is law.masses
+        assert not law.points.flags.writeable and not law.masses.flags.writeable
+        u = np.array([0.0, 0.25, 0.7, 0.75, 1.25, 5.0])
+        below = np.concatenate([[0.0], np.cumsum(law.masses)])
+        above = np.concatenate([np.cumsum(law.masses[::-1])[::-1], [0.0]])
+        for side in ("left", "right"):
+            j = np.searchsorted(law.points, u, side)
+            got = ttlnet.renewal._atom_tails(law, u, side)
+            assert np.array_equal(got[0], below[j]) and np.array_equal(got[1], above[j])
+        assert np.array_equal(law.cdf(u), below[np.searchsorted(law.points, u, "right")])
 
     def test_zero_and_infinite_arguments(self):
         law = Erlang(3, 2.0)
