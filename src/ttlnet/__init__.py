@@ -12,7 +12,6 @@ networks. A discrete-event simulator cross-validates both.
 from .cache_ops import CacheChain, output_min, output_r, output_sigma
 from .errors import (
     BudgetExceededError,
-    ConvergenceError,
     DimensionError,
     DivergentStoppingTimeError,
     NoStationaryDistributionError,

@@ -17,10 +17,6 @@ class NoStationaryDistributionError(TtlnetError):
     """The chain has no unique stationary distribution (reducible or defective)."""
 
 
-class ConvergenceError(TtlnetError):
-    """An iterative evaluation failed to reach the requested tolerance."""
-
-
 class DivergentStoppingTimeError(TtlnetError):
     """The eviction stopping time has infinite mean (the TTL structurally never expires first)."""
 

@@ -18,12 +18,14 @@ E[tau], the mean in-cache time and E[exp(-omega S_tau)] are three readings
 of one cycle. R reads every law pair through two weights of one request
 interval, E[e^{-omega X} 1{X <= T}] and E[e^{-omega X} 1{X > T}] (`_weights`),
 and the drop L_omega(X) - L_{omega + mu}(X) (`_gap`), each summed without
-cancellation, so rare misses keep their relative accuracy. For Sigma and
-min(Sigma, R), `_cycle` is the one place that picks the route. A Sigma
-cache is a min(Sigma, R) cache whose R TTL never fires ("none" below). After
-the closed forms (Sigma with Exponential requests, Sigma or min with an
-Exponential Sigma TTL: `_exponential_sigma` for min) the first row that
-matches wins:
+cancellation, so rare misses keep their relative accuracy. One reader gives
+every E[min]: `_discounted_held` is E[min(X, T, E_mu)] for an independent
+E_mu ~ Exponential(mu), and at rate 0 it is E[min(X, T)], the in-cache time
+of an R interval. For Sigma and min(Sigma, R), `_cycle` is the one place
+that picks the route. A Sigma cache is a min(Sigma, R) cache whose R TTL
+never fires ("none" below). After the closed forms (Sigma with Exponential
+requests, Sigma or min with an Exponential Sigma TTL: `_exponential_sigma`
+for min) the first row that matches wins:
 
 =============  ============================  ====================  ================
 requests X     Sigma TTL                     R TTL                 route
@@ -137,11 +139,6 @@ class RenewalSpec:
     def sample(self, rng, size=None):
         raise NotImplementedError
 
-    def integral_survival(self, x):
-        """Integral of P(X > u) over u in [0, x], E[min(X, x)]; accepts
-        scalars or arrays."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Exponential(RenewalSpec):
@@ -169,9 +166,6 @@ class Exponential(RenewalSpec):
 
     def sample(self, rng, size=None):
         return rng.exponential(1.0 / self.rate, size)
-
-    def integral_survival(self, x):
-        return -np.expm1(-self.rate * np.asarray(x, dtype=float)) / self.rate
 
 
 class _OnAtoms(RenewalSpec):
@@ -230,9 +224,6 @@ class Deterministic(_OnAtoms):
             return self.value
         return np.full(size, self.value)
 
-    def integral_survival(self, x):
-        return np.minimum(x, self.value)
-
 
 @dataclass(frozen=True)
 class Erlang(RenewalSpec):
@@ -265,15 +256,6 @@ class Erlang(RenewalSpec):
 
     def sample(self, rng, size=None):
         return rng.gamma(self.stages, 1.0 / self.rate, size)
-
-    def integral_survival(self, x):
-        # x P(X > x) + E[X; X <= x], and E[X; X <= x] is the mean times the
-        # Erlang(k + 1, rate) cdf at x
-        x = np.asarray(x, dtype=float)
-        _, q = _gamma_tails(self.stages, self.rate * x)
-        p_next, _ = _gamma_tails(self.stages + 1, self.rate * x)
-        # (x P(X > x) is 0 where the survival is, at x = inf too)
-        return np.where(q > 0.0, x, 0.0) * q + self.mean * p_next
 
 
 # Erlang laws through finite sums. At integer k the regularized incomplete
@@ -469,7 +451,9 @@ def _poisson_tails(mean: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]
     logs = np.empty((mean.size, size))
     logs[:, 0] = -mean
     norms = np.array([_log_norm(c) for c in range(1, size)])
-    logs[:, 1:] = norms - _deviance(np.arange(1, size), mean[:, None])
+    # log1p(-1) where mean / c is below 1.1e-16: its branch is not taken
+    with np.errstate(divide="ignore"):
+        logs[:, 1:] = norms - _deviance(np.arange(1, size), mean[:, None])
     pmf = np.exp(logs)
     tail = _gamma_tails(size, mean)[0]
     return pmf, np.cumsum(np.column_stack([tail, pmf[:, ::-1]]), axis=1)[:, ::-1]
@@ -548,15 +532,6 @@ class Tabulated(_OnAtoms):
         # so the draws are the same, with the cumulative masses formed once
         return self.points[self._cdf.searchsorted(rng.random(size), side="right")]
 
-    def integral_survival(self, x):
-        # the survival is tail[j] between atom j - 1 and atom j (edges[j])
-        tail = 1.0 - self._cumulative[0]
-        edges = np.concatenate([[0.0], self.points])
-        area = np.concatenate([[0.0], np.cumsum(tail[:-1] * np.diff(edges))])
-        x = np.asarray(x, dtype=float)
-        j = np.searchsorted(self.points, x, side="right")
-        return area[j] + tail[j] * (x - edges[j])
-
     def __eq__(self, other):
         if not isinstance(other, Tabulated):
             return NotImplemented
@@ -622,8 +597,7 @@ class _Cycle(NamedTuple):
     E[exp(-omega S_tau)].
 
     Read `tau` and `in_cache` only from a cycle built at omega = 0: at
-    omega > 0 routes discount them by exp(-omega t) or skip the in-cache
-    time (nan).
+    omega > 0 routes discount them by exp(-omega t) or skip them (nan).
     """
 
     tau: float
@@ -822,15 +796,14 @@ def _exponential_sigma(x: RenewalSpec, mu: float, t_r: RenewalSpec, omega: float
     plus the same miss weight, each a sum without cancellation (`_gap`):
     E[tau] = 1 / (1 - K_0) and the transform is their ratio. Each interval
     holds the object for min(X, T_R, T_Sigma), so the in-cache time is E[tau]
-    times `_discounted_held`.
+    times `_discounted_held`. At omega > 0 only the transform is formed.
     """
     miss = _weights(x, t_r, omega + mu)[1]
     transform = (_gap(x, omega, mu) + miss) / (_gap(x, 0.0, omega + mu) + miss)
     if omega > 0.0:
-        miss = _weights(x, t_r, mu)[1]
+        return _Cycle(math.nan, math.nan, transform)
     tau = 1.0 / (_gap(x, 0.0, mu) + miss)
-    in_cache = tau * _discounted_held(x, t_r, mu) if omega == 0.0 else math.nan
-    return _Cycle(tau, in_cache, transform)
+    return _Cycle(tau, tau * _discounted_held(x, t_r, mu), transform)
 
 
 def _stage_hits(w: RenewalSpec, lam: float, top: int) -> tuple[np.ndarray, np.ndarray]:
@@ -935,9 +908,9 @@ def _erlang_sigma(x: RenewalSpec, t_sigma: RenewalSpec, t_r: RenewalSpec, omega:
 def _held(x: RenewalSpec, t_r: RenewalSpec, u: np.ndarray) -> np.ndarray:
     """E[min(X, T_R, u)] for X on atoms, elementwise in u >= 0."""
     j = np.searchsorted(x.points, u, side="right")  # atoms at or below u
-    below = np.concatenate([[0.0], np.cumsum(x.masses * t_r.integral_survival(x.points))])
+    below = np.concatenate([[0.0], np.cumsum(x.masses * _discounted_survival(t_r, 0.0, x.points))])
     above = 1.0 - x._cumulative[0]
-    return below[j] + above[j] * t_r.integral_survival(u)
+    return below[j] + above[j] * _discounted_survival(t_r, 0.0, u)
 
 
 def _partial_sums(x: Tabulated, hits: np.ndarray, horizon: float):
@@ -1140,19 +1113,23 @@ def _atom_tails(law: RenewalSpec, u: np.ndarray, side: str = "left") -> tuple[np
 
 
 def _discounted_survival(w: RenewalSpec, mu: float, c: np.ndarray) -> np.ndarray:
-    """The integral of e^{-mu u} P(W > u) over u in [0, c], elementwise in c.
+    """The integral of e^{-mu u} P(W > u) over u in [0, c], elementwise in c;
+    at mu = 0, E[min(W, c)].
 
-    With phi(u) = (1 - e^{-mu u}) / mu: for W on atoms, the sum of m phi(p)
-    over the atoms p < c plus phi(c) P(W >= c). For W ~ Erlang(q, b), with
-    lam = b + mu, e^{-mu u} P(W > u) is the sum over j < q of (b / lam)^j
-    times the Poisson(lam u) probability of j, whose integral up to c is
-    P(j + 1, lam c) / lam.
+    With phi(u) = (1 - e^{-mu u}) / mu, u at mu = 0: for W on atoms, the sum
+    of m phi(p) over the atoms p < c plus phi(c) P(W >= c). For W ~
+    Erlang(q, b), with lam = b + mu, e^{-mu u} P(W > u) is the sum over j < q
+    of (b / lam)^j times the Poisson(lam u) probability of j, whose integral
+    up to c is P(j + 1, lam c) / lam.
     """
     if isinstance(w, _ATOMS):
-        phi = -np.expm1(-mu * w.points) / mu
+
+        def phi(u):
+            return -np.expm1(-mu * u) / mu if mu > 0.0 else u
+
         j = np.searchsorted(w.points, c)
-        below = np.concatenate([[0.0], np.cumsum(w.masses * phi)])
-        return below[j] + -np.expm1(-mu * c) / mu * _atom_tails(w, c)[1]
+        below = np.concatenate([[0.0], np.cumsum(w.masses * phi(w.points))])
+        return below[j] + phi(c) * w._cumulative[1][j]  # P(W >= c)
     lam = w.rate + mu
     return sum((w.rate / lam) ** j * _gamma_tails(j + 1, lam * c)[0] for j in range(_stages(w))) / lam
 
@@ -1160,7 +1137,7 @@ def _discounted_survival(w: RenewalSpec, mu: float, c: np.ndarray) -> np.ndarray
 def _discounted_held(x: RenewalSpec, t: RenewalSpec, mu: float) -> float:
     """E[min(X, T, E)] for E ~ Exponential(mu) independent of X and T, the
     integral of e^{-mu u} P(X > u) P(T > u) over u >= 0, as a sum of
-    nonnegative terms.
+    nonnegative terms; at mu = 0 (E never ends), E[min(X, T)].
 
     Against an Exponential(rate) law it is `_gap` at mu + rate over mu +
     rate; against a law on atoms, the mass-weighted sum over its atoms of
@@ -1175,6 +1152,9 @@ def _discounted_held(x: RenewalSpec, t: RenewalSpec, mu: float) -> float:
     for v, w in ((x, t), (t, x)):
         if isinstance(w, Exponential):
             return _gap(v, 0.0, mu + w.rate) / (mu + w.rate)
+    for v in (x, t):
+        if not isinstance(v, _ATOMS + _PH_LAWS):
+            raise ValidationError(f"a law known by its transform needs an Exponential law against it: {v!r}")
     for v, w in ((x, t), (t, x)):
         if isinstance(v, _ATOMS):
             return float(v.masses @ _discounted_survival(w, mu, v.points))
@@ -1187,7 +1167,7 @@ def _discounted_held(x: RenewalSpec, t: RenewalSpec, mu: float) -> float:
         level[1:] = level[1:] * (t.rate / lam) + level[:-1] * (x.rate / lam)
         level[0] *= t.rate / lam
         level[: max(n + 2 - t.stages, 0)] = 0.0  # the second stream's q-th event
-    return total / lam
+    return float(total / lam)
 
 
 def _atom_weights(x: RenewalSpec, t: RenewalSpec, omega: float) -> tuple[np.ndarray, np.ndarray]:
@@ -1297,51 +1277,15 @@ def expected_tau(
     return MonteCarloValue(_rest_cycle(x, policy).tau, 0.0)
 
 
-def hit_miss_renewal(
-    x: RenewalSpec,
-    policy: StoppingPolicy,
-    samples: int = 1_000_000,
-    rng=None,
-) -> RenewalHitMiss:
-    """Hit and miss probabilities: M = 1 / E[tau], H = 1 - M. `samples` and
-    `rng` are accepted for compatibility and change no result."""
+def hit_miss_renewal(x: RenewalSpec, policy: StoppingPolicy) -> RenewalHitMiss:
+    """Hit and miss probabilities: M = 1 / E[tau], H = 1 - M."""
     miss = 1.0 / expected_tau(x, policy).value
     return RenewalHitMiss(hit=1.0 - miss, miss=miss)
 
 
-def expected_stopped_sum(
-    x: RenewalSpec,
-    policy: StoppingPolicy,
-    samples: int = 1_000_000,
-    rng=None,
-) -> float:
-    """Mean inter-miss time E[S_tau] = E[tau] E[X] (Wald's identity).
-    `samples` and `rng` are accepted for compatibility and change no result."""
+def expected_stopped_sum(x: RenewalSpec, policy: StoppingPolicy) -> float:
+    """Mean inter-miss time E[S_tau] = E[tau] E[X] (Wald's identity)."""
     return expected_tau(x, policy).value * x.mean
-
-
-def _expected_min(x: RenewalSpec, t: RenewalSpec) -> float:
-    """E[min(X, T)] for independent X and T."""
-    if isinstance(x, Exponential) and isinstance(t, Exponential):
-        return 1.0 / (x.rate + t.rate)
-    if isinstance(x, _ATOMS):
-        return float(x.masses @ t.integral_survival(x.points))
-    if isinstance(t, _ATOMS):
-        return float(t.masses @ x.integral_survival(t.points))
-    if isinstance(x, Exponential):
-        # E[integral of e^{-lam u} over [0, T]]
-        return _gap(t, 0.0, x.rate) / x.rate
-    # Erlang(k, a) against Erlang(m, b), m = 1 for an Exponential TTL:
-    # min(X, T) is the time of merged event N of the two Poisson streams (rate
-    # a + b), N the event that brings X's k-th or T's m-th. X's share of the
-    # first k + m events is B ~ Binomial(k + m, p), p = a / (a + b), and
-    # E[N; X first] = (k / p) P(B >= k + 1), E[N; T first] = (m / (1 - p))
-    # P(B <= k - 1), so by Wald E[min(X, T)] = E[N] / (a + b) is
-    k, a = x.stages, x.rate
-    m, b = (t.stages, t.rate) if isinstance(t, Erlang) else (1, t.rate)
-    x_first, _ = _binomial_tails(k + m, k + 1, a / (a + b), b / (a + b))
-    _, t_first = _binomial_tails(k + m, k, a / (a + b), b / (a + b))
-    return k / a * x_first + m / b * t_first
 
 
 def occupancy_renewal(
@@ -1352,15 +1296,17 @@ def occupancy_renewal(
 ) -> float:
     """Long-run fraction of time the object is cached.
 
-    R: E[min(X, T)] / E[X]. Sigma and min(Sigma, R): the mean in-cache time
-    of a cycle over E[tau] E[X], by the route of the module docstring's
-    table. `samples` and `rng` are accepted for compatibility and change no
-    result.
+    R: E[min(X, T)] / E[X], E[min(X, T)] being `_discounted_held` at rate
+    0. Sigma and min(Sigma, R): the mean in-cache time of a cycle over
+    E[tau] E[X], by the route of the module docstring's table. `samples` and
+    `rng` are accepted for compatibility and change no result.
     """
     if policy.tag == "R":
-        return float(_expected_min(x, policy.ttl)) / x.mean
+        return _discounted_held(x, policy.ttl, 0.0) / x.mean
     cycle = _rest_cycle(x, policy)
     return cycle.in_cache / (cycle.tau * x.mean)
+
+
 def table1_reference(lam: float, mu: float, nu: float, omega: float) -> dict:
     """Closed-form anchor values for the four canonical single-cache models.
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -46,6 +47,7 @@ from ttlnet import (
     output_min,
     output_r,
     output_sigma,
+    ph_mean,
     poisson_map,
     table1_reference,
     transform_min,
@@ -87,15 +89,18 @@ class TestTransformR:
 
     def test_requests_known_by_their_transform(self):
         # R and Sigma under an Exponential TTL read the request law only through
-        # its transform; under any other TTL such a law is refused
+        # its transform and mean; under any other TTL such a law is refused
         x, twin, t = _LaplaceOnlyTtl(PhaseTypeDistribution.erlang(2, 3.0)), Erlang(2, 3.0), Exponential(0.8)
         for policy in (StoppingPolicy.reset_on_request(t), StoppingPolicy.reset_on_miss(t)):
             assert_allclose(expected_tau(x, policy).value, expected_tau(twin, policy).value, rtol=1e-12)
+            assert_allclose(occupancy_renewal(x, policy), occupancy_renewal(twin, policy), rtol=1e-12)
         assert_allclose(transform_r(x, t, 0.5), transform_r(twin, t, 0.5), rtol=1e-12)
         assert_allclose(transform_sigma(x, t, 0.5), transform_sigma(twin, t, 0.5), rtol=1e-12)
         for ttl in (Deterministic(1.0), Erlang(2, 1.0)):
             with pytest.raises(ValidationError):
                 transform_r(x, ttl, 0.5)
+            with pytest.raises(ValidationError):
+                occupancy_renewal(x, StoppingPolicy.reset_on_request(ttl))
         with pytest.raises(ValidationError):
             transform_sigma(x, Erlang(2, 1.0), 0.5)
 
@@ -605,9 +610,11 @@ class TestTabulatedSpec:
     def test_lattice_helpers(self):
         tab = Tabulated(0.1, np.full(10, 1.0))  # uniform mass on ten cells
         assert abs(tab.mean - 0.5) < 1e-12
-        assert abs(tab.integral_survival(10.0) - tab.mean) < 1e-12
+        # E[min(W, c)], the integral of P(W > u) over [0, c]
+        held = ttlnet.renewal._discounted_survival
+        assert abs(held(tab, 0.0, 10.0) - tab.mean) < 1e-12
         want = float(np.minimum(tab.points, 0.5) @ tab.masses)
-        assert abs(tab.integral_survival(0.5) - want) < 1e-12
+        assert abs(held(tab, 0.0, 0.5) - want) < 1e-12
         assert np.isclose(tab.cdf(tab.points[0]), 0.1)
         assert tab.cdf(0.049) == 0.0
         assert tab.survival_geq(tab.points[0]) == 1.0
@@ -668,10 +675,15 @@ class TestDeterministicHorizonIdentity:
 
 
 class _LaplaceOnlyTtl(RenewalSpec):
-    """A PH law that the renewal engine sees only through its Laplace transform."""
+    """A PH law that the renewal engine sees only through its Laplace
+    transform and mean."""
 
     def __init__(self, ph: PhaseTypeDistribution):
         self.ph = ph
+
+    @property
+    def mean(self) -> float:
+        return ph_mean(self.ph)
 
     def laplace(self, omega):
         s = self.ph.s.to_dense()
@@ -1472,6 +1484,10 @@ class TestErlangSums:
         y = _tail_points(k, _scipy_floor(k))
         law = Erlang(k, 2.0)
         want = [scipy.special.gammainc(np.arange(1, k + 1), v).sum() / 2.0 for v in y]
+
+        def held(c):  # E[min(X, c)], the integral of P(X > u) over [0, c]
+            return ttlnet.renewal._discounted_survival(law, 0.0, c)
+
         # one array call, then each point alone as a number and as a one-entry array
         for read in (
             lambda f: f(y / 2.0),
@@ -1480,7 +1496,7 @@ class TestErlangSums:
         ):
             assert_allclose(read(law.cdf), scipy.special.gammainc(k, y), rtol=1e-12)
             assert_allclose(read(law.survival_geq), scipy.special.gammaincc(k, y), rtol=1e-12)
-            assert_allclose(read(law.integral_survival), want, rtol=1e-12)
+            assert_allclose(read(held), want, rtol=1e-12)
 
     @pytest.mark.parametrize("k", ERLANG_SHAPES)
     def test_gamma_tails_against_decimal_sums(self, k):
@@ -1532,6 +1548,16 @@ class TestErlangSums:
         assert deviance(3, 0.0) == math.inf
         assert math.isnan(deviance(3, -1.0))
 
+    def test_poisson_tables_of_tiny_means_warn_nothing(self):
+        # at means below 1.1e-16 of c the array route's deviance forms
+        # log1p(-1) on the branch it does not read
+        policy = StoppingPolicy.reset_on_miss(Erlang(3, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tau = expected_tau(Deterministic(1e-17), policy).value
+        # the sum over k >= 0 of P(T >= k d) is E[T] / d + 1/2 + O(d)
+        assert_allclose(tau, 3e17, rtol=1e-12)
+
     @pytest.mark.parametrize("k", ERLANG_SHAPES)
     def test_psi_and_expected_min_against_scipy(self, k):
         # Erlang(k, a) requests under an Erlang(m, 1) TTL: P(X <= T) is
@@ -1555,7 +1581,7 @@ class TestErlangSums:
                     return np.where(j < 0, 0.0, scipy.special.bdtr(np.clip(j, 0, n), n, p))
 
                 want = float(np.sum(at_most(k - 1) - at_most(n - m))) * (1.0 - p)
-                assert_allclose(ttlnet.renewal._expected_min(x, t), want, rtol=1e-12)
+                assert_allclose(ttlnet.renewal._discounted_held(x, t, 0.0), want, rtol=1e-12)
 
     @pytest.mark.parametrize("k", ERLANG_SHAPES)
     def test_binomial_tails_against_decimal_sums(self, k):
@@ -1588,7 +1614,8 @@ class TestErlangSums:
         assert law.cdf(0.0) == 0.0 and law.survival_geq(0.0) == 1.0
         assert law.cdf(math.inf) == 1.0 and law.survival_geq(math.inf) == 0.0
         assert law.cdf(-1.0) == 0.0 and law.survival_geq(-1.0) == 1.0
-        assert law.integral_survival(0.0) == 0.0 and law.integral_survival(math.inf) == law.mean
+        held = ttlnet.renewal._discounted_survival
+        assert held(law, 0.0, 0.0) == 0.0 and held(law, 0.0, math.inf) == law.mean
 
     def test_many_points_in_small_tables(self):
         # 200,000 points at 2,000 stages: one table of powers for all of them
