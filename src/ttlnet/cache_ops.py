@@ -28,9 +28,10 @@ factors (`CacheChain`): P (x) I and I (x) d0 and H (x) d1 in d0', A (x) d1 in
 d1'. A cache whose requests are the superposition of independent MAPs
 (d0_i, d1_i) has d0 = (+)_i d0_i and d1 = (+)_i d1_i, so each input term
 expands into one term per input, with the factors of that input alone.
-Every reader of a cache goes through its `CacheChain`, which the operators
-return: the miss MAP (`map`) is assembled on first read, the generator
-(`generator`) and given-input system (`in_system`) never are.
+The operators take one request MAP or a tuple of independent ones, whose
+superposition is never assembled. Every reader of a cache goes through the
+`CacheChain` they return: the miss MAP (`map`) is assembled on first read,
+the generator (`generator`) and given-input system (`in_system`) never are.
 """
 
 import math
@@ -48,7 +49,7 @@ from .processes import (
     require_valid,
 )
 
-__all__ = ["CacheChain", "cache_chain", "output_sigma", "output_r", "output_min", "DEFAULT_BUDGET"]
+__all__ = ["CacheChain", "output_sigma", "output_r", "output_min", "DEFAULT_BUDGET"]
 
 # Most states of one chain that `network.analyze` and the renewal engine's
 # miss chain build unless told otherwise.
@@ -60,12 +61,12 @@ class CacheChain:
     """A cache's output chain on its Kronecker factors, and its miss MAP.
 
     `inputs` are the independent request MAPs the cache sees superposed:
-    one for a leaf, or for a superposition assembled as one MAP. `ttl` is
-    the phase-type TTL (the joint minimum for a min(Sigma, R) cache) and
-    `hit_reset` the IN block of H, a sparse (ttl.order x ttl.order) matrix
-    whose rows sum to one. Axis 0 of every term is the TTL phase, with the
-    absorbing phase (the OUT state) first; the other axes are the inputs'
-    states, first input outermost. `hidden` and `active` are the terms of
+    one for a leaf, or one per child of a join. `ttl` is the phase-type TTL
+    (the joint minimum for a min(Sigma, R) cache) and `hit_reset` the IN
+    block of H, a sparse (ttl.order x ttl.order) matrix whose rows sum to
+    one. Axis 0 of every term is the TTL phase, with the absorbing phase
+    (the OUT state) first; the other axes are the inputs' states, first
+    input outermost. `hidden` and `active` are the terms of
     d0' and d1', `generator` is Q' = d0' + d1' on the factors, and `map`
     the miss MAP (d0', d1'), assembled on first read. The OUT group
     (`out_states`) is the first n states, n the input's order, and the IN
@@ -120,7 +121,7 @@ class CacheChain:
         `RateMatrix.from_terms`).
 
         Its singular-d0 verdict (`validate_map`) follows from the closure of
-        MAPs under the operator, for inputs that `cache_chain` validated. The
+        MAPs under the operator, for inputs that `output_*` validated. The
         OUT group's hidden transitions are the input's d0 alone, and an OUT
         state emits where its request state does, so d0' is singular when
         the input's d0 is. Otherwise every IN state reaches the OUT group
@@ -186,37 +187,26 @@ def _pi_rows(pi: np.ndarray, rows: int, blocks: int = 1) -> RateMatrix:
     )
 
 
-def cache_chain(
-    policy: str,
-    inputs,
-    ttl: PhaseTypeDistribution,
-    ttl_r: PhaseTypeDistribution | None = None,
-) -> CacheChain:
-    """The chain of a "Sigma", "R" or "MinSigmaR" cache fed by the
-    superposition of the independent MAPs `inputs`, validated on its parts
-    (`validate_map`).
+def _parts(m: MarkovArrivalProcess | tuple) -> tuple[MarkovArrivalProcess, ...]:
+    """The request MAP `m` as a one-entry tuple, or the independent MAPs of the tuple `m`."""
+    return (m,) if isinstance(m, MarkovArrivalProcess) else tuple(m)
 
-    A Sigma hit leaves the TTL phase untouched (H_IN = I), an R hit restarts
-    it (every row pi), and a min(Sigma, R) hit restarts only the R
-    component of the joint TTL min(ttl, ttl_r), Sigma phases outermost.
-    """
-    inputs = tuple(inputs)
+
+def _inputs(m: MarkovArrivalProcess | tuple) -> tuple[MarkovArrivalProcess, ...]:
+    """`_parts(m)`, validated."""
+    inputs = _parts(m)
     require_valid(*inputs)
-    if policy == "Sigma":
-        return CacheChain(ttl, RateMatrix.identity(ttl.order), inputs)
-    if policy == "R":
-        return CacheChain(ttl, _pi_rows(ttl.pi.entries, ttl.order), inputs)
-    reset = _pi_rows(ttl_r.pi.entries, ttl_r.order, ttl.order)
-    return CacheChain(ph_min(ttl, ttl_r), reset, inputs)
+    return inputs
 
 
-def output_sigma(m: MarkovArrivalProcess, t: PhaseTypeDistribution) -> CacheChain:
+def output_sigma(m: MarkovArrivalProcess | tuple, t: PhaseTypeDistribution) -> CacheChain:
     """Miss process of a reset-on-miss (Sigma) cache.
 
     Parameters
     ----------
-    m : MarkovArrivalProcess
-        Request process with n states.
+    m : MarkovArrivalProcess or tuple of MarkovArrivalProcess
+        Request process with n states, or independent request MAPs whose
+        superposition (n the product of their orders) the cache sees.
     t : PhaseTypeDistribution
         TTL with m transient phases; requests and TTL independent.
 
@@ -228,30 +218,31 @@ def output_sigma(m: MarkovArrivalProcess, t: PhaseTypeDistribution) -> CacheChai
         that leave the TTL phase untouched). Active matrix: top block row
         (0, pi_1 d1, ..., pi_m d1).
     """
-    return cache_chain("Sigma", [m], t)
+    return CacheChain(t, RateMatrix.identity(t.order), _inputs(m))
 
 
-def output_r(m: MarkovArrivalProcess, t: PhaseTypeDistribution) -> CacheChain:
+def output_r(m: MarkovArrivalProcess | tuple, t: PhaseTypeDistribution) -> CacheChain:
     """Miss process of a reset-on-request (R) cache.
 
-    Same layout as :func:`output_sigma`, but a hit also restarts the TTL:
-    every IN block row of the hidden correction carries (pi_1 d1, ...,
-    pi_m d1) instead of keeping the phase fixed.
+    Same layout and inputs as :func:`output_sigma`, but a hit also restarts
+    the TTL: every IN block row of the hidden correction carries
+    (pi_1 d1, ..., pi_m d1) instead of keeping the phase fixed.
     """
-    return cache_chain("R", [m], t)
+    return CacheChain(t, _pi_rows(t.pi.entries, t.order), _inputs(m))
 
 
 def output_min(
-    m: MarkovArrivalProcess,
+    m: MarkovArrivalProcess | tuple,
     t_sigma: PhaseTypeDistribution,
     t_r: PhaseTypeDistribution,
 ) -> CacheChain:
     """Miss process of a min(Sigma, R) cache holding two parallel TTLs.
 
-    The joint TTL is min(t_sigma, t_r) with the Sigma phases outermost; that
-    argument order cannot be swapped without scrambling the reset blocks.
-    Hits restart only the R component, so the hidden correction is block
-    diagonal over Sigma phases, each q*q block repeating the row
-    (pi^R_1 d1, ..., pi^R_q d1). Dimension n(m*q + 1).
+    Inputs as for :func:`output_sigma`. The joint TTL is min(t_sigma, t_r)
+    with the Sigma phases outermost; that argument order cannot be swapped
+    without scrambling the reset blocks. Hits restart only the R component,
+    so the hidden correction is block diagonal over Sigma phases, each q*q
+    block repeating the row (pi^R_1 d1, ..., pi^R_q d1). Dimension n(m*q + 1).
     """
-    return cache_chain("MinSigmaR", [m], t_sigma, t_r)
+    reset = _pi_rows(t_r.pi.entries, t_r.order, t_sigma.order)
+    return CacheChain(ph_min(t_sigma, t_r), reset, _inputs(m))

@@ -898,7 +898,7 @@ def _lu_solve(q: KronOperator, a: tuple, b: np.ndarray) -> np.ndarray:
 def steady_state(q: RateMatrix) -> ProbabilityVector:
     """Stationary distribution p of a conservative irreducible generator.
 
-    This solves a chain knowing nothing but q. `metrics.chain_metrics`
+    This solves a chain knowing nothing but q. `metrics.metrics_from_maps`
     solves a cache output chain of more than `_GTH_MAX` states on its
     Kronecker factors from its input vector (see `_given_input_solve`), and
     assembles it for this function only when that solve fails its gates.

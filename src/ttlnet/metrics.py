@@ -1,12 +1,13 @@
 """Cache metrics computed from MAP descriptions of the request and miss processes."""
 
+import math
 from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
 
 from . import kron
-from .cache_ops import CacheChain, _misses_kept
+from .cache_ops import CacheChain, _misses_kept, _parts
 from .errors import DimensionError, NoStationaryDistributionError, ValidationError
 from .kron import (
     KronOperator,
@@ -20,7 +21,7 @@ from .kron import (
 )
 from .processes import MarkovArrivalProcess, PhaseTypeDistribution
 
-__all__ = ["CacheMetrics", "metrics_from_maps", "chain_metrics", "stationary_interval_moments"]
+__all__ = ["CacheMetrics", "metrics_from_maps", "stationary_interval_moments"]
 
 
 @dataclass(frozen=True)
@@ -52,37 +53,19 @@ class CacheMetrics:
 
 
 def metrics_from_maps(
-    input_map: MarkovArrivalProcess, output: CacheChain, p_in: np.ndarray | None = None
+    input_map: MarkovArrivalProcess | tuple, output: CacheChain, p_in: np.ndarray | None = None
 ) -> CacheMetrics:
-    """Hit/miss probabilities, occupancy, and rates of a MAP cache:
-    `chain_metrics` of `output`, once it is checked to have been built
-    from `input_map`.
-
-    Raises
-    ------
-    DimensionError
-        If `output` has a different number of OUT states than `input_map`
-        has states, or `p_in` has another length.
-    """
-    n = input_map.order
-    if len(output.out_states) != n:
-        raise DimensionError(
-            f"cache output has {len(output.out_states)} OUT states but the"
-            f" input MAP has {n} states"
-        )
-    return chain_metrics(output, p_in)
-
-
-def chain_metrics(chain: CacheChain, p_in: np.ndarray | None = None) -> CacheMetrics:
     """Hit/miss probabilities, occupancy, and rates of a cache, from its
     output chain's factors.
 
-    The miss probability is the ratio of the stationary miss rate
-    p' d1' 1 to the stationary request rate p d1 1, the hit probability
-    that of the request rate over the IN states, p'_IN (1 (x) d1 1); the
-    occupancy is the stationary mass of the IN states of the miss process.
-    Requires the background chain of the miss process to be ergodic; the
-    returned metrics carry its stationary vector p' as `stationary`.
+    `input_map` is the request MAP the cache `output` was built from, or the
+    tuple of independent MAPs whose superposition it sees. The miss
+    probability is the ratio of the stationary miss rate p' d1' 1 to the
+    stationary request rate p d1 1, the hit probability that of the request
+    rate over the IN states, p'_IN (1 (x) d1 1); the occupancy is the
+    stationary mass of the IN states of the miss process. Requires the
+    background chain of the miss process to be ergodic; the returned
+    metrics carry its stationary vector p' as `stationary`.
 
     The request coordinate of the output chain is strongly lumpable: every
     cache operator's hit-reset and miss templates together have unit row
@@ -99,19 +82,25 @@ def chain_metrics(chain: CacheChain, p_in: np.ndarray | None = None) -> CacheMet
     Raises
     ------
     DimensionError
-        If `p_in` has another length than the chain's OUT group.
+        If `output` has another number of OUT states than the input (a
+        tuple: the product of its orders) has states, or `p_in` another length.
     """
-    n = len(chain.out_states)
+    n = math.prod(m.order for m in _parts(input_map))
+    if len(output.out_states) != n:
+        raise DimensionError(
+            f"cache output has {len(output.out_states)} OUT states but the"
+            f" input MAP has {n} states"
+        )
     if p_in is not None and p_in.size != n:
         raise DimensionError(f"input vector has {p_in.size} entries, not {n}")
     try:
-        p_out = _output_vector(chain, p_in)
+        p_out = _output_vector(output, p_in)
     except NoStationaryDistributionError as exc:
         raise NoStationaryDistributionError(
             f"cache metrics need ergodic background chains: {exc}"
         ) from exc
-    requests = kron_sum_vector([m.d1.row_sums() for m in chain.inputs])
-    misses = KronOperator(chain.dims, chain.active).row_sums()
+    requests = kron_sum_vector([m.d1.row_sums() for m in output.inputs])
+    misses = KronOperator(output.dims, output.active).row_sums()
     # the OUT block, then one block of request states per TTL phase (IN)
     blocks = p_out.reshape(-1, n)
     cached = blocks[1:].sum(axis=0)

@@ -5,8 +5,8 @@ each node lists the `children` whose miss streams feed it, leaves receive
 exogenous arrival processes, and every request that misses at a sink node
 is served by the origin (which always holds the object). Analysis walks
 the DAG in topological order, composing three rules per node: superpose the
-children's miss MAPs, apply the policy's input-output operator, and split
-the result when the node feeds several parents.
+children's miss MAPs (never assembled), apply the policy's input-output
+operator, and split the result when the node feeds several parents.
 
 `parse_topology` is the only place where a topology document becomes
 engine objects. It checks the document against `topology.schema.json`,
@@ -24,10 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .cache_ops import DEFAULT_BUDGET, cache_chain, output_min, output_r, output_sigma
+from .cache_ops import DEFAULT_BUDGET, output_min, output_r, output_sigma
 from .errors import BudgetExceededError, TopologyError, ValidationError
 from .kron import ProbabilityVector, RateMatrix, dense_kron
-from .metrics import CacheMetrics, chain_metrics, metrics_from_maps
+from .metrics import CacheMetrics, metrics_from_maps
 from .processes import (
     MarkovArrivalProcess,
     PhaseTypeDistribution,
@@ -408,7 +408,7 @@ def parse_topology(document) -> Topology:
 def _reconvergent_joins(graph: Topology) -> dict:
     """Joins whose children's sub-DAGs share a node, each with the nodes above it.
 
-    `superpose` models a join's inputs as independent streams. Below a
+    `analyze` models a join's inputs as independent streams. Below a
     reconvergent join they share a node, so they are correlated, and the
     join's metrics and those of every node above it are not exact. One pass
     in topological order collects each node's sub-DAG (the node and every
@@ -498,21 +498,19 @@ def analyze(
 ) -> AnalysisResult:
     """Exact feedforward analysis of one object.
 
-    Walks the DAG children-first: leaf arrival MAPs feed the policy
-    input-output operator at each node; a node feeding several parents is
-    split by its declared vector; a node with several children superposes
-    their (split) miss MAPs. Each node's input vector is known before its
-    own solve: a leaf's is its arrival MAP's stationary vector, which the
-    metrics find themselves; a split keeps d0 + d1, so a part has its node's
-    output vector; and `superpose` models its parts as independent, so a
-    join has the Kronecker product of its children's output vectors. Each
-    output chain above `kron._GTH_MAX` states is solved from it on its
-    Kronecker factors. Every node's operator returns its
-    `cache_ops.CacheChain`. A node with parents takes `output_sigma`,
-    `output_r` or `output_min` (after `superpose` at a join), and its
-    parents' reads assemble its miss MAP; a sink (no parents) assembles
-    nothing: its chain's factors are its inputs' own (`cache_chain`), and
-    its metrics come from its stationary vector (`chain_metrics`). Refuses,
+    Walks the DAG children-first, one step per node: the node's inputs (a
+    leaf's arrival MAP, or its children's miss MAPs or split parts) feed
+    `output_sigma`, `output_r` or `output_min` as a tuple of independent
+    MAPs, whose superposition is never assembled; `metrics_from_maps` reads
+    the node's metrics from the chain's stationary vector; and a node
+    feeding several parents is split by its declared vector. Each node's
+    input vector is known before its own solve: a leaf's is its arrival
+    MAP's stationary vector, which the metrics find themselves; a split
+    keeps d0 + d1, so a part has its node's output vector; and a join's
+    inputs are independent, so it has the Kronecker product of its
+    children's output vectors. Each output chain above `kron._GTH_MAX`
+    states is solved from it on its Kronecker factors. Only a node's
+    parents assemble its miss MAP, so a sink assembles nothing. Refuses,
     with the offending node and exact dimension, before building anything
     larger than `budget` states.
     """
@@ -527,39 +525,31 @@ def analyze(
         if dims[nid]["output"] > budget:
             raise BudgetExceededError(nid, dims[nid]["output"], budget, "output")
 
-    from .processes import superpose, split as split_map
+    from .processes import split as split_map
 
     contributions: dict[tuple[str, str], MarkovArrivalProcess] = {}
     metrics: dict[str, CacheMetrics] = {}
     for nid in order:
         node = topo.nodes[nid]
         if not node.children:
-            parts, p_in = [topo.arrival_for(obj, nid)], None
+            parts, p_in = (topo.arrival_for(obj, nid),), None
         else:
-            parts = [contributions[(child, nid)] for child in node.children]
+            parts = tuple(contributions[(child, nid)] for child in node.children)
             p_in = reduce(dense_kron, [metrics[child].stationary for child in node.children])
         ttls = (node.ttl.ph,) if node.ttl_r is None else (node.ttl.ph, node.ttl_r.ph)
-        parents = topo.parents_of(nid)
-        if parents:
-            input_map = parts[0] if len(parts) == 1 else superpose(parts)
-            out = _OUTPUT_OPS[node.policy](input_map, *ttls)
-        else:
-            out = cache_chain(node.policy, parts, *ttls)
+        out = _OUTPUT_OPS[node.policy](parts, *ttls)
         realized = len(out.out_states), out.order
         if realized != (dims[nid]["input"], dims[nid]["output"]):
             raise RuntimeError(
                 f"dimension accounting mismatch at node {nid!r}: realized"
                 f" {realized[0]}->{realized[1]}, predicted {dims[nid]}"
             )
-        if not parents:
-            metrics[nid] = chain_metrics(out, p_in)
-            continue
-        metrics[nid] = metrics_from_maps(input_map, out, p_in)
+        metrics[nid] = metrics_from_maps(parts, out, p_in)
+        parents = topo.parents_of(nid)
         if len(parents) == 1 and node.split is None:
             contributions[(nid, parents[0])] = out.map
-        else:
-            parts = split_map(out.map, node.split)
-            for pid, part in zip(parents, parts):
+        elif parents:
+            for pid, part in zip(parents, split_map(out.map, node.split)):
                 contributions[(nid, pid)] = part
     origin_rate = sum(metrics[nid].miss_rate for nid in topo.sinks)
     return AnalysisResult(

@@ -32,7 +32,6 @@ from ttlnet import (
     superpose,
     validate_map,
 )
-from ttlnet.cache_ops import cache_chain
 from ttlnet.kron import kron_terms
 
 
@@ -378,13 +377,13 @@ class TestOneSortAssembly:
 
 
 def _policy_chain(r, policy: str, parts):
-    """A random-TTL chain of `policy` over `parts`, and the assembled output
-    of the same cache fed by their superposition."""
+    """A random-TTL chain of `policy` over the tuple `parts`, and the
+    assembled output of the same cache fed by their superposition."""
     ttl, ttl_r = random_ph(r, 4), random_ph(r, 2)
     ttls = (ttl, ttl_r) if policy == "MinSigmaR" else (ttl,)
+    op = {"Sigma": output_sigma, "R": output_r, "MinSigmaR": output_min}[policy]
     input_map = parts[0] if len(parts) == 1 else superpose(parts)
-    out = {"Sigma": output_sigma, "R": output_r, "MinSigmaR": output_min}[policy](input_map, *ttls)
-    return cache_chain(policy, parts, *ttls), input_map, out
+    return op(tuple(parts), *ttls), input_map, op(input_map, *ttls)
 
 
 def _assert_close(got, want, scale, what):

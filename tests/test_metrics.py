@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 
 from conftest import dense_stationary, random_map, random_ph
 from ttlnet import kron, metrics
-from ttlnet.cache_ops import cache_chain
+from ttlnet.network import _OUTPUT_OPS
 from ttlnet import (
     DimensionError,
     Exponential,
@@ -252,14 +252,14 @@ class TestGivenInputSolve:
         # without p_in, the given-input solve starts from the Kronecker
         # product of the inputs' `stationary` vectors, solved once per MAP
         parts = [_ring_mmpp(5), _ring_mmpp(4)]
-        chain = cache_chain("Sigma", parts, PhaseTypeDistribution.erlang(4, 2.0))
+        chain = output_sigma(tuple(parts), PhaseTypeDistribution.erlang(4, 2.0))
         assert chain.order > kron._GTH_MAX
         solved = []
         monkeypatch.setattr(metrics, "steady_state", lambda q: solved.append(q.rows))
         inputs = []
         real = kron._given_input_solve
         monkeypatch.setattr(kron, "_given_input_solve", lambda *a: inputs.append(a[-1]) or real(*a))
-        metrics.chain_metrics(chain)
+        metrics_from_maps(tuple(parts), chain)
         assert solved == [] and all("stationary" in m.__dict__ for m in parts)
         want = np.kron(parts[0].stationary.entries, parts[1].stationary.entries)
         assert len(inputs) == 1 and np.array_equal(inputs[0], want)
@@ -306,9 +306,9 @@ class TestCacheChainMetrics:
 
     def test_factored_metrics_assemble_no_miss_map(self):
         m, ttl = _ring_mmpp(20), PhaseTypeDistribution.erlang(4, 4.0)
-        out = cache_chain("Sigma", [m], ttl)
+        out = output_sigma(m, ttl)
         assert out.order > kron._GTH_MAX
-        metrics.chain_metrics(out)
+        metrics_from_maps(m, out)
         assert "map" not in vars(out)
         want = output_sigma(m, ttl).map
         assert out.map.d0 == want.d0 and out.map.d1 == want.d1
@@ -317,10 +317,10 @@ class TestCacheChainMetrics:
     def test_input_vector_length_checked(self, stages, inputs, states):
         # refused on both sides of the GTH bound, before any solve reads it
         parts = [mmpp_map([[-0.4, 0.4], [0.9, -0.9]], [1.1, 2.3 + i]) for i in range(inputs)]
-        out = cache_chain("Sigma", parts, PhaseTypeDistribution.erlang(stages, 2.0))
+        out = output_sigma(tuple(parts), PhaseTypeDistribution.erlang(stages, 2.0))
         assert out.order == states
         with pytest.raises(DimensionError, match="5 entries"):
-            metrics.chain_metrics(out, np.full(5, 0.2))
+            metrics_from_maps(tuple(parts), out, np.full(5, 0.2))
 
 
 def _small_chain(seed: int):
@@ -330,10 +330,11 @@ def _small_chain(seed: int):
     r = np.random.default_rng(seed)
     policy = ["Sigma", "R", "MinSigmaR"][seed % 3]
     if seed % 7 == 0:
-        return cache_chain(policy, [_ring_mmpp(4)], PhaseTypeDistribution.erlang(15, 3.0),
-                           PhaseTypeDistribution.exponential(0.5))
-    inputs = [random_map(r, 4)]
-    return cache_chain(policy, inputs, random_ph(r, 3), random_ph(r, 2))
+        m, ttls = _ring_mmpp(4), (PhaseTypeDistribution.erlang(15, 3.0),
+                                  PhaseTypeDistribution.exponential(0.5))
+    else:
+        m, ttls = random_map(r, 4), (random_ph(r, 3), random_ph(r, 2))
+    return _OUTPUT_OPS[policy](m, *ttls[: 2 if policy == "MinSigmaR" else 1])
 
 
 class TestDenseHandOff:

@@ -498,9 +498,9 @@ class TestGivenInputSolve:
         res, chains = _analyze_recording_maps(monkeypatch, erlang_tree(6, ttl_speed=0.01))
         for nid in ("M1", "M2"):
             got = res.metrics[nid]
-            input_map, out = chains[nid]
-            p = ttlnet.kron._gth(out.map.generator.to_dense()).reshape(-1, input_map.order)
-            rates = input_map.d1.row_sums()
+            parts, out = chains[nid]
+            rates = ttlnet.kron.kron_sum_vector([m.d1.row_sums() for m in parts])
+            p = ttlnet.kron._gth(out.map.generator.to_dense()).reshape(-1, rates.size)
             want = p[1:].sum(axis=0) @ rates / (p.sum(axis=0) @ rates)
             assert want < 1e-4
             assert_allclose(got.hit_probability, want, rtol=1e-12, err_msg=nid)
@@ -522,10 +522,10 @@ class TestGivenInputSolve:
         monkeypatch.setattr(ttlnet.kron, "_given_input_solve", spy)
         monkeypatch.setattr(ttlnet.kron, "_lu_solve", refuse)
         for nid in ("M1", "M2"):
-            input_map, out = chains[nid]
+            parts, out = chains[nid]
             assert out.order == 98 > ttlnet.kron._GTH_MAX
             solved.clear()
-            got = ttlnet.metrics_from_maps(input_map, out)
+            got = ttlnet.metrics_from_maps(parts, out)
             assert len(solved) == 1 and solved[0] is not None
             want = res.metrics[nid].to_dict()
             for name, value in got.to_dict().items():
@@ -538,8 +538,9 @@ class TestGivenInputSolve:
 
 
 def _analyze_recording_maps(monkeypatch, doc) -> tuple:
-    """analyze's result and, by node, the (input MAP, cache output) that it
-    passed to metrics_from_maps: every node that has parents."""
+    """analyze's result and, by node, the (inputs, cache output) that it
+    passed to metrics_from_maps: a tuple of a node's independent input
+    MAPs, and its chain."""
     calls = []
     real = ttlnet.network.metrics_from_maps
 
@@ -551,13 +552,13 @@ def _analyze_recording_maps(monkeypatch, doc) -> tuple:
         patch.setattr(ttlnet.network, "metrics_from_maps", spy)
         topo = parse_topology(doc)
         res = analyze(topo)
-    order = [nid for nid in topo.topological_order() if topo.parents_of(nid)]
-    return res, dict(zip(order, calls))
+    return res, dict(zip(topo.topological_order(), calls))
 
 
 class TestFactoredSinks:
-    """Each chain is solved on its Kronecker factors, and a sink assembles
-    nothing: neither its output MAP nor, at a join, its input superposition."""
+    """Each chain is solved on its Kronecker factors, no join assembles its
+    input superposition, and a sink assembles nothing: not its output MAP
+    either."""
 
     @pytest.mark.parametrize("name", sorted(REFERENCE))
     def test_values_match_assembled_analysis(self, name):
@@ -573,6 +574,17 @@ class TestFactoredSinks:
         documents = [case["document"] for case in REFERENCE.values()]
         for path in sorted(CONFIGS.glob("*.json")):
             assert json.loads(path.read_text()) in documents, path.name
+
+    @pytest.mark.parametrize("name", ["tree", "sim-network"])
+    def test_joins_call_no_superpose(self, monkeypatch, name):
+        calls = []
+        real = ttlnet.processes.superpose
+        monkeypatch.setattr(ttlnet.processes, "superpose", lambda maps: calls.append(1) or real(maps))
+        topo = parse_topology(erlang_tree(4) if name == "tree" else _sim_network_doc())
+        assert any(topo.parents_of(nid) and len(node.children) > 1
+                   for nid, node in topo.nodes.items())
+        analyze(topo)
+        assert calls == []
 
     def test_sink_join_assembles_nothing_of_its_size(self, monkeypatch):
         rows = []
@@ -643,7 +655,7 @@ class TestReconvergentJoins:
         doc["arrivals"]["leaf"] = {"poisson": 1.0}
         assert parse_topology(doc).reconvergent == {"top": ("root",)}
 
-    @pytest.mark.parametrize("name", ["line2.json", "mixed.json", "tree3.json"])
+    @pytest.mark.parametrize("name", ["line2.json", "mixed.json", "tree3.json", "tree7.json"])
     def test_configs_not_flagged(self, name):
         assert parse_topology((CONFIGS / name).read_text()).reconvergent == {}
 
