@@ -112,33 +112,17 @@ def _read_config(path: str):
 
 def cmd_analyze(args) -> int:
     topo = _read_config(args.config)
-    for join, above in topo.reconvergent.items():
-        sys.stderr.write(
-            f"warning: reconvergent join {join!r}: its children share an upstream node, but"
-            " the analysis treats their streams as independent; not exact: "
-            + ", ".join(map(repr, (join, *above)))
-            + "\n"
-        )
-    order = topo.topological_order()
-    for nid in order:
-        node = topo.nodes[nid]
-        approximated = [
-            f"{name} by Erlang-{ttl.ph.order}"
-            for name, ttl in (("ttl", node.ttl), ("ttl_r", node.ttl_r))
-            if ttl is not None and not ttl.exact_on_map_path
-        ]
-        if approximated:
-            inexact = {nid}  # the node and every node its misses reach
-            for other in order:
-                if inexact.intersection(topo.nodes[other].children):
-                    inexact.add(other)
-            sys.stderr.write(
-                f"warning: node {nid!r}: the MAP path approximates its deterministic "
-                + " and ".join(approximated)
-                + "; not exact: "
-                + ", ".join(repr(other) for other in order if other in inexact)
-                + "\n"
+    for entry in topo.approximations:
+        if entry.reason == "reconvergent":
+            cause = (
+                f"reconvergent join {entry.node!r}: its children share an upstream node, but"
+                " the analysis treats their streams as independent"
             )
+        else:
+            cause = f"node {entry.node!r}: the MAP path approximates its deterministic " + (
+                " and ".join(f"{name} by Erlang-{k}" for name, k in entry.erlang)
+            )
+        sys.stderr.write(f"warning: {cause}; not exact: {', '.join(map(repr, entry.reaches))}\n")
     object_ids = [args.object] if args.object else [o.id for o in topo.objects]
     results = [analyze(topo, oid, budget=args.budget) for oid in object_ids]
     payload = {"command": "analyze", "results": [r.to_dict() for r in results]}

@@ -674,6 +674,10 @@ def _dot(u: np.ndarray, w: np.ndarray) -> float:
 # whose run pays the import once: with numpy at every size the 80,000-state
 # tree of Erlang-9 leaves took 0.36-0.44 s against 0.25-0.29 s, and the
 # 228,488-state tree of Erlang-12 leaves 1.5 s against 0.92-0.98 s.
+# Neither map-large network loads scipy. At seed 0 the tree root's -M has
+# 22,000 assembled nonzeros (2,500 in its mu I term, 14,500 off the
+# diagonal) and takes three dense per-factor steps; only the line's largest
+# system (N6's, 15,228) takes one bincount.
 _NUMPY_PRODUCT_MAX = 20_480
 
 

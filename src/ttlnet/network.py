@@ -13,7 +13,8 @@ engine objects. It checks the document against `topology.schema.json`,
 which ships with the package, with the package's own walker
 (`_schema_error`, no jsonschema), and builds each leaf's arrival MAP and
 each TTL's renewal law and phase-type form once, validated. `analyze`,
-`state_space_size` and the simulator use those objects as they are.
+`state_space_size` and the simulator use those objects as they are. It also
+decides which of `analyze`'s numbers are not exact: `Topology.approximations`.
 """
 
 import json
@@ -41,6 +42,7 @@ from .renewal import Deterministic, Erlang, Exponential, RenewalSpec
 __all__ = [
     "TtlSpec",
     "CacheNode",
+    "Approximation",
     "ObjectSpec",
     "Topology",
     "AnalysisResult",
@@ -69,10 +71,6 @@ class TtlSpec:
 
     law: RenewalSpec | None
     ph: PhaseTypeDistribution
-
-    @property
-    def exact_on_map_path(self) -> bool:
-        return not isinstance(self.law, Deterministic)
 
     @classmethod
     def from_payload(cls, payload, where: str) -> "TtlSpec":
@@ -126,6 +124,23 @@ class CacheNode:
 
 
 @dataclass(frozen=True)
+class Approximation:
+    """A node whose numbers `analyze` does not compute exactly, and why.
+
+    `reason` is "reconvergent" for a join whose children's sub-DAGs share a
+    node (correlated streams superposed as independent), or "det_ttl_erlang_k"
+    for deterministic TTLs that the MAP path replaces by Erlangs, each named
+    in `erlang` with its order, as in (("ttl", 5), ("ttl_r", 20)). `reaches`
+    is the node and every node above it, in topological order.
+    """
+
+    node: str
+    reason: str
+    reaches: tuple[str, ...]
+    erlang: tuple[tuple[str, int], ...] = ()
+
+
+@dataclass(frozen=True)
 class ObjectSpec:
     id: str
     arrivals: dict = field(default_factory=dict)  # leaf id -> MarkovArrivalProcess
@@ -136,8 +151,8 @@ class Topology:
     nodes: dict  # id -> CacheNode, in declaration order
     arrivals: dict  # leaf id -> MarkovArrivalProcess
     objects: tuple[ObjectSpec, ...]
-    # reconvergent join id -> ids of the nodes above it (`_reconvergent_joins`)
-    reconvergent: dict = field(default_factory=dict)
+    # the reconvergent joins, then the det-TTL nodes, each in topological order
+    approximations: tuple[Approximation, ...] = ()
 
     @property
     def node_order(self) -> list[str]:
@@ -286,6 +301,7 @@ def parse_topology(document) -> Topology:
     dangling node ids, cycles, non-stochastic split vectors, nodes that
     split weights of 0 leave with no requests, arrival processes that do
     not cover the leaves, or invalid arrival MAPs and phase-type TTLs.
+    One pass after the cycle check builds `Topology.approximations`.
     """
     if isinstance(document, (str, bytes)):
         try:
@@ -345,7 +361,25 @@ def parse_topology(document) -> Topology:
         overrides[oid] = {} if isinstance(entry, str) else entry.get("arrivals", {})
 
     graph = Topology(nodes=nodes, arrivals={}, objects=())  # the structure checks read only nodes
-    reconvergent = _reconvergent_joins(graph)  # also the cycle check
+    order = graph.topological_order()  # raises on cycles
+    below: dict[str, set] = {}  # node -> its sub-DAG: the node and every node below it
+    joins, dets = [], []  # (node, reason, Erlang orders of its det TTLs)
+    for nid in order:
+        subdags = [below[child] for child in nodes[nid].children]
+        below[nid] = set().union(*subdags, {nid})
+        if sum(map(len, subdags)) >= len(below[nid]):  # two children's sub-DAGs overlap
+            joins.append((nid, "reconvergent", ()))
+        ttls = (("ttl", nodes[nid].ttl), ("ttl_r", nodes[nid].ttl_r))
+        erlang = tuple(
+            (name, ttl.ph.order) for name, ttl in ttls
+            if ttl is not None and isinstance(ttl.law, Deterministic)
+        )
+        if erlang:
+            dets.append((nid, "det_ttl_erlang_k", erlang))
+    approximations = tuple(
+        Approximation(source, reason, tuple(nid for nid in order if source in below[nid]), erlang)
+        for source, reason, erlang in joins + dets
+    )
 
     leaves = set(graph.leaves)
     for leaf in leaves:
@@ -376,7 +410,7 @@ def parse_topology(document) -> Topology:
     # a node with no requests has a singular d0: refuse it here, not in analyze()
     index = {nid: i for i, nid in enumerate(nodes)}
     requested = set(leaves)
-    for nid in graph.topological_order():
+    for nid in order:
         if nid in requested:
             continue
         for child in nodes[nid].children:
@@ -402,30 +436,7 @@ def parse_topology(document) -> Topology:
         })
         for oid, specs in overrides.items()
     )
-    return Topology(nodes=nodes, arrivals=arrivals, objects=objects, reconvergent=reconvergent)
-
-
-def _reconvergent_joins(graph: Topology) -> dict:
-    """Joins whose children's sub-DAGs share a node, each with the nodes above it.
-
-    `analyze` models a join's inputs as independent streams. Below a
-    reconvergent join they share a node, so they are correlated, and the
-    join's metrics and those of every node above it are not exact. One pass
-    in topological order collects each node's sub-DAG (the node and every
-    node below it); raises on cycles.
-    """
-    below: dict[str, set] = {}
-    joins = []
-    for nid in graph.topological_order():
-        seen: set = set()
-        for child in graph.nodes[nid].children:
-            if seen & below[child] and nid not in joins:
-                joins.append(nid)
-            seen |= below[child]
-        below[nid] = seen | {nid}
-    return {
-        join: tuple(nid for nid in below if nid != join and join in below[nid]) for join in joins
-    }
+    return Topology(nodes=nodes, arrivals=arrivals, objects=objects, approximations=approximations)
 
 
 def state_space_size(topo: Topology, object_id: str | None = None) -> dict:

@@ -342,17 +342,59 @@ def _random_topology(rng, index: int) -> dict:
     return {"nodes": nodes, "arrivals": arrivals}
 
 
+def _invariant_errors(topo, result) -> dict:
+    """The largest violation, over the nodes of `result`, of each flow and
+    stationary-vector invariant that `analyze` must keep exactly."""
+    obj = topo.object_by_id(result.object_id)
+    metrics = result.metrics
+    errors = dict.fromkeys(("hit+miss", "inter-miss", "inner rate", "leaf rate", "marginal"), 0.0)
+
+    def record(name, value):
+        errors[name] = max(errors[name], value)
+
+    for nid in topo.topological_order():
+        node, m = topo.nodes[nid], metrics[nid]
+        record("hit+miss", rel_err(m.hit_probability + m.miss_probability, 1.0))
+        record("inter-miss", rel_err(m.expected_inter_miss * m.miss_rate, 1.0))
+        if node.children:
+            inflow = 0.0
+            for child in node.children:
+                split = topo.nodes[child].split
+                weight = 1.0 if split is None else split[topo.parents_of(child).index(nid)]
+                inflow += metrics[child].miss_rate * weight
+            record("inner rate", rel_err(m.input_rate, inflow))
+            p_in = metrics[node.children[0]].stationary
+            for child in node.children[1:]:
+                p_in = np.kron(p_in, metrics[child].stationary)
+        else:
+            arrival = topo.arrival_for(obj, nid)
+            record("leaf rate", rel_err(m.input_rate, fundamental_rate(arrival)))
+            p_in = arrival.stationary.entries
+        marginal = m.stationary.reshape(-1, p_in.size).sum(axis=0)
+        record("marginal", float(np.max(np.abs(marginal - p_in))))
+    return errors
+
+
 def test_criterion_7_dimension_laws():
     rng = np.random.default_rng(707)
+    worst = {}
     for index in range(25):
         topo = parse_topology(_random_topology(rng, index))
         predicted = state_space_size(topo)
         result = analyze(topo, budget=200_000)  # raises on any realized mismatch
         assert result.dimensions == predicted
+        for name, error in _invariant_errors(topo, result).items():
+            worst[name] = max(worst.get(name, 0.0), error)
+    # flows: hit + miss = 1, E[inter-miss] * miss rate = 1, a node's input rate
+    # is its children's miss rates times their split weights (a leaf's is its
+    # arrival MAP's rate), all relative; the output vector's marginal over the
+    # TTL blocks is the input vector, absolute
+    for name, error in worst.items():
+        assert error <= 1e-12, (name, error)
     tree = parse_topology(FIG3_TREE)
     assert state_space_size(tree)["C3"]["output"] == 8
     assert analyze(tree).dimensions["C3"]["output"] == 8
-    report(7, "state-space recurrence matches realized dimensions on 25 random DAGs")
+    report(7, "dimensions, flows and input marginals hold on 25 random DAGs")
 
 
 def test_criterion_8_change_of_measure():

@@ -2,12 +2,18 @@
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from ttlnet.cli import main
+from ttlnet.cli import (
+    ANALYZE_CSV_COLUMNS,
+    SIMULATE_CSV_COLUMNS,
+    TABLE1_CSV_COLUMNS,
+    main,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -47,6 +53,22 @@ def run(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def pretty_cells(text, columns):
+    """The cells of a `--format pretty` table, after checking its header, its
+    rule and that every cell starts under its column's name."""
+    header, rule, *body = text.splitlines()
+    assert header.split() == columns
+    starts = [m.start() for m in re.finditer(r"\S+", header)]
+    assert [m.start() for m in re.finditer(r"-+", rule)] == starts
+    for line in body:
+        assert [m.start() for m in re.finditer(r"\S+", line)] == starts
+    return [line.split() for line in body]
+
+
+def pretty(value):
+    return f"{value:.6g}" if isinstance(value, float) else str(value)
 
 
 class TestAnalyzeCommand:
@@ -233,6 +255,34 @@ class TestSimulateCommand:
         doc = json.loads(out)
         assert doc["comparison"]["flagged_count"] == 0
 
+    def test_against_without_the_object_exit_two(self, line_config, tmp_path, capsys):
+        analysis = tmp_path / "analysis.json"
+        run(["analyze", "--config", line_config, "--out", str(analysis)], capsys)
+        doc = json.loads(analysis.read_text())
+        doc["results"][0]["object"] = "other"
+        analysis.write_text(json.dumps(doc))
+        code, out, err = run(
+            ["simulate", "--config", line_config, "--events", "2000", "--against", str(analysis)],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "ValidationError",
+            "message": f"no analysis for object 'obj' in {analysis}",
+        }
+
+    def test_csv_has_documented_columns(self, line_config, capsys):
+        args = ["simulate", "--config", line_config, "--events", "5000", "--seed", "3"]
+        code, out, _ = run([*args, "--format", "csv"], capsys)
+        assert code == 0
+        assert out.splitlines()[0] == ",".join(SIMULATE_CSV_COLUMNS)
+        _, doc, _ = run(args, capsys)
+        nodes = json.loads(doc)["estimate"]["nodes"]
+        rows = list(csv.DictReader(out.splitlines()))
+        assert [(r["object"], r["node"]) for r in rows] == [("obj", "C1"), ("obj", "C2")]
+        for row in rows:
+            assert {c: float(row[c]) for c in SIMULATE_CSV_COLUMNS[2:]} == nodes[row["node"]]
+
 
 class TestTable1Command:
     def test_reference_values(self, capsys):
@@ -262,6 +312,14 @@ class TestTable1Command:
         code, _, err = run(["table1", "--lambda", "-1"], capsys)
         assert code == 2
 
+    def test_negative_omega_exit_two(self, capsys):
+        code, out, err = run(["table1", "--omega", "-1"], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "ValidationError",
+            "message": "--omega values must be nonnegative",
+        }
+
     def test_csv_cells_are_plain_decimal(self, capsys):
         code, out, _ = run(
             ["table1", "--lambda", "1", "--mu", "1", "--format", "csv"], capsys
@@ -281,6 +339,48 @@ class TestTable1Command:
         rows = list(csv.DictReader(out.splitlines()))
         assert len(rows) == 4 * 3 * 3 * 2 * 3
         assert max(float(r["max_rel_err"]) for r in rows) <= 1e-12
+
+
+class TestPrettyFormat:
+    def test_analyze(self, line_config, capsys):
+        code, out, _ = run(["analyze", "--config", line_config, "--format", "pretty"], capsys)
+        assert code == 0
+        _, doc, _ = run(["analyze", "--config", line_config], capsys)
+        result = json.loads(doc)["results"][0]
+        want = [
+            [pretty(v) for v in (
+                "obj", nid, *result["nodes"][nid].values(), *result["dimensions"][nid].values()
+            )]
+            for nid in ("C1", "C2")
+        ]
+        assert pretty_cells(out, ANALYZE_CSV_COLUMNS) == want
+        assert want[1][:4] == ["obj", "C2", "0.25", "0.75"]
+
+    def test_simulate_with_comparison(self, line_config, tmp_path, capsys):
+        analysis = tmp_path / "analysis.json"
+        run(["analyze", "--config", line_config, "--out", str(analysis)], capsys)
+        args = ["simulate", "--config", line_config, "--events", "5000", "--against", str(analysis)]
+        code, out, _ = run([*args, "--format", "pretty"], capsys)
+        assert code == 0
+        _, doc, _ = run(args, capsys)
+        doc = json.loads(doc)
+        estimate, comparison = out.split("\n\n")
+        nodes = doc["estimate"]["nodes"]
+        assert pretty_cells(estimate, SIMULATE_CSV_COLUMNS) == [
+            ["obj", nid, *map(pretty, nodes[nid].values())] for nid in ("C1", "C2")
+        ]
+        columns = ["node", "metric", "analytic", "empirical", "stderr", "z_score", "flagged"]
+        assert pretty_cells(comparison, columns) == [
+            [pretty(row[c]) for c in columns] for row in doc["comparison"]["rows"]
+        ]
+
+    def test_table1_default(self, capsys):
+        code, out, _ = run(["table1"], capsys)
+        assert code == 0
+        _, doc, _ = run(["table1", "--format", "json"], capsys)
+        assert pretty_cells(out, TABLE1_CSV_COLUMNS) == [
+            [pretty(row[c]) for c in TABLE1_CSV_COLUMNS] for row in json.loads(doc)["rows"]
+        ]
 
 
 class TestOutputSchemas:
@@ -368,3 +468,13 @@ class TestDeterministicTtlWarning:
         assert first.startswith("warning: node 'a': ")
         assert second.startswith("warning: node 'b': ")
         assert "ttl by Erlang-5 and ttl_r by Erlang-20" in second
+
+
+class TestApproximationWarnings:
+    def test_fixture_stderr_matches_recording(self, capsys):
+        # a reconvergent join above a det split node, and MinSigmaR nodes with
+        # det TTLs; approximations.stderr is the warning contract, byte for byte
+        fixtures = ROOT / "tests" / "fixtures"
+        code, _, err = run(["analyze", "--config", str(fixtures / "approximations.json")], capsys)
+        assert code == 0
+        assert err == (fixtures / "approximations.stderr").read_text()

@@ -22,6 +22,7 @@ from ttlnet import (
     state_space_size,
     superpose,
 )
+from ttlnet.network import Approximation
 
 LINE2 = {
     "nodes": [
@@ -41,11 +42,12 @@ TREE3 = {
 }
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 # analyze's metrics for each document, computed by the assembled analysis
 # (every output MAP and superposition built, the given-input system sorted
 # from Q''s triplets) before sinks were solved on their Kronecker factors
 REFERENCE = json.loads(
-    (Path(__file__).resolve().parent / "fixtures" / "analyze_reference.json").read_text()
+    (FIXTURES / "analyze_reference.json").read_text()
 )
 
 
@@ -637,9 +639,15 @@ def _sim_network_doc():
     return module.sim_network_doc(0)
 
 
+def _reconvergent(topo):
+    return [(a.node, a.reaches) for a in topo.approximations if a.reason == "reconvergent"]
+
+
 class TestReconvergentJoins:
     def test_baseline_topology_flagged(self):
-        assert parse_topology(RECONVERGENT).reconvergent == {"top": ()}
+        assert parse_topology(RECONVERGENT).approximations == (
+            Approximation("top", "reconvergent", ("top",)),
+        )
 
     def test_nodes_above_the_join_named(self):
         # the streams meet two levels above the split, and root sits above the join
@@ -653,11 +661,12 @@ class TestReconvergentJoins:
             {"id": "side", "policy": "Sigma", "ttl": {"exp": 1.0}, "children": ["leaf"]},
         ]
         doc["arrivals"]["leaf"] = {"poisson": 1.0}
-        assert parse_topology(doc).reconvergent == {"top": ("root",)}
+        assert _reconvergent(parse_topology(doc)) == [("top", ("top", "root"))]
 
-    @pytest.mark.parametrize("name", ["line2.json", "mixed.json", "tree3.json", "tree7.json"])
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))
     def test_configs_not_flagged(self, name):
-        assert parse_topology((CONFIGS / name).read_text()).reconvergent == {}
+        # no config approximates: no reconvergent join and no det TTL
+        assert parse_topology((CONFIGS / name).read_text()).approximations == ()
 
     def test_split_topologies_not_flagged(self):
         # a split whose parents never meet again, and the sim-network workload
@@ -669,5 +678,56 @@ class TestReconvergentJoins:
             ],
             "arrivals": {"src": {"poisson": 2.0}},
         }
-        assert parse_topology(diamond).reconvergent == {}
-        assert parse_topology(_sim_network_doc()).reconvergent == {}
+        assert _reconvergent(parse_topology(diamond)) == []
+        assert _reconvergent(parse_topology(_sim_network_doc())) == []
+
+
+class TestApproximations:
+    def test_det_line(self):
+        from test_cli import TestDeterministicTtlWarning
+
+        topo = parse_topology(TestDeterministicTtlWarning.LINE)
+        assert topo.approximations == (
+            Approximation("a", "det_ttl_erlang_k", ("a", "b"), (("ttl", 20),)),
+        )
+
+    def test_min_node_names_both_det_ttls(self):
+        doc = {
+            "nodes": [
+                {"id": "a", "policy": "R", "ttl": {"exp": 1.0}},
+                {"id": "m", "policy": "MinSigmaR", "ttl": {"det": {"value": 2.0, "stages": 5}},
+                 "ttl_r": {"det": 0.5}, "children": ["a"]},
+            ],
+            "arrivals": {"a": {"poisson": 3.0}},
+        }
+        assert parse_topology(doc).approximations == (
+            Approximation("m", "det_ttl_erlang_k", ("m",), (("ttl", 5), ("ttl_r", 20))),
+        )
+
+    def test_det_node_below_a_reconvergent_join(self):
+        # the det split node reaches both branches, the join and everything above it
+        doc = json.loads(json.dumps(RECONVERGENT))
+        doc["nodes"][0]["ttl"] = {"det": {"value": 0.5, "stages": 3}}
+        doc["nodes"].append(
+            {"id": "root", "policy": "R", "ttl": {"exp": 1.0}, "children": ["top"]}
+        )
+        assert parse_topology(doc).approximations == (
+            Approximation("top", "reconvergent", ("top", "root")),
+            Approximation("src", "det_ttl_erlang_k", ("src", "a", "b", "top", "root"),
+                          (("ttl", 3),)),
+        )
+
+    def test_fixture_names_both_reasons(self):
+        topo = parse_topology((FIXTURES / "approximations.json").read_text())
+        reach = ("src", "a", "b", "top", "root")
+        assert topo.approximations == (
+            Approximation("top", "reconvergent", ("top", "root")),
+            Approximation("src", "det_ttl_erlang_k", reach, (("ttl", 3),)),
+            Approximation("b", "det_ttl_erlang_k", ("b", "top", "root"),
+                          (("ttl", 2), ("ttl_r", 2))),
+            Approximation("root", "det_ttl_erlang_k", ("root",), (("ttl_r", 2),)),
+        )
+        # every entry's reach runs in topological order
+        order = topo.topological_order()
+        for entry in topo.approximations:
+            assert list(entry.reaches) == [nid for nid in order if nid in entry.reaches]
