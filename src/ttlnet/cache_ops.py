@@ -30,8 +30,12 @@ d1'. A cache whose requests are the superposition of independent MAPs
 expands into one term per input, with the factors of that input alone.
 The operators take one request MAP or a tuple of independent ones, whose
 superposition is never assembled. Every reader of a cache goes through the
-`CacheChain` they return: the miss MAP (`map`) is assembled on first read,
-the generator (`generator`) and given-input system (`in_system`) never are.
+`CacheChain` they return. A chain of at most `kron._GTH_MAX` states is
+built at once as the dense pair (d0', d1'), summed from its factors' dense
+forms in the terms' order, which its miss MAP (`map`) and its metrics
+read. A larger chain is never assembled for its solve: its generator
+(`generator`) and given-input system (`in_system`) stay on the factors,
+and its miss MAP is assembled on first read.
 """
 
 import math
@@ -40,7 +44,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .kron import KronOperator, RateMatrix, kron_sum_operator
+from .kron import (
+    _GTH_MAX,
+    KronOperator,
+    RateMatrix,
+    _dense_sum,
+    _eye,
+    dense_kron,
+    kron_sum_operator,
+)
 from .processes import (
     MarkovArrivalProcess,
     PhaseTypeDistribution,
@@ -66,37 +78,32 @@ class CacheChain:
     block of H, a sparse (ttl.order x ttl.order) matrix whose rows sum to
     one. Axis 0 of every term is the TTL phase, with the absorbing phase
     (the OUT state) first; the other axes are the inputs' states, first
-    input outermost. `hidden` and `active` are the terms of
-    d0' and d1', `generator` is Q' = d0' + d1' on the factors, and `map`
-    the miss MAP (d0', d1'), assembled on first read. The OUT group
-    (`out_states`) is the first n states, n the input's order, and the IN
-    group (`in_states`) the rest.
+    input outermost. `hidden` and `active` are the terms of d0' and d1',
+    `generator` is Q' = d0' + d1' on the factors, and `map` the miss MAP
+    (d0', d1'). The OUT group (`out_states`) is the first n states, n the
+    input's order, and the IN group (`in_states`) the rest.
+
+    A chain of at most `kron._GTH_MAX` states is built once as the dense
+    pair (d0', d1') (`_dense_pair`), which `map` and the metrics read; its
+    terms are never formed unless asked for. A larger chain keeps only its
+    factors: its terms are formed on first read, `map` assembles them in
+    one sort, and the generator and given-input system (`in_system`) are
+    never assembled.
     """
 
     ttl: PhaseTypeDistribution
     hit_reset: RateMatrix
     inputs: tuple[MarkovArrivalProcess, ...]
     dims: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    hidden: list = field(init=False, repr=False, compare=False)
-    active: list = field(init=False, repr=False, compare=False)
+    _dense_pair: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # H and A shift hit_reset and pi past the absorbing phase, canonical
-        # as built, so every step stays O(nnz)
-        k = self.ttl.order
-        reset = self.hit_reset
-        h = RateMatrix(k + 1, k + 1, reset.row_idx + 1, reset.col_idx + 1, reset.data)
-        pi = self.ttl.pi.entries
-        nz = np.flatnonzero(pi)
-        a = RateMatrix(k + 1, k + 1, np.zeros_like(nz), nz + 1, pi[nz])
-        d0 = kron_sum_operator([m.d0 for m in self.inputs]).terms
-        d1 = kron_sum_operator([m.d1 for m in self.inputs]).terms
-        hidden = [(self.ttl.full_generator(),) + (None,) * len(self.inputs)]
-        hidden += [(None,) + t for t in d0] + [(h,) + t for t in d1]
-        active = [(a,) + t for t in d1]
-        object.__setattr__(self, "dims", (k + 1,) + tuple(m.order for m in self.inputs))
-        object.__setattr__(self, "hidden", hidden)
-        object.__setattr__(self, "active", active)
+        dims = (self.ttl.order + 1,) + tuple(m.order for m in self.inputs)
+        object.__setattr__(self, "dims", dims)
+        pair = None
+        if math.prod(dims) <= _GTH_MAX:
+            pair = _dense_chain(self.ttl, self.hit_reset, self.inputs)
+        object.__setattr__(self, "_dense_pair", pair)
 
     @property
     def order(self) -> int:
@@ -111,14 +118,35 @@ class CacheChain:
         return range(len(self.out_states), self.order)
 
     @cached_property
+    def hidden(self) -> list:
+        """The terms of d0': P (x) I, then I (x) d0_i and H (x) d1_i for each
+        input i. H shifts hit_reset past the absorbing phase, canonical as
+        built, so every step stays O(nnz)."""
+        k, reset = self.ttl.order, self.hit_reset
+        h = RateMatrix(k + 1, k + 1, reset.row_idx + 1, reset.col_idx + 1, reset.data)
+        d0 = kron_sum_operator([m.d0 for m in self.inputs]).terms
+        d1 = kron_sum_operator([m.d1 for m in self.inputs]).terms
+        hidden = [(self.ttl.full_generator(),) + (None,) * len(self.inputs)]
+        return hidden + [(None,) + t for t in d0] + [(h,) + t for t in d1]
+
+    @cached_property
+    def active(self) -> list:
+        """The terms of d1': A (x) d1_i for each input i, A the single row
+        (0, pi), canonical as built."""
+        k, pi = self.ttl.order, self.ttl.pi.entries
+        nz = np.flatnonzero(pi)
+        a = RateMatrix(k + 1, k + 1, np.zeros_like(nz), nz + 1, pi[nz])
+        return [(a,) + t for t in kron_sum_operator([m.d1 for m in self.inputs]).terms]
+
+    @cached_property
     def generator(self) -> KronOperator:
         return KronOperator(self.dims, self.hidden + self.active)
 
     @cached_property
     def map(self) -> MarkovArrivalProcess:
-        """The assembled miss MAP: d0' and d1' each from its terms' triplets
-        in one sort, bit for bit the sums built term by term (see
-        `RateMatrix.from_terms`).
+        """The miss MAP: the dense pair, or d0' and d1' each assembled from
+        its terms' triplets in one sort; either way bit for bit the sums
+        built term by term (see `RateMatrix.from_terms`).
 
         Its singular-d0 verdict (`validate_map`) follows from the closure of
         MAPs under the operator, for inputs that `output_*` validated. The
@@ -128,8 +156,11 @@ class CacheChain:
         when every TTL phase reaches absorption, and then d0' is nonsingular
         unless a miss rate underflows (`_misses_kept`).
         """
-        d0p = KronOperator(self.dims, self.hidden).assemble()
-        d1p = KronOperator(self.dims, self.active).assemble()
+        if self._dense_pair is not None:
+            d0p, d1p = (RateMatrix._of_dense(a) for a in self._dense_pair)
+        else:
+            d0p = KronOperator(self.dims, self.hidden).assemble()
+            d1p = KronOperator(self.dims, self.active).assemble()
         out = MarkovArrivalProcess(d0p, d1p)
         singular = all(m.d0_singular for m in self.inputs)
         d1s = [m.d1 for m in self.inputs]
@@ -167,6 +198,29 @@ class CacheChain:
         return KronOperator((k,) + self.dims[1:], terms), np.outer(pi, flow).ravel()
 
 
+def _dense_chain(ttl: PhaseTypeDistribution, hit_reset: RateMatrix, inputs) -> tuple:
+    """(d0', d1') of a cache chain as read-only dense arrays: the terms of
+    `CacheChain.hidden` and `CacheChain.active`, in their order, on the
+    dense forms of their factors (`kron._dense_sum`), so that every bit is
+    that of assembling the terms."""
+    k = ttl.order
+    p = np.zeros((k + 1, k + 1))  # the TTL's full generator P
+    p[1:, 0] = ttl.exit_rates
+    p[1:, 1:] = ttl.s._array()
+    h = np.zeros((k + 1, k + 1))  # the hit-reset template H
+    h[1:, 1:] = hit_reset._array()
+    a = np.zeros((k + 1, k + 1))  # the miss template A
+    a[0, 1:] = ttl.pi.entries
+    dims = (k + 1,) + tuple(m.order for m in inputs)
+    ones = (None,) * len(inputs)
+    d0 = [ones[:i] + (m.d0._array(),) + ones[i + 1:] for i, m in enumerate(inputs)]
+    d1 = [ones[:i] + (m.d1._array(),) + ones[i + 1:] for i, m in enumerate(inputs)]
+    d0p = _dense_sum(dims, [(p,) + ones] + [(None,) + t for t in d0] + [(h,) + t for t in d1])
+    d1p = _dense_sum(dims, [(a,) + t for t in d1])
+    d0p.flags.writeable = d1p.flags.writeable = False
+    return d0p, d1p
+
+
 def _misses_kept(pi: np.ndarray, d1s) -> bool:
     """Whether no miss rate pi_l d1_ij of the factors underflows, so that
     the OUT state of request state i emits whenever i does; the input's
@@ -177,9 +231,14 @@ def _misses_kept(pi: np.ndarray, d1s) -> bool:
 
 def _pi_rows(pi: np.ndarray, rows: int, blocks: int = 1) -> RateMatrix:
     """Sparse block-diagonal matrix of `blocks` copies of the (rows x len(pi))
-    matrix with every row equal to pi: I_blocks (x) 1 pi."""
-    nz = np.flatnonzero(pi)
+    matrix with every row equal to pi: I_blocks (x) 1 pi. Up to
+    `kron._GTH_MAX` rows it is built dense and holds that array, which a
+    small chain reads (`_dense_chain`)."""
     n = blocks * rows
+    if n <= _GTH_MAX:
+        dense = np.tile(pi, (rows, 1))
+        return RateMatrix._of_dense(dense if blocks == 1 else dense_kron(_eye(blocks), dense))
+    nz = np.flatnonzero(pi)
     # canonical as built: rows ascending, pi's nonzeros ascending in each
     cols = np.repeat(np.arange(blocks) * pi.size, rows)[:, None] + nz
     return RateMatrix(

@@ -8,14 +8,16 @@ A sum of Kronecker products of small factors need not be assembled:
 `KronOperator` keeps the factors and gives what the stationary solve
 reads, the product x A, the diagonal, the row sums and the off-diagonal
 part, term by term. A cache's output chain and its given-input system are
-such sums, built by `cache_ops.CacheChain`. One of at most `_GTH_MAX`
-states is assembled dense (`KronOperator.to_dense`, by `dense_kron`), with
-no sort, and a larger one in one sort: both sum the terms in order.
+such sums, built by `cache_ops.CacheChain`. A sum of at most `_GTH_MAX`
+states is formed dense, with no sort (`_dense_sum`: `KronOperator.to_dense`,
+and a small `CacheChain` straight from its factors' dense forms), and a
+larger one assembled in one sort: both sum the terms in order.
 
 A stationary vector takes one of two routes. `steady_state` solves an
 assembled generator alone: up to `_GTH_MAX` states on one dense array
-(generator checks, GTH, Jacobi sweeps and the residual gate), by sparse LU
-above that and where GTH fails its gates. `_given_input_solve` solves a cache
+(generator checks, GTH, Jacobi sweeps and the residual gate), by LU above
+that and where GTH fails its gates, dense up to `_DENSE_MAX` states and
+sparse above. `_given_input_solve` solves a cache
 output chain from its input vector and the system its `CacheChain` builds,
 by BiCGSTAB on the factors, with the generator checks and both gates
 evaluated on the factors too.
@@ -85,8 +87,8 @@ class RateMatrix:
     row_idx: np.ndarray = field(repr=False)
     col_idx: np.ndarray = field(repr=False)
     data: np.ndarray = field(repr=False)
-    # The read-only dense array `KronOperator.assemble` built the matrix
-    # from, which `steady_state` reads instead of `to_dense()`.
+    # The read-only dense array the matrix was built from (`_of_dense`),
+    # which `_array` hands out instead of `to_dense()`.
     _dense = None
 
     @classmethod
@@ -130,6 +132,15 @@ class RateMatrix:
         return cls(a.shape[0], a.shape[1], r, c, a[r, c])
 
     @classmethod
+    def _of_dense(cls, a: np.ndarray) -> "RateMatrix":
+        """`from_dense(a)` of a float array, holding `a`, made read-only, as
+        its dense form (`_array`)."""
+        m = cls.from_dense(a)
+        a.flags.writeable = False
+        object.__setattr__(m, "_dense", a)
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "RateMatrix":
         idx = np.arange(n, dtype=np.int64)
         return cls(n, n, idx, idx.copy(), np.ones(n))
@@ -151,6 +162,11 @@ class RateMatrix:
         out = np.zeros((self.rows, self.cols))
         out[self.row_idx, self.col_idx] = self.data
         return out
+
+    def _array(self) -> np.ndarray:
+        """The dense form, for reading only: the array held (`_of_dense`),
+        else `to_dense()`."""
+        return self.to_dense() if self._dense is None else self._dense
 
     def to_csr(self) -> "scipy.sparse.csr_matrix":
         import scipy.sparse as sp  # deferred: the package itself multiplies without scipy
@@ -290,6 +306,22 @@ def kron_triplets(dims, factors) -> tuple:
     return r, c, v
 
 
+_ONE = np.ones((1, 1))
+_EYES: dict[int, np.ndarray] = {}
+
+
+def _eye(n: int) -> np.ndarray:
+    """The identity of order n as a read-only dense array. One of order at
+    most `_GTH_MAX`, as the small dense forms expand, is built once."""
+    eye = _EYES.get(n)
+    if eye is None:
+        eye = np.eye(n)
+        eye.flags.writeable = False
+        if n <= _GTH_MAX:
+            _EYES[n] = eye
+    return eye
+
+
 def dense_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a (x) b of dense arrays, a 1-D operand of a 2-D product being one row:
     `np.kron`'s products by one broadcast, without its any-rank handling (on
@@ -410,53 +442,41 @@ class KronOperator:
         to `_GTH_MAX` states from `to_dense()`, else from their triplets in one
         sort (`RateMatrix.from_terms`); the two give the same bits."""
         if self.size <= _GTH_MAX:
-            dense = self.to_dense()
-            m = RateMatrix.from_dense(dense)
-            dense.flags.writeable = False
-            object.__setattr__(m, "_dense", dense)
-            return m
+            return RateMatrix._of_dense(self.to_dense())
         if not self.terms:
             return RateMatrix.zeros(self.size, self.size)
         triplets = [kron_triplets(self.dims, t) for t in self.terms]
         return RateMatrix.from_terms(self.size, self.size, triplets)
 
     def to_dense(self) -> np.ndarray:
-        """The operator as one dense array, bit for bit its sorted assembly:
-        each term forms the same products, and the terms add in order from zero.
+        """The operator as one dense array, bit for bit its sorted assembly
+        (see `_dense_sum`)."""
+        terms = [tuple(None if f is None else f._array() for f in t) for t in self.terms]
+        return _dense_sum(self.dims, terms)
 
-        A term's other factors form their dense Kronecker product in order
-        (`dense_kron`); an identity factor of order above 1 is not expanded.
-        Such a term adds into its nonzero blocks only, through a view of the
-        array with one row axis per factor, the row and column axes of each
-        identity factor merged into one diagonal axis, then one column axis
-        per other factor. On a Sigma cache's Q' this took 40 us against 60 us
-        for the expanded products at 64 states and 11 against 13 us at 5
-        (best of 7, 2-vCPU host).
-        """
-        n = self.size
-        total = np.zeros((n, n))
-        for t in self.terms:
-            dense = [f.to_dense() for f in t if f is not None]
-            value = functools.reduce(dense_kron, dense) if dense else np.ones((1, 1))
-            if value.shape[0] == n:  # no identity factor above order 1
-                total += value
-                continue
-            rows, row_steps, cols, col_steps = [], [], [], []
-            inner = n
-            for d, f in zip(self.dims, t):
-                inner //= d
-                step = total.itemsize * inner
-                if f is None:
-                    rows.append(1)
-                    row_steps.append(step * (n + 1))
-                else:
-                    rows.append(d)
-                    row_steps.append(step * n)
-                    cols.append(d)
-                    col_steps.append(step)
-            blocks = np.ndarray(list(self.dims) + cols, buffer=total, strides=row_steps + col_steps)
-            blocks += value.reshape(rows + cols)
-        return total
+
+def _dense_sum(dims, terms) -> np.ndarray:
+    """sum_t F_t1 (x) ... (x) F_tc of dense square factors F_ti of orders
+    `dims`, a factor None being the identity, as one dense array.
+
+    Each term multiplies its factors left to right, an identity expanded (it
+    multiplies by an exact 1.0): all but the last by `dense_kron`, then the
+    last into the blocks of a 4-D array, reshaped once the terms have added
+    in order from zero. Each entry so sums the products the terms' triplets
+    hold (`kron_triplets`), in the order of `RateMatrix.from_terms`, and the
+    bits are those of the sorted assembly; a sum from +0.0 holds no -0.0.
+    """
+    *outer, n = dims
+    m = math.prod(outer)
+    total = np.zeros((m, n, m, n))
+    for t in terms:
+        head = _ONE
+        for d, f in zip(outer, t):
+            f = _eye(d) if f is None else f
+            head = f if head is _ONE else dense_kron(head, f)
+        tail = _eye(n) if t[-1] is None else t[-1]
+        total += head[:, None, :, None] * tail[None, :, None, :]
+    return total.reshape(m * n, m * n)
 
 
 class _OffDiagonal(KronOperator):
@@ -486,8 +506,15 @@ def kron_sum_vector(vectors) -> np.ndarray:
 
 
 def kron_sum(a: RateMatrix, b: RateMatrix) -> RateMatrix:
-    """Kronecker sum a (x) I_n + I_m (x) b for square a (m x m) and b (n x n)."""
-    return kron_sum_operator([a, b]).assemble()
+    """Kronecker sum a (x) I_n + I_m (x) b for square a (m x m) and b (n x n).
+
+    Up to `_GTH_MAX` states it is formed dense from its two terms
+    (`_dense_sum`) with no `KronOperator`, and holds that array.
+    """
+    if a.rows * b.rows > _GTH_MAX or not (a.is_square and b.is_square):
+        return kron_sum_operator([a, b]).assemble()
+    terms = [(a._array(), None), (None, b._array())]
+    return RateMatrix._of_dense(_dense_sum((a.rows, b.rows), terms))
 
 
 def _check_generator(q: KronOperator) -> None:
@@ -831,15 +858,30 @@ def _given_input_solve(
 
 
 # Largest chain solved by GTH state reduction, which costs O(n^3), and
-# largest operator assembled dense (`KronOperator.assemble`). GTH was set
-# against steady_state's former bordered BiCGSTAB route, and not re-measured
-# against the given-input solve and sparse LU that replace it: a whole
-# steady_state of a random ring-plus-edges chain on a 2-vCPU host took 0.12
-# ms by GTH and 0.70 ms by that route at 5 states, 0.9 and 2.5 ms at 50;
-# they tied between 108 and 150 states, and at 324 it was 37 ms to 3.6 ms.
-# A Sigma cache's Q' took 16 us dense and 29 us sorted at 10 states, 34 and
-# 32 at 50, 52 and 33 at 64 (GTH: 320 us), 820 and 49 at 300 (best of 7).
+# largest operator assembled dense (`KronOperator.assemble`, a cache's dense
+# pair in `cache_ops.CacheChain`). Whole solves against the routes that take
+# the chains above it, best of 7, two runs on a loaded 2-vCPU host: a Sigma
+# cache over a 2-state MMPP with an Erlang TTL took 0.06-0.09 ms by GTH and
+# 0.8-0.9 ms by the given-input solve at 6 states, 0.5-0.9 and 1.9-3.8 ms at
+# 64, 1.4-2.1 and 2.9-3.7 ms at 100; a lone ring-plus-edges chain took
+# 0.04-0.07 ms by GTH and 0.09-0.10 ms by the dense bordered LU at 5 states,
+# they tied near 20, and at 64 it was 0.6-1.1 ms to 0.4-0.5 ms. GTH keeps
+# the bound for cache chains, and for lone chains its subtraction-free
+# accuracy and its proof of irreducibility; moving the bound would change
+# the bits of every chain it moves. A Sigma cache's Q' took 16 us dense and
+# 29 us sorted at 10 states, 34 and 32 at 50, 52 and 33 at 64, 820 and 49
+# at 300 (best of 7).
 _GTH_MAX = 64
+# Largest dense matrix factored or exponentiated: the bordered system of a
+# lone chain (`_lu_solve`), a phase-type subintensity (`processes.ph_mean`),
+# a MAP's d0 (`metrics.stationary_interval_moments`) and the renewal
+# engine's blocks. At this size a renewal `_expm` takes 1.3-2.8 ms (1-norms
+# 0.1 to 1e3) and a dense solve 0.16 ms (2-vCPU host). `_lu_solve` of a
+# ring-plus-edges chain (about 4 nonzeros a row) with its refinement pass
+# and gates took 1.06-1.11 ms dense against 1.21-1.25 ms by a warm sparse LU
+# at 200 states, 0.24-0.25 against 0.43-0.46 ms at 100 (best of 9, two runs,
+# loaded 2-vCPU host); the sparse route first pays `import scipy.sparse`.
+_DENSE_MAX = 200
 
 
 def _gth(q: np.ndarray) -> np.ndarray | None:
@@ -858,9 +900,10 @@ def _gth(q: np.ndarray) -> np.ndarray | None:
     """
     a = q.copy()
     n = q.shape[0]
+    total = np.add.reduce  # `ndarray.sum` without its Python-level wrapper
     for k in range(n - 1, 0, -1):
         row = a[k, :k]
-        pivot = row.sum()
+        pivot = total(row)
         if pivot == 0.0:
             return None
         col = a[:k, k]
@@ -870,32 +913,88 @@ def _gth(q: np.ndarray) -> np.ndarray | None:
     x[0] = 1.0
     for k in range(1, n):
         x[k] = x[:k] @ a[:k, k]
-    if not np.all(x > 0.0):
+    if np.count_nonzero(x > 0.0) < n:
         return None
-    return x / x.sum()
+    return x / total(x)
 
 
-def _lu_solve(q: KronOperator, a: tuple, b: np.ndarray) -> np.ndarray:
-    """Sparse LU solution of the system with CSC arrays a, held to the sign
-    test and the residual gate."""
-    import scipy.sparse as sp  # deferred: only the LU fallback needs scipy here
+def _lu_solve(q: RateMatrix) -> np.ndarray:
+    """Stationary vector of the irreducible generator q by LU of its
+    bordered system, held to the sign test and the residual gate.
+
+    The system is p q = 0, p 1 = 1: the transpose of q with its last
+    equation replaced by the normalization constraint. Up to `_DENSE_MAX`
+    states it is solved dense by LAPACK (`np.linalg.solve`), above that by
+    sparse LU; both make one round of iterative refinement.
+    """
+    n = q.rows
+    b = np.zeros(n)
+    b[n - 1] = 1.0
+    if n <= _DENSE_MAX:
+        dense = q._array()
+        a = dense.T.copy()
+        a[n - 1] = 1.0
+        try:
+            x = np.linalg.solve(a, b)
+            x += np.linalg.solve(a, b - a @ x)  # one refinement pass
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - guards exact singularity
+            raise NoStationaryDistributionError(str(exc)) from exc
+        product, diagonal = (lambda y: y @ dense), np.diag(dense)
+    else:
+        x = _sparse_lu_solve(q, b)
+        op = KronOperator((n,), [(q,)])
+        product, diagonal = op.product, op.diagonal()
+    x = _as_probabilities(x)
+    if x is None:
+        raise NoStationaryDistributionError("solver returned a non-probability vector")
+    residual, bound = _residual(product(x), diagonal)
+    if residual > bound:
+        raise NoStationaryDistributionError(
+            f"stationary residual too large ({residual:g}); generator may be defective"
+        )
+    return x
+
+
+def _solver(a: RateMatrix):
+    """The map b -> a^{-1} b of the square matrix a: `np.linalg.solve`
+    (dense LU, LAPACK) up to `_DENSE_MAX` rows, one sparse LU factorization
+    above. Raises ValueError (numpy's `LinAlgError` is one) when a is
+    exactly singular."""
+    if a.rows <= _DENSE_MAX:
+        return functools.partial(np.linalg.solve, a._array())
+    from scipy.sparse import linalg as spla  # deferred: only larger matrices need scipy
+
+    try:
+        return spla.splu(a.to_csr().tocsc()).solve
+    except RuntimeError as exc:
+        raise ValueError(str(exc)) from exc
+
+
+def _sparse_lu_solve(q: RateMatrix, b: np.ndarray) -> np.ndarray:
+    """The bordered system of `_lu_solve` by sparse LU, with one refinement pass."""
+    import scipy.sparse as sp  # deferred: only chains above _DENSE_MAX need scipy here
     from scipy.sparse import linalg as spla
 
-    a = sp.csc_matrix(a, shape=(q.size, q.size))
+    # Column j of the system is row j of q, whose triplets are in column
+    # order, then a 1 in the last row: q's row-major triplets are its CSC
+    # arrays once column n - 1 of q is dropped and that 1 is slotted in
+    # after each column.
+    n = q.rows
+    keep = q.col_idx != (n - 1)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(q.row_idx[keep], minlength=n) + 1, out=indptr[1:])
+    indices = np.full(indptr[-1], n - 1, dtype=np.int64)
+    vals = np.ones(indptr[-1])
+    slots = np.arange(np.count_nonzero(keep)) + q.row_idx[keep]
+    indices[slots] = q.col_idx[keep]
+    vals[slots] = q.data[keep]
+    a = sp.csc_matrix((vals, indices, indptr), shape=(n, n))
     try:
         lu = spla.splu(a)
     except RuntimeError as exc:  # pragma: no cover - guards exact singularity
         raise NoStationaryDistributionError(str(exc)) from exc
     x = lu.solve(b)
-    x += lu.solve(b - a @ x)  # one refinement pass
-    x = _as_probabilities(x)
-    if x is None:
-        raise NoStationaryDistributionError("solver returned a non-probability vector")
-    residual, bound = _residual(q.product(x), q.diagonal())
-    if residual > bound:
-        raise NoStationaryDistributionError(
-            f"stationary residual too large ({residual:g}); generator may be defective"
-        )
+    x += lu.solve(b - a @ x)
     return x
 
 
@@ -919,10 +1018,10 @@ def steady_state(q: RateMatrix) -> ProbabilityVector:
        GTH vector that fails the gates), a graph search decides whether the
        chain is irreducible (see `_is_irreducible`), unless GTH has shown
        it. Then p q = 0, p 1 = 1, as the bordered system q^T with its last
-       equation replaced by the normalization constraint, is solved by a
-       sparse LU factorization with one round of iterative refinement, held
-       to the sign test (no entry below -1e-9 times the largest) and the
-       residual gate.
+       equation replaced by the normalization constraint, is solved by LU
+       with one round of iterative refinement (see `_lu_solve`): dense up
+       to `_DENSE_MAX` states, sparse above. The vector is held to the sign
+       test (no entry below -1e-9 times the largest) and the residual gate.
 
     The residual gate is max |p q| <= max(1e-10, 1e-13 * max |q_ii|), the
     largest exit rate being the largest rate of a generator. A one-state
@@ -940,35 +1039,21 @@ def steady_state(q: RateMatrix) -> ProbabilityVector:
         raise ValidationError("generator must be square")
     n, x = q.rows, None
     if n <= _GTH_MAX:
-        a = q.to_dense() if q._dense is None else q._dense
-        off = a - np.diag(np.diag(a))
-        _require_generator((off < 0.0).any(), a.sum(axis=1))
+        a = q._array()
+        off = a.copy()
+        off.ravel()[:: n + 1] = 0.0  # q's off-diagonal part
+        _require_generator(np.count_nonzero(off < 0.0) > 0, a.sum(axis=1))
         if n == 1:
             return ProbabilityVector([1.0])
         x = _gth(a)
         if x is not None:  # q is irreducible
-            p = _gate(lambda y: y @ off, np.diag(a), x)
+            p = _gate(lambda y: y @ off, a.diagonal(), x)
             if p is not None:
                 return ProbabilityVector._solved(p)
-    op = KronOperator((n,), [(q,)])
     if n > _GTH_MAX:
-        _check_generator(op)
+        _check_generator(KronOperator((n,), [(q,)]))
     if x is None and not _is_irreducible(q):
         raise NoStationaryDistributionError(
             "generator is reducible: no unique stationary distribution"
         )
-    # Transpose of q with the last equation replaced by sum(p) = 1. Column j
-    # of a is row j of q, whose triplets are in column order, then a 1 in
-    # the last row: q's row-major triplets are a's CSC arrays once column
-    # n - 1 of q is dropped and that 1 is slotted in after each column.
-    keep = q.col_idx != (n - 1)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(q.row_idx[keep], minlength=n) + 1, out=indptr[1:])
-    indices = np.full(indptr[-1], n - 1, dtype=np.int64)
-    vals = np.ones(indptr[-1])
-    slots = np.arange(np.count_nonzero(keep)) + q.row_idx[keep]
-    indices[slots] = q.col_idx[keep]
-    vals[slots] = q.data[keep]
-    b = np.zeros(n)
-    b[n - 1] = 1.0
-    return ProbabilityVector._solved(_lu_solve(op, (vals, indices, indptr), b))
+    return ProbabilityVector._solved(_lu_solve(q))

@@ -10,7 +10,6 @@ from . import kron
 from .cache_ops import CacheChain, _misses_kept, _parts
 from .errors import DimensionError, NoStationaryDistributionError, ValidationError
 from .kron import (
-    KronOperator,
     RateMatrix,
     _dot,
     dense_kron,
@@ -76,8 +75,9 @@ def metrics_from_maps(
     `p_in` is the stationary vector of the input's background chain, which
     must be irreducible; without it, the Kronecker product of the
     stationary vectors of the chain's inputs. p' comes from it
-    (`_output_vector`) and the rates d1 1 and d1' 1 from the factors: the
-    miss MAP (`CacheChain.map`) is never assembled.
+    (`_output_vector`) above `kron._GTH_MAX` states, and the rates d1 1 and
+    d1' 1 from the factors' row sums: no `KronOperator` is formed for them,
+    and the miss MAP (`CacheChain.map`) is never assembled.
 
     Raises
     ------
@@ -99,8 +99,14 @@ def metrics_from_maps(
         raise NoStationaryDistributionError(
             f"cache metrics need ergodic background chains: {exc}"
         ) from exc
-    requests = kron_sum_vector([m.d1.row_sums() for m in output.inputs])
-    misses = KronOperator(output.dims, output.active).row_sums()
+    rates = [m.d1.row_sums() for m in output.inputs]
+    requests = kron_sum_vector(rates)
+    # d1' = sum_i A (x) d1_i has row sums only in the OUT block, where row 0
+    # of A sums to that of pi: the terms' row sums, added in order from the
+    # factors' (`np.cumsum` adds in order, as `RateMatrix.row_sums` does)
+    misses = np.zeros(output.order)
+    pi_total = output.ttl.pi.entries.cumsum()[-1]
+    misses[:n] = kron_sum_vector([pi_total * r for r in rates])
     # the OUT block, then one block of request states per TTL phase (IN)
     blocks = p_out.reshape(-1, n)
     cached = blocks[1:].sum(axis=0)
@@ -121,21 +127,22 @@ def metrics_from_maps(
 
 
 def _output_vector(chain: CacheChain, p_in) -> np.ndarray:
-    """The output chain's stationary vector, above `kron._GTH_MAX` states
-    from the input vector (`p_in`, or its inputs' own) and the chain's
-    given-input system (`CacheChain.in_system`).
+    """The output chain's stationary vector: within `kron._GTH_MAX` states
+    by `steady_state` of Q' = d0' + d1', the chain's dense pair summed;
+    above it from the input vector (`p_in`, or its inputs' own) and the
+    chain's given-input system (`CacheChain.in_system`).
 
-    The generator checks and the gates read the factors (see
+    There the generator checks and the gates read the factors (see
     `kron._check_generator` and `kron._gate`). Q' is assembled
     (`chain.generator.assemble()`) only for what the factors cannot do:
     the graph search for irreducibility where `_phases_live` cannot show
-    it, and `steady_state`, which solves a chain within the GTH bound and
-    any chain that the given-input route declines or whose vector fails a
-    gate.
+    it, and `steady_state`, which solves any chain that the given-input
+    route declines or whose vector fails a gate.
     """
+    if chain._dense_pair is not None:
+        d0p, d1p = chain._dense_pair
+        return steady_state(RateMatrix._of_dense(d0p + d1p)).entries
     q = chain.generator
-    if chain.order <= kron._GTH_MAX:
-        return steady_state(q.assemble()).entries
     try:
         kron._check_generator(q)
     except ValidationError:  # the factor test is only sufficient: steady_state's decides
@@ -179,20 +186,22 @@ def stationary_interval_moments(m: MarkovArrivalProcess, count: int = 2) -> list
 
     The time between consecutive events started in stationarity is
     phase-type with subintensity d0 and initial vector p d1 / (p d1 1), so
-    the k-th moment is k! phi (-d0)^{-k} 1.
+    the k-th moment is k! phi (-d0)^{-k} 1, by LU of -d0: dense up to
+    `kron._DENSE_MAX` states, sparse above.
     """
-    from scipy.sparse import linalg as spla  # deferred: keeps scipy off import
-
     p = steady_state(m.generator)
     d1 = m.d1
     rate_vec = np.bincount(d1.col_idx, weights=p.entries[d1.row_idx] * d1.data, minlength=m.order)
     phi = rate_vec / rate_vec.sum()
-    lu = spla.splu((m.d0.scale(-1.0)).to_csr().tocsc())
     moments = []
     y = np.ones(m.order)
     factorial = 1.0
-    for k in range(1, count + 1):
-        y = lu.solve(y)
-        factorial *= k
-        moments.append(float(factorial * np.dot(phi, y)))
+    try:
+        solve = kron._solver(m.d0.scale(-1.0))
+        for k in range(1, count + 1):
+            y = solve(y)
+            factorial *= k
+            moments.append(float(factorial * np.dot(phi, y)))
+    except ValueError as exc:
+        raise ValidationError(f"singular d0: {exc}") from exc
     return moments

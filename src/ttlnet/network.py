@@ -18,6 +18,7 @@ decides which of `analyze`'s numbers are not exact: `Topology.approximations`.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import reduce
 from numbers import Number
@@ -241,7 +242,9 @@ def _schema_error(value, schema: dict, path: str = "$") -> tuple[str, str] | Non
     semantics and messages; `$ref` resolves into the topology schema's
     `$defs`. The value's own keywords are checked before its members, the
     members in document order. Raises NotImplementedError on any other
-    keyword, so that no constraint of the schema goes unchecked.
+    keyword, so that no constraint of the schema goes unchecked. A NaN or
+    infinite number, which Python's json reads but JSON does not have, is
+    refused wherever it stands.
     """
     unknown = schema.keys() - _KEYWORDS
     if unknown:
@@ -265,6 +268,8 @@ def _schema_error(value, schema: dict, path: str = "$") -> tuple[str, str] | Non
         if isinstance(value, kind) and len(value) < schema.get(keyword, 0):
             return path, f"{value!r} " + ("should be non-empty" if schema[keyword] == 1 else short)
     if _TYPES["number"](value):
+        if isinstance(value, float) and not math.isfinite(value):
+            return path, f"{value!r} is not a finite number"
         if "minimum" in schema and value < schema["minimum"]:
             return path, f"{value!r} is less than the minimum of {schema['minimum']!r}"
         bound = schema.get("exclusiveMinimum")

@@ -21,6 +21,7 @@ from .kron import (
     ProbabilityVector,
     RateMatrix,
     _dot,
+    _solver,
     dense_kron,
     kron_sum,
     kron_sum_operator,
@@ -112,6 +113,8 @@ class PhaseTypeDistribution:
             raise DimensionError("subintensity must be square")
         if self.s.rows != len(self.pi):
             raise DimensionError("initial vector length must match the subintensity order")
+        if not (np.isfinite(self.s.data).all() and np.isfinite(self.pi.entries).all()):
+            raise ValidationError("subintensity and initial vector entries must be finite")
         if (self.s.diagonal() >= 0).any():
             raise ValidationError("subintensity diagonal must be strictly negative")
         if ((self.s.data < 0) & (self.s.row_idx != self.s.col_idx)).any():
@@ -195,10 +198,10 @@ class ValidationReport:
 def validate_map(m: MarkovArrivalProcess, *more: MarkovArrivalProcess) -> ValidationReport:
     """Check all MAP invariants; returns a report rather than raising.
 
-    The sign and row-sum checks come first. Once they pass, -d0 is a
-    Z-matrix whose row sums equal those of d1, and d0 is singular exactly
-    when some state cannot reach an event-emitting state (a nonzero row
-    of d1) through hidden transitions; see :func:`_d0_is_singular`. The
+    The finiteness, sign and row-sum checks come first. Once they pass, -d0
+    is a Z-matrix whose row sums equal those of d1, and d0 is singular
+    exactly when some state cannot reach an event-emitting state (a nonzero
+    row of d1) through hidden transitions; see :func:`_d0_is_singular`. The
     verdict is the MAP's `d0_singular`: the MAPs that `superpose`, `split`
     and a cache operator build carry it from their parts, so only other
     MAPs are searched.
@@ -209,12 +212,47 @@ def validate_map(m: MarkovArrivalProcess, *more: MarkovArrivalProcess) -> Valida
     Kronecker sum of the parts' d0, is singular exactly when every part's
     is. (An eigenvalue of a Kronecker sum is a sum of one eigenvalue of
     each part, and those of a d0 that passes the sign and row-sum checks
-    have negative real parts, but for 0.) Sign violations name a part's own
-    coordinates.
+    have negative real parts, but for 0.) Sign and finiteness violations
+    name a part's own coordinates.
+
+    The checks run as one vectorized pass over each part, and the messages
+    are formatted only when it fails (`_violations`). A NaN or infinite
+    rate makes its row's sum NaN or infinite, so the row-sum test of that
+    pass refuses it too.
     """
     parts = (m,) + more
+    diags, sums, signed = [], [], True
+    for p in parts:
+        d0, d1 = p.d0, p.d1
+        diag = d0.diagonal()
+        diags.append(diag)
+        sums.append(d0.row_sums() + d1.row_sums())
+        # every negative rate of d0 and d1 on the diagonal of d0
+        negative = np.count_nonzero(d0.data < 0) + np.count_nonzero(d1.data < 0)
+        signed = signed and negative == np.count_nonzero(diag < 0)
+    diag, sums = kron_sum_vector(diags), kron_sum_vector(sums)
+    problems = ()
+    n = diag.size
+    if not (
+        signed
+        and np.count_nonzero(diag < 0) == n
+        and np.count_nonzero(np.abs(sums) <= _ROWSUM_TOL) == n
+    ):
+        problems = _violations(parts, diag, sums)
+    if not problems and all(p.d0_singular for p in parts):
+        problems = ("d0 is singular",)
+    return ValidationReport(ok=not problems, violations=problems)
+
+
+def _violations(parts, diag: np.ndarray, sums: np.ndarray) -> tuple[str, ...]:
+    """The messages of `validate_map` for the MAP parts `parts`, whose
+    Kronecker sums of diagonals and row sums of d0 + d1 are `diag` and `sums`."""
     problems: list[str] = []
     for d0, d1 in ((p.d0, p.d1) for p in parts):
+        for name, d in (("d0", d0), ("d1", d1)):
+            bad = ~np.isfinite(d.data)
+            for r, c in zip(d.row_idx[bad], d.col_idx[bad]):
+                problems.append(f"non-finite {name} rate at ({r}, {c})")
         neg_active = d1.data < 0
         for r, c in zip(d1.row_idx[neg_active], d1.col_idx[neg_active]):
             problems.append(f"negative active rate at ({r}, {c})")
@@ -222,15 +260,11 @@ def validate_map(m: MarkovArrivalProcess, *more: MarkovArrivalProcess) -> Valida
         neg_hidden = off & (d0.data < 0)
         for r, c in zip(d0.row_idx[neg_hidden], d0.col_idx[neg_hidden]):
             problems.append(f"negative hidden off-diagonal rate at ({r}, {c})")
-    diag = kron_sum_vector([p.d0.diagonal() for p in parts])
     for i in np.nonzero(diag >= 0)[0]:
         problems.append(f"nonnegative d0 diagonal at state {i}")
-    sums = kron_sum_vector([p.d0.row_sums() + p.d1.row_sums() for p in parts])
     for i in np.nonzero(np.abs(sums) > _ROWSUM_TOL)[0]:
         problems.append(f"row {i} of d0+d1 sums to {sums[i]:g}, not 0")
-    if not problems and all(p.d0_singular for p in parts):
-        problems.append("d0 is singular")
-    return ValidationReport(ok=not problems, violations=tuple(problems))
+    return tuple(problems)
 
 
 def _d0_is_singular(d0: RateMatrix, d1: RateMatrix) -> bool:
@@ -339,12 +373,11 @@ def ph_min(t1: PhaseTypeDistribution, t2: PhaseTypeDistribution) -> PhaseTypeDis
 
 
 def ph_mean(t: PhaseTypeDistribution) -> float:
-    """Expected absorption time -pi s^{-1} 1."""
-    from scipy.sparse import linalg as spla  # deferred: keeps scipy off import
-
+    """Expected absorption time -pi s^{-1} 1: s^{-1} 1 by dense LU up to
+    `kron._DENSE_MAX` phases, by sparse LU above."""
     try:
-        y = spla.splu(t.s.to_csr().tocsc()).solve(np.ones(t.order))
-    except RuntimeError as exc:
+        y = _solver(t.s)(np.ones(t.order))
+    except ValueError as exc:
         raise ValidationError(f"singular subintensity: {exc}") from exc
     if not np.all(np.isfinite(y)):
         raise ValidationError("singular subintensity")

@@ -94,7 +94,7 @@ import numpy as np
 
 from .cache_ops import DEFAULT_BUDGET
 from .errors import BudgetExceededError, DivergentStoppingTimeError, ValidationError
-from .kron import dense_kron
+from .kron import _DENSE_MAX, dense_kron
 
 __all__ = [
     "RenewalSpec",
@@ -662,10 +662,6 @@ def _rest_cycle(x: RenewalSpec, policy: StoppingPolicy) -> _Cycle:
     return _cycle(x, policy, 0.0)
 
 
-# Largest dense matrix the routes exponentiate or factor: at this size an
-# `_expm` takes 1.3-2.8 ms (1-norms 0.1 to 1e3) and a dense solve 0.16 ms
-# (2-vCPU host).
-_DENSE_MAX = 200
 # Most partial sums the atom routes enumerate, and most phase-atom cells of
 # the power series' coefficient tables.
 _MAX_STEPS = 1_000_000

@@ -15,15 +15,21 @@ route. Then it analyzes the two map-large shapes of `topologies.py`, the
 transform of one renewal query per route of the `renewal` module's route
 table and of R caches over Exponential, Erlang and Deterministic laws, and
 E[tau] and the occupancy of Erlang(2) and Deterministic requests under
-Sigma TTLs of 250 and 2,000 Erlang phases, above `renewal._DENSE_MAX`,
-against closed forms and Poisson sums. After each step it checks that none
-of `LAZY` is in `sys.modules`. Then, in the same process, it runs each
-route that imports one of them on first use against the values of the
-routes that do not or against independent values: `LARGE` again
-with scipy's sparse product (`kron._NUMPY_PRODUCT_MAX` patched to 0), the
-LU fallback of the stationary solve, `ph_mean` and
-`stationary_interval_moments`. Exits 0 when all checks pass, else with a
-message naming the first failure.
+Sigma TTLs of 250 and 2,000 Erlang phases, above `kron._DENSE_MAX`,
+against closed forms and Poisson sums. Then it runs a leaf MAP of 100
+states, above the GTH bound and within the dense one: the fundamental rate
+of a ring MMPP, the analysis of an R cache over it and 2e4 simulated
+events. Then the LU fallback of the stationary solve on the topology,
+whose chains are all within the dense bound, and `ph_mean` and
+`stationary_interval_moments` of small laws, all by dense LU. After each
+step it checks that none of `LAZY` is in `sys.modules`. Then, in the same
+process, it runs each route that imports one of them on first use against
+the values of the routes that do not or against independent values:
+`LARGE` again with scipy's sparse product (`kron._NUMPY_PRODUCT_MAX`
+patched to 0), the LU fallback on `LU_LARGE`, whose root chain is above
+the dense bound, and `ph_mean` and `stationary_interval_moments` of laws
+above it. Exits 0 when all checks pass, else with a message naming the
+first failure.
 """
 
 import math
@@ -94,6 +100,25 @@ LARGE = {
     ],
     "arrivals": {"A": {"poisson": 1.0}, "B": {"poisson": 2.0}},
 }
+
+
+# LARGE with an Erlang-15 root TTL: 16 input and 256 output states, above
+# `kron._DENSE_MAX`
+LU_LARGE = {
+    **LARGE,
+    "nodes": LARGE["nodes"][:2]
+    + [{**LARGE["nodes"][2], "ttl": {"erlang": {"stages": 15, "rate": 2.0}}}],
+}
+
+
+def _ring_mmpp(n: int) -> tuple[list, list]:
+    """(q, rates) of an MMPP whose phases step around a ring at rate 1, so
+    that its stationary vector is uniform, with rates 0.5, 1, ..., 2.5 in
+    turn: a mean rate of 1.5 when 5 divides n."""
+    q = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        q[i][i], q[i][(i + 1) % n] = -1.0, 1.0
+    return q, [0.5 * (1 + i % 5) for i in range(n)]
 
 
 def _require_unloaded(step: str) -> None:
@@ -196,6 +221,36 @@ def main(config: str) -> None:
             _require_close(f"{what}: occupancy", occupancy_renewal(x, policy), ttl.mean / (want * x.mean))
     _require_unloaded("renewal routes")
 
+    # a 100-state leaf MAP: above the GTH bound, its stationary vector by dense LU
+    q, rates = _ring_mmpp(100)
+    _require_close("ring MMPP rate", ttlnet.fundamental_rate(ttlnet.mmpp_map(q, rates)), 1.5)
+    ring = ttlnet.parse_topology({
+        "nodes": [{"id": "A", "policy": "R", "ttl": {"exp": 2.0}}],
+        "arrivals": {"A": {"mmpp": {"q": q, "rates": rates}}},
+    })
+    cache = ttlnet.analyze(ring).metrics["A"]
+    _require_close("ring MMPP R cache input rate", cache.input_rate, 1.5)
+    ttlnet.simulate(ttlnet.SimConfig(topology=ring, event_cap=20_000, seed=0))
+    _require_unloaded("the 100-state ring MMPP")
+
+    # LU fallback, GTH declining on every node and BiCGSTAB stalling on any
+    # larger one: every chain of the topology is within the dense bound
+    gth, kron._gth = kron._gth, lambda q: None
+    kron._bicgstab = lambda a, inv_diag, b, x: (x, 1)
+    for nid, metrics in ttlnet.analyze(topo).metrics.items():
+        want = result.metrics[nid].to_dict()
+        for name, value in metrics.to_dict().items():
+            _require_close(f"dense LU fallback {nid}.{name}", value, want[name])
+    kron._gth, kron._bicgstab = gth, bicgstab
+    _require_unloaded("the dense LU fallback")
+
+    erlang = ttlnet.PhaseTypeDistribution.erlang(3, 2.0)
+    _require_close("ph_mean of Erlang(3, 2)", ttlnet.ph_mean(erlang), 1.5)
+    moments = ttlnet.stationary_interval_moments(ttlnet.poisson_map(2.0))
+    _require_close("Poisson(2) first moment", moments[0], 0.5)
+    _require_close("Poisson(2) second moment", moments[1], 0.5)
+    _require_unloaded("ph_mean and stationary_interval_moments")
+
     # above the product bound, BiCGSTAB multiplies with scipy.sparse
     bound, kron._NUMPY_PRODUCT_MAX = kron._NUMPY_PRODUCT_MAX, 0
     for nid, metrics in ttlnet.analyze(ttlnet.parse_topology(LARGE)).metrics.items():
@@ -206,22 +261,29 @@ def main(config: str) -> None:
         sys.exit("the scipy product did not run")
     kron._NUMPY_PRODUCT_MAX = bound
 
-    # LU fallback: GTH declines on every node, BiCGSTAB stalls on any larger one
+    # LU fallback above the dense bound: the sparse LU
+    lu_large = ttlnet.parse_topology(LU_LARGE)
+    exact = ttlnet.analyze(lu_large)
+    if exact.dimensions["T"]["output"] <= kron._DENSE_MAX:
+        sys.exit("LU_LARGE has no chain above the dense bound")
     kron._gth = lambda q: None
     kron._bicgstab = lambda a, inv_diag, b, x: (x, 1)
-    for nid, metrics in ttlnet.analyze(topo).metrics.items():
-        want = result.metrics[nid].to_dict()
+    for nid, metrics in ttlnet.analyze(lu_large).metrics.items():
+        want = exact.metrics[nid].to_dict()
         for name, value in metrics.to_dict().items():
-            _require_close(f"LU fallback {nid}.{name}", value, want[name])
+            _require_close(f"sparse LU fallback {nid}.{name}", value, want[name])
+    kron._gth, kron._bicgstab = gth, bicgstab
     if "scipy.sparse.linalg" not in sys.modules:
-        sys.exit("the LU fallback did not run")
+        sys.exit("the sparse LU fallback did not run")
 
-    erlang = ttlnet.PhaseTypeDistribution.erlang(3, 2.0)
-    _require_close("ph_mean of Erlang(3, 2)", ttlnet.ph_mean(erlang), 1.5)
-    moments = ttlnet.stationary_interval_moments(ttlnet.poisson_map(2.0))
-    _require_close("Poisson(2) first moment", moments[0], 0.5)
-    _require_close("Poisson(2) second moment", moments[1], 0.5)
-
+    # laws above the dense bound: sparse LU; an Erlang(250, 250) renewal
+    # process has inter-event moments 1 and 251 / 250
+    erlang = ttlnet.PhaseTypeDistribution.erlang(250, 250.0)
+    _require_close("ph_mean of Erlang(250, 250)", ttlnet.ph_mean(erlang), 1.0)
+    d1 = ttlnet.RateMatrix.from_triplets(250, 250, [(249, 0, 250.0)])
+    moments = ttlnet.stationary_interval_moments(ttlnet.MarkovArrivalProcess(erlang.s, d1))
+    _require_close("Erlang(250, 250) first moment", moments[0], 1.0)
+    _require_close("Erlang(250, 250) second moment", moments[1], 251 / 250)
 
 if __name__ == "__main__":
     main(sys.argv[1])

@@ -284,9 +284,43 @@ def _chained_output(m, ttl, hit_reset):
     return d0, _chained_product(a, m.d1)
 
 
-def _rates_map(rng, tiny: bool) -> MarkovArrivalProcess:
-    """A random MAP; with `tiny`, state 0's active rates are scaled by 1e-170."""
-    m = random_map(rng)
+def _chained_join_output(parts, ttl, hit_reset):
+    """(d0', d1') of the cache template over the independent MAPs `parts`,
+    each Kronecker term sorted on its own and added in the operator's term
+    order: P (x) I, then I (x) d0_i and H (x) d1_i for each part i, and
+    A (x) d1_i for each part i."""
+    k = ttl.order
+    h = RateMatrix.from_arrays(
+        k + 1, k + 1, hit_reset.row_idx + 1, hit_reset.col_idx + 1, hit_reset.data
+    )
+    nz = np.flatnonzero(ttl.pi.entries)
+    a = RateMatrix.from_arrays(k + 1, k + 1, np.zeros_like(nz), nz + 1, ttl.pi.entries[nz])
+    orders = [m.order for m in parts]
+
+    def expanded(i, f):  # I (x) f (x) I with f on part i's axis
+        out = f
+        for j in range(i - 1, -1, -1):
+            out = _chained_product(RateMatrix.identity(orders[j]), out)
+        for j in range(i + 1, len(parts)):
+            out = _chained_product(out, RateMatrix.identity(orders[j]))
+        return out
+
+    n = math.prod(orders)
+    d0 = _chained_product(ttl.full_generator(), RateMatrix.identity(n))
+    for i, m in enumerate(parts):
+        d0 = d0 + _chained_product(RateMatrix.identity(k + 1), expanded(i, m.d0))
+    for i, m in enumerate(parts):
+        d0 = d0 + _chained_product(h, expanded(i, m.d1))
+    d1 = _chained_product(a, expanded(0, parts[0].d1))
+    for i, m in enumerate(parts[1:], 1):
+        d1 = d1 + _chained_product(a, expanded(i, m.d1))
+    return d0, d1
+
+
+def _rates_map(rng, tiny: bool, max_states: int = 4) -> MarkovArrivalProcess:
+    """A random MAP of at most `max_states` states; with `tiny`, state 0's
+    active rates are scaled by 1e-170."""
+    m = random_map(rng, max_states)
     if not tiny:
         return m
     d0, d1 = m.d0.to_dense(), m.d1.to_dense()
@@ -335,6 +369,36 @@ class TestOneSortAssembly:
         ]
         for out, ttl, reset in cases:
             d0, d1 = _chained_output(m, ttl, reset)
+            assert out.ttl == ttl
+            assert out.map.d0 == d0
+            assert out.map.d1 == d1
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        parts=st.integers(2, 3),
+        tiny=st.booleans(),
+        zero_pi=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_join_outputs_match_chained_terms(self, seed, parts, tiny, zero_pi):
+        # joins of independent MAPs, each chain within the dense bound
+        rng = np.random.default_rng(seed)
+        maps = tuple(_rates_map(rng, tiny, 3 if parts == 2 else 2) for _ in range(parts))
+        t, t_r = _ttl(rng, tiny, zero_pi), random_ph(rng, 2)
+        joint = PhaseTypeDistribution(
+            _chained_sum(t.s, t_r.s), ProbabilityVector(np.kron(t.pi.entries, t_r.pi.entries))
+        )
+        min_reset = _chained_product(
+            RateMatrix.identity(t.order), _chained_pi_rows(t_r.pi.entries, t_r.order)
+        )
+        cases = [
+            (output_sigma(maps, t), t, RateMatrix.identity(t.order)),
+            (output_r(maps, t), t, _chained_pi_rows(t.pi.entries, t.order)),
+            (output_min(maps, t, t_r), joint, min_reset),
+        ]
+        for out, ttl, reset in cases:
+            assert out.order <= kron._GTH_MAX
+            d0, d1 = _chained_join_output(maps, ttl, reset)
             assert out.ttl == ttl
             assert out.map.d0 == d0
             assert out.map.d1 == d1

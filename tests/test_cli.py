@@ -3,6 +3,7 @@
 import csv
 import json
 import re
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -162,6 +163,32 @@ class TestAnalyzeCommand:
         assert error["type"] == "TopologyError"
         assert error["message"].startswith(f"{path}: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"nodes": [{"id": "A", "policy": "R", "ttl": {"exp": 1.0}}],'
+             ' "arrivals": {"A": {"poisson": NaN}}}',
+             "$.arrivals.A.poisson: nan is not a finite number"),
+            ('{"nodes": [{"id": "A", "policy": "R", "ttl": {"exp": 1.0}}],'
+             ' "arrivals": {"A": {"mmpp": {"q": [[-1.0, 1.0], [1.0, -1.0]],'
+             ' "rates": [1.0, Infinity]}}}}',
+             "$.arrivals.A.mmpp.rates[1]: inf is not a finite number"),
+            ('{"nodes": [{"id": "A", "policy": "R", "ttl": {"exp": NaN}}],'
+             ' "arrivals": {"A": {"poisson": 1.0}}}',
+             "$.nodes[0].ttl.exp: nan is not a finite number"),
+        ],
+        ids=["poisson-nan", "mmpp-infinity", "ttl-nan"],
+    )
+    def test_non_finite_number_exit_two(self, tmp_path, capsys, text, message):
+        # Python's json reads NaN and Infinity; the parser refuses them by path
+        bad = tmp_path / "non-finite.json"
+        bad.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no numpy warning on the way
+            code, out, err = run(["analyze", "--config", str(bad)], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == {"type": "TopologyError", "message": message}
 
     @pytest.mark.parametrize(
         "edit",

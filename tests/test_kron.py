@@ -192,14 +192,28 @@ class TestSteadyState:
             steady_state(RateMatrix.from_dense([[-1.0, 1.0], [-0.5, 0.5]]))
 
     def test_stiff_chain_falls_back_to_lu(self, monkeypatch):
-        # Above the GTH bound steady_state solves by sparse LU alone: one
+        # Above the dense bound steady_state solves by sparse LU alone: one
         # factorization, which holds the large entries of this stiff ring
-        n = 100
-        assert n > kron._GTH_MAX
+        n = 300
+        assert n > kron._DENSE_MAX
         q = _stiff_ring(n)
         factorizations = _spy_on_lu(monkeypatch)
         p = steady_state(RateMatrix.from_dense(q)).entries
         assert factorizations == [(n, n)]
+        want = _bordered_lapack(q)
+        big = want > 1e-6
+        assert big.sum() == 52
+        assert_allclose(p[big], want[big], rtol=1e-10, atol=0)
+
+    def test_stiff_chain_within_dense_bound_needs_no_sparse_lu(self, monkeypatch):
+        # Between the GTH and dense bounds steady_state solves the bordered
+        # system dense, with no scipy factorization, to the same accuracy
+        n = 100
+        assert kron._GTH_MAX < n <= kron._DENSE_MAX
+        q = _stiff_ring(n)
+        factorizations = _spy_on_lu(monkeypatch)
+        p = steady_state(RateMatrix.from_dense(q)).entries
+        assert factorizations == []
         want = _bordered_lapack(q)
         big = want > 1e-6
         assert big.sum() == 33

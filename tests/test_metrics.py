@@ -1,6 +1,8 @@
 """MAP-level cache metrics."""
 
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import dense_stationary, random_map, random_ph
+import ttlnet.processes
 from ttlnet import kron, metrics
 from ttlnet.network import _OUTPUT_OPS
 from ttlnet import (
@@ -375,3 +378,91 @@ class TestDenseHandOff:
         want = steady_state(self._rebuilt(q)).entries
         assert handed.tobytes() == want.tobytes()
         assert_allclose(handed, dense_stationary(q.to_dense()), rtol=1e-9)
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+_METRIC_FIELDS = (
+    "hit_probability",
+    "miss_probability",
+    "occupancy",
+    "input_rate",
+    "miss_rate",
+    "expected_inter_miss",
+)
+
+
+def _recorded_chains():
+    """(policy, inputs, ttls) of the caches whose metrics
+    `fixtures/small_chain_metrics.json` holds: random joins of one to three
+    MAPs under every policy, and fixed Poisson and MMPP leaves, every chain
+    within `kron._GTH_MAX` states. The values were recorded, as hex floats,
+    from the Kronecker-operator assembly that the dense pair replaced."""
+    cases = []
+    for seed in range(24):
+        r = np.random.default_rng(1000 + seed)
+        policy = ("Sigma", "R", "MinSigmaR")[seed % 3]
+        children = 1 + (seed // 3) % 3
+        inputs = tuple(random_map(r, 3 if children == 1 else 2) for _ in range(children))
+        ttls = (random_ph(r, 3), random_ph(r, 2))[: 2 if policy == "MinSigmaR" else 1]
+        cases.append((policy, inputs, ttls))
+    erlang = PhaseTypeDistribution.erlang
+    mmpp = mmpp_map([[-0.5, 0.5], [2.0, -2.0]], [3.0, 0.25])
+    mmpp3 = mmpp_map([[-1.0, 0.6, 0.4], [0.3, -0.8, 0.5], [1.0, 0.2, -1.2]], [0.5, 2.0, 1.0])
+    s3 = RateMatrix.from_dense([[-2.0, 0.5, 0.3], [0.2, -1.5, 0.4], [0.1, 0.3, -1.2]])
+
+    def three_phases(pi):  # a joint pi of 9 nonzeros, whose sum depends on the order of adding
+        return PhaseTypeDistribution(s3, ProbabilityVector(pi))
+
+    cases += [
+        ("R", (poisson_map(1.0),), (erlang(2, 3.0),)),
+        ("Sigma", (mmpp,), (PhaseTypeDistribution.exponential(0.7),)),
+        ("MinSigmaR", (mmpp, poisson_map(0.4)), (erlang(2, 1.6), erlang(3, 2.5))),
+        ("R", (mmpp, mmpp3), (erlang(9, 4.0),)),
+        ("MinSigmaR", (mmpp,),
+         (three_phases([0.27, 0.41, 0.32]), three_phases([0.19, 0.52, 0.29]))),
+    ]
+    return cases
+
+
+class TestDenseChainPath:
+    """A chain of at most `kron._GTH_MAX` states is built once as the dense
+    pair (d0', d1'), which the metrics read with no Kronecker operator."""
+
+    def test_metrics_keep_their_recorded_bits(self):
+        recorded = json.loads((FIXTURES / "small_chain_metrics.json").read_text())
+        chains = _recorded_chains()
+        assert len(recorded) == len(chains)
+        for (policy, inputs, ttls), want in zip(chains, recorded):
+            request = inputs if len(inputs) > 1 else inputs[0]
+            chain = _OUTPUT_OPS[policy](request, *ttls)
+            assert (policy, chain.order) == (want["policy"], want["order"])
+            assert chain.order <= kron._GTH_MAX
+            got = metrics_from_maps(request, chain)
+            assert {f: float.hex(getattr(got, f)) for f in _METRIC_FIELDS} == want["metrics"]
+            assert [float.hex(float(v)) for v in got.stationary] == want["stationary"]
+
+    def test_no_kron_operator_and_one_stationary_solve(self, monkeypatch):
+        chains = _recorded_chains()
+        built, solves = [], []
+        init, solve = kron.KronOperator.__init__, kron.steady_state
+
+        def counted_init(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        def counted_solve(q):
+            solves.append(q.rows)
+            return solve(q)
+
+        monkeypatch.setattr(kron.KronOperator, "__init__", counted_init)
+        for module in (kron, metrics, ttlnet.processes):
+            monkeypatch.setattr(module, "steady_state", counted_solve)
+        for policy, inputs, ttls in chains:
+            built.clear()
+            solves.clear()
+            request = inputs if len(inputs) > 1 else inputs[0]
+            chain = _OUTPUT_OPS[policy](request, *ttls)
+            metrics_from_maps(request, chain)
+            assert built == [], policy
+            assert solves == [chain.order], policy
+

@@ -438,11 +438,12 @@ class TestSolverPaths:
         factorizations = []
         real = ttlnet.kron._lu_solve
 
-        def spy(q, a, b):
-            factorizations.append(q.size)
-            return real(q, a, b)
+        def spy(q):
+            factorizations.append(q.rows)
+            return real(q)
 
-        # every node takes the LU route: small nodes and large ones too
+        # every node takes the LU route (dense up to kron._DENSE_MAX states,
+        # sparse above): small nodes and large ones too
         monkeypatch.setattr(ttlnet.kron, "_gth", lambda q: None)
         monkeypatch.setattr(ttlnet.kron, "_given_input_solve", lambda *args: None)
         monkeypatch.setattr(ttlnet.kron, "_lu_solve", spy)

@@ -34,9 +34,77 @@ def mmpp_fig(a=1.0, b=1.0, l1=1.0, l2=2.0):
     return mmpp_map([[-a, a], [b, -b]], [l1, l2])
 
 
+def _map(d0, d1) -> MarkovArrivalProcess:
+    return MarkovArrivalProcess(RateMatrix.from_dense(d0), RateMatrix.from_dense(d1))
+
+
 class TestValidation:
     def test_poisson_passes(self):
         assert validate_map(poisson_map(1.5)).ok
+
+    @pytest.mark.parametrize(
+        "parts, violations",
+        [
+            ([_map([[np.nan]], [[1.0]])], ["non-finite d0 rate at (0, 0)"]),
+            (
+                [_map([[-1.0, 0.5], [0.5, -1.0]], [[0.5, 0.0], [0.0, np.inf]])],
+                ["non-finite d1 rate at (1, 1)", "row 1 of d0+d1 sums to inf, not 0"],
+            ),
+            (
+                [_map([[-1.0, -np.inf], [0.5, -1.0]], [[1.0, 0.0], [0.0, 0.5]])],
+                ["non-finite d0 rate at (0, 1)", "negative hidden off-diagonal rate at (0, 1)",
+                 "row 0 of d0+d1 sums to -inf, not 0"],
+            ),
+            # a part of a superposition, named in its own coordinates
+            (
+                [poisson_map(1.0), _map([[-1.0, 1.0], [0.5, -1.0]], [[0.0, 0.0], [np.nan, 0.5]])],
+                ["non-finite d1 rate at (1, 0)"],
+            ),
+        ],
+        ids=["nan-d0", "inf-d1", "minus-inf-d0", "nan-part"],
+    )
+    def test_non_finite_rates_refused(self, parts, violations):
+        report = validate_map(*parts)
+        assert not report.ok
+        assert list(report.violations) == violations
+
+    @pytest.mark.parametrize(
+        "parts, violations",
+        [
+            ([_map([[-1.0]], [[1.0]])], []),
+            ([_map([[-1.0, 0.5], [0.5, -1.0]], [[0.7, -0.2], [0.3, 0.2]])],
+             ["negative active rate at (0, 1)"]),
+            ([_map([[-1.0, -0.5, 0.0], [0.5, -1.0, 0.5], [0.0, 0.0, -1.0]],
+                   [[1.5, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])],
+             ["negative hidden off-diagonal rate at (0, 1)"]),
+            ([_map([[0.0, 0.0], [0.5, -1.0]], [[0.0, 0.0], [0.0, 0.5]])],
+             ["nonnegative d0 diagonal at state 0"]),
+            ([_map([[-1.0, 0.5], [0.25, -1.0]], [[0.25, 0.0], [0.0, 1.0]])],
+             ["row 0 of d0+d1 sums to -0.25, not 0", "row 1 of d0+d1 sums to 0.25, not 0"]),
+            ([_map([[-1.0, 1.0], [1.0, -1.0]], [[0.0, 0.0], [0.0, 0.0]])], ["d0 is singular"]),
+            ([_map([[1.0, -0.5], [0.5, -1.0]], [[-0.5, 0.0], [0.0, 2.0]])],
+             ["negative active rate at (0, 0)", "negative hidden off-diagonal rate at (0, 1)",
+              "nonnegative d0 diagonal at state 0", "row 1 of d0+d1 sums to 1.5, not 0"]),
+            ([_map([[-1.0, 0.5], [0.5, -1.0]], [[0.5, 0.0], [0.0, 0.5]]),
+              _map([[-2.0, -0.5], [0.5, 0.0]], [[1.0, 0.0], [-0.5, 1.0]]),
+              _map([[-1.0]], [[1.5]])],
+             ["negative active rate at (1, 0)", "negative hidden off-diagonal rate at (0, 1)",
+              "row 0 of d0+d1 sums to -1, not 0", "row 1 of d0+d1 sums to 1.5, not 0",
+              "row 2 of d0+d1 sums to -1, not 0", "row 3 of d0+d1 sums to 1.5, not 0"]),
+            ([_map([[-1.0, 1.0], [1.0, -1.0]], [[0.0, 0.0], [0.0, 0.0]]),
+              _map([[-2.0, 2.0], [2.0, -2.0]], [[0.0, 0.0], [0.0, 0.0]])],
+             ["d0 is singular"]),
+            ([_map([[-1.0, 0.5], [0.5, -1.0]], [[0.5 + 1e-10, 0.0], [0.0, 0.5]])], []),
+        ],
+        ids=["valid", "negative-active", "negative-hidden", "nonnegative-diagonal",
+             "row-sums", "singular", "everything", "parts", "parts-singular", "within-tolerance"],
+    )
+    def test_violation_texts(self, parts, violations):
+        # the texts and their order, as reported before the checks ran as
+        # one vectorized pass
+        report = validate_map(*parts)
+        assert report.ok == (not violations)
+        assert list(report.violations) == violations
 
     def test_mmpp_passes(self):
         assert validate_map(mmpp_fig()).ok
@@ -416,6 +484,21 @@ class TestSplit:
 
 
 class TestPhaseType:
+    @pytest.mark.parametrize(
+        "s, pi",
+        [([[np.nan]], [1.0]), ([[-1.0, np.inf], [0.0, -1.0]], [0.5, 0.5]),
+         ([[-1.0, 0.5], [0.0, -1.0]], [np.nan, 1.0])],
+        ids=["nan-rate", "inf-rate", "nan-pi"],
+    )
+    def test_non_finite_entries_refused(self, s, pi):
+        pi = ProbabilityVector(pi)  # a NaN passes its sum test
+        with pytest.raises(ValidationError, match="must be finite"):
+            PhaseTypeDistribution(RateMatrix.from_dense(s), pi)
+
+    def test_non_finite_rate_refused_by_name(self):
+        with pytest.raises(ValidationError, match="must be finite"):
+            PhaseTypeDistribution.exponential(float("nan"))
+
     def test_ph_min_of_exponentials(self):
         out = ph_min(
             PhaseTypeDistribution.exponential(2.0), PhaseTypeDistribution.exponential(3.0)
