@@ -14,13 +14,13 @@ and a small `CacheChain` straight from its factors' dense forms), and a
 larger one assembled in one sort: both sum the terms in order.
 
 A stationary vector takes one of two routes. `steady_state` solves an
-assembled generator alone: up to `_GTH_MAX` states on one dense array
-(generator checks, GTH, Jacobi sweeps and the residual gate), by LU above
-that and where GTH fails its gates, dense up to `_DENSE_MAX` states and
-sparse above. `_given_input_solve` solves a cache
-output chain from its input vector and the system its `CacheChain` builds,
-by BiCGSTAB on the factors, with the generator checks and both gates
-evaluated on the factors too.
+assembled generator alone: it checks q once, on its triplets, then solves
+up to `_GTH_MAX` states on one dense array (GTH, Jacobi sweeps and the
+residual gate), by LU above that and where GTH fails its gates, factored
+by `_solver`: dense up to `_DENSE_MAX` states, sparse above.
+`_given_input_solve` solves a cache output chain from its input vector and
+the system its `CacheChain` builds, by BiCGSTAB on the factors, with the
+generator checks and both gates evaluated on the factors too.
 """
 
 import functools
@@ -221,7 +221,7 @@ class RateMatrix:
 
 @dataclass(frozen=True, eq=False)
 class ProbabilityVector:
-    """Dense stochastic vector: entries >= 0 summing to 1 within 1e-12."""
+    """Dense stochastic vector: finite entries >= 0 summing to 1 within 1e-12."""
 
     entries: np.ndarray
 
@@ -234,6 +234,8 @@ class ProbabilityVector:
             raise ValidationError("probability vector must be one-dimensional")
         if values.size == 0:
             raise ValidationError("probability vector must be nonempty")
+        if not np.isfinite(values).all():  # a NaN passes the two tests below
+            raise ValidationError("probability vector has non-finite entries")
         if (values < 0).any():
             raise ValidationError("probability vector has negative entries")
         if abs(values.sum() - 1.0) > self._SUM_TOL:
@@ -518,11 +520,12 @@ def kron_sum(a: RateMatrix, b: RateMatrix) -> RateMatrix:
 
 
 def _check_generator(q: KronOperator) -> None:
-    """Nonnegative off-diagonal rates and zero row sums, read from q's factors.
+    """Nonnegative off-diagonal rates and zero row sums, read from the
+    factors of a cache output chain (`metrics._output_vector`).
 
     The sign test asks every factor of every off-diagonal term
-    (`KronOperator.off_diagonal`) to be nonnegative: enough for an operator
-    of several factors, and exact for one of an assembled matrix.
+    (`KronOperator.off_diagonal`) to be nonnegative: enough, not necessary,
+    so `steady_state` decides a chain that fails it on its triplets.
     """
     factors = [f for t in q.off_diagonal.terms for f in t if f is not None]
     _require_generator(any(np.any(f.data < 0) for f in factors), q.row_sums())
@@ -712,7 +715,7 @@ def _triplet_product(size: int, triplets: list):
     """The map y -> y A for the matrix A that is the sum of the unsorted
     triplet terms (r, c, v): one `np.bincount` over all of them, in term
     order. `KronOperator` passes the triplets of its off-diagonal terms and
-    adds the diagonal itself; `_axis_product` those of one factor's term."""
+    adds the diagonal itself; `_axis_product` and `_lu_solve` those of one matrix."""
     if not triplets:
         return lambda y: np.zeros(size)
     src, dst, w = (a[0] if len(a) == 1 else np.concatenate(a) for a in zip(*triplets))
@@ -878,9 +881,10 @@ _GTH_MAX = 64
 # engine's blocks. At this size a renewal `_expm` takes 1.3-2.8 ms (1-norms
 # 0.1 to 1e3) and a dense solve 0.16 ms (2-vCPU host). `_lu_solve` of a
 # ring-plus-edges chain (about 4 nonzeros a row) with its refinement pass
-# and gates took 1.06-1.11 ms dense against 1.21-1.25 ms by a warm sparse LU
-# at 200 states, 0.24-0.25 against 0.43-0.46 ms at 100 (best of 9, two runs,
-# loaded 2-vCPU host); the sparse route first pays `import scipy.sparse`.
+# and gates took 0.26-0.28 ms dense against 0.39-0.40 ms by a warm sparse
+# LU at 100 states, and they tie at 200: 1.01-1.04 against 0.99-1.44 ms
+# (best of 31, three runs, 2-vCPU host); the sparse route first pays
+# `import scipy.sparse`.
 _DENSE_MAX = 200
 
 
@@ -922,33 +926,29 @@ def _lu_solve(q: RateMatrix) -> np.ndarray:
     """Stationary vector of the irreducible generator q by LU of its
     bordered system, held to the sign test and the residual gate.
 
-    The system is p q = 0, p 1 = 1: the transpose of q with its last
-    equation replaced by the normalization constraint. Up to `_DENSE_MAX`
-    states it is solved dense by LAPACK (`np.linalg.solve`), above that by
-    sparse LU; both make one round of iterative refinement.
+    The system a p = e_n is p q = 0, p 1 = 1: q^T with its last row
+    replaced by ones, built once and factored by `_solver`. One round of
+    iterative refinement follows. Its residual e_n - a x and the gate both
+    read the product x -> x q: a x is x q with its last entry x 1.
     """
     n = q.rows
-    b = np.zeros(n)
-    b[n - 1] = 1.0
-    if n <= _DENSE_MAX:
-        dense = q._array()
-        a = dense.T.copy()
-        a[n - 1] = 1.0
-        try:
-            x = np.linalg.solve(a, b)
-            x += np.linalg.solve(a, b - a @ x)  # one refinement pass
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - guards exact singularity
-            raise NoStationaryDistributionError(str(exc)) from exc
-        product, diagonal = (lambda y: y @ dense), np.diag(dense)
-    else:
-        x = _sparse_lu_solve(q, b)
-        op = KronOperator((n,), [(q,)])
-        product, diagonal = op.product, op.diagonal()
+    keep = q.col_idx != n - 1  # q's last column is the last row of q^T
+    ones = (np.full(n, n - 1), np.arange(n), np.ones(n))
+    a = RateMatrix.from_terms(n, n, [(q.col_idx[keep], q.row_idx[keep], q.data[keep]), ones])
+    product = _triplet_product(n, [(q.row_idx, q.col_idx, q.data)])
+    e = np.zeros(n)
+    e[n - 1] = 1.0
+    try:
+        solve = _solver(a)
+        x = solve(e)
+        x += solve(e - np.append(product(x)[:-1], x.sum()))  # one refinement pass
+    except ValueError as exc:  # pragma: no cover - guards exact singularity
+        raise NoStationaryDistributionError(str(exc)) from exc
     x = _as_probabilities(x)
     if x is None:
         raise NoStationaryDistributionError("solver returned a non-probability vector")
-    residual, bound = _residual(product(x), diagonal)
-    if residual > bound:
+    residual, bound = _residual(product(x), q.diagonal())
+    if not residual <= bound:  # refuses a NaN residual too
         raise NoStationaryDistributionError(
             f"stationary residual too large ({residual:g}); generator may be defective"
         )
@@ -956,10 +956,10 @@ def _lu_solve(q: RateMatrix) -> np.ndarray:
 
 
 def _solver(a: RateMatrix):
-    """The map b -> a^{-1} b of the square matrix a: `np.linalg.solve`
-    (dense LU, LAPACK) up to `_DENSE_MAX` rows, one sparse LU factorization
-    above. Raises ValueError (numpy's `LinAlgError` is one) when a is
-    exactly singular."""
+    """The map b -> a^{-1} b of the square matrix a, for `_lu_solve`,
+    `processes.ph_mean` and `metrics.stationary_interval_moments`: dense LU
+    (`np.linalg.solve`, LAPACK) up to `_DENSE_MAX` rows, one sparse LU above.
+    Raises ValueError (numpy's `LinAlgError` is one) when a is exactly singular."""
     if a.rows <= _DENSE_MAX:
         return functools.partial(np.linalg.solve, a._array())
     from scipy.sparse import linalg as spla  # deferred: only larger matrices need scipy
@@ -970,34 +970,6 @@ def _solver(a: RateMatrix):
         raise ValueError(str(exc)) from exc
 
 
-def _sparse_lu_solve(q: RateMatrix, b: np.ndarray) -> np.ndarray:
-    """The bordered system of `_lu_solve` by sparse LU, with one refinement pass."""
-    import scipy.sparse as sp  # deferred: only chains above _DENSE_MAX need scipy here
-    from scipy.sparse import linalg as spla
-
-    # Column j of the system is row j of q, whose triplets are in column
-    # order, then a 1 in the last row: q's row-major triplets are its CSC
-    # arrays once column n - 1 of q is dropped and that 1 is slotted in
-    # after each column.
-    n = q.rows
-    keep = q.col_idx != (n - 1)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(q.row_idx[keep], minlength=n) + 1, out=indptr[1:])
-    indices = np.full(indptr[-1], n - 1, dtype=np.int64)
-    vals = np.ones(indptr[-1])
-    slots = np.arange(np.count_nonzero(keep)) + q.row_idx[keep]
-    indices[slots] = q.col_idx[keep]
-    vals[slots] = q.data[keep]
-    a = sp.csc_matrix((vals, indices, indptr), shape=(n, n))
-    try:
-        lu = spla.splu(a)
-    except RuntimeError as exc:  # pragma: no cover - guards exact singularity
-        raise NoStationaryDistributionError(str(exc)) from exc
-    x = lu.solve(b)
-    x += lu.solve(b - a @ x)
-    return x
-
-
 def steady_state(q: RateMatrix) -> ProbabilityVector:
     """Stationary distribution p of a conservative irreducible generator.
 
@@ -1006,22 +978,24 @@ def steady_state(q: RateMatrix) -> ProbabilityVector:
     Kronecker factors from its input vector (see `_given_input_solve`), and
     assembles it for this function only when that solve fails its gates.
 
-    1. A chain of at most `_GTH_MAX` states is solved on one dense array,
-       which the generator checks read too: by GTH state reduction (see
-       `_gth`), whose positive pivots and entries also show it irreducible.
-       The vector must have a componentwise backward error
-       max_i |(p q)_i| / (|p| |q|)_i of at most 1e-10; while it does not,
-       up to 50 Jacobi sweeps, dense products with q's off-diagonal part,
-       polish its small entries (see `_relax`). It must then pass the
-       residual gate below.
+    q is checked once, on its triplets, before either route:
+
+    1. A chain of at most `_GTH_MAX` states is solved on one dense array by
+       GTH state reduction (see `_gth`), whose positive pivots and entries
+       also show it irreducible. The vector must have a componentwise
+       backward error max_i |(p q)_i| / (|p| |q|)_i of at most 1e-10; while
+       it does not, up to 50 Jacobi sweeps, dense products with q's
+       off-diagonal part, polish its small entries (see `_relax`). It must
+       then pass the residual gate below.
     2. Otherwise (a larger chain, a GTH pivot or entry that is zero, or a
        GTH vector that fails the gates), a graph search decides whether the
        chain is irreducible (see `_is_irreducible`), unless GTH has shown
        it. Then p q = 0, p 1 = 1, as the bordered system q^T with its last
-       equation replaced by the normalization constraint, is solved by LU
-       with one round of iterative refinement (see `_lu_solve`): dense up
-       to `_DENSE_MAX` states, sparse above. The vector is held to the sign
-       test (no entry below -1e-9 times the largest) and the residual gate.
+       equation replaced by the normalization constraint, is built once and
+       solved by LU, factored by `_solver` (dense up to `_DENSE_MAX`
+       states, sparse above), with one round of iterative refinement (see
+       `_lu_solve`). The vector is held to the sign test (no entry below
+       -1e-9 times the largest) and the residual gate.
 
     The residual gate is max |p q| <= max(1e-10, 1e-13 * max |q_ii|), the
     largest exit rate being the largest rate of a generator. A one-state
@@ -1030,28 +1004,26 @@ def steady_state(q: RateMatrix) -> ProbabilityVector:
     Raises
     ------
     ValidationError
-        If q is not a conservative generator.
+        If q is not a conservative generator: an off-diagonal rate is
+        negative, or a row sum is off zero by more than 1e-9.
     NoStationaryDistributionError
         If the chain is not irreducible (no unique stationary distribution),
         or the LU solution fails the sign test or the residual gate.
     """
     if not q.is_square:
         raise ValidationError("generator must be square")
+    _require_generator(np.any((q.data < 0.0) & (q.row_idx != q.col_idx)), q.row_sums())
     n, x = q.rows, None
+    if n == 1:
+        return ProbabilityVector([1.0])
     if n <= _GTH_MAX:
         a = q._array()
-        off = a.copy()
-        off.ravel()[:: n + 1] = 0.0  # q's off-diagonal part
-        _require_generator(np.count_nonzero(off < 0.0) > 0, a.sum(axis=1))
-        if n == 1:
-            return ProbabilityVector([1.0])
+        off = a - np.diag(a.diagonal())  # q's off-diagonal part
         x = _gth(a)
         if x is not None:  # q is irreducible
             p = _gate(lambda y: y @ off, a.diagonal(), x)
             if p is not None:
                 return ProbabilityVector._solved(p)
-    if n > _GTH_MAX:
-        _check_generator(KronOperator((n,), [(q,)]))
     if x is None and not _is_irreducible(q):
         raise NoStationaryDistributionError(
             "generator is reducible: no unique stationary distribution"

@@ -186,10 +186,11 @@ def stationary_interval_moments(m: MarkovArrivalProcess, count: int = 2) -> list
 
     The time between consecutive events started in stationarity is
     phase-type with subintensity d0 and initial vector p d1 / (p d1 1), so
-    the k-th moment is k! phi (-d0)^{-k} 1, by LU of -d0: dense up to
-    `kron._DENSE_MAX` states, sparse above.
+    the k-th moment is k! phi (-d0)^{-k} 1, by LU of -d0 (`kron._solver`):
+    dense up to `kron._DENSE_MAX` states, sparse above. p is the MAP's own
+    stationary vector, solved on its first read.
     """
-    p = steady_state(m.generator)
+    p = m.stationary
     d1 = m.d1
     rate_vec = np.bincount(d1.col_idx, weights=p.entries[d1.row_idx] * d1.data, minlength=m.order)
     phi = rate_vec / rate_vec.sum()

@@ -113,7 +113,7 @@ class PhaseTypeDistribution:
             raise DimensionError("subintensity must be square")
         if self.s.rows != len(self.pi):
             raise DimensionError("initial vector length must match the subintensity order")
-        if not (np.isfinite(self.s.data).all() and np.isfinite(self.pi.entries).all()):
+        if not np.isfinite(self.s.data).all():  # `ProbabilityVector` refuses a non-finite pi
             raise ValidationError("subintensity and initial vector entries must be finite")
         if (self.s.diagonal() >= 0).any():
             raise ValidationError("subintensity diagonal must be strictly negative")

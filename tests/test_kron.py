@@ -64,6 +64,16 @@ class TestProbabilityVector:
         with pytest.raises(ValidationError):
             ProbabilityVector(bad)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [[math.nan], [math.nan, 1.0], [0.5, math.nan, 0.5], [math.inf, 1.0]],
+        ids=["nan", "nan-one", "nan-between", "inf-one"],
+    )
+    def test_rejects_non_finite(self, bad):
+        # NaN fails no comparison that the sign and sum tests make
+        with pytest.raises(ValidationError, match="probability vector has non-finite entries"):
+            ProbabilityVector(bad)
+
 
 class TestKronProduct:
     def test_scalar_case(self):
@@ -276,6 +286,62 @@ class TestSteadyState:
         p = steady_state(RateMatrix.from_dense(q)).entries
         assert exact[4] < 1e-9
         assert_allclose(p, exact, rtol=1e-12, atol=0)
+
+
+
+class TestLuSolve:
+    """One bordered LU, factored by `kron._solver`: LAPACK up to
+    `_DENSE_MAX` states, one sparse LU above."""
+
+    @pytest.mark.parametrize("n", [65, 200, 201, 300])
+    def test_agrees_with_least_squares(self, monkeypatch, n):
+        # an independent solve: least squares on q^T with a row of ones
+        # appended, not substituted; the stiff ring's 1e12 spread of rates
+        # leaves that system too ill-conditioned to check 1e-12 against
+        q = _random_generator(np.random.default_rng(n), n)
+        factorizations = _spy_on_lu(monkeypatch)
+        p = kron._lu_solve(RateMatrix.from_dense(q))
+        assert factorizations == ([(n, n)] if n > kron._DENSE_MAX else [])
+        e = np.zeros(n + 1)
+        e[-1] = 1.0
+        want = np.linalg.lstsq(np.vstack([q.T, np.ones(n)]), e, rcond=None)[0]
+        assert_allclose(p, want, rtol=1e-12, atol=0)
+
+    def test_steady_state_builds_no_kron_operator(self, monkeypatch):
+        # the generator check and the LU both read q's triplets
+        def refuse(*args):
+            raise AssertionError("KronOperator built")
+
+        monkeypatch.setattr(kron, "KronOperator", refuse)
+        q = _random_generator(np.random.default_rng(300), 300)
+        p = steady_state(RateMatrix.from_dense(q)).entries
+        assert_allclose(p, _bordered_lapack(q), rtol=1e-12, atol=0)
+
+    def test_nan_vector_refused(self, monkeypatch):
+        # a NaN residual is not above the bound, and not within it either
+        n = 70
+        monkeypatch.setattr(kron, "_solver", lambda a: lambda b: np.full(n, np.nan))
+        with pytest.raises(NoStationaryDistributionError, match="residual too large"):
+            kron._lu_solve(RateMatrix.from_dense(_random_generator(np.random.default_rng(0), n)))
+
+    @pytest.mark.parametrize("n", [3, 64, 65, 300])
+    @pytest.mark.parametrize(
+        "fault,message",
+        [("negative-rate", "generator has negative off-diagonal entries"),
+         ("row-sum", r"generator rows do not sum to 0 \(max \|sum\| = 1e-06\)")],
+    )
+    def test_generator_checked_once_on_every_route(self, n, fault, message):
+        # the same check and text on both sides of the GTH bound
+        q = np.zeros((n, n))
+        q[np.arange(n), (np.arange(n) + 1) % n] = 1.0
+        q -= np.diag(q.sum(axis=1))
+        if fault == "negative-rate":
+            q[0, 2] -= 0.5  # the row still sums to zero
+            q[0, 0] += 0.5
+        else:
+            q[0, 0] -= 1e-6
+        with pytest.raises(ValidationError, match=message):
+            steady_state(RateMatrix.from_dense(q))
 
 
 def _stiff_ring(n: int) -> np.ndarray:

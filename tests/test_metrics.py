@@ -31,6 +31,7 @@ from ttlnet import (
     output_r,
     output_sigma,
     poisson_map,
+    stationary_interval_moments,
     steady_state,
 )
 
@@ -74,6 +75,26 @@ class TestKnownValues:
         out = output_sigma(two_state, t)
         with pytest.raises(DimensionError):
             metrics_from_maps(poisson_map(1.0), out)
+
+
+class TestStationaryIntervalMoments:
+    def test_reads_the_maps_stationary_vector(self, monkeypatch):
+        # once m.stationary has been read, the moments solve no chain again
+        m = mmpp_map([[-0.5, 0.5], [1.0, -1.0]], [4.0, 0.5])
+        m.stationary
+        calls = []
+
+        def spy(q):
+            calls.append(q.rows)
+            return steady_state(q)
+
+        for module in (kron, metrics, ttlnet.processes):
+            monkeypatch.setattr(module, "steady_state", spy)
+        mean, _ = stationary_interval_moments(m)
+        assert calls == []
+        # a MAP's mean inter-event time is the reciprocal of its rate, p d1 1
+        p = m.stationary.entries
+        assert_allclose(mean, 1.0 / (p @ m.d1.to_dense().sum(axis=1)), rtol=1e-12)
 
 
 class TestInvariants:

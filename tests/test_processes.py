@@ -463,6 +463,11 @@ class TestSplit:
         assert_allclose(fundamental_rate(outs[0]), 0.6, rtol=1e-12)
         assert_allclose(fundamental_rate(outs[1]), 1.4, rtol=1e-12)
 
+    def test_non_finite_weight_refused_before_the_split(self):
+        # the weights cannot be built, so no part with a NaN d1 is either
+        with pytest.raises(ValidationError, match="probability vector has non-finite entries"):
+            split(poisson_map(2.0), ProbabilityVector([np.nan, 1.0]))
+
     def test_background_chain_preserved_and_rates_conserved(self, rng):
         for _ in range(20):
             m = random_map(rng, 3)
@@ -485,15 +490,16 @@ class TestSplit:
 
 class TestPhaseType:
     @pytest.mark.parametrize(
-        "s, pi",
-        [([[np.nan]], [1.0]), ([[-1.0, np.inf], [0.0, -1.0]], [0.5, 0.5]),
-         ([[-1.0, 0.5], [0.0, -1.0]], [np.nan, 1.0])],
+        "s, pi, message",
+        [([[np.nan]], [1.0], "must be finite"),
+         ([[-1.0, np.inf], [0.0, -1.0]], [0.5, 0.5], "must be finite"),
+         ([[-1.0, 0.5], [0.0, -1.0]], [np.nan, 1.0], "probability vector has non-finite entries")],
         ids=["nan-rate", "inf-rate", "nan-pi"],
     )
-    def test_non_finite_entries_refused(self, s, pi):
-        pi = ProbabilityVector(pi)  # a NaN passes its sum test
-        with pytest.raises(ValidationError, match="must be finite"):
-            PhaseTypeDistribution(RateMatrix.from_dense(s), pi)
+    def test_non_finite_entries_refused(self, s, pi, message):
+        # a non-finite pi is refused by `ProbabilityVector` itself
+        with pytest.raises(ValidationError, match=message):
+            PhaseTypeDistribution(RateMatrix.from_dense(s), ProbabilityVector(pi))
 
     def test_non_finite_rate_refused_by_name(self):
         with pytest.raises(ValidationError, match="must be finite"):
